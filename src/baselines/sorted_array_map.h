@@ -63,7 +63,7 @@ class sorted_array_map {
         [](const entry_t& a, const entry_t& b) { return a.first < b.first; });
     // Collapse duplicates: stability put the old value first, so keep-last.
     data_ = combine_sorted_runs(
-        merged, [](const K& a, const K& b) { return a < b; },
+        std::move(merged), [](const K& a, const K& b) { return a < b; },
         [](const V&, const V& nv) { return nv; });
   }
 
@@ -74,7 +74,7 @@ class sorted_array_map {
     parallel_sort(v.data(), v.size(),
                   [](const entry_t& a, const entry_t& b) { return a.first < b.first; });
     v = combine_sorted_runs(
-        v, [](const K& a, const K& b) { return a < b; },
+        std::move(v), [](const K& a, const K& b) { return a < b; },
         [](const V&, const V& nv) { return nv; });
   }
 

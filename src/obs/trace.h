@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <ostream>
@@ -153,6 +154,14 @@ inline void dump_chrome_json(std::ostream& os) {
     mutex_guard lock(rl.mu);
     rings = rl.rings;
   }
+  // Microseconds with the nanosecond remainder as exactly three decimals.
+  auto us = [](uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                  static_cast<unsigned long long>(ns / 1000),
+                  static_cast<unsigned long long>(ns % 1000));
+    return std::string(buf);
+  };
   os << "{\"traceEvents\":[";
   bool first = true;
   for (trace_internal::ring* r : rings) {
@@ -172,9 +181,8 @@ inline void dump_chrome_json(std::ostream& os) {
       if (!first) os << ",";
       first = false;
       os << "{\"name\":\"" << e.name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-         << r->tid << ",\"ts\":" << (e.start_ns / 1000) << "."
-         << (e.start_ns % 1000) << ",\"dur\":" << (e.dur_ns / 1000) << "."
-         << (e.dur_ns % 1000) << "}";
+         << r->tid << ",\"ts\":" << us(e.start_ns) << ",\"dur\":" << us(e.dur_ns)
+         << "}";
     }
   }
   os << "]}\n";

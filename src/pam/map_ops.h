@@ -16,13 +16,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "pam/block_search.h"
 #include "pam/tree_ops.h"
 #include "parallel/merge_sort.h"
 #include "parallel/parallel.h"
+#include "parallel/radix_sort.h"
 #include "parallel/sequence_ops.h"
 
 namespace pam {
@@ -240,6 +244,37 @@ struct map_ops : tree_ops<Entry, Balance> {
     return join2(l2, r2);
   }
 
+  // ------------------------------------------- sort-and-combine front end --
+
+  // Keys that take the radix sort: integers of up to 64 bits under the
+  // default order, in entries that copy as plain bytes (std::pair itself
+  // never qualifies as trivially copyable, so the test is on its members).
+  static constexpr bool radix_keys =
+      std::is_integral_v<K> && sizeof(K) <= sizeof(uint64_t) &&
+      detail::uses_default_less<Entry>::value && std::is_trivially_copyable_v<V>;
+
+  static bool key_less(const K& x, const K& y) { return less(x, y); }
+
+  // Stable sort of v by key_of(elem): the radix sort for radix_keys, else
+  // the merge sort. Both return at once on already-sorted input.
+  template <typename T, typename KeyOf>
+  static void sort_by_key(std::vector<T>& v, const KeyOf& key_of) {
+    if constexpr (radix_keys) {
+      radix_sort(v, key_of);
+    } else {
+      parallel_sort(v, [&](const T& x, const T& y) { return less(key_of(x), key_of(y)); });
+    }
+  }
+
+  // The entries of v sorted by key, each run of equal keys folded left to
+  // right with comb into one entry. Returns v's own buffer (or the sort's
+  // scratch buffer) when there are no duplicates.
+  template <typename Comb>
+  static std::vector<entry_t> sort_and_combine(std::vector<entry_t> v, const Comb& comb) {
+    sort_by_key(v, [](const entry_t& e) -> const K& { return e.first; });
+    return combine_sorted_runs(std::move(v), key_less, comb);
+  }
+
   // --------------------------------------------------------------- build --
 
   // Balanced divide-and-conquer construction from sorted, duplicate-free
@@ -264,10 +299,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   // Work O(n log n), span O(log n) given the sort (paper Table 2).
   template <typename Comb>
   static node* build(std::vector<entry_t> v, const Comb& comb) {
-    parallel_sort(v.data(), v.size(),
-                  [](const entry_t& x, const entry_t& y) { return less(x.first, y.first); });
-    std::vector<entry_t> u = combine_sorted_runs(
-        v, [](const K& x, const K& y) { return less(x, y); }, comb);
+    std::vector<entry_t> u = sort_and_combine(std::move(v), comb);
     return from_sorted_unique(u.data(), u.size());
   }
 
@@ -324,10 +356,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   // comb(old_in_map, folded_update).
   template <typename Comb>
   static node* multi_insert(node* t, std::vector<entry_t> updates, const Comb& comb) {
-    parallel_sort(updates.data(), updates.size(),
-                  [](const entry_t& x, const entry_t& y) { return less(x.first, y.first); });
-    std::vector<entry_t> u = combine_sorted_runs(
-        updates, [](const K& x, const K& y) { return less(x, y); }, comb);
+    std::vector<entry_t> u = sort_and_combine(std::move(updates), comb);
     return multi_insert_sorted(t, u.data(), u.size(), comb);
   }
 
@@ -371,13 +400,9 @@ struct map_ops : tree_ops<Entry, Balance> {
   }
 
   static node* multi_delete(node* t, std::vector<K> keys) {
-    parallel_sort(keys.data(), keys.size(),
-                  [](const K& a, const K& b) { return less(a, b); });
-    keys.erase(std::unique(keys.begin(), keys.end(),
-                           [](const K& a, const K& b) {
-                             return !less(a, b) && !less(b, a);
-                           }),
-               keys.end());
+    auto self = [](const K& k) -> const K& { return k; };
+    sort_by_key(keys, self);
+    keys = fold_sorted_runs(std::move(keys), self, key_less, [](K&, const K&) {});
     return multi_delete_sorted(t, keys.data(), keys.size());
   }
 

@@ -1,12 +1,14 @@
 // Stable parallel merge sort with a parallel divide-and-conquer merge.
 //
-// This is the comparison sort used by build(), multi_insert and the
-// benchmark generators. Work O(n log n), span O(log^3 n) (binary-search
-// splits in the merge), stable — stability matters because build() combines
-// duplicate keys left-to-right with a user function.
+// This is the comparison sort used by build(), multi_insert and
+// multi_delete for every key type the radix sort (radix_sort.h) does not
+// take, and by the benchmark generators. Work O(n log n), span O(log^3 n)
+// (binary-search splits in the merge), stable — stability matters because
+// build() combines duplicate keys left-to-right with a user function.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -64,13 +66,33 @@ void merge_sort_rec(T* in, T* tmp, size_t n, const Comp& comp, bool out_in_tmp) 
 
 }  // namespace internal
 
-// Stable parallel sort of a[0, n) in place.
+// True iff a[0, n) is non-decreasing under comp: one parallel pass over
+// adjacent pairs in blocks of kSortBase, which skips the remaining blocks
+// once any block finds a descent.
+template <typename T, typename Comp>
+bool is_sorted_parallel(const T* a, size_t n, const Comp& comp) {
+  std::atomic<bool> sorted{true};
+  size_t nb = (n + internal::kSortBase - 1) / internal::kSortBase;
+  parallel_for(0, nb, [&](size_t b) {
+    if (!sorted.load(std::memory_order_relaxed)) return;
+    size_t lo = b == 0 ? 0 : b * internal::kSortBase - 1;  // pair across the seam
+    size_t hi = std::min(n, (b + 1) * internal::kSortBase);
+    if (!std::is_sorted(a + lo, a + hi, comp)) {
+      sorted.store(false, std::memory_order_relaxed);
+    }
+  }, 1);
+  return sorted.load(std::memory_order_relaxed);
+}
+
+// Stable parallel sort of a[0, n) in place. Already-sorted input returns
+// after one parallel check.
 template <typename T, typename Comp>
 void parallel_sort(T* a, size_t n, const Comp& comp) {
   if (n <= internal::kSortBase) {
     std::stable_sort(a, a + n, comp);
     return;
   }
+  if (is_sorted_parallel(a, n, comp)) return;
   std::vector<T> tmp(n);
   internal::merge_sort_rec(a, tmp.data(), n, comp, /*out_in_tmp=*/false);
 }

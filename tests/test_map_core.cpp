@@ -2,14 +2,19 @@
 // schemes (weight-balanced, AVL, red-black, treap). Every operation is
 // differentially tested against a std::map oracle, and the full structural
 // validator (balance invariant + sizes + ordering + cached augmented
-// values) runs after each mutation mix.
+// values) runs after each mutation mix. The build-path sweep at the end also
+// covers every leaf layout and block size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pam/pam.h"
@@ -617,6 +622,116 @@ TYPED_TEST(MapCore, GranularityKnobDoesNotChangeResults) {
   pam::set_par_cutoff(saved);
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[1], results[2]);
+}
+
+}  // namespace
+
+// --- build-path equivalence --------------------------------------------------
+// build, multi_insert and multi_delete sort their input along one of three
+// paths, picked by key type: the radix sort (integer keys under the default
+// order), the merge sort, and the merge sort's already-sorted shortcut. Each
+// must give the map a sorted-vector oracle predicts, duplicates folded left
+// to right, at every balance scheme, leaf block size and leaf layout.
+namespace {
+
+// Not commutative and not associative, so any other fold order shows.
+V fold31(V a, V b) { return (31 * a + b) % 1000003; }
+
+template <typename Entry, typename Balance>
+void expect_build_paths(const std::vector<std::pair<typename Entry::key_t, V>>& in) {
+  using map_t = pam::aug_map<Entry, Balance>;
+  using key_t = typename Entry::key_t;
+  struct key_less {
+    bool operator()(const key_t& a, const key_t& b) const { return Entry::comp(a, b); }
+  };
+  using oracle_t = std::map<key_t, V, key_less>;
+  auto fold_into = [](oracle_t& o, const auto& es) {
+    for (const auto& [k, v] : es) {
+      auto [it, fresh] = o.emplace(k, v);
+      if (!fresh) it->second = fold31(it->second, v);
+    }
+  };
+  auto expect_map = [](const map_t& m, const oracle_t& o, const char* what) {
+    ASSERT_TRUE(m.check_valid()) << what;
+    auto es = m.entries();
+    ASSERT_EQ(es.size(), o.size()) << what;
+    size_t i = 0;
+    for (const auto& [k, v] : o) {
+      ASSERT_TRUE(es[i].first == k && es[i].second == v) << what << " at " << i;
+      i++;
+    }
+  };
+
+  oracle_t built;
+  fold_into(built, in);
+  expect_map(map_t(in, fold31), built, "build");
+
+  // multi_insert folds the updates first, then combines each with the value
+  // already in the map: comb(old, folded update).
+  std::vector<std::pair<key_t, V>> base_in;
+  for (size_t i = 0; i < in.size(); i += 2) base_in.push_back(in[i]);
+  map_t base(base_in, fold31);
+  oracle_t inserted, updates;
+  fold_into(inserted, base_in);
+  fold_into(updates, in);
+  for (const auto& [k, u] : updates) {
+    auto [it, fresh] = inserted.emplace(k, u);
+    if (!fresh) it->second = fold31(it->second, u);
+  }
+  expect_map(map_t::multi_insert(base, in, fold31), inserted, "multi_insert");
+
+  std::vector<key_t> dels;
+  for (size_t i = 0; i < in.size(); i += 3) dels.push_back(in[i].first);
+  oracle_t deleted = built;
+  for (const auto& k : dels) deleted.erase(k);
+  expect_map(map_t::multi_delete(map_t(in, fold31), dels), deleted, "multi_delete");
+}
+
+// Random input with duplicates, then the same input stably sorted by the
+// policy's order (the already-sorted path, duplicates still in input order).
+template <typename Entry, typename Balance, typename KeyGen>
+void expect_build_paths_random_and_sorted(size_t n, uint64_t seed, const KeyGen& key_gen) {
+  using key_t = typename Entry::key_t;
+  pam::random_gen g(seed);
+  std::vector<std::pair<key_t, V>> in(n);
+  for (auto& e : in) e = {key_gen(g.next() % (n / 2 + 1)), g.next() % 1000};
+  expect_build_paths<Entry, Balance>(in);
+  std::stable_sort(in.begin(), in.end(),
+                   [](const auto& a, const auto& b) { return Entry::comp(a.first, b.first); });
+  expect_build_paths<Entry, Balance>(in);
+}
+
+TYPED_TEST(MapCore, BuildPathsMatchSortedOracle) {
+  using B = TypeParam;
+  auto wide = [](uint64_t r) { return r % 7 == 0 ? r | (uint64_t{1} << 63) : r * 1000003; };
+  auto signed_key = [](uint64_t r) {
+    if (r == 1) return std::numeric_limits<int64_t>::min();
+    if (r == 2) return std::numeric_limits<int64_t>::max();
+    return static_cast<int64_t>(r * 2654435761u % 200003) - 100001;
+  };
+  auto str_key = [](uint64_t r) { return std::to_string(r * 7919); };
+  size_t saved_b = pam::leaf_block_size();
+  for (size_t b : {size_t{0}, size_t{1}, size_t{32}, size_t{256}}) {
+    pam::set_leaf_block_size(b);
+    SCOPED_TRACE("B = " + std::to_string(b));
+    for (size_t n : {size_t{1000}, size_t{20000}}) {
+      // Radix path: flat and delta-coded leaves, unsigned and signed keys.
+      expect_build_paths_random_and_sorted<pam::sum_entry<K, V>, B>(n, n + b, wide);
+      expect_build_paths_random_and_sorted<pam::delta_sum_entry<K, V>, B>(n, n + b + 1,
+                                                                          wide);
+      expect_build_paths_random_and_sorted<pam::sum_entry<int64_t, V>, B>(n, n + b + 2,
+                                                                          signed_key);
+      // Merge path for integer keys: a policy that is not std::less.
+      using desc = std::greater<K>;
+      expect_build_paths_random_and_sorted<pam::map_entry<K, V, desc>, B>(n, n + b + 3,
+                                                                          wide);
+      expect_build_paths_random_and_sorted<pam::delta_map_entry<K, V, desc>, B>(
+          n, n + b + 4, wide);
+      // Merge path for front-coded string keys.
+      expect_build_paths_random_and_sorted<pam::str_sum_entry<V>, B>(n, n + b + 5, str_key);
+    }
+  }
+  pam::set_leaf_block_size(saved_b);
 }
 
 }  // namespace

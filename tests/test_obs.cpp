@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -284,6 +285,31 @@ TEST(ObsTrace, SpanRoundTripAndWrapAround) {
   }
   EXPECT_LE(count, size_t{4096});
   EXPECT_GT(count, size_t{0});
+}
+
+// ts and dur are microseconds as JSON decimals; read back as numbers they
+// must give the exact nanoseconds, so the sub-microsecond part is padded to
+// three digits (1000045 ns is 1000.045, not 1000.45).
+TEST(ObsTrace, TimestampsReadBackAsExactNanoseconds) {
+  const uint64_t cases[][2] = {{1000045, 5}, {2000100, 1000}, {7, 999}, {3000000, 123456}};
+  for (const auto& c : cases) obs::record_span("test.exact_ts", c[0], c[1]);
+  std::ostringstream os;
+  obs::dump_chrome_json(os);
+  std::string out = os.str();
+  auto field_ns = [&](size_t from, const std::string& key) {
+    size_t at = out.find("\"" + key + "\":", from);
+    EXPECT_NE(at, std::string::npos) << key;
+    double us = std::stod(out.substr(at + key.size() + 3));
+    return static_cast<uint64_t>(std::llround(us * 1000));
+  };
+  size_t pos = 0;
+  for (const auto& c : cases) {
+    pos = out.find("\"name\":\"test.exact_ts\"", pos);
+    ASSERT_NE(pos, std::string::npos);
+    EXPECT_EQ(field_ns(pos, "ts"), c[0]);
+    EXPECT_EQ(field_ns(pos, "dur"), c[1]);
+    pos++;
+  }
 }
 
 TEST(ObsTrace, DisabledSpansRecordNothing) {

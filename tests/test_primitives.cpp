@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "parallel/merge_sort.h"
 #include "parallel/primitives.h"
+#include "parallel/radix_sort.h"
 #include "parallel/sequence_ops.h"
 #include "util/random.h"
 
@@ -181,6 +184,70 @@ TEST(Sort, AllEqualKeys) {
   for (auto x : v) ASSERT_EQ(x, 7u);
 }
 
+TEST(Sort, IsSortedParallelFindsADescentAtABlockSeam) {
+  size_t n = 5 * pam::internal::kSortBase;
+  std::vector<uint64_t> v(n);
+  std::iota(v.begin(), v.end(), 0);
+  EXPECT_TRUE(pam::is_sorted_parallel(v.data(), n, std::less<uint64_t>()));
+  // The only descent straddles the seam between blocks 2 and 3.
+  std::swap(v[3 * pam::internal::kSortBase - 1], v[3 * pam::internal::kSortBase]);
+  EXPECT_FALSE(pam::is_sorted_parallel(v.data(), n, std::less<uint64_t>()));
+}
+
+// ------------------------------------------------------------ radix sort --
+
+// Sorts (key, input position) pairs by key with the radix sort and with
+// std::stable_sort: equal vectors means the same order and, through the
+// position tags, the same order among equal keys.
+template <typename K>
+void expect_radix_matches_stable_sort(const std::vector<K>& keys) {
+  std::vector<std::pair<K, uint32_t>> v(keys.size());
+  for (size_t i = 0; i < keys.size(); i++) v[i] = {keys[i], static_cast<uint32_t>(i)};
+  auto expect = v;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  pam::radix_sort(v, [](const std::pair<K, uint32_t>& e) { return e.first; });
+  ASSERT_EQ(v, expect);
+}
+
+// Every input pattern at size n: random over the whole key range (negatives,
+// bit 63, the type's extremes), a narrow range far from zero, a few distinct
+// keys, all keys equal, sorted and reverse-sorted.
+template <typename K>
+void radix_patterns(size_t n) {
+  using lim = std::numeric_limits<K>;
+  pam::random_gen g(n * 977 + sizeof(K));
+  std::vector<K> random(n), narrow(n), few(n), equal(n, K{42});
+  for (size_t i = 0; i < n; i++) {
+    random[i] = static_cast<K>(g.next());
+    narrow[i] = static_cast<K>(lim::max() / 2 + static_cast<K>(g.next() % 5000));
+    few[i] = static_cast<K>(g.next() % 3 == 0 ? lim::min() : g.next() % 4);
+  }
+  const K extremes[] = {lim::min(), lim::max(), K{0}, static_cast<K>(-1), lim::min()};
+  for (size_t i = 0; i < n && i < 5; i++) random[(i * 7919) % n] = extremes[i];
+  std::vector<K> sorted = random, reversed;
+  std::sort(sorted.begin(), sorted.end());
+  reversed.assign(sorted.rbegin(), sorted.rend());
+  const std::pair<const char*, const std::vector<K>*> patterns[] = {
+      {"random", &random}, {"narrow", &narrow}, {"few", &few},
+      {"equal", &equal},   {"sorted", &sorted}, {"reversed", &reversed}};
+  for (const auto& [name, keys] : patterns) {
+    SCOPED_TRACE(name);
+    expect_radix_matches_stable_sort(*keys);
+  }
+}
+
+class RadixSortSizes : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RadixSortSizes, Uint32Keys) { radix_patterns<uint32_t>(GetParam()); }
+TEST_P(RadixSortSizes, Uint64Keys) { radix_patterns<uint64_t>(GetParam()); }
+TEST_P(RadixSortSizes, Int64Keys) { radix_patterns<int64_t>(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RadixSortSizes,
+                         ::testing::Values(0, 1, 2, pam::internal::kSortBase - 1,
+                                           pam::internal::kSortBase,
+                                           pam::internal::kSortBase + 1, 1 << 20));
+
 // --------------------------------------------------- combine_sorted_runs --
 
 TEST(CombineSortedRuns, SumsDuplicateKeys) {
@@ -223,6 +290,51 @@ TEST(CombineSortedRuns, LargeRandom) {
     else
       expect.push_back(kv);
   }
+  EXPECT_EQ(got, expect);
+}
+
+// Without duplicates the input vector comes back itself: no allocation, no
+// copy.
+TEST(CombineSortedRuns, NoDuplicatesReturnsTheInputBuffer) {
+  for (size_t n : {size_t{1}, size_t{100}, 3 * pam::internal::kSeqBase + 17}) {
+    std::vector<std::pair<uint64_t, uint64_t>> a(n);
+    for (size_t i = 0; i < n; i++) a[i] = {2 * i, i};
+    auto expect = a;
+    const auto* buf = a.data();
+    auto out = pam::combine_sorted_runs(
+        std::move(a), [](uint64_t x, uint64_t y) { return x < y; },
+        [](uint64_t x, uint64_t y) { return x + y; });
+    EXPECT_EQ(out.data(), buf);
+    EXPECT_EQ(out, expect);
+  }
+}
+
+// Runs that start just before a block seam, span whole blocks, or start
+// exactly on a seam are each folded once, left to right, by the block that
+// holds their first element. The fold is not commutative, so any other
+// order shows.
+TEST(CombineSortedRuns, RunsCrossingBlockSeams) {
+  const size_t blk = pam::internal::kSeqBase;
+  const size_t lens[] = {blk - 3, 5, 2 * blk + 9, 1, blk, 1, 7, blk - 1, 2, 3};
+  std::vector<std::pair<uint64_t, uint64_t>> a;
+  uint64_t key = 0;
+  for (int rep = 0; rep < 3; rep++) {
+    for (size_t len : lens) {
+      for (size_t i = 0; i < len; i++) a.push_back({key, a.size() % 1000});
+      key += 3;
+    }
+  }
+  auto comb = [](uint64_t x, uint64_t y) { return (31 * x + y) % 1000003; };
+  std::vector<std::pair<uint64_t, uint64_t>> expect;
+  for (const auto& kv : a) {
+    if (!expect.empty() && expect.back().first == kv.first) {
+      expect.back().second = comb(expect.back().second, kv.second);
+    } else {
+      expect.push_back(kv);
+    }
+  }
+  auto got = pam::combine_sorted_runs(
+      a, [](uint64_t x, uint64_t y) { return x < y; }, comb);
   EXPECT_EQ(got, expect);
 }
 
