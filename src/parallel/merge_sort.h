@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/parallel.h"
@@ -20,6 +21,40 @@ namespace internal {
 
 inline constexpr size_t kSortBase = 8192;   // std::stable_sort below this
 inline constexpr size_t kMergeBase = 8192;  // std::merge below this
+
+// Element types a sort may keep in raw scratch storage: with a trivial copy
+// constructor and destructor, allocated storage holds them implicitly and
+// nothing needs constructing or destroying. std::pair of such members
+// qualifies; its user-provided assignment keeps it from being trivially
+// copyable, so that trait would reject every map entry.
+template <typename T>
+inline constexpr bool raw_scratch_ok =
+    std::is_trivially_copy_constructible_v<T> && std::is_trivially_destructible_v<T>;
+
+// n elements of uninitialized scratch for a sort. Unlike std::vector<T>(n)
+// it does not value-initialize, so no sequential zero fill precedes a pass
+// that overwrites every slot anyway.
+template <typename T>
+class raw_scratch {
+  static_assert(raw_scratch_ok<T>);
+
+ public:
+  explicit raw_scratch(size_t n) : p_(std::allocator<T>().allocate(n)), n_(n) {}
+  ~raw_scratch() { std::allocator<T>().deallocate(p_, n_); }
+  raw_scratch(const raw_scratch&) = delete;
+  raw_scratch& operator=(const raw_scratch&) = delete;
+
+  T* data() const { return p_; }
+
+ private:
+  T* p_;
+  size_t n_;
+};
+
+// Sort scratch for n elements of T: raw storage where T allows it, else a
+// value-initialized vector. Either way data() is the n slots.
+template <typename T>
+using sort_scratch = std::conditional_t<raw_scratch_ok<T>, raw_scratch<T>, std::vector<T>>;
 
 // Stable merge of sorted a[0,na) and b[0,nb) into out. Ties take from `a`
 // first. The parallel case splits on the median of the larger side.
@@ -93,7 +128,7 @@ void parallel_sort(T* a, size_t n, const Comp& comp) {
     return;
   }
   if (is_sorted_parallel(a, n, comp)) return;
-  std::vector<T> tmp(n);
+  internal::sort_scratch<T> tmp(n);
   internal::merge_sort_rec(a, tmp.data(), n, comp, /*out_in_tmp=*/false);
 }
 

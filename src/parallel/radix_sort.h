@@ -1,17 +1,27 @@
-// Stable parallel LSD radix sort for integral keys.
+// Stable parallel radix sort for integral keys.
 //
 // This is the sort behind build(), multi_insert and multi_delete when the
 // key is a plain integer under the default order (pam/map_ops.h picks it by
 // type traits; every other key type takes the merge sort). Keys map onto
 // uint64 order-preservingly (signed keys flip their sign bit) and are sorted
-// as k - min over only the significant bits of max - min, in passes of at
-// most kRadixBits bits: keys spanning [0, 32M) take 3 passes of 9 bits.
+// as k - min over only the significant bits of max - min.
 //
-// Each pass counts digits per block, scans the counts digit-major and
-// block-minor (which is what makes it stable), and scatters block by block
-// into one n-sized scratch vector. The two vectors swap roles every pass;
-// the result stays in whichever one the last pass wrote (a vector swap, no
-// copy-back). Work O(n * passes), scratch n elements.
+// The sort crosses DRAM once and does the rest in cache, in two phases:
+//
+//   1. One stable MSD pass on the top digit scatters v into scratch. Its
+//      width is the fewest bits that bring the average bucket under
+//      kBucketBytes, a per-core cache budget: 16M 16-byte entries take 11
+//      bits, 2048 buckets of 128 KiB.
+//   2. Buckets sort in parallel, each with stable LSD passes over the bits
+//      below that digit, ping-ponging between its scratch range and its v
+//      range while both stay in cache. A bucket more than four budgets large
+//      (skewed keys) takes another MSD pass instead, so phase 2 stays
+//      parallel and in cache whatever the key distribution.
+//
+// Every pass flips which buffer holds a bucket. One whose pass count leaves
+// it in scratch is copied back while it is still in cache, so the result
+// always lands in v: the scratch is raw storage (no zero fill) and is never
+// swapped in. Work O(n * passes), scratch n elements.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +38,8 @@
 namespace pam {
 namespace internal {
 
-inline constexpr int kRadixBits = 11;  // widest digit: 2^11 counters per block
+inline constexpr int kRadixBits = 11;              // widest digit: 2^11 counters
+inline constexpr size_t kBucketBytes = 128 << 10;  // per-core cache budget of a bucket
 
 // Order-preserving map of an integral key onto uint64.
 template <typename K>
@@ -41,6 +52,102 @@ uint64_t radix_key(K k) {
   }
 }
 
+// A tiling of [0, n), n > 0, into at most 8 blocks per worker of at least
+// kSortBase elements each; run(f) calls f(b, lo, hi) for every block in
+// parallel.
+struct sort_blocks {
+  size_t n, block, count;
+
+  explicit sort_blocks(size_t n_) : n(n_) {
+    size_t nb = std::min((n + kSortBase - 1) / kSortBase, 8 * static_cast<size_t>(num_workers()));
+    block = (n + nb - 1) / nb;
+    count = (n + block - 1) / block;
+  }
+
+  template <typename F>
+  void run(const F& f) const {
+    parallel_for(0, count, [&](size_t b) { f(b, b * block, std::min(n, (b + 1) * block)); }, 1);
+  }
+};
+
+// Sorts ranges by the low `bits` bits of radix_key(key_of(x)) - kmin; within
+// a range the bits above them are equal.
+template <typename T, typename KeyOf>
+struct radix_sorter {
+  const KeyOf& key_of;
+  uint64_t kmin;
+
+  size_t digit(const T& x, int shift, size_t radix) const {
+    return static_cast<size_t>((radix_key(key_of(x)) - kmin) >> shift) & (radix - 1);
+  }
+
+  // Sorts the n > 0 elements at `in`, with the n slots at `other` as the
+  // second buffer. The result lands in `other` when to_other, else in `in`.
+  void sort(T* in, T* other, size_t n, int bits, bool to_other) const {
+    if (bits > 0 && n * sizeof(T) > 4 * kBucketBytes) {
+      msd(in, other, n, bits, to_other);
+    } else {
+      lsd(in, other, n, bits, to_other);
+    }
+  }
+
+  // One stable blocked pass on the top digit scatters in -> other: per-block
+  // histograms, scanned digit-major and block-minor. Then the buckets sort
+  // the bits below the digit in parallel, with the buffers' roles swapped.
+  void msd(T* in, T* other, size_t n, int bits, bool to_other) const {
+    int fit = static_cast<int>(std::bit_width((n * sizeof(T) - 1) / kBucketBytes));
+    int width = std::min({bits, kRadixBits, fit});
+    int shift = bits - width;
+    size_t radix = size_t{1} << width;
+    sort_blocks blocks(n);
+    std::vector<size_t> counts(blocks.count * radix);
+    blocks.run([&](size_t b, size_t lo, size_t hi) {
+      size_t* c = &counts[b * radix];
+      for (size_t i = lo; i < hi; i++) c[digit(in[i], shift, radix)]++;
+    });
+    std::vector<size_t> starts(radix + 1);
+    size_t sum = 0;
+    for (size_t d = 0; d < radix; d++) {
+      starts[d] = sum;
+      for (size_t b = 0; b < blocks.count; b++) sum += std::exchange(counts[b * radix + d], sum);
+    }
+    starts[radix] = n;
+    blocks.run([&](size_t b, size_t lo, size_t hi) {
+      size_t* off = &counts[b * radix];
+      for (size_t i = lo; i < hi; i++) other[off[digit(in[i], shift, radix)]++] = in[i];
+    });
+    parallel_for(0, radix, [&](size_t d) {
+      size_t lo = starts[d], hi = starts[d + 1];
+      if (hi > lo) sort(other + lo, in + lo, hi - lo, shift, !to_other);
+    }, 1);
+  }
+
+  // Stable LSD passes of at most kRadixBits bits each, ping-ponging between
+  // the buffers, then one copy if the last pass left the result in the other
+  // one. With bits == 0 the range is already sorted and only that copy runs.
+  void lsd(T* in, T* other, size_t n, int bits, bool to_other) const {
+    int passes = (bits + kRadixBits - 1) / kRadixBits;
+    int width = passes == 0 ? 0 : (bits + passes - 1) / passes;
+    size_t radix = size_t{1} << width;
+    size_t counts[size_t{1} << kRadixBits];
+    T* src = in;
+    T* dst = other;
+    for (int p = 0; p < passes; p++) {
+      int shift = p * width;
+      std::fill(counts, counts + radix, size_t{0});
+      for (size_t i = 0; i < n; i++) counts[digit(src[i], shift, radix)]++;
+      size_t sum = 0;
+      for (size_t d = 0; d < radix; d++) sum += std::exchange(counts[d], sum);
+      for (size_t i = 0; i < n; i++) dst[counts[digit(src[i], shift, radix)]++] = src[i];
+      std::swap(src, dst);
+    }
+    if ((src == other) != to_other) {
+      sort_blocks(n).run(
+          [&](size_t, size_t lo, size_t hi) { std::copy(src + lo, src + hi, dst + lo); });
+    }
+  }
+};
+
 }  // namespace internal
 
 // Stable sort of v by the integral key key_of(elem). Input of at most
@@ -48,6 +155,7 @@ uint64_t radix_key(K k) {
 // after one parallel check.
 template <typename T, typename KeyOf>
 void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
+  static_assert(internal::raw_scratch_ok<T>, "radix_sort keeps copies of T in raw scratch");
   size_t n = v.size();
   auto key_less = [&](const T& x, const T& y) { return key_of(x) < key_of(y); };
   if (n <= internal::kSortBase) {
@@ -56,18 +164,11 @@ void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
   }
   if (is_sorted_parallel(v.data(), n, key_less)) return;
 
-  size_t max_blocks = 8 * static_cast<size_t>(num_workers());
-  size_t nb = std::min((n + internal::kSortBase - 1) / internal::kSortBase, max_blocks);
-  size_t block = (n + nb - 1) / nb;
-  nb = (n + block - 1) / block;
-  auto for_blocks = [&](const auto& f) {
-    parallel_for(0, nb, [&](size_t b) { f(b, b * block, std::min(n, (b + 1) * block)); }, 1);
-  };
-
-  // The key range fixes the digit count and width. It is not empty: input
-  // whose keys are all equal is sorted and returned above.
-  std::vector<std::pair<uint64_t, uint64_t>> bounds(nb);
-  for_blocks([&](size_t b, size_t lo, size_t hi) {
+  // The key range fixes how many bits to sort. It is not empty: input whose
+  // keys are all equal is sorted and returned above.
+  internal::sort_blocks blocks(n);
+  std::vector<std::pair<uint64_t, uint64_t>> bounds(blocks.count);
+  blocks.run([&](size_t b, size_t lo, size_t hi) {
     uint64_t mn = internal::radix_key(key_of(v[lo])), mx = mn;
     for (size_t i = lo + 1; i < hi; i++) {
       uint64_t k = internal::radix_key(key_of(v[i]));
@@ -82,40 +183,10 @@ void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
     kmax = std::max(kmax, mx);
   }
   int bits = 64 - std::countl_zero(kmax - kmin);
-  int passes = (bits + internal::kRadixBits - 1) / internal::kRadixBits;
-  int width = (bits + passes - 1) / passes;
-  size_t radix = size_t{1} << width;
 
-  std::vector<T> tmp(n);
-  std::vector<size_t> counts(nb * radix);
-  T* src = v.data();
-  T* dst = tmp.data();
-  for (int p = 0; p < passes; p++) {
-    int shift = p * width;
-    auto digit = [&](const T& x) {
-      return static_cast<size_t>(((internal::radix_key(key_of(x)) - kmin) >> shift) &
-                                 (radix - 1));
-    };
-    for_blocks([&](size_t b, size_t lo, size_t hi) {
-      size_t* c = &counts[b * radix];
-      std::fill(c, c + radix, size_t{0});
-      for (size_t i = lo; i < hi; i++) c[digit(src[i])]++;
-    });
-    size_t sum = 0;
-    for (size_t d = 0; d < radix; d++) {
-      for (size_t b = 0; b < nb; b++) {
-        size_t c = counts[b * radix + d];
-        counts[b * radix + d] = sum;
-        sum += c;
-      }
-    }
-    for_blocks([&](size_t b, size_t lo, size_t hi) {
-      size_t* off = &counts[b * radix];
-      for (size_t i = lo; i < hi; i++) dst[off[digit(src[i])]++] = src[i];
-    });
-    std::swap(src, dst);
-  }
-  if (src != v.data()) v.swap(tmp);
+  internal::raw_scratch<T> scratch(n);
+  internal::radix_sorter<T, KeyOf>{key_of, kmin}.sort(v.data(), scratch.data(), n, bits,
+                                                      /*to_other=*/false);
 }
 
 }  // namespace pam

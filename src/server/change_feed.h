@@ -42,7 +42,9 @@ class change_feed {
   class subscription {
    public:
     subscription() = default;
-    // The last version this subscriber has consumed (0 = nothing yet).
+    // The last version this subscriber has consumed. A default-constructed
+    // subscription holds 0, which no store retains, so its first poll
+    // reports lag and it must rebase().
     uint64_t version() const { return cursor_; }
 
    private:
@@ -71,16 +73,13 @@ class change_feed {
   }
 
   // Drain everything captured since sub's cursor. Advances the cursor on
-  // success; on lag the cursor stays and the batch says so.
+  // success; on lag (the cursor's version is not retained) the cursor stays
+  // and the batch says so.
   batch poll(subscription& sub) const {
     batch out;
     out.from = out.to = sub.cursor_;
     uint64_t latest = store_.latest_version();
     if (latest == sub.cursor_) return out;  // caught up
-    if (sub.cursor_ == 0) {
-      out.lagged = true;  // never rebased: no base version to diff from
-      return out;
-    }
     auto changes = store_.diff(sub.cursor_, latest);
     if (!changes.has_value()) {
       out.lagged = true;

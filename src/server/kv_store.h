@@ -387,8 +387,7 @@ class kv_store {
     if (opt.retain_versions > 0) {
       auto hcfg = opt.history;
       hcfg.max_versions = opt.retain_versions;
-      history_.emplace(shards_, hcfg);
-      history_->capture();  // version 1: the initial contents
+      history_.emplace(shards_, hcfg);  // version 1: the initial contents
     }
   }
 

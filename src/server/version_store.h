@@ -25,8 +25,10 @@
 //
 // Trimming: the ring keeps at most `max_versions` entries (count trim, on
 // every capture) and drops entries older than `max_age` when it is nonzero
-// (age trim, on capture and via trim_older_than). Trimming drops refcounts;
-// tree storage is reclaimed when the last snapshot holding it goes away.
+// (age trim, on capture and via trim_older_than). The constructor captures
+// version 1 and no trim drops the latest version, so the ring is never
+// empty. Trimming drops refcounts; tree storage is reclaimed when the last
+// snapshot holding it goes away.
 //
 // Thread safety: every public member may be called from any thread. The
 // ring has its own mutex, held only for O(S) handle copies — never across
@@ -67,18 +69,23 @@ class version_store {
     std::chrono::milliseconds max_age{0};
   };
 
+  // Captures the target's current contents as version 1.
   explicit version_store(sharded_map<Map>& target, config cfg = {})
       : target_(target), cfg_(cfg) {
     if (cfg_.max_versions == 0) cfg_.max_versions = 1;
+    auto cut = target_.snapshot_all_versioned();
+    mutex_guard lock(mu_);
+    push_locked(std::move(cut));
   }
 
   version_store(const version_store&) = delete;
   version_store& operator=(const version_store&) = delete;
 
   // Retain the current consistent cut as a new version and return its id
-  // (ids are assigned 1, 2, ... and never reused). If no shard committed
-  // since the last capture, the existing latest id is returned and nothing
-  // is retained — capture is idempotent on a quiescent store.
+  // (ids are assigned 1, 2, ... and never reused; 1 is the cut taken at
+  // construction). If no shard committed since the last capture, the
+  // existing latest id is returned and nothing is retained — capture is
+  // idempotent on a quiescent store.
   uint64_t capture() { return capture_snapshot().version; }
 
   // What a captured version retains: its id and the exact consistent cut.
@@ -95,7 +102,7 @@ class version_store {
     auto cut = target_.snapshot_all_versioned();
     std::vector<entry> dropped;  // destroyed outside the lock (GC can fork)
     mutex_guard lock(mu_);
-    if (!ring_.empty() && ring_.back().dir_gen == cut.dir_gen) {
+    if (ring_.back().dir_gen == cut.dir_gen) {
       // Within one directory generation every validated cut corresponds to
       // one instant at which all shards simultaneously held its version
       // vector, so any two cuts are totally ordered and componentwise
@@ -114,21 +121,18 @@ class version_store {
         advanced = cut.versions[s] > back[s];
       if (!advanced) return {ring_.back().version, ring_.back().cut};
     }
-    uint64_t v = next_version_++;
-    ring_.push_back({v, std::move(cut.snapshot), std::move(cut.versions),
-                     cut.dir_gen, clock::now()});
+    uint64_t v = push_locked(std::move(cut));
     trim_locked(clock::now(), dropped);
     return {v, ring_.back().cut};
   }
 
-  // 0 when nothing has been captured yet.
   uint64_t latest_version() const {
     mutex_guard lock(mu_);
-    return ring_.empty() ? 0 : ring_.back().version;
+    return ring_.back().version;
   }
   uint64_t oldest_version() const {
     mutex_guard lock(mu_);
-    return ring_.empty() ? 0 : ring_.front().version;
+    return ring_.front().version;
   }
   size_t retained() const {
     mutex_guard lock(mu_);
@@ -144,10 +148,9 @@ class version_store {
     return e->cut;
   }
 
-  // Latest retained cut plus its version id; {empty, 0} before any capture.
+  // Latest retained cut plus its version id.
   std::pair<snapshot_type, uint64_t> snapshot_latest() const {
     mutex_guard lock(mu_);
-    if (ring_.empty()) return {snapshot_type{}, 0};
     return {ring_.back().cut, ring_.back().version};
   }
 
@@ -207,22 +210,23 @@ class version_store {
     return out;
   }
 
-  // Drop retained versions beyond the newest keep_count.
+  // Drop retained versions beyond the newest keep_count; the latest version
+  // always stays.
   void trim_to(size_t keep_count) {
     std::vector<entry> dropped;  // destroyed outside the lock
     mutex_guard lock(mu_);
-    while (ring_.size() > keep_count) {
+    while (ring_.size() > std::max<size_t>(keep_count, 1)) {
       dropped.push_back(std::move(ring_.front()));
       ring_.pop_front();
     }
   }
 
-  // Drop retained versions captured more than `age` ago.
+  // Drop retained versions captured more than `age` ago, except the latest.
   void trim_older_than(std::chrono::milliseconds age) {
     std::vector<entry> dropped;
     auto cutoff = clock::now() - age;
     mutex_guard lock(mu_);
-    while (!ring_.empty() && ring_.front().at < cutoff) {
+    while (ring_.size() > 1 && ring_.front().at < cutoff) {
       dropped.push_back(std::move(ring_.front()));
       ring_.pop_front();
     }
@@ -236,6 +240,15 @@ class version_store {
     uint64_t dir_gen;  // generation the vector is comparable within
     clock::time_point at;
   };
+
+  // Retains cut as the next version and returns its id.
+  uint64_t push_locked(typename sharded_map<Map>::versioned_snapshot cut)
+      PAM_REQUIRES(mu_) {
+    uint64_t v = next_version_++;
+    ring_.push_back({v, std::move(cut.snapshot), std::move(cut.versions),
+                     cut.dir_gen, clock::now()});
+    return v;
+  }
 
   // Versions are assigned in ring order, so a binary search by id works.
   const entry* find_locked(uint64_t v) const PAM_REQUIRES(mu_) {

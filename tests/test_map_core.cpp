@@ -732,6 +732,9 @@ TYPED_TEST(MapCore, BuildPathsMatchSortedOracle) {
     }
   }
   pam::set_leaf_block_size(saved_b);
+  // Large enough for the radix sort's bucket phase, with duplicates and a
+  // skewed top digit: most wide() keys share its lowest bucket.
+  expect_build_paths_random_and_sorted<pam::sum_entry<K, V>, B>(size_t{1} << 20, 17, wide);
 }
 
 }  // namespace

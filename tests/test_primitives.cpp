@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -247,6 +248,63 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RadixSortSizes,
                          ::testing::Values(0, 1, 2, pam::internal::kSortBase - 1,
                                            pam::internal::kSortBase,
                                            pam::internal::kSortBase + 1, 1 << 20));
+
+// The shapes the two phases handle differently. At n = 2^20 the 16-byte
+// tagged entries take a top digit of `top` bits, so a key span of top + 11p
+// bits leaves p stable LSD passes inside each bucket.
+constexpr size_t kPhaseN = size_t{1} << 20;
+const int kTopBits = static_cast<int>(std::bit_width(
+    (kPhaseN * sizeof(std::pair<uint64_t, uint32_t>) - 1) / pam::internal::kBucketBytes));
+
+std::vector<uint64_t> keys_of_span(size_t n, int bits, uint64_t seed) {
+  pam::random_gen g(seed);
+  std::vector<uint64_t> keys(n);
+  uint64_t mask = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  for (auto& k : keys) k = g.next() & mask;
+  keys[n / 3] = mask;  // pin the span
+  return keys;
+}
+
+TEST(RadixSortPhases, SpanWithinTheTopDigitNeedsNoLsdPass) {
+  ASSERT_GE(kTopBits, 2);
+  expect_radix_matches_stable_sort(keys_of_span(kPhaseN, kTopBits, 1));
+}
+
+TEST(RadixSortPhases, OddAndEvenInBucketPassCounts) {
+  // One and three passes end in v; zero, two and four end in scratch and
+  // take the final in-cache copy.
+  for (int passes = 0; passes <= 4; passes++) {
+    SCOPED_TRACE("passes = " + std::to_string(passes));
+    expect_radix_matches_stable_sort(
+        keys_of_span(kPhaseN, std::min(64, kTopBits + passes * pam::internal::kRadixBits),
+                     10 + static_cast<uint64_t>(passes)));
+  }
+}
+
+TEST(RadixSortPhases, OneBucketHoldsMostOfTheInput) {
+  // 60% of the keys fall in the lowest top-digit bucket, far more than one
+  // cache budget; the rest spread over 40 bits.
+  pam::random_gen g(3);
+  std::vector<uint64_t> keys(kPhaseN);
+  for (auto& k : keys) k = g.next() % 5 < 3 ? g.next() % 100000 : g.next() >> 24;
+  expect_radix_matches_stable_sort(keys);
+}
+
+TEST(RadixSortPhases, SignedKeysStraddlingZero) {
+  pam::random_gen g(4);
+  std::vector<int64_t> wide(kPhaseN);
+  std::vector<int32_t> narrow(kPhaseN);
+  for (size_t i = 0; i < kPhaseN; i++) {
+    wide[i] = static_cast<int64_t>(g.next() % (uint64_t{1} << 31)) - (int64_t{1} << 30);
+    narrow[i] = static_cast<int32_t>(g.next() % 20001) - 10000;
+  }
+  expect_radix_matches_stable_sort(wide);
+  expect_radix_matches_stable_sort(narrow);
+}
+
+TEST(RadixSortPhases, FourMillionRandomKeys) {
+  expect_radix_matches_stable_sort(keys_of_span(size_t{1} << 22, 64, 5));
+}
 
 // --------------------------------------------------- combine_sorted_runs --
 

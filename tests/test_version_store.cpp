@@ -49,7 +49,7 @@ std::vector<entry_t> to_entries(const std::map<K, V>& m) {
 TEST(VersionStore, CaptureDedupsQuiescentCuts) {
   sharded_t sm(std::vector<K>{100, 200});
   store_t vs(sm, {.max_versions = 8});
-  EXPECT_EQ(vs.latest_version(), 0u);
+  EXPECT_EQ(vs.latest_version(), 1u);  // the cut taken at construction
 
   uint64_t v1 = vs.capture();
   EXPECT_EQ(v1, 1u);
@@ -112,8 +112,10 @@ TEST(VersionStore, AgeTrimKeepsLatest) {
   vs.capture();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   vs.trim_older_than(std::chrono::milliseconds(1));
-  // Age trim may drop everything it was asked to; the store still answers.
-  EXPECT_LE(vs.retained(), 2u);
+  // Age trim drops every old version but the latest.
+  EXPECT_EQ(vs.retained(), 1u);
+  vs.trim_to(0);
+  EXPECT_EQ(vs.retained(), 1u);
   sm.insert(3, 3);
   uint64_t v = vs.capture();
   EXPECT_TRUE(vs.snapshot_at(v).has_value());
@@ -220,7 +222,7 @@ TEST(ChangeFeed, LagAndRebase) {
   feed_t feed(vs);
 
   sm.insert(1, 1);
-  vs.capture();
+  uint64_t v1 = vs.capture();
   auto sub = feed.subscribe();
 
   // Push the subscriber's version out of the ring.
@@ -231,7 +233,7 @@ TEST(ChangeFeed, LagAndRebase) {
   auto b = feed.poll(sub);
   EXPECT_TRUE(b.lagged);
   EXPECT_TRUE(b.empty());
-  EXPECT_EQ(sub.version(), 1u);  // cursor unchanged on lag
+  EXPECT_EQ(sub.version(), v1);  // cursor unchanged on lag
 
   auto [snap, v] = feed.rebase(sub);
   EXPECT_EQ(v, vs.latest_version());
@@ -255,6 +257,30 @@ TEST(ChangeFeed, FreshSubscriptionMustRebaseFirst) {
   EXPECT_TRUE(b.lagged);  // no base version: must rebase
   feed.rebase(sub);
   EXPECT_TRUE(feed.poll(sub).empty());
+}
+
+// A subscriber that rebases before any writer commits gets the store's
+// initial version as its base and streams from there; it is never stuck
+// reporting lag.
+TEST(ChangeFeed, RebaseBeforeFirstCommitThenStreams) {
+  sharded_t sm(std::vector<K>{500});
+  store_t vs(sm);
+  feed_t feed(vs);
+  feed_t::subscription sub;
+  auto [snap, v] = feed.rebase(sub);
+  EXPECT_TRUE(snap.empty());
+  EXPECT_EQ(v, vs.latest_version());
+  EXPECT_NE(v, 0u);
+
+  sm.insert(7, 70);
+  sm.insert(900, 90);
+  vs.capture();
+  auto b = feed.poll(sub);
+  EXPECT_FALSE(b.lagged);
+  ASSERT_EQ(b.changes.size(), 2u);
+  EXPECT_EQ(b.changes[0].key, 7u);
+  EXPECT_EQ(b.changes[1].key, 900u);
+  EXPECT_EQ(sub.version(), vs.latest_version());
 }
 
 // ------------------------------------------------------------- kv_store --
@@ -500,7 +526,6 @@ TEST(VersionStoreConcurrent, SubscriberMirrorsWriters) {
   std::thread time_traveler([&] {
     while (!stop.load()) {
       uint64_t latest = vs.latest_version();
-      if (latest == 0) continue;
       auto snap = vs.snapshot_at(latest);
       if (snap.has_value()) {
         // A retained cut must be internally consistent.
