@@ -14,11 +14,11 @@
 //      find throughput at B=32 (PAM_PERF_GATE=1).
 //
 //  (c) delta space — integer keys stored delta-coded (zigzag-varint
-//      successor differences + varint value stream, pam/delta_block.h) vs
-//      the same entries in flat u64 pair slots, at 1M mixed keys (dense
-//      runs interleaved with sparse gaps — the id-space shape real key
-//      allocators produce). Gate: flat/delta leaf-bytes ratio >= 1.5x
-//      (PAM_PERF_GATE=1).
+//      successor differences + varint value stream, delta_codec in
+//      pam/coded_block.h) vs the same entries in flat u64 pair slots, at
+//      1M mixed keys (dense runs interleaved with sparse gaps — the
+//      id-space shape real key allocators produce). Gate: flat/delta
+//      leaf-bytes ratio >= 1.5x (PAM_PERF_GATE=1).
 //
 //  (d) SIMD fold — the reassociating fast fold (grouped + AVX2 value-lane
 //      kernel, PAM_SIMD_FOLD, pam/block_fold.h) vs the strict per-entry

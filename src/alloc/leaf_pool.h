@@ -11,13 +11,14 @@
 // reserved_bytes()/trim() work uniformly across node and leaf storage.
 //
 // Fixed-width (flat) blocks use *entry-count* capacity classes: the slot for
-// capacity 2^c is slot_bytes(2^c). Variable-length front-coded blocks
-// (pam/coded_block.h) have no per-entry slot width at all, so they draw from
-// *byte-granular* capacity classes instead: one pool per power-of-two byte
-// size between kMinByteClassLog and kMaxByteClassLog, with larger blocks
-// overflowing to individually counted aligned heap allocations. The helpers
-// below define that class geometry; the encoder owns the pool table (it is
-// part of the sanctioned allocation surface, see tools/pam_lint.py).
+// capacity 2^c is slot_bytes(2^c). Variable-length coded blocks — front-
+// and delta-coded alike (pam/coded_block.h) — have no per-entry slot width
+// at all, so they draw from *byte-granular* capacity classes instead:
+// quarter-stepped byte sizes between 2^kMinByteClassLog and
+// 2^kMaxByteClassLog, with larger blocks overflowing to individually
+// counted aligned heap allocations. The helpers below define that class
+// geometry; the coded-block skeleton owns the pool table (it is part of the
+// sanctioned allocation surface, see tools/pam_lint.py).
 #pragma once
 
 #include <cstddef>

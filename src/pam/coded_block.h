@@ -1,34 +1,63 @@
-// Front-coded leaf blocks for variable-length (string) keys.
+// Coded leaf blocks: the variable-length block encodings, written as one
+// skeleton plus per-layout codec policies (the PaC-tree view of block
+// encodings as pluggable codecs over one compressed-block format).
 //
-// A sealed block stores n sorted entries as:
+// A sealed coded block stores n sorted entries in one pool slot as:
 //
-//   [ header | u32 end[n] | records | V vals[n] ]
+//   [ header | key stream | pad | value stream ]
 //
-// where record i is { u16 prefix_len, suffix bytes }: key_i equals the first
-// prefix_len bytes of key_{i-1} plus the suffix (record 0 stores the full
-// key, prefix_len == 0). end[i] is the offset one past record i inside the
-// record region, so record i spans [end[i-1], end[i]) and random access
-// costs one directory probe plus a prefix re-derivation. This is the
-// PaC-tree difference encoding: consecutive sorted keys share long prefixes
-// (URLs, composite keys), so the per-entry cost collapses to
-// 4 (dir) + 2 (plen) + |suffix| + sizeof(V) bytes, typically a small
-// fraction of a std::string's 32-byte handle alone.
-//
-// Blocks are refcounted and immutable once sealed — exactly the sharing
-// contract of the flat leaf_block — and are allocated from the byte-granular
-// quarter-stepped capacity classes of alloc/leaf_pool.h (64 B .. 1 MiB), with
-// larger blocks overflowing to individually counted aligned heap
-// allocations. This file is part of the sanctioned allocation surface
+// The skeleton — coded_block (the header) and coded_store — owns everything
+// that does not depend on the encoding: allocation from the quarter-stepped
+// byte capacity classes of alloc/leaf_pool.h (64 B .. 1 MiB, larger blocks
+// overflow to individually counted aligned heap allocations), the refcount,
+// the cached augmented value, the raw-payload serialization hooks and their
+// frame checks, the in-block search and decode, and the live accounting.
+// Blocks are immutable once sealed — the sharing contract of the flat
+// leaf_block. This file is part of the sanctioned allocation surface
 // (tools/pam_lint.py): the pool-table singletons and the overflow path are
-// the only places the encoder touches raw memory.
+// the only places the encoders touch raw memory.
 //
-// Values must be trivially copyable (they are stored raw and released
-// without destruction); keys must be std::string. Both constraints carry
-// contracted diagnostics — see the static_asserts in coded_store and
-// node_manager (tests/compile_fail/front_coded_fixed_key.cpp pins the
-// message).
+// A codec owns only its key stream and names its value stream:
+//
+//   using key_arg             what the in-block search compares against
+//                             (std::string_view or K);
+//   using values              raw_values<V> or varint_values<V>;
+//   key_bytes(es, n)          encoded size of the key stream;
+//   encode(dst, es, n)        write it, returning its end;
+//   check(p, limit, n)        validate untrusted bytes in [p, limit),
+//                             returning the stream's end or nullptr;
+//   cursor(keys, n).next()    yield key 0, then key 1, ... by incremental
+//                             decode (the returned key_arg is valid until
+//                             the next call);
+//   first_key(keys, n)        key 0 without a chain walk.
+//
+// Two codecs implement it:
+//
+//   front_codec  std::string keys: a u32 end[n] directory, then records
+//                {u16 prefix_len, suffix bytes} — key i is the first
+//                prefix_len bytes of key i-1 plus the suffix (record 0
+//                stores the whole key; prefixes clamp at 65535, the rest
+//                rides in the suffix). end[i] is the offset one past record
+//                i inside the record region.
+//   delta_codec  integral keys: varint 0 is the base key (plain for unsigned
+//                key types, zigzag for signed), varint i >= 1 the zigzag of
+//                key_i - key_{i-1} computed in the key's unsigned width and
+//                sign-extended, so a descending comparator round-trips
+//                through the two's-complement wrap. Integral values are
+//                varint-packed (varint_values); any other value is a raw
+//                array.
+//
+// Pad rule: the pad between the key stream's end and val_off is shorter
+// than one value-alignment step and all zero, so a block's payload is a pure
+// function of its entries; from_payload rejects any other pad.
+//
+// Contracts: the key type is asserted by each codec
+// (tests/compile_fail/front_coded_fixed_key.cpp and delta_string_key.cpp pin
+// the messages); value triviality by the skeleton, since values are stored
+// raw and released without destruction.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -59,7 +88,7 @@ struct coded_block {
   uint32_t count;
   int32_t cls;       // byte class; kOverflowClass for heap-allocated blocks
   uint32_t bytes;    // exact encoded footprint (accounting for overflow)
-  uint32_t val_off;  // byte offset of the value array from the block start
+  uint32_t val_off;  // byte offset of the value stream from the block start
   [[no_unique_address]] A aug;
 
   static constexpr int32_t kOverflowClass = -1;
@@ -68,42 +97,385 @@ struct coded_block {
     return (sizeof(coded_block) + 3) / 4 * 4;
   }
 
-  const uint32_t* dir() const {
-    return reinterpret_cast<const uint32_t*>(
-        reinterpret_cast<const char*>(this) + dir_offset());
+  // Base of the key stream (immediately after the header).
+  const char* keys() const {
+    return reinterpret_cast<const char*>(this) + dir_offset();
   }
-  uint32_t* dir() {
-    return reinterpret_cast<uint32_t*>(reinterpret_cast<char*>(this) +
-                                       dir_offset());
-  }
-  // Base of the byte-packed record region (immediately after the directory).
-  const char* recs() const {
-    return reinterpret_cast<const char*>(dir() + count);
-  }
-  char* recs() { return reinterpret_cast<char*>(dir() + count); }
+  char* keys() { return reinterpret_cast<char*>(this) + dir_offset(); }
 
-  const V* vals() const {
-    return reinterpret_cast<const V*>(reinterpret_cast<const char*>(this) +
-                                      val_off);
-  }
-  V* vals() { return reinterpret_cast<V*>(reinterpret_cast<char*>(this) + val_off); }
+  const char* vals() const { return reinterpret_cast<const char*>(this) + val_off; }
+  char* vals() { return reinterpret_cast<char*>(this) + val_off; }
+};
 
-  // Record i's {prefix_len, suffix}; offsets are unaligned, hence memcpy.
-  std::pair<uint16_t, std::string_view> record(uint32_t i) const {
-    const uint32_t* d = dir();
-    uint32_t start = i == 0 ? 0 : d[i - 1];
-    uint16_t plen;
-    std::memcpy(&plen, recs() + start, sizeof(plen));
-    uint32_t suffix_len = d[i] - start - uint32_t{sizeof(uint16_t)};
-    return {plen,
-            std::string_view(recs() + start + sizeof(uint16_t), suffix_len)};
+// Values as a raw aligned V[n] array (any trivially copyable V).
+template <typename V>
+struct raw_values {
+  static constexpr size_t kAlign = alignof(V);
+
+  template <typename E>
+  static size_t bytes(const E*, uint32_t n) { return size_t{n} * sizeof(V); }
+
+  template <typename E>
+  static void encode(char* dst, const E* es, uint32_t n) {
+    V* vs = reinterpret_cast<V*>(dst);
+    for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
+  }
+
+  static bool check(const char*, size_t len, uint32_t n) {
+    return len == size_t{n} * sizeof(V);
+  }
+
+  static V at(const char* vals, uint32_t i) {
+    return reinterpret_cast<const V*>(vals)[i];
+  }
+
+  struct reader {
+    const V* p;
+    explicit reader(const char* vals) : p(reinterpret_cast<const V*>(vals)) {}
+    V next() { return *p++; }
+  };
+};
+
+// ------------------------------------------------------------ front codec --
+
+template <typename Entry>
+struct front_codec {
+  using K = typename Entry::key_t;
+  using V = typename Entry::val_t;
+  using entry_t = std::pair<K, V>;
+  using key_arg = std::string_view;
+  using values = raw_values<V>;
+
+  static_assert(std::is_same_v<K, std::string>,
+                "PAM leaf-layout contract: key_layout::front_coded requires "
+                "key_t = std::string; fixed-width keys must use "
+                "key_layout::flat or key_layout::delta");
+
+  static constexpr size_t kPrefixBytes = sizeof(uint16_t);
+  static constexpr uint16_t kMaxPrefix = 0xFFFF;
+
+  static size_t key_bytes(const entry_t* es, uint32_t n) {
+    size_t recs = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      recs += kPrefixBytes + es[i].first.size() - prefix_len(es, i);
+    }
+    return size_t{n} * sizeof(uint32_t) + recs;
+  }
+
+  static char* encode(char* dst, const entry_t* es, uint32_t n) {
+    char* r = dst + size_t{n} * sizeof(uint32_t);
+    uint32_t off = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      uint16_t plen = prefix_len(es, i);
+      std::memcpy(r + off, &plen, kPrefixBytes);
+      size_t suffix = es[i].first.size() - plen;
+      std::memcpy(r + off + kPrefixBytes, es[i].first.data() + plen, suffix);
+      off += static_cast<uint32_t>(kPrefixBytes + suffix);
+      std::memcpy(dst + size_t{i} * sizeof(uint32_t), &off, sizeof(off));
+    }
+    return r + off;
+  }
+
+  // The directory must fit below limit and be strictly increasing (every
+  // record carries at least its prefix_len), and no record may share more
+  // prefix than its predecessor's key has.
+  static const char* check(const char* p, const char* limit, uint32_t n) {
+    if (size_t(limit - p) / sizeof(uint32_t) < n) return nullptr;
+    const char* recs = p + size_t{n} * sizeof(uint32_t);
+    const size_t avail = size_t(limit - recs);
+    size_t start = 0, prev_len = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      uint32_t end;
+      std::memcpy(&end, p + size_t{i} * sizeof(uint32_t), sizeof(end));
+      if (end < start + kPrefixBytes || end > avail) return nullptr;
+      uint16_t plen;
+      std::memcpy(&plen, recs + start, kPrefixBytes);
+      if (plen > prev_len) return nullptr;
+      prev_len = plen + (end - start - kPrefixBytes);
+      start = end;
+    }
+    return recs + start;
+  }
+
+  // Incremental decode: each step re-derives only the suffix on top of the
+  // running key.
+  struct cursor {
+    const char* dir;
+    const char* recs;
+    uint32_t i = 0, start = 0;
+    std::string cur;
+
+    cursor(const char* keys, uint32_t n)
+        : dir(keys), recs(keys + size_t{n} * sizeof(uint32_t)) {}
+
+    std::string_view next() {
+      uint32_t end;
+      std::memcpy(&end, dir + size_t{i++} * sizeof(uint32_t), sizeof(end));
+      uint16_t plen;
+      std::memcpy(&plen, recs + start, kPrefixBytes);
+      cur.resize(plen);
+      cur.append(recs + start + kPrefixBytes, end - start - kPrefixBytes);
+      start = end;
+      return cur;
+    }
+  };
+
+  // Zero-copy: record 0 stores the whole key.
+  static std::string_view first_key(const char* keys, uint32_t n) {
+    uint32_t end;
+    std::memcpy(&end, keys, sizeof(end));
+    return {keys + size_t{n} * sizeof(uint32_t) + kPrefixBytes,
+            end - kPrefixBytes};
+  }
+
+ private:
+  // Length of the prefix of es[i].first shared with es[i-1].first, capped at
+  // the u16 record field (0 for the block's first key).
+  static uint16_t prefix_len(const entry_t* es, uint32_t i) {
+    if (i == 0) return 0;
+    const std::string& prev = es[i - 1].first;
+    const std::string& cur = es[i].first;
+    size_t lim = std::min({prev.size(), cur.size(), size_t{kMaxPrefix}});
+    size_t p = 0;
+    while (p < lim && prev[p] == cur[p]) p++;
+    return static_cast<uint16_t>(p);
   }
 };
 
-// Storage and codec for front-coded blocks of one Entry type: build/seal,
-// retain/release, in-block search and decoding, plus live accounting for
-// the space experiments (shared by every balance scheme over the Entry).
+// ------------------------------------------------------------ delta codec --
+
+// LEB128-style varints with zigzag mapping for signed numbers. The checked
+// decoder is only used on untrusted (deserialized) bytes; in-memory blocks
+// are validated once at from_payload and walked unchecked after.
+namespace vint {
+
+inline constexpr size_t kMaxLen = 10;  // 64 payload bits / 7 bits per byte
+
+// (v ^ sign) is non-negative, so the shift never drops a set bit.
+constexpr uint64_t zigzag(int64_t v) {
+  return (uint64_t(v ^ (v >> 63)) << 1) | uint64_t(v < 0);
+}
+
+constexpr int64_t unzigzag(uint64_t u) {
+  return int64_t(u >> 1) ^ -int64_t(u & 1);
+}
+
+constexpr size_t length(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    n++;
+  }
+  return n;
+}
+
+inline char* put(char* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+// Trusted decode: the stream was validated when the block was sealed or
+// rebuilt, so no bounds checks on the hot read path.
+inline const char* get(const char* p, uint64_t& out) {
+  uint64_t v = uint64_t(uint8_t(*p++));
+  if (v < 0x80) {
+    out = v;
+    return p;
+  }
+  v &= 0x7F;
+  for (int shift = 7;; shift += 7) {
+    uint64_t byte = uint64_t(uint8_t(*p++));
+    v |= (byte & 0x7F) << shift;
+    if (byte < 0x80) break;
+  }
+  out = v;
+  return p;
+}
+
+// Untrusted decode: nullptr on truncation, on a varint longer than ten
+// bytes, or on bits past the 64th — so a corrupted stream can never walk
+// the decoder outside the frame or round-trip to different bytes.
+inline const char* get_checked(const char* p, const char* end, uint64_t& out) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < kMaxLen; i++) {
+    if (p == end) return nullptr;
+    uint64_t byte = uint64_t(uint8_t(*p++));
+    if (i == 9 && byte > 0x01) return nullptr;  // overflow past bit 63
+    v |= (byte & 0x7F) << (7 * i);
+    if (byte < 0x80) {
+      // Reject non-canonical zero padding ("overlong" encodings) so every
+      // value has exactly one byte representation and payload_bytes stays
+      // a pure function of the entries.
+      if (byte == 0 && i > 0) return nullptr;
+      out = v;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
+// n varints from [p, end): the end of the last one, or nullptr.
+inline const char* skip_checked(const char* p, const char* end, uint32_t n) {
+  uint64_t u;
+  for (uint32_t i = 0; i < n && p != nullptr; i++) p = get_checked(p, end, u);
+  return p;
+}
+
+}  // namespace vint
+
+// Integral values as a varint stream (zigzag iff signed), no alignment.
+template <typename V>
+struct varint_values {
+  static constexpr size_t kAlign = 1;
+
+  static uint64_t code(V v) {
+    if constexpr (std::is_signed_v<V>) {
+      return vint::zigzag(int64_t(v));
+    } else {
+      return uint64_t(v);
+    }
+  }
+
+  static V decode(uint64_t u) {
+    if constexpr (std::is_signed_v<V>) {
+      return static_cast<V>(vint::unzigzag(u));
+    } else {
+      return static_cast<V>(u);
+    }
+  }
+
+  template <typename E>
+  static size_t bytes(const E* es, uint32_t n) {
+    size_t total = 0;
+    for (uint32_t i = 0; i < n; i++) total += vint::length(code(es[i].second));
+    return total;
+  }
+
+  template <typename E>
+  static void encode(char* dst, const E* es, uint32_t n) {
+    for (uint32_t i = 0; i < n; i++) dst = vint::put(dst, code(es[i].second));
+  }
+
+  static bool check(const char* p, size_t len, uint32_t n) {
+    return vint::skip_checked(p, p + len, n) == p + len;
+  }
+
+  static V at(const char* vals, uint32_t i) {
+    reader r(vals);
+    for (uint32_t j = 0; j < i; j++) r.next();
+    return r.next();
+  }
+
+  struct reader {
+    const char* p;
+    explicit reader(const char* vals) : p(vals) {}
+    V next() {
+      uint64_t u;
+      p = vint::get(p, u);
+      return decode(u);
+    }
+  };
+};
+
 template <typename Entry>
+struct delta_codec {
+  using K = typename Entry::key_t;
+  using V = typename Entry::val_t;
+  using entry_t = std::pair<K, V>;
+  using key_arg = K;
+  using values =
+      std::conditional_t<std::is_integral_v<V>, varint_values<V>, raw_values<V>>;
+
+  static_assert(std::is_integral_v<K>,
+                "PAM leaf-layout contract: key_layout::delta requires an "
+                "integral key_t (the difference encoding is defined on "
+                "unsigned wrap-around arithmetic); string keys must use "
+                "key_layout::front_coded");
+
+  using UK = std::make_unsigned_t<K>;
+  using SK = std::make_signed_t<K>;
+
+  static size_t key_bytes(const entry_t* es, uint32_t n) {
+    size_t total = 0;
+    for (uint32_t i = 0; i < n; i++) total += vint::length(code(es, i));
+    return total;
+  }
+
+  static char* encode(char* dst, const entry_t* es, uint32_t n) {
+    for (uint32_t i = 0; i < n; i++) dst = vint::put(dst, code(es, i));
+    return dst;
+  }
+
+  static const char* check(const char* p, const char* limit, uint32_t n) {
+    return vint::skip_checked(p, limit, n);
+  }
+
+  // Incremental decode: each step adds one difference to the running key.
+  struct cursor {
+    const char* p;
+    UK cur = 0;
+    bool at_base = true;
+
+    cursor(const char* keys, uint32_t) : p(keys) {}
+
+    PAM_NO_SANITIZE_UNSIGNED_WRAP
+    K next() {
+      uint64_t u;
+      p = vint::get(p, u);
+      cur = at_base ? base_key(u) : UK(cur + UK(vint::unzigzag(u)));
+      at_base = false;
+      return static_cast<K>(cur);
+    }
+  };
+
+  static K first_key(const char* keys, uint32_t) {
+    uint64_t u;
+    vint::get(keys, u);
+    return static_cast<K>(base_key(u));
+  }
+
+ private:
+  // Varint code for key i: the base key whole, then successor differences
+  // in the key's unsigned width, sign-extended into zigzag — close keys
+  // yield small codes under ascending *or* descending comparators.
+  PAM_NO_SANITIZE_UNSIGNED_WRAP
+  static uint64_t code(const entry_t* es, uint32_t i) {
+    if (i == 0) {
+      if constexpr (std::is_signed_v<K>) {
+        return vint::zigzag(int64_t(es[0].first));
+      } else {
+        return uint64_t(es[0].first);
+      }
+    }
+    UK d = UK(UK(es[i].first) - UK(es[i - 1].first));
+    return vint::zigzag(int64_t(SK(d)));
+  }
+
+  static UK base_key(uint64_t u) {
+    if constexpr (std::is_signed_v<K>) {
+      return UK(vint::unzigzag(u));
+    } else {
+      return UK(u);
+    }
+  }
+};
+
+// The codec an Entry's key_layout selects (meaningful for coded layouts).
+template <typename Entry>
+using codec_of = std::conditional_t<entry_layout_v<Entry> == key_layout::front_coded,
+                                    front_codec<Entry>, delta_codec<Entry>>;
+
+// ---------------------------------------------------------------- skeleton --
+
+// Storage for the coded blocks of one Entry type under one Codec: build/seal,
+// serialization hooks, retain/release, in-block search and decoding, plus
+// live accounting for the space experiments (shared by every balance scheme
+// over the Entry).
+template <typename Entry, typename Codec>
 struct coded_store {
   using block = coded_block<Entry>;
   using K = typename block::K;
@@ -111,143 +483,76 @@ struct coded_store {
   using A = typename block::A;
   using entry_t = typename block::entry_t;
   using traits = entry_traits<Entry>;
+  using key_arg = typename Codec::key_arg;
+  using values = typename Codec::values;
 
-  static_assert(std::is_same_v<K, std::string>,
-                "PAM leaf-layout contract: key_layout::front_coded requires "
-                "key_t = std::string; fixed-width keys must use "
-                "key_layout::flat");
   static_assert(std::is_trivially_copyable_v<V>,
-                "PAM leaf-layout contract: key_layout::front_coded requires a "
+                "PAM leaf-layout contract: coded leaf layouts require a "
                 "trivially copyable val_t (values are stored raw inside "
                 "sealed blocks)");
   static_assert(alignof(block) <= alignof(std::max_align_t) &&
                     alignof(V) <= alignof(std::max_align_t),
-                "PAM leaf-layout contract: front_coded block and value "
-                "alignment must not exceed max_align_t");
+                "PAM leaf-layout contract: coded block and value alignment "
+                "must not exceed max_align_t");
 
   static constexpr size_t kSlotAlign = alignof(std::max_align_t);
-  static constexpr uint16_t kMaxPrefix = 0xFFFF;
+  static constexpr size_t kValAlign = values::kAlign;
 
   // Encode n sorted unique entries (1 <= n) into a fresh sealed block.
   static block* build(const entry_t* es, uint32_t n) {
-    // Pass 1: record sizes. The shared prefix is capped at u16 range; a
-    // longer common prefix is simply re-stored in the suffix (lossless).
-    size_t rec_bytes = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      rec_bytes += sizeof(uint16_t) + es[i].first.size() - prefix_len(es, i);
-    }
-    size_t dir_off = block::dir_offset();
-    size_t rec_off = dir_off + size_t{n} * sizeof(uint32_t);
-    size_t val_off = (rec_off + rec_bytes + alignof(V) - 1) / alignof(V) * alignof(V);
-    size_t total = val_off + size_t{n} * sizeof(V);
-
-    int cls = byte_class_of(total);
-    block* b;
-    if (cls < kByteClasses) {
-      b = static_cast<block*>(pool(cls).allocate());
-    } else {
-      b = static_cast<block*>(
-          ::operator new(total, std::align_val_t{kSlotAlign}));
-      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
-                                       std::memory_order_relaxed);
-    }
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = n;
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    b->bytes = static_cast<uint32_t>(total);
-    b->val_off = static_cast<uint32_t>(val_off);
-
-    // Pass 2: fill directory, records and values.
-    uint32_t* d = b->dir();
-    char* r = b->recs();
-    uint32_t off = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      uint16_t plen = prefix_len(es, i);
-      std::memcpy(r + off, &plen, sizeof(plen));
-      off += uint32_t{sizeof(uint16_t)};
-      size_t suffix = es[i].first.size() - plen;
-      std::memcpy(r + off, es[i].first.data() + plen, suffix);
-      off += static_cast<uint32_t>(suffix);
-      d[i] = off;
-    }
-    V* vs = b->vals();
-    for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
-
-    if constexpr (traits::has_aug) {
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es, 0, n));
-    } else {
-      new (&b->aug) A();
-    }
+    size_t key_end = block::dir_offset() + Codec::key_bytes(es, n);
+    size_t val_off = (key_end + kValAlign - 1) / kValAlign * kValAlign;
+    block* b = allocate(val_off + values::bytes(es, n), n, val_off);
+    char* pad = Codec::encode(b->keys(), es, n);
+    std::memset(pad, 0, size_t(b->vals() - pad));
+    values::encode(b->vals(), es, n);
+    new (&b->aug) A(fold(es, n));
     return b;
   }
 
   // ------------------------------------------------- serialization hooks --
-  // A sealed coded block serializes as its raw encoded region — directory,
-  // records and values exactly as laid out in memory, [dir_offset, bytes) —
-  // because the front-coded encoding is position-independent past the
-  // header. The header fields {count, bytes, val_off} travel in the frame;
-  // the augmented value is recomputed on rebuild, never trusted from disk.
+  // A sealed block serializes as its raw encoded region — key stream, pad
+  // and value stream exactly as laid out in memory, [dir_offset, bytes) —
+  // because every codec's encoding is position-independent past the header.
+  // The header fields {count, bytes, val_off} travel in the frame; the
+  // augmented value is recomputed on rebuild, never trusted from disk.
   static size_t payload_bytes(const block* b) {
     return size_t{b->bytes} - block::dir_offset();
   }
 
   static void write_payload(const block* b, char* dst) {
-    std::memcpy(dst, reinterpret_cast<const char*>(b) + block::dir_offset(),
-                payload_bytes(b));
+    std::memcpy(dst, b->keys(), payload_bytes(b));
   }
 
   // Rebuild a sealed block from its encoded region (`region` holds
   // bytes - dir_offset() bytes). Returns nullptr when the framing is
-  // internally inconsistent — directory not strictly increasing, value
-  // array not aligned where the record region ends — so a decoder can
-  // never be walked outside the slot. CRC checks at the store layer catch
-  // torn media; this guards the in-memory decode paths.
+  // internally inconsistent — a key or value stream the codec rejects, a
+  // pad that breaks the pad rule, a misaligned value stream — so a decoder
+  // can never be walked outside the slot. Key *ordering* is the
+  // serializer's check (map_codec re-compares decoded keys); CRC checks at
+  // the store layer catch torn media; this guards the in-memory decode
+  // paths.
   static block* from_payload(const char* region, uint32_t count,
                              uint32_t bytes, uint32_t val_off) {
     const size_t dir_off = block::dir_offset();
-    const size_t rec_off = dir_off + size_t{count} * sizeof(uint32_t);
-    if (count == 0 || size_t{bytes} < rec_off || size_t{val_off} < rec_off ||
-        val_off > bytes ||
-        size_t{bytes} - val_off != size_t{count} * sizeof(V) ||
-        val_off % alignof(V) != 0) {
+    if (count == 0 || val_off < dir_off || val_off > bytes ||
+        val_off % kValAlign != 0) {
       return nullptr;
     }
-    // The directory must be strictly increasing (every record carries at
-    // least its u16 prefix_len) and stay inside [rec_off, val_off).
-    uint32_t prev = 0;
-    for (uint32_t i = 0; i < count; i++) {
-      uint32_t d;
-      std::memcpy(&d, region + size_t{i} * sizeof(uint32_t), sizeof(d));
-      if (d < prev + uint32_t{sizeof(uint16_t)} || rec_off + d > val_off) {
-        return nullptr;
-      }
-      prev = d;
+    const char* vals = region + (val_off - dir_off);
+    const char* pad = Codec::check(region, vals, count);
+    if (pad == nullptr || size_t(vals - pad) >= kValAlign ||
+        std::any_of(pad, vals, [](char c) { return c != 0; }) ||
+        !values::check(vals, size_t{bytes} - val_off, count)) {
+      return nullptr;
     }
-
-    int cls = byte_class_of(bytes);
-    block* b;
-    if (cls < kByteClasses) {
-      b = static_cast<block*>(pool(cls).allocate());
-    } else {
-      b = static_cast<block*>(
-          ::operator new(bytes, std::align_val_t{kSlotAlign}));
-      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_add(static_cast<int64_t>(bytes),
-                                       std::memory_order_relaxed);
-    }
-    new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = count;
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    b->bytes = bytes;
-    b->val_off = val_off;
-    std::memcpy(reinterpret_cast<char*>(b) + dir_off, region,
-                size_t{bytes} - dir_off);
+    block* b = allocate(bytes, count, val_off);
+    std::memcpy(b->keys(), region, size_t{bytes} - dir_off);
     if constexpr (traits::has_aug) {
       std::vector<entry_t> es;
       es.reserve(count);
       decode_all(b, es);
-      new (&b->aug) A(fold_entries_fast<traits, Entry>(es.data(), 0, count));
+      new (&b->aug) A(fold(es.data(), count));
     } else {
       new (&b->aug) A();
     }
@@ -275,51 +580,32 @@ struct coded_store {
 
   // ------------------------------------------------------------- reading --
 
-  // The first key, zero-copy: record 0 stores it whole.
-  static std::string_view first_key(const block* b) {
-    return b->record(0).second;
+  static key_arg first_key(const block* b) {
+    return Codec::first_key(b->keys(), b->count);
   }
-
-  static const V* vals(const block* b) { return b->vals(); }
-
-  // Positional value accessors shared with delta_store (which has no value
-  // array to point at), so tree_ops reads values through one name.
-  static V first_val(const block* b) { return b->vals()[0]; }
-  static V value_at(const block* b, uint32_t i) { return b->vals()[i]; }
+  static V value_at(const block* b, uint32_t i) { return values::at(b->vals(), i); }
 
   // Append all n entries, keys materialized, onto out.
   static void decode_all(const block* b, std::vector<entry_t>& out) {
-    std::string cur;
-    const V* vs = b->vals();
-    for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      out.emplace_back(cur, vs[i]);
-    }
+    typename Codec::cursor c(b->keys(), b->count);
+    typename values::reader vr(b->vals());
+    for (uint32_t i = 0; i < b->count; i++) out.emplace_back(c.next(), vr.next());
   }
 
-  // Entry i, with the key materialized (decodes the prefix chain up to i).
+  // Entry i, with the key materialized (decodes the key chain up to i).
   static entry_t entry_at(const block* b, uint32_t i) {
-    std::string cur;
-    for (uint32_t j = 0; j <= i; j++) {
-      auto [plen, suffix] = b->record(j);
-      cur.resize(plen);
-      cur.append(suffix);
-    }
-    return {std::move(cur), b->vals()[i]};
+    typename Codec::cursor c(b->keys(), b->count);
+    for (uint32_t j = 0; j < i; j++) c.next();
+    return {K(c.next()), value_at(b, i)};
   }
 
-  // First slot i with !(key_i < k); *eq reports key_i == k. Incremental
-  // decode: each step re-derives only the suffix on top of the running key.
-  static uint32_t lower_idx(const block* b, std::string_view k, bool* eq) {
-    std::string cur;
+  // First slot i with !(key_i < k); *eq reports key_i == k.
+  static uint32_t lower_idx(const block* b, key_arg k, bool* eq) {
+    typename Codec::cursor c(b->keys(), b->count);
     for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      if (!Entry::comp(std::string_view(cur), k)) {
-        if (eq != nullptr) *eq = !Entry::comp(k, std::string_view(cur));
+      key_arg key = c.next();
+      if (!Entry::comp(key, k)) {
+        if (eq != nullptr) *eq = !Entry::comp(k, key);
         return i;
       }
     }
@@ -328,13 +614,10 @@ struct coded_store {
   }
 
   // First slot i with k < key_i.
-  static uint32_t upper_idx(const block* b, std::string_view k) {
-    std::string cur;
+  static uint32_t upper_idx(const block* b, key_arg k) {
+    typename Codec::cursor c(b->keys(), b->count);
     for (uint32_t i = 0; i < b->count; i++) {
-      auto [plen, suffix] = b->record(i);
-      cur.resize(plen);
-      cur.append(suffix);
-      if (Entry::comp(k, std::string_view(cur))) return i;
+      if (Entry::comp(k, c.next())) return i;
     }
     return b->count;
   }
@@ -362,17 +645,34 @@ struct coded_store {
   }
 
  private:
-  // Length of the prefix of es[i].first shared with es[i-1].first, capped at
-  // the u16 record field (0 for the block's first key).
-  static uint16_t prefix_len(const entry_t* es, uint32_t i) {
-    if (i == 0) return 0;
-    const std::string& prev = es[i - 1].first;
-    const std::string& cur = es[i].first;
-    size_t lim = prev.size() < cur.size() ? prev.size() : cur.size();
-    if (lim > kMaxPrefix) lim = kMaxPrefix;
-    size_t p = 0;
-    while (p < lim && prev[p] == cur[p]) p++;
-    return static_cast<uint16_t>(p);
+  static A fold(const entry_t* es, uint32_t n) {
+    if constexpr (traits::has_aug) {
+      return fold_entries_fast<traits, Entry>(es, 0, n);
+    } else {
+      return A();
+    }
+  }
+
+  // A pool slot or counted overflow allocation for a `total`-byte block,
+  // with every header field but aug set.
+  static block* allocate(size_t total, uint32_t n, size_t val_off) {
+    int cls = byte_class_of(total);
+    block* b;
+    if (cls < kByteClasses) {
+      b = static_cast<block*>(pool(cls).allocate());
+    } else {
+      b = static_cast<block*>(
+          ::operator new(total, std::align_val_t{kSlotAlign}));
+      table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
+      table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
+                                       std::memory_order_relaxed);
+    }
+    new (&b->ref_cnt) std::atomic<uint32_t>(1);
+    b->count = n;
+    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
+    b->bytes = static_cast<uint32_t>(total);
+    b->val_off = static_cast<uint32_t>(val_off);
+    return b;
   }
 
   struct pool_table {

@@ -146,7 +146,7 @@ struct str_max_entry {
 // ------------------------------------------------- delta-coded policies --
 // The same policies with integral keys stored delta-coded (base key +
 // zigzag-varint differences, integral values varint-packed) inside sealed
-// leaf blocks (key_layout::delta; see pam/delta_block.h). Inherit the flat
+// leaf blocks (key_layout::delta; see pam/coded_block.h). Inherit the flat
 // policy and override only the layout: the entry_layout trait detects the
 // member through the base-class lookup.
 

@@ -43,7 +43,6 @@
 #include "alloc/type_allocator.h"
 #include "pam/block_fold.h"
 #include "pam/coded_block.h"
-#include "pam/delta_block.h"
 #include "pam/entry_traits.h"
 #include "parallel/parallel.h"
 #include "util/env.h"
@@ -76,7 +75,7 @@ inline void set_reuse_enabled(bool on) { reuse_flag().store(on); }
 // used_leaf_blocks() stays 0. Invalid layout/type combinations (front_coded
 // with a non-string key, delta with a non-integral key, or either with a
 // non-trivially-copyable value) are rejected at compile time by the
-// contracted static_asserts in node_manager / coded_store / delta_store.
+// contracted static_asserts in the codecs and coded_store (coded_block.h).
 inline constexpr size_t kMaxLeafBlock = 2048;
 
 inline std::atomic<uint32_t>& leaf_block_knob() {
@@ -292,10 +291,8 @@ struct leaf_store {
 // node for the block pointer; the blocked layout wins it back ~20x over.
 // Which block type an Entry's chunks carry follows its key_layout trait.
 template <typename Entry>
-using leaf_block_of = std::conditional_t<
-    entry_layout_v<Entry> == key_layout::flat, leaf_block<Entry>,
-    std::conditional_t<entry_layout_v<Entry> == key_layout::front_coded,
-                       coded_block<Entry>, delta_block<Entry>>>;
+using leaf_block_of = std::conditional_t<entry_layout_v<Entry> == key_layout::flat,
+                                         leaf_block<Entry>, coded_block<Entry>>;
 
 template <typename Entry, typename BalData>
 struct tree_node {
@@ -351,27 +348,10 @@ struct node_manager {
   static constexpr key_layout layout = entry_layout_v<Entry>;
   static constexpr bool flat_layout = layout == key_layout::flat;
   using lblock = leaf_block_of<Entry>;
-  using lstore = std::conditional_t<
-      flat_layout, leaf_store<Entry>,
-      std::conditional_t<layout == key_layout::front_coded, coded_store<Entry>,
-                         delta_store<Entry>>>;
+  using lstore = std::conditional_t<flat_layout, leaf_store<Entry>,
+                                    coded_store<Entry, codec_of<Entry>>>;
   using block_view =
       std::conditional_t<flat_layout, flat_block_view<Entry>, coded_block_view<Entry>>;
-
-  // The layout/type contract, stated where every map instantiation passes.
-  static_assert(layout != key_layout::front_coded ||
-                    std::is_same_v<K, std::string>,
-                "PAM leaf-layout contract: key_layout::front_coded requires "
-                "key_t = std::string; fixed-width keys must use "
-                "key_layout::flat or key_layout::delta");
-  static_assert(layout != key_layout::delta || std::is_integral_v<K>,
-                "PAM leaf-layout contract: key_layout::delta requires an "
-                "integral key_t; string keys must use "
-                "key_layout::front_coded");
-  static_assert(flat_layout || std::is_trivially_copyable_v<V>,
-                "PAM leaf-layout contract: coded leaf layouts require a "
-                "trivially copyable val_t (values are stored raw inside "
-                "sealed blocks)");
 
   // Comparisons are heterogeneous: string-keyed policies take string_views,
   // so lookups and in-block decoding compare without materializing keys.
@@ -490,7 +470,7 @@ struct node_manager {
       new (&t->value) V(e[0].second);
     } else {
       new (&t->key) K(lstore::first_key(b));
-      new (&t->value) V(lstore::first_val(b));
+      new (&t->value) V(lstore::value_at(b, 0));
     }
     new (&t->aug) A(b->aug);
     new (&t->bal) typename Balance::data();

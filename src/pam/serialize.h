@@ -389,8 +389,8 @@ struct map_codec {
           wire::reader pr(payload, len);
           uint32_t bytes = pr.u32();
           uint32_t val_off = pr.u32();
-          if (pr.remaining() !=
-              size_t{bytes} - lblock::dir_offset()) {
+          if (bytes < lblock::dir_offset() ||
+              pr.remaining() != bytes - lblock::dir_offset()) {
             throw wire::error("map_codec: coded block length mismatch");
           }
           lblock* b = lstore::from_payload(pr.p, count, bytes, val_off);
@@ -398,7 +398,7 @@ struct map_codec {
             throw wire::error("map_codec: inconsistent coded block");
           }
           // Decoded keys are checked for order; the decode itself is
-          // bounds-safe after from_payload's directory validation.
+          // bounds-safe after from_payload's frame validation.
           std::vector<entry_t> es;
           es.reserve(count);
           lstore::decode_all(b, es);

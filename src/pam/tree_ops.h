@@ -13,16 +13,16 @@
 //
 // Two block encodings live behind this seam (selected per Entry policy by
 // the key_layout trait): flat fixed-width arrays, read zero-copy and point-
-// searched by the vectorized kernels of pam/block_search.h, and front-coded
-// string blocks (pam/coded_block.h), point-searched by incremental decode
-// and materialized through NM::read_block on the multi-entry paths. The
+// searched by the vectorized kernels of pam/block_search.h, and coded
+// blocks (pam/coded_block.h: front-coded strings, delta-coded integers),
+// point-searched by incremental decode and materialized through
+// NM::read_block on the multi-entry paths. The
 // blk_* helpers below are the only places that dispatch on the layout;
 // everything else works on materialized entry runs.
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,9 +70,9 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   // ------------------------------------------- layout-dispatched block ops --
   // The only functions below tree_ops that look inside a sealed block. Flat
-  // blocks answer zero-copy; front-coded and delta blocks search by
-  // incremental decode (coded_store / delta_store) without materializing
-  // more than a scratch key.
+  // blocks answer zero-copy; coded blocks (front- or delta-coded) search by
+  // incremental decode (coded_store) without materializing more than a
+  // scratch key, comparing against the codec's key_arg.
 
   // First slot with key >= k; *eq (optional) reports an exact hit.
   template <typename Key>
@@ -83,8 +83,6 @@ struct tree_ops : node_manager<Entry, Balance> {
         *eq = pos < b->count && !less(k, b->entries()[pos].first);
       }
       return pos;
-    } else if constexpr (NM::layout == key_layout::front_coded) {
-      return lstore::lower_idx(b, std::string_view(k), eq);
     } else {
       return lstore::lower_idx(b, k, eq);
     }
@@ -95,8 +93,6 @@ struct tree_ops : node_manager<Entry, Balance> {
   static size_t blk_upper(const lblock* b, const Key& k) {
     if constexpr (NM::flat_layout) {
       return block_upper_idx<Entry>(b->entries(), b->count, k);
-    } else if constexpr (NM::layout == key_layout::front_coded) {
-      return lstore::upper_idx(b, std::string_view(k));
     } else {
       return lstore::upper_idx(b, k);
     }
@@ -780,10 +776,6 @@ struct tree_ops : node_manager<Entry, Balance> {
         if (b->count == 0 || b->count > b->capacity) return false;
         // The node's inline key/value mirror the first block entry.
         if (!NM::keys_equal(t->key, b->entries()[0].first)) return false;
-      } else if constexpr (NM::layout == key_layout::front_coded) {
-        if (b->count == 0) return false;
-        if (!NM::keys_equal(std::string_view(t->key), lstore::first_key(b)))
-          return false;
       } else {
         if (b->count == 0) return false;
         if (!NM::keys_equal(t->key, lstore::first_key(b))) return false;

@@ -2,8 +2,8 @@
 // only for integral keys — the encoding stores zigzag-varint successor
 // differences, which is meaningless for std::string (and front coding
 // already owns that shape). An entry policy that declares the delta layout
-// over a string key must be rejected by the delta_block static_assert with
-// the contracted diagnostic, on every toolchain (this is front-end
+// over a string key must be rejected by the delta_codec static_assert
+// (pam/coded_block.h) with the contracted diagnostic, on every toolchain (this is front-end
 // enforcement, not clang thread-safety analysis).
 //
 // compile-fail: any-compiler

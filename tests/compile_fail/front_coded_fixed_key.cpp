@@ -2,8 +2,8 @@
 // defined only for std::string keys — prefix compression of a fixed-width
 // integer makes no sense, and the block encoder stores keys as byte
 // suffixes. An entry policy that declares the coded layout over a
-// fixed-width key must be rejected by the node_manager static_assert with
-// the contracted diagnostic, on every toolchain (this is front-end
+// fixed-width key must be rejected by the front_codec static_assert
+// (pam/coded_block.h) with the contracted diagnostic, on every toolchain (this is front-end
 // enforcement, not clang thread-safety analysis).
 //
 // compile-fail: any-compiler

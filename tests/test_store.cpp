@@ -21,6 +21,14 @@ namespace {
 
 using u64_map = pam::aug_map<pam::sum_entry<uint64_t, uint64_t>>;
 using str_map = pam::aug_map<pam::str_sum_entry<uint64_t>>;
+using delta_map = pam::aug_map<pam::delta_sum_entry<uint64_t, uint64_t>>;
+
+// Sets the leaf block size for one test, restoring the previous one.
+struct block_size_guard {
+  size_t saved = pam::leaf_block_size();
+  explicit block_size_guard(size_t b) { pam::set_leaf_block_size(b); }
+  ~block_size_guard() { pam::set_leaf_block_size(saved); }
+};
 
 // A fresh scratch directory per test, removed on destruction.
 struct temp_dir {
@@ -479,8 +487,25 @@ void codec_sweep_str(uint64_t seed) {
   expect_round_trip(m, oracle);
 }
 
-// All four balance schemes x flat/front-coded leaves x block sizes 0 (no
-// blocks), 1 (degenerate), 32 (default), 256 (multi byte-class).
+template <typename Balance>
+void codec_sweep_delta(uint64_t seed) {
+  using map_t =
+      pam::aug_map<pam::delta_sum_entry<uint64_t, uint64_t>, Balance>;
+  pam::random_gen g(seed);
+  map_t m;
+  std::map<uint64_t, uint64_t> oracle;
+  for (int i = 0; i < 2000; i++) {
+    // Dense runs punctuated by sparse jumps: one- and multi-byte varints.
+    uint64_t k = g.next() % 8 == 0 ? g.next() : g.next() % 4096;
+    uint64_t v = g.next() % 100000;
+    m = map_t::insert(std::move(m), k, v);
+    oracle[k] = v;
+  }
+  expect_round_trip(m, oracle);
+}
+
+// All four balance schemes x flat/front-coded/delta-coded leaves x block
+// sizes 0 (no blocks), 1 (degenerate), 32 (default), 256 (multi byte-class).
 TEST(WireCodec, AllSchemesAllLayoutsAllBlockSizes) {
   size_t saved_b = pam::leaf_block_size();
   for (size_t b : {size_t{0}, size_t{1}, size_t{32}, size_t{256}}) {
@@ -493,38 +518,213 @@ TEST(WireCodec, AllSchemesAllLayoutsAllBlockSizes) {
     codec_sweep_str<pam::red_black>(600 + b);
     codec_sweep_str<pam::avl_tree>(700 + b);
     codec_sweep_str<pam::treap>(800 + b);
+    codec_sweep_delta<pam::weight_balanced>(900 + b);
+    codec_sweep_delta<pam::red_black>(1000 + b);
+    codec_sweep_delta<pam::avl_tree>(1100 + b);
+    codec_sweep_delta<pam::treap>(1200 + b);
   }
   pam::set_leaf_block_size(saved_b);
 }
 
-TEST(WireCodec, CorruptStreamsThrowNeverCrash) {
-  pam::random_gen g(3);
-  u64_map m;
-  for (int i = 0; i < 1000; i++) {
-    m = u64_map::insert(std::move(m), g.next() % 2048, g.next());
-  }
+// Truncations at every prefix length of the header region and a sample of
+// interior cuts must throw wire::error, never crash or misparse; bit flips
+// across the stream either throw cleanly or (for flips confined to value
+// bytes, or key bytes that stay in order) yield a map that still validates.
+template <typename Map>
+void expect_corruptions_handled(const Map& m) {
   std::vector<char> wire;
   m.serialize(wire);
-
-  // Truncations at every prefix length of the header region and a sample
-  // of interior cuts: must throw wire::error, never crash or misparse.
   for (size_t cut : {size_t{0}, size_t{3}, size_t{10}, size_t{19},
                      wire.size() / 2, wire.size() - 1}) {
-    EXPECT_THROW(u64_map::deserialize(wire.data(), cut), pam::wire::error)
+    EXPECT_THROW(Map::deserialize(wire.data(), cut), pam::wire::error)
         << "cut " << cut;
   }
-  // Bit flips across the stream: either a clean wire::error or (for flips
-  // confined to value bytes) a map that still validates.
   for (size_t at = 0; at < wire.size(); at += 97) {
-    auto bad = wire;
-    bad[at] = static_cast<char>(bad[at] ^ 0x10);
-    try {
-      u64_map rt = u64_map::deserialize(bad.data(), bad.size());
-      EXPECT_TRUE(rt.check_valid());
-    } catch (const pam::wire::error&) {
-      // rejected — the expected common case
+    for (int mask : {0x10, 0x01, 0x80}) {
+      auto bad = wire;
+      bad[at] = static_cast<char>(bad[at] ^ mask);
+      try {
+        Map rt = Map::deserialize(bad.data(), bad.size());
+        EXPECT_TRUE(rt.check_valid()) << "flip at " << at;
+      } catch (const pam::wire::error&) {
+        // rejected — the expected common case
+      }
     }
   }
+}
+
+TEST(WireCodec, CorruptStreamsThrowNeverCrash) {
+  block_size_guard guard(32);
+  pam::random_gen g(3);
+  u64_map flat;
+  str_map front;
+  delta_map delta;
+  for (int i = 0; i < 1000; i++) {
+    uint64_t k = g.next() % 2048, v = g.next();
+    flat = u64_map::insert(std::move(flat), k, v);
+    front = str_map::insert(std::move(front),
+                            "user/profile/" + std::to_string(k), v % 1000);
+    delta = delta_map::insert(std::move(delta), k, v % 1000);
+  }
+  expect_corruptions_handled(flat);
+  expect_corruptions_handled(front);
+  expect_corruptions_handled(delta);
+}
+
+// ---- hand-built coded-block records: each breaks exactly one frame rule --
+
+// The one coded-block record of a single-block map's stream.
+struct coded_record {
+  std::vector<char> head;  // stream header + record kind and count
+  uint32_t dir_off;        // header bytes before the encoded region
+  uint32_t val_off;
+  std::vector<char> region;
+};
+
+template <typename Map>
+coded_record coded_record_of(const Map& m) {
+  std::vector<char> wire;
+  m.serialize(wire);
+  // u32 magic | u8 layout | u8 order | u16 abi | u64 total | u32 records,
+  // then one record: u8 kind | u32 count | u32 len | u32 bytes | u32 val_off.
+  const size_t at = 20;
+  EXPECT_EQ(wire.at(at), 3) << "expected one coded-block record";
+  uint32_t records, len, bytes, val_off;
+  std::memcpy(&records, wire.data() + 16, 4);
+  std::memcpy(&len, wire.data() + at + 5, 4);
+  std::memcpy(&bytes, wire.data() + at + 9, 4);
+  std::memcpy(&val_off, wire.data() + at + 13, 4);
+  EXPECT_EQ(records, 1u);
+  EXPECT_EQ(wire.size(), at + 9 + len);
+  coded_record r;
+  r.head.assign(wire.begin(), wire.begin() + at + 5);
+  r.region.assign(wire.begin() + at + 17, wire.end());
+  r.dir_off = bytes - static_cast<uint32_t>(r.region.size());
+  r.val_off = val_off;
+  return r;
+}
+
+// Reassemble a stream around `region`, with val_off given relative to the
+// region start.
+std::vector<char> coded_stream(const coded_record& r,
+                               const std::vector<char>& region,
+                               size_t val_at) {
+  std::vector<char> w = r.head;
+  uint32_t len = static_cast<uint32_t>(region.size() + 8);
+  uint32_t bytes = r.dir_off + static_cast<uint32_t>(region.size());
+  uint32_t val_off = r.dir_off + static_cast<uint32_t>(val_at);
+  for (uint32_t f : {len, bytes, val_off}) {
+    const char* p = reinterpret_cast<const char*>(&f);
+    w.insert(w.end(), p, p + 4);
+  }
+  w.insert(w.end(), region.begin(), region.end());
+  return w;
+}
+
+std::vector<char> concat(std::initializer_list<std::vector<char>> parts) {
+  std::vector<char> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+TEST(WireCodec, DeltaBlockFrameRulesEnforced) {
+  block_size_guard guard(32);
+  // Keys 1..4 and values 10..40: key varints 01 02 02 02 (base, then
+  // zigzag(+1) three times), value varints 0a 14 1e 28, no pad.
+  delta_map m{{1, 10}, {2, 20}, {3, 30}, {4, 40}};
+  coded_record r = coded_record_of(m);
+  const std::vector<char> keys = {1, 2, 2, 2}, vals = {10, 20, 30, 40};
+  ASSERT_EQ(r.region, concat({keys, vals}));
+  auto load = [&](const std::vector<char>& key_stream, size_t pad) {
+    auto region = concat({key_stream, std::vector<char>(pad, 0), vals});
+    auto w = coded_stream(r, region, key_stream.size() + pad);
+    return delta_map::deserialize(w.data(), w.size());
+  };
+  EXPECT_EQ(load(keys, 0).aug_val(), 100u);  // the reassembly itself is sound
+
+  // An overlong base key (0x81 0x00 also decodes to 1).
+  const std::vector<char> overlong = {char(0x81), 0, 2, 2, 2};
+  EXPECT_THROW(load(overlong, 0), pam::wire::error);
+  // A ten-byte base key carrying bits past the 64th.
+  std::vector<char> wide(9, char(0xFF));
+  wide.push_back(2);
+  EXPECT_THROW(load(concat({wide, {2, 2, 2}}), 0), pam::wire::error);
+  // Packed values align to one byte, so any pad is too long.
+  EXPECT_THROW(load(keys, 1), pam::wire::error);
+}
+
+TEST(WireCodec, FrontCodedBlockFrameRulesEnforced) {
+  block_size_guard guard(32);
+  // Keys "a" "b" "c": a u32 directory {3, 6, 9}, three records {u16 0,
+  // key byte}, then the value array at the next 8-byte boundary.
+  str_map m{{"a", 1}, {"b", 2}, {"c", 3}};
+  coded_record r = coded_record_of(m);
+  const size_t key_end = 12 + 9, val_at = r.val_off - r.dir_off;
+  ASSERT_GT(val_at, key_end) << "the fixture needs a non-empty pad";
+  ASSERT_LT(val_at - key_end, 8u);
+  const std::vector<char> keys(r.region.begin(), r.region.begin() + key_end);
+  const std::vector<char> vals(r.region.begin() + val_at, r.region.end());
+  ASSERT_EQ(vals.size(), 3 * sizeof(uint64_t));
+  auto load = [&](const std::vector<char>& key_stream, size_t pad,
+                  char pad_byte = 0) {
+    auto region = concat({key_stream, std::vector<char>(pad, pad_byte), vals});
+    auto w = coded_stream(r, region, key_stream.size() + pad);
+    return str_map::deserialize(w.data(), w.size());
+  };
+  const size_t pad = val_at - key_end;
+  EXPECT_EQ(load(keys, pad).aug_val(), 6u);  // the reassembly itself is sound
+  EXPECT_EQ(r.region, concat({keys, std::vector<char>(pad, 0), vals}))
+      << "the pad is zeroed";
+
+  // A non-zero pad byte, and a pad of a whole extra alignment step.
+  EXPECT_THROW(load(keys, pad, 0x5A), pam::wire::error);
+  EXPECT_THROW(load(keys, pad + 8), pam::wire::error);
+  // A directory that is not strictly increasing: {3, 3, 9} and {6, 3, 9}.
+  for (char first : {char{3}, char{6}}) {
+    auto bad = keys;
+    bad[0] = first;
+    bad[4] = 3;
+    EXPECT_THROW(load(bad, pad), pam::wire::error) << int(first);
+  }
+  // Record 0 claiming a shared prefix, though it has no predecessor.
+  auto shared = keys;
+  shared[12] = 1;
+  EXPECT_THROW(load(shared, pad), pam::wire::error);
+  // A value array at an offset that is not a multiple of alignof(uint64_t),
+  // with every other rule intact (a one-byte zero pad).
+  ASSERT_NE((r.dir_off + key_end + 1) % alignof(uint64_t), 0u);
+  EXPECT_THROW(load(keys, 1), pam::wire::error);
+}
+
+// A block's payload is a function of its entries alone: rebuilding the same
+// map after the byte-class pools have recycled other blocks must serialize
+// byte for byte the same, so no recycled pool byte (in the pad between key
+// stream and values) reaches a checkpoint.
+template <typename Map, typename MakeKey>
+void expect_serialize_stable_across_churn(MakeKey key) {
+  auto make = [&](uint64_t salt) {
+    std::vector<typename Map::entry_t> es;
+    es.reserve(2000);
+    for (uint64_t i = 0; i < 2000; i++) es.push_back({key(i, salt), i * 7 + salt});
+    return Map(std::move(es));
+  };
+  std::vector<char> before, after;
+  make(0).serialize(before);
+  for (uint64_t salt = 1; salt <= 8; salt++) {
+    Map other = make(salt * 0x9E3779B9);  // dropped at scope end
+    ASSERT_EQ(other.size(), 2000u);
+  }
+  make(0).serialize(after);
+  EXPECT_EQ(before, after);
+}
+
+TEST(WireCodec, SerializeIsByteIdenticalAcrossPoolChurn) {
+  block_size_guard guard(32);
+  expect_serialize_stable_across_churn<str_map>([](uint64_t i, uint64_t salt) {
+    return "user/" + std::to_string(salt) + "/" + std::to_string(i * 13);
+  });
+  expect_serialize_stable_across_churn<delta_map>(
+      [](uint64_t i, uint64_t salt) { return i * 3 + salt; });
 }
 
 TEST(WireCodec, CrossEndianStreamRejected) {

@@ -1,7 +1,7 @@
 // pam-lint-fixture-path: src/pam/coded_block.h
-// The variable-length block encoder is part of the sanctioned allocation
-// surface (alongside src/alloc/**): it owns the byte-class pool table and
-// the counted overflow path, so raw new/delete here need no waivers.
+// The coded-block skeleton is part of the sanctioned allocation surface
+// (alongside src/alloc/**): it owns the byte-class pool table and the
+// counted overflow path, so raw new/delete here need no waivers.
 #pragma once
 
 struct byte_pool {

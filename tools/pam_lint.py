@@ -6,10 +6,9 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
 
   naked-new           `new` expressions in src/** outside the sanctioned
                       allocation surface: the pool layer (src/alloc/**) plus
-                      the variable-length block encoders
-                      (src/pam/coded_block.h, src/pam/delta_block.h), which
-                      own the byte-class pool tables and the counted
-                      overflow path for oversized blocks. Tree nodes, leaf
+                      the coded-block skeleton (src/pam/coded_block.h),
+                      which owns the byte-class pool tables and the counted
+                      overflow path for oversized blocks of every codec. Tree nodes, leaf
                       blocks and payloads must come from these so epoch
                       reclamation and the space accounting (Table 4) see
                       every allocation.
@@ -217,11 +216,10 @@ def lint_file(relpath, text, env_catalogue=None):
 
     in_src = unix.startswith("src/")
     # The sanctioned allocation surface: the pool layer itself, plus the
-    # coded-block encoders, which own the byte-granular pool tables and the
+    # coded-block skeleton, which owns the byte-granular pool tables and the
     # atomically counted overflow allocations for oversized blocks.
     in_pool_layer = (unix.startswith("src/alloc/")
-                     or unix == "src/pam/coded_block.h"
-                     or unix == "src/pam/delta_block.h")
+                     or unix == "src/pam/coded_block.h")
     is_wrapper = unix == "src/util/thread_annotations.h"
 
     if in_src and not in_pool_layer and not is_wrapper:
