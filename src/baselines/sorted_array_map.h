@@ -61,10 +61,9 @@ class sorted_array_map {
     internal::parallel_merge(
         data_.data(), data_.size(), batch.data(), batch.size(), merged.data(),
         [](const entry_t& a, const entry_t& b) { return a.first < b.first; });
-    // Collapse duplicates: stability put the old value first, so keep-last.
-    data_ = combine_sorted_runs(
-        std::move(merged), [](const K& a, const K& b) { return a < b; },
-        [](const V&, const V& nv) { return nv; });
+    // Stability put the old value first, so keep-last wins.
+    data_ = std::move(merged);
+    keep_last(data_);
   }
 
   const std::vector<entry_t>& entries() const { return data_; }
@@ -73,9 +72,20 @@ class sorted_array_map {
   static void normalize(std::vector<entry_t>& v) {
     parallel_sort(v.data(), v.size(),
                   [](const entry_t& a, const entry_t& b) { return a.first < b.first; });
-    v = combine_sorted_runs(
-        std::move(v), [](const K& a, const K& b) { return a < b; },
-        [](const V&, const V& nv) { return nv; });
+    keep_last(v);
+  }
+
+  // Collapses each run of equal keys in sorted v to its last value.
+  static void keep_last(std::vector<entry_t>& v) {
+    std::vector<entry_t> out;
+    size_t m = combine_sorted_runs(
+        v.data(), v.size(), [](const K& a, const K& b) { return a < b; },
+        [](const V&, const V& nv) { return nv; },
+        [&](size_t k) {
+          out.resize(k);
+          return out.data();
+        });
+    if (m < v.size()) v = std::move(out);
   }
 
   std::vector<entry_t> data_;

@@ -256,23 +256,44 @@ struct map_ops : tree_ops<Entry, Balance> {
   static bool key_less(const K& x, const K& y) { return less(x, y); }
 
   // Stable sort of v by key_of(elem): the radix sort for radix_keys, else
-  // the merge sort. Both return at once on already-sorted input.
+  // the merge sort. Both return at once on already-sorted input, leaving
+  // scratch untouched; otherwise scratch holds n slots when they return.
   template <typename T, typename KeyOf>
-  static void sort_by_key(std::vector<T>& v, const KeyOf& key_of) {
+  static void sort_by_key(std::vector<T>& v, const KeyOf& key_of,
+                          internal::sort_scratch<T>& scratch) {
     if constexpr (radix_keys) {
-      radix_sort(v, key_of);
+      radix_sort(v, key_of, scratch);
     } else {
-      parallel_sort(v, [&](const T& x, const T& y) { return less(key_of(x), key_of(y)); });
+      parallel_sort(
+          v.data(), v.size(), [&](const T& x, const T& y) { return less(key_of(x), key_of(y)); },
+          scratch);
     }
   }
 
-  // The entries of v sorted by key, each run of equal keys folded left to
-  // right with comb into one entry. Returns v's own buffer (or the sort's
-  // scratch buffer) when there are no duplicates.
-  template <typename Comb>
-  static std::vector<entry_t> sort_and_combine(std::vector<entry_t> v, const Comb& comb) {
-    sort_by_key(v, [](const entry_t& e) -> const K& { return e.first; });
-    return combine_sorted_runs(std::move(v), key_less, comb);
+  // Sorts v by key_of, folds each run of equal keys left to right with
+  // fold(acc, elem), and returns f(a, m) over the m sorted, duplicate-free
+  // elements. One n-element buffer at most: the sort's scratch doubles as
+  // the fold's output, so a is v's data when v held no duplicates, else the
+  // scratch's. Sorted input skips the sort; if it has duplicates, the fold
+  // allocates the buffer.
+  template <typename T, typename KeyOf, typename Fold, typename F>
+  static auto with_sorted_unique(std::vector<T>& v, const KeyOf& key_of, const Fold& fold,
+                                 const F& f) {
+    internal::sort_scratch<T> scratch;
+    sort_by_key(v, key_of, scratch);
+    size_t m = fold_sorted_runs(v.data(), v.size(), key_of, key_less, fold,
+                                [&](size_t k) { return internal::scratch_slots(scratch, k); });
+    return f(m == v.size() ? v.data() : scratch.data(), m);
+  }
+
+  // with_sorted_unique over entries: a run's values fold under comb. The
+  // key extractor is a lambda, not entry_key: a function passed by
+  // reference stays an indirect call in the sort's and the fold's loops.
+  template <typename Comb, typename F>
+  static auto with_combined(std::vector<entry_t>& v, const Comb& comb, const F& f) {
+    auto key_of = [](const entry_t& e) -> const K& { return e.first; };
+    auto fold = [&](entry_t& acc, const entry_t& e) { acc.second = comb(acc.second, e.second); };
+    return with_sorted_unique(v, key_of, fold, f);
   }
 
   // --------------------------------------------------------------- build --
@@ -299,8 +320,9 @@ struct map_ops : tree_ops<Entry, Balance> {
   // Work O(n log n), span O(log n) given the sort (paper Table 2).
   template <typename Comb>
   static node* build(std::vector<entry_t> v, const Comb& comb) {
-    std::vector<entry_t> u = sort_and_combine(std::move(v), comb);
-    return from_sorted_unique(u.data(), u.size());
+    return with_combined(v, comb, [](const entry_t* a, size_t n) {
+      return from_sorted_unique(a, n);
+    });
   }
 
   static node* build(std::vector<entry_t> v) {
@@ -356,8 +378,9 @@ struct map_ops : tree_ops<Entry, Balance> {
   // comb(old_in_map, folded_update).
   template <typename Comb>
   static node* multi_insert(node* t, std::vector<entry_t> updates, const Comb& comb) {
-    std::vector<entry_t> u = sort_and_combine(std::move(updates), comb);
-    return multi_insert_sorted(t, u.data(), u.size(), comb);
+    return with_combined(updates, comb, [&](const entry_t* a, size_t n) {
+      return multi_insert_sorted(t, a, n, comb);
+    });
   }
 
   static node* multi_insert(node* t, std::vector<entry_t> updates) {
@@ -400,10 +423,9 @@ struct map_ops : tree_ops<Entry, Balance> {
   }
 
   static node* multi_delete(node* t, std::vector<K> keys) {
-    auto self = [](const K& k) -> const K& { return k; };
-    sort_by_key(keys, self);
-    keys = fold_sorted_runs(std::move(keys), self, key_less, [](K&, const K&) {});
-    return multi_delete_sorted(t, keys.data(), keys.size());
+    return with_sorted_unique(
+        keys, [](const K& k) -> const K& { return k; }, [](K&, const K&) {},
+        [&](const K* a, size_t n) { return multi_delete_sorted(t, a, n); });
   }
 
   // ----------------------------------------------------------- mapReduce --

@@ -10,10 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
+#include "alloc/scratch_buffer.h"
+#include "obs/metrics.h"
 #include "parallel/parallel.h"
 
 namespace pam {
@@ -22,39 +23,31 @@ namespace internal {
 inline constexpr size_t kSortBase = 8192;   // std::stable_sort below this
 inline constexpr size_t kMergeBase = 8192;  // std::merge below this
 
-// Element types a sort may keep in raw scratch storage: with a trivial copy
-// constructor and destructor, allocated storage holds them implicitly and
-// nothing needs constructing or destroying. std::pair of such members
-// qualifies; its user-provided assignment keeps it from being trivially
-// copyable, so that trait would reject every map entry.
+// Bytes of sort scratch allocated, process-wide. build, multi_insert and
+// multi_delete allocate at most one buffer per call (pam/map_ops.h).
+inline obs::counter& sort_scratch_bytes() {
+  // pam-lint: allow(naked-new) — immortal process-wide metric, same
+  // lifetime rule as sched_metrics.
+  static obs::counter* c = new obs::counter("pam_sort_scratch_bytes_total");
+  return *c;
+}
+
+// Scratch for a sort of T: uninitialized storage (alloc/scratch_buffer.h)
+// where T allows it, else a value-initialized vector. Empty until a sort
+// needs it; a caller that keeps it past the sort can reuse the slots.
 template <typename T>
-inline constexpr bool raw_scratch_ok =
-    std::is_trivially_copy_constructible_v<T> && std::is_trivially_destructible_v<T>;
+using sort_scratch =
+    std::conditional_t<scratch_storable<T>, scratch_buffer<T>, std::vector<T>>;
 
-// n elements of uninitialized scratch for a sort. Unlike std::vector<T>(n)
-// it does not value-initialize, so no sequential zero fill precedes a pass
-// that overwrites every slot anyway.
-template <typename T>
-class raw_scratch {
-  static_assert(raw_scratch_ok<T>);
-
- public:
-  explicit raw_scratch(size_t n) : p_(std::allocator<T>().allocate(n)), n_(n) {}
-  ~raw_scratch() { std::allocator<T>().deallocate(p_, n_); }
-  raw_scratch(const raw_scratch&) = delete;
-  raw_scratch& operator=(const raw_scratch&) = delete;
-
-  T* data() const { return p_; }
-
- private:
-  T* p_;
-  size_t n_;
-};
-
-// Sort scratch for n elements of T: raw storage where T allows it, else a
-// value-initialized vector. Either way data() is the n slots.
-template <typename T>
-using sort_scratch = std::conditional_t<raw_scratch_ok<T>, raw_scratch<T>, std::vector<T>>;
+// The first n slots of s, allocated (and counted) if s has fewer.
+template <typename Scratch>
+auto* scratch_slots(Scratch& s, size_t n) {
+  if (s.size() < n) {
+    s = Scratch(n);
+    sort_scratch_bytes().inc(n * sizeof(*s.data()));
+  }
+  return s.data();
+}
 
 // Stable merge of sorted a[0,na) and b[0,nb) into out. Ties take from `a`
 // first. The parallel case splits on the median of the larger side.
@@ -119,17 +112,24 @@ bool is_sorted_parallel(const T* a, size_t n, const Comp& comp) {
   return sorted.load(std::memory_order_relaxed);
 }
 
-// Stable parallel sort of a[0, n) in place. Already-sorted input returns
-// after one parallel check.
-template <typename T, typename Comp>
-void parallel_sort(T* a, size_t n, const Comp& comp) {
+// Stable parallel sort of a[0, n) in place, with tmp as its scratch. Input
+// of at most kSortBase elements goes to std::stable_sort and already-sorted
+// input returns after one parallel check, neither touching tmp; otherwise
+// tmp gets n slots, which the caller may reuse once the sort returns.
+template <typename T, typename Comp, typename Scratch>
+void parallel_sort(T* a, size_t n, const Comp& comp, Scratch& tmp) {
   if (n <= internal::kSortBase) {
     std::stable_sort(a, a + n, comp);
     return;
   }
   if (is_sorted_parallel(a, n, comp)) return;
-  internal::sort_scratch<T> tmp(n);
-  internal::merge_sort_rec(a, tmp.data(), n, comp, /*out_in_tmp=*/false);
+  internal::merge_sort_rec(a, internal::scratch_slots(tmp, n), n, comp, /*out_in_tmp=*/false);
+}
+
+template <typename T, typename Comp>
+void parallel_sort(T* a, size_t n, const Comp& comp) {
+  internal::sort_scratch<T> tmp;
+  parallel_sort(a, n, comp, tmp);
 }
 
 template <typename T, typename Comp>

@@ -11,7 +11,8 @@
 //   1. One stable MSD pass on the top digit scatters v into scratch. Its
 //      width is the fewest bits that bring the average bucket under
 //      kBucketBytes, a per-core cache budget: 16M 16-byte entries take 11
-//      bits, 2048 buckets of 128 KiB.
+//      bits, 2048 buckets of 128 KiB. Bucket starts that crowd into a few
+//      cache sets take a scatter staged a cache line at a time.
 //   2. Buckets sort in parallel, each with stable LSD passes over the bits
 //      below that digit, ping-ponging between its scratch range and its v
 //      range while both stay in cache. A bucket more than four budgets large
@@ -20,8 +21,10 @@
 //
 // Every pass flips which buffer holds a bucket. One whose pass count leaves
 // it in scratch is copied back while it is still in cache, so the result
-// always lands in v: the scratch is raw storage (no zero fill) and is never
-// swapped in. Work O(n * passes), scratch n elements.
+// always lands in v and the scratch, raw storage from the caller
+// (alloc/scratch_buffer.h: no zero fill, huge pages when large), is free
+// again when the sort returns: build's duplicate fold writes its output
+// there. Work O(n * passes), scratch n elements.
 #pragma once
 
 #include <algorithm>
@@ -112,14 +115,60 @@ struct radix_sorter {
       for (size_t b = 0; b < blocks.count; b++) sum += std::exchange(counts[b * radix + d], sum);
     }
     starts[radix] = n;
-    blocks.run([&](size_t b, size_t lo, size_t hi) {
-      size_t* off = &counts[b * radix];
-      for (size_t i = lo; i < hi; i++) other[off[digit(in[i], shift, radix)]++] = in[i];
-    });
+    if (crowded(starts, radix)) {
+      staged_scatter(in, other, blocks, counts, shift, radix);
+    } else {
+      blocks.run([&](size_t b, size_t lo, size_t hi) {
+        size_t* off = &counts[b * radix];
+        for (size_t i = lo; i < hi; i++) other[off[digit(in[i], shift, radix)]++] = in[i];
+      });
+    }
     parallel_for(0, radix, [&](size_t d) {
       size_t lo = starts[d], hi = starts[d + 1];
       if (hi > lo) sort(other + lo, in + lo, hi - lo, shift, !to_other);
     }, 1);
+  }
+
+  // Whether more bucket starts share one cache-set slot than a set has
+  // ways. Dense keys at a power-of-two n put every start exactly
+  // kBucketBytes apart, and on the scratch's 2 MiB pages all of them then
+  // fall in one L2 set: scattered an element at a time, each destination
+  // line is evicted and fetched again for every element written to it.
+  // Random keys spread the starts over all the slots.
+  static bool crowded(const std::vector<size_t>& starts, size_t radix) {
+    constexpr size_t kLine = 64, kSetSlots = kBucketBytes / kLine, kWays = 16;
+    std::vector<size_t> per_slot(kSetSlots);
+    for (size_t d = 0; d < radix; d++) {
+      if (++per_slot[starts[d] * sizeof(T) / kLine % kSetSlots] > kWays) return true;
+    }
+    return false;
+  }
+
+  // The scatter for crowded starts: each block stages a cache line per
+  // digit and writes a line out only when it is full, so each destination
+  // line is fetched once.
+  void staged_scatter(const T* in, T* other, const sort_blocks& blocks,
+                      std::vector<size_t>& counts, int shift, size_t radix) const {
+    constexpr size_t kStage = std::max<size_t>(1, 64 / sizeof(T));
+    blocks.run([&](size_t b, size_t lo, size_t hi) {
+      size_t* off = &counts[b * radix];
+      scratch_buffer<T> stage(radix * kStage);
+      std::vector<unsigned char> fill(radix);
+      for (size_t i = lo; i < hi; i++) {
+        size_t d = digit(in[i], shift, radix);
+        T* line = stage.data() + d * kStage;
+        line[fill[d]++] = in[i];
+        if (fill[d] == kStage) {
+          std::copy(line, line + kStage, other + off[d]);
+          off[d] += kStage;
+          fill[d] = 0;
+        }
+      }
+      for (size_t d = 0; d < radix; d++) {
+        T* line = stage.data() + d * kStage;
+        std::copy(line, line + fill[d], other + off[d]);
+      }
+    });
   }
 
   // Stable LSD passes of at most kRadixBits bits each, ping-ponging between
@@ -150,12 +199,14 @@ struct radix_sorter {
 
 }  // namespace internal
 
-// Stable sort of v by the integral key key_of(elem). Input of at most
-// kSortBase elements goes to std::stable_sort; already-sorted input returns
-// after one parallel check.
+// Stable sort of v by the integral key key_of(elem), with scratch as the
+// second buffer. Input of at most kSortBase elements goes to
+// std::stable_sort and already-sorted input returns after one parallel
+// check, neither touching scratch; otherwise scratch gets n slots, which the
+// caller may reuse once the sort returns.
 template <typename T, typename KeyOf>
-void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
-  static_assert(internal::raw_scratch_ok<T>, "radix_sort keeps copies of T in raw scratch");
+void radix_sort(std::vector<T>& v, const KeyOf& key_of, internal::sort_scratch<T>& scratch) {
+  static_assert(scratch_storable<T>, "radix_sort keeps copies of T in raw scratch");
   size_t n = v.size();
   auto key_less = [&](const T& x, const T& y) { return key_of(x) < key_of(y); };
   if (n <= internal::kSortBase) {
@@ -184,9 +235,14 @@ void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
   }
   int bits = 64 - std::countl_zero(kmax - kmin);
 
-  internal::raw_scratch<T> scratch(n);
-  internal::radix_sorter<T, KeyOf>{key_of, kmin}.sort(v.data(), scratch.data(), n, bits,
-                                                      /*to_other=*/false);
+  internal::radix_sorter<T, KeyOf>{key_of, kmin}.sort(
+      v.data(), internal::scratch_slots(scratch, n), n, bits, /*to_other=*/false);
+}
+
+template <typename T, typename KeyOf>
+void radix_sort(std::vector<T>& v, const KeyOf& key_of) {
+  internal::sort_scratch<T> scratch;
+  radix_sort(v, key_of, scratch);
 }
 
 }  // namespace pam

@@ -15,18 +15,18 @@
 
 namespace pam {
 
-// Given a *sorted* sequence, collapses each maximal run of elements with
+// Given a *sorted* a[0, n), collapses each maximal run of elements with
 // equal keys (key_of, equality derived from the strict order `less`) into
 // its first element, folding the rest of the run into it left to right with
-// fold(acc, elem). Two blocked passes: count the run starts in each block and
-// scan the counts. When every element starts a run (no duplicates) the input
-// comes back as is, without a copy. Otherwise each block writes the runs that
-// start in it into one packed output, reading past its end to finish its
-// last run.
-template <typename T, typename KeyOf, typename Less, typename Fold>
-std::vector<T> fold_sorted_runs(std::vector<T> a, const KeyOf& key_of, const Less& less,
-                                const Fold& fold) {
-  size_t n = a.size();
+// fold(acc, elem), and returns the number of runs m. Two blocked passes:
+// count the run starts in each block and scan the counts. When every element
+// starts a run (no duplicates) nothing is written: a is the result.
+// Otherwise out_of(m) supplies the output, at least m slots disjoint from a,
+// and each block writes the runs that start in it there, reading past its
+// end to finish its last run.
+template <typename T, typename KeyOf, typename Less, typename Fold, typename OutOf>
+size_t fold_sorted_runs(const T* a, size_t n, const KeyOf& key_of, const Less& less,
+                        const Fold& fold, const OutOf& out_of) {
   auto starts_run = [&](size_t i) {
     return i == 0 || less(key_of(a[i - 1]), key_of(a[i]));
   };
@@ -40,8 +40,8 @@ std::vector<T> fold_sorted_runs(std::vector<T> a, const KeyOf& key_of, const Les
   }, 1);
   size_t m = scan_exclusive(offset.data(), nb, [](size_t x, size_t y) { return x + y; },
                             size_t{0});
-  if (m == n) return a;
-  std::vector<T> out(m);
+  if (m == n) return n;
+  T* out = out_of(m);
   parallel_for(0, nb, [&](size_t b) {
     size_t o = offset[b];
     for (size_t i = b * block, hi = std::min(n, i + block); i < hi; i++) {
@@ -51,16 +51,17 @@ std::vector<T> fold_sorted_runs(std::vector<T> a, const KeyOf& key_of, const Les
       out[o++] = std::move(acc);
     }
   }, 1);
-  return out;
+  return m;
 }
 
 // fold_sorted_runs over (key, value) pairs: each run keeps its first key and
 // the left-to-right fold of its values under `comb`.
-template <typename KV, typename Less, typename Comb>
-std::vector<KV> combine_sorted_runs(std::vector<KV> a, const Less& less, const Comb& comb) {
+template <typename KV, typename Less, typename Comb, typename OutOf>
+size_t combine_sorted_runs(const KV* a, size_t n, const Less& less, const Comb& comb,
+                           const OutOf& out_of) {
   return fold_sorted_runs(
-      std::move(a), [](const KV& e) -> const auto& { return e.first; }, less,
-      [&](KV& acc, const KV& e) { acc.second = comb(acc.second, e.second); });
+      a, n, [](const KV& e) -> const auto& { return e.first; }, less,
+      [&](KV& acc, const KV& e) { acc.second = comb(acc.second, e.second); }, out_of);
 }
 
 // Start indices of maximal runs under the equivalence !less(a,b) && !less(b,a)

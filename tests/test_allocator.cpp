@@ -1,15 +1,18 @@
 // Tests for the unified pool layer (src/alloc/arena.h) and its typed /
 // runtime-sized facades (type_allocator, raw_pool): hot-path correctness,
 // exact striped accounting from worker and foreign threads alike, chunk
-// provenance (reserved_bytes) and trim().
+// provenance (reserved_bytes) and trim(). Also the bulk scratch buffer
+// (src/alloc/scratch_buffer.h): sizes around the huge-page threshold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "alloc/leaf_pool.h"
+#include "alloc/scratch_buffer.h"
 #include "alloc/type_allocator.h"
 #include "parallel/parallel.h"
 
@@ -254,6 +257,52 @@ TEST(Arena, ForeignThreadsKeepCountsExact) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.used(), base);
+}
+
+// Every byte of a scratch buffer is writable and T is aligned; on Linux
+// outside ASan builds a buffer of at least one huge page is huge-page
+// aligned. Run under ASan/LSan, the std::allocator path must free cleanly.
+template <typename T>
+void expect_scratch_buffer(size_t n) {
+  pam::scratch_buffer<T> b(n);
+  ASSERT_EQ(b.size(), n);
+  size_t bytes = n * sizeof(T);
+  auto addr = reinterpret_cast<uintptr_t>(b.data());
+  EXPECT_EQ(addr % alignof(T), 0u) << bytes;
+  if (pam::alloc_internal::kHugeMappings && bytes >= pam::kHugePageBytes) {
+    EXPECT_EQ(addr % pam::kHugePageBytes, 0u) << bytes;
+  }
+  if (bytes == 0) return;
+  auto* p = reinterpret_cast<unsigned char*>(b.data());
+  for (size_t i = 0; i < bytes; i++) p[i] = static_cast<unsigned char>(i * 131 + 7);
+  for (size_t i = 0; i < bytes; i++) {
+    ASSERT_EQ(p[i], static_cast<unsigned char>(i * 131 + 7)) << i << " of " << bytes;
+  }
+}
+
+TEST(ScratchBuffer, SizesAroundTheHugePageThreshold) {
+  const size_t huge = pam::kHugePageBytes;
+  for (size_t bytes : {size_t{0}, size_t{1}, huge - 1, huge, huge + 1, 32 * huge}) {
+    expect_scratch_buffer<unsigned char>(bytes);
+    expect_scratch_buffer<std::pair<uint64_t, uint64_t>>((bytes + 15) / 16);
+  }
+}
+
+TEST(ScratchBuffer, MovesTransferOwnership) {
+  pam::scratch_buffer<uint64_t> a(pam::kHugePageBytes / 8);
+  uint64_t* p = a.data();
+  p[0] = 42;
+  pam::scratch_buffer<uint64_t> b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data(), p);
+  pam::scratch_buffer<uint64_t> c(3);
+  c = std::move(b);  // frees c's own slots
+  EXPECT_EQ(c.data(), p);
+  EXPECT_EQ(c.data()[0], 42u);
+  pam::scratch_buffer<uint64_t> empty;
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -638,7 +639,8 @@ namespace {
 V fold31(V a, V b) { return (31 * a + b) % 1000003; }
 
 template <typename Entry, typename Balance>
-void expect_build_paths(const std::vector<std::pair<typename Entry::key_t, V>>& in) {
+void expect_build_paths(const std::vector<std::pair<typename Entry::key_t, V>>& in,
+                        const std::vector<typename Entry::key_t>& dels) {
   using map_t = pam::aug_map<Entry, Balance>;
   using key_t = typename Entry::key_t;
   struct key_less {
@@ -680,11 +682,31 @@ void expect_build_paths(const std::vector<std::pair<typename Entry::key_t, V>>& 
   }
   expect_map(map_t::multi_insert(base, in, fold31), inserted, "multi_insert");
 
-  std::vector<key_t> dels;
-  for (size_t i = 0; i < in.size(); i += 3) dels.push_back(in[i].first);
   oracle_t deleted = built;
   for (const auto& k : dels) deleted.erase(k);
   expect_map(map_t::multi_delete(map_t(in, fold31), dels), deleted, "multi_delete");
+}
+
+// Deletes every third input key.
+template <typename Entry, typename Balance>
+void expect_build_paths(const std::vector<std::pair<typename Entry::key_t, V>>& in) {
+  std::vector<typename Entry::key_t> dels;
+  for (size_t i = 0; i < in.size(); i += 3) dels.push_back(in[i].first);
+  expect_build_paths<Entry, Balance>(in, dels);
+}
+
+// Sorts v, keys or (key, value) pairs, stably by the policy's order.
+template <typename Entry, typename T>
+void sort_by_policy(std::vector<T>& v) {
+  auto key = [](const T& x) -> const auto& {
+    if constexpr (std::is_same_v<T, typename Entry::key_t>) {
+      return x;
+    } else {
+      return x.first;
+    }
+  };
+  std::stable_sort(v.begin(), v.end(),
+                   [&](const T& a, const T& b) { return Entry::comp(key(a), key(b)); });
 }
 
 // Random input with duplicates, then the same input stably sorted by the
@@ -696,9 +718,38 @@ void expect_build_paths_random_and_sorted(size_t n, uint64_t seed, const KeyGen&
   std::vector<std::pair<key_t, V>> in(n);
   for (auto& e : in) e = {key_gen(g.next() % (n / 2 + 1)), g.next() % 1000};
   expect_build_paths<Entry, Balance>(in);
-  std::stable_sort(in.begin(), in.end(),
-                   [](const auto& a, const auto& b) { return Entry::comp(a.first, b.first); });
+  sort_by_policy<Entry>(in);
   expect_build_paths<Entry, Balance>(in);
+}
+
+// Inputs where the duplicate fold's output is not a sort's scratch, or where
+// the fold gets one run:
+//  * sorted input with duplicates: the sort is skipped, so the fold
+//    allocates its output;
+//  * kSortBase + 1 entries under one key: the sort's sorted-input shortcut,
+//    then a single run;
+//  * more than kSortBase delete keys with duplicates, half of them absent
+//    from the map, unsorted and then sorted.
+template <typename Entry, typename Balance, typename KeyGen>
+void expect_build_paths_edge_inputs(uint64_t seed, const KeyGen& key_gen) {
+  using key_t = typename Entry::key_t;
+  const size_t n = 3 * pam::internal::kSortBase;
+  pam::random_gen g(seed);
+  std::vector<std::pair<key_t, V>> in(n);
+  for (auto& e : in) e = {key_gen(g.next() % (n / 4 + 1)), g.next() % 1000};
+  auto sorted = in;
+  sort_by_policy<Entry>(sorted);
+  expect_build_paths<Entry, Balance>(sorted);
+
+  std::vector<std::pair<key_t, V>> same(pam::internal::kSortBase + 1);
+  for (auto& e : same) e = {key_gen(5), g.next() % 1000};
+  expect_build_paths<Entry, Balance>(same);
+
+  std::vector<key_t> dels(2 * pam::internal::kSortBase);
+  for (auto& k : dels) k = key_gen(g.next() % (n / 2 + 1));
+  expect_build_paths<Entry, Balance>(in, dels);
+  sort_by_policy<Entry>(dels);
+  expect_build_paths<Entry, Balance>(in, dels);
 }
 
 TYPED_TEST(MapCore, BuildPathsMatchSortedOracle) {
@@ -732,9 +783,56 @@ TYPED_TEST(MapCore, BuildPathsMatchSortedOracle) {
     }
   }
   pam::set_leaf_block_size(saved_b);
+  expect_build_paths_edge_inputs<pam::sum_entry<K, V>, B>(31, wide);
+  expect_build_paths_edge_inputs<pam::delta_sum_entry<K, V>, B>(32, wide);
+  expect_build_paths_edge_inputs<pam::sum_entry<int64_t, V>, B>(33, signed_key);
+  expect_build_paths_edge_inputs<pam::map_entry<K, V, std::greater<K>>, B>(34, wide);
+  expect_build_paths_edge_inputs<pam::str_sum_entry<V>, B>(35, str_key);
   // Large enough for the radix sort's bucket phase, with duplicates and a
   // skewed top digit: most wide() keys share its lowest bucket.
   expect_build_paths_random_and_sorted<pam::sum_entry<K, V>, B>(size_t{1} << 20, 17, wide);
+}
+
+// The bulk front end allocates one n-entry buffer for unsorted input with
+// duplicates, the sort's scratch, which the duplicate fold then reuses as
+// its output, and none for sorted, duplicate-free input.
+template <typename Entry, typename KeyGen>
+void expect_one_scratch_buffer(size_t n, const KeyGen& key_gen) {
+  using map_t = pam::aug_map<Entry>;
+  using entry_t = typename map_t::entry_t;
+  using key_t = typename Entry::key_t;
+  auto& scratch_bytes = pam::internal::sort_scratch_bytes();
+  pam::random_gen g(7);
+  std::vector<entry_t> in(n);
+  for (auto& e : in) e = {key_gen(g.next() % (n / 2)), g.next() % 1000};
+  std::vector<key_t> dels(n);
+  for (auto& k : dels) k = key_gen(g.next() % (n / 2));
+
+  uint64_t before = scratch_bytes.value();
+  map_t m(in);
+  EXPECT_EQ(scratch_bytes.value() - before, n * sizeof(entry_t)) << "build";
+  std::vector<entry_t> unique = m.entries();
+  before = scratch_bytes.value();
+  m = map_t::multi_insert(std::move(m), in);
+  EXPECT_EQ(scratch_bytes.value() - before, n * sizeof(entry_t)) << "multi_insert";
+  before = scratch_bytes.value();
+  m = map_t::multi_delete(std::move(m), dels);
+  EXPECT_EQ(scratch_bytes.value() - before, n * sizeof(key_t)) << "multi_delete";
+
+  ASSERT_GT(unique.size(), pam::internal::kSortBase);
+  before = scratch_bytes.value();
+  map_t s(unique);
+  s = map_t::multi_insert(std::move(s), unique);
+  EXPECT_EQ(scratch_bytes.value() - before, 0u) << "sorted, duplicate-free";
+  EXPECT_EQ(s.size(), unique.size());
+}
+
+TEST(BuildScratch, OneBufferPerCallAndNoneForSortedUniqueInput) {
+  if (!pam::obs::kEnabled) GTEST_SKIP() << "built with PAM_METRICS=0";
+  // The radix path, then the merge path.
+  expect_one_scratch_buffer<pam::sum_entry<K, V>>(size_t{1} << 20, [](uint64_t r) { return r; });
+  expect_one_scratch_buffer<pam::str_sum_entry<V>>(
+      size_t{1} << 16, [](uint64_t r) { return std::to_string(r * 7919); });
 }
 
 }  // namespace

@@ -302,16 +302,58 @@ TEST(RadixSortPhases, SignedKeysStraddlingZero) {
   expect_radix_matches_stable_sort(narrow);
 }
 
+// Dense keys at a power-of-two n put every bucket start the same distance
+// apart, which crowds them into a few cache sets and takes the staged
+// scatter: 16-byte entries stage four to a line, entries wider than a line
+// one at a time.
+TEST(RadixSortPhases, StagedScatterForCrowdedBucketStarts) {
+  std::vector<uint64_t> dense(kPhaseN);
+  for (size_t i = 0; i < kPhaseN; i++) dense[i] = (i * 0x9E3779B97F4A7C15ull) & (kPhaseN - 1);
+  expect_radix_matches_stable_sort(dense);
+
+  struct wide_entry {
+    uint64_t key, tag, pad[8];
+  };
+  const size_t n = kPhaseN / 4;
+  std::vector<wide_entry> v(n);
+  for (size_t i = 0; i < n; i++) v[i] = {(i * 0x9E3779B97F4A7C15ull) & (n - 1), i, {}};
+  auto expect = v;
+  auto key_of = [](const wide_entry& e) { return e.key; };
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](const auto& a, const auto& b) { return key_of(a) < key_of(b); });
+  pam::radix_sort(v, key_of);
+  for (size_t i = 0; i < n; i++) {
+    ASSERT_TRUE(v[i].key == expect[i].key && v[i].tag == expect[i].tag) << i;
+  }
+}
+
 TEST(RadixSortPhases, FourMillionRandomKeys) {
   expect_radix_matches_stable_sort(keys_of_span(size_t{1} << 22, 64, 5));
 }
 
 // --------------------------------------------------- combine_sorted_runs --
 
+// combine_sorted_runs with its output in a fresh vector, or the input itself
+// when it has no duplicates (the fold then asks for no output).
+template <typename KV, typename Less, typename Comb>
+std::vector<KV> combined(const std::vector<KV>& a, const Less& less, const Comb& comb) {
+  std::vector<KV> out;
+  size_t m = pam::combine_sorted_runs(a.data(), a.size(), less, comb, [&](size_t k) {
+    out.resize(k);
+    return out.data();
+  });
+  if (m == a.size()) {
+    EXPECT_TRUE(out.empty());
+    return a;
+  }
+  EXPECT_EQ(out.size(), m);
+  return out;
+}
+
 TEST(CombineSortedRuns, SumsDuplicateKeys) {
   std::vector<std::pair<int, int>> a = {{1, 1}, {1, 2}, {2, 5}, {3, 1}, {3, 1},
                                         {3, 1}, {9, 4}};
-  auto out = pam::combine_sorted_runs(
+  auto out = combined(
       a, [](int x, int y) { return x < y; }, [](int x, int y) { return x + y; });
   std::vector<std::pair<int, int>> expect = {{1, 3}, {2, 5}, {3, 3}, {9, 4}};
   EXPECT_EQ(out, expect);
@@ -321,9 +363,9 @@ TEST(CombineSortedRuns, LeftToRightOrderWithNonCommutativeCombine) {
   // combine = "take left" must keep the first value of each run,
   // combine = "take right" must keep the last.
   std::vector<std::pair<int, int>> a = {{1, 10}, {1, 20}, {1, 30}, {2, 7}};
-  auto first = pam::combine_sorted_runs(
+  auto first = combined(
       a, [](int x, int y) { return x < y; }, [](int x, int) { return x; });
-  auto last = pam::combine_sorted_runs(
+  auto last = combined(
       a, [](int x, int y) { return x < y; }, [](int, int y) { return y; });
   EXPECT_EQ(first[0].second, 10);
   EXPECT_EQ(last[0].second, 30);
@@ -337,7 +379,7 @@ TEST(CombineSortedRuns, LargeRandom) {
   for (auto& kv : a) kv = {g.next() % 5000, g.next() % 100};
   pam::parallel_sort(a.data(), n,
                      [](const auto& x, const auto& y) { return x.first < y.first; });
-  auto got = pam::combine_sorted_runs(
+  auto got = combined(
       a, [](uint64_t x, uint64_t y) { return x < y; },
       [](uint64_t x, uint64_t y) { return x + y; });
   // sequential oracle
@@ -351,20 +393,45 @@ TEST(CombineSortedRuns, LargeRandom) {
   EXPECT_EQ(got, expect);
 }
 
-// Without duplicates the input vector comes back itself: no allocation, no
-// copy.
-TEST(CombineSortedRuns, NoDuplicatesReturnsTheInputBuffer) {
+// Without duplicates the input is the result: the fold asks for no output
+// and writes nothing.
+TEST(CombineSortedRuns, NoDuplicatesAsksForNoOutput) {
   for (size_t n : {size_t{1}, size_t{100}, 3 * pam::internal::kSeqBase + 17}) {
     std::vector<std::pair<uint64_t, uint64_t>> a(n);
     for (size_t i = 0; i < n; i++) a[i] = {2 * i, i};
     auto expect = a;
-    const auto* buf = a.data();
-    auto out = pam::combine_sorted_runs(
-        std::move(a), [](uint64_t x, uint64_t y) { return x < y; },
-        [](uint64_t x, uint64_t y) { return x + y; });
-    EXPECT_EQ(out.data(), buf);
-    EXPECT_EQ(out, expect);
+    bool asked = false;
+    size_t m = pam::combine_sorted_runs(
+        a.data(), n, [](uint64_t x, uint64_t y) { return x < y; },
+        [](uint64_t x, uint64_t y) { return x + y; },
+        [&](size_t) -> std::pair<uint64_t, uint64_t>* {
+          asked = true;
+          return nullptr;
+        });
+    EXPECT_EQ(m, n);
+    EXPECT_FALSE(asked);
+    EXPECT_EQ(a, expect);
   }
+}
+
+// The output may be larger than the run count, as when the fold reuses a
+// sort's n-slot scratch: it fills the first m slots and leaves the rest.
+TEST(CombineSortedRuns, WritesOnlyTheFirstRunCountSlots) {
+  size_t n = 4 * pam::internal::kSeqBase + 5;
+  std::vector<std::pair<uint64_t, uint64_t>> a(n);
+  for (size_t i = 0; i < n; i++) a[i] = {i / 3, i};
+  const std::pair<uint64_t, uint64_t> sentinel{~uint64_t{0}, ~uint64_t{0}};
+  std::vector<std::pair<uint64_t, uint64_t>> out(n, sentinel);
+  size_t m = pam::combine_sorted_runs(
+      a.data(), n, [](uint64_t x, uint64_t y) { return x < y; },
+      [](uint64_t x, uint64_t y) { return x + y; }, [&](size_t) { return out.data(); });
+  ASSERT_EQ(m, (n + 2) / 3);
+  for (size_t r = 0; r < m; r++) {
+    uint64_t sum = 0;
+    for (size_t i = 3 * r; i < std::min(n, 3 * r + 3); i++) sum += i;
+    ASSERT_EQ(out[r], std::make_pair(uint64_t{r}, sum)) << r;
+  }
+  for (size_t i = m; i < n; i++) ASSERT_EQ(out[i], sentinel) << i;
 }
 
 // Runs that start just before a block seam, span whole blocks, or start
@@ -391,14 +458,14 @@ TEST(CombineSortedRuns, RunsCrossingBlockSeams) {
       expect.push_back(kv);
     }
   }
-  auto got = pam::combine_sorted_runs(
+  auto got = combined(
       a, [](uint64_t x, uint64_t y) { return x < y; }, comb);
   EXPECT_EQ(got, expect);
 }
 
 TEST(CombineSortedRuns, EmptyInput) {
   std::vector<std::pair<int, int>> a;
-  auto out = pam::combine_sorted_runs(
+  auto out = combined(
       a, [](int x, int y) { return x < y; }, [](int x, int y) { return x + y; });
   EXPECT_TRUE(out.empty());
 }

@@ -5,10 +5,11 @@ Rules (each can be waived per-site with a comment on the offending line or
 on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
 
   naked-new           `new` expressions in src/** outside the sanctioned
-                      allocation surface: the pool layer (src/alloc/**) plus
-                      the coded-block skeleton (src/pam/coded_block.h),
-                      which owns the byte-class pool tables and the counted
-                      overflow path for oversized blocks of every codec. Tree nodes, leaf
+                      allocation surface: the pool layer and the bulk
+                      scratch buffer (src/alloc/**) plus the coded-block
+                      skeleton (src/pam/coded_block.h), which owns the
+                      byte-class pool tables and the counted overflow path
+                      for oversized blocks of every codec. Tree nodes, leaf
                       blocks and payloads must come from these so epoch
                       reclamation and the space accounting (Table 4) see
                       every allocation.
