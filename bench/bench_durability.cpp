@@ -12,7 +12,11 @@
 //   * WAL append         group-commit throughput (sync_every=16) in ops/s;
 //   * recovery           load checkpoint chain + replay the WAL tail — wall
 //                        time and replayed ops/s, verified against the
-//                        expected final contents.
+//                        expected final contents;
+//   * crc32c             MB/s of the software slice-by-8 kernel and of the
+//                        SSE4.2 kernel over one 16 MiB buffer, and their
+//                        ratio hw_over_sw (gated in BENCH_PR10.json; the
+//                        row is absent on CPUs without SSE4.2).
 //
 // Acceptance gate (ISSUE 8): the incremental checkpoint after 1% churn must
 // persist only changed blocks — its bytes must be <= PAM_DURABILITY_GATE
@@ -27,6 +31,7 @@
 #include "common/bench_util.h"
 #include "pam/pam.h"
 #include "server/sharded_map.h"
+#include "store/crc32c.h"
 #include "store/durability.h"
 
 namespace {
@@ -177,6 +182,26 @@ int main() {
              "replay_ops_s", replay_ops_s);
   bench_json("bench_durability", "recover_n=" + std::to_string(n),
              "wal_records", double(rec->wal_records));
+
+  // ---------------------------------------------------------- crc32c --
+  if (store::crc32c_sse42_available()) {
+    std::vector<char> buf(size_t{16} << 20);
+    random_gen g(3);
+    for (char& c : buf) c = static_cast<char>(g.next());
+    uint32_t sink = 0;
+    auto mb_s = [&](uint32_t (*kernel)(const void*, size_t, uint32_t)) {
+      double t = timed_median(1, 5, [&] { sink += kernel(buf.data(), buf.size(), 0); });
+      return t > 0 ? double(buf.size()) / 1e6 / t : 0.0;
+    };
+    double sw = mb_s(store::crc32c_slice8);
+    double hw = mb_s(store::crc32c_sse42);
+    double hw_over_sw = sw > 0 ? hw / sw : 0.0;
+    std::printf("%-26s %10.0f MB/s slice-by-8  %8.0f MB/s sse4.2  (%.2fx, sink %08x)\n\n",
+                "crc32c (16 MiB)", sw, hw, hw_over_sw, sink);
+    bench_json("bench_durability", "crc32c", "sw_mb_s", sw);
+    bench_json("bench_durability", "crc32c", "hw_mb_s", hw);
+    bench_json("bench_durability", "crc32c", "hw_over_sw", hw_over_sw);
+  }
 
   // The acceptance target is 0.10 on dedicated hardware; PAM_DURABILITY_GATE
   // lets shared CI runners enforce a tolerant floor instead of flaking.

@@ -520,9 +520,7 @@ struct coded_store {
     return size_t{b->bytes} - block::dir_offset();
   }
 
-  static void write_payload(const block* b, char* dst) {
-    std::memcpy(dst, b->keys(), payload_bytes(b));
-  }
+  static const char* payload(const block* b) { return b->keys(); }
 
   // Rebuild a sealed block from its encoded region (`region` holds
   // bytes - dir_offset() bytes). Returns nullptr when the framing is

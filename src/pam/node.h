@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "alloc/leaf_pool.h"
+#include "alloc/scratch_buffer.h"
 #include "alloc/type_allocator.h"
 #include "pam/block_fold.h"
 #include "pam/coded_block.h"
@@ -135,6 +136,16 @@ struct leaf_block {
   }
 };
 
+// True when every byte of a T belongs to the value of some member, so a raw
+// copy of a T carries no padding. Floating-point members count as padding
+// free (they have no unique representation only because of -0.0 and NaNs).
+template <typename T>
+inline constexpr bool padding_free = std::has_unique_object_representations_v<T> ||
+                                     std::is_same_v<T, float> || std::is_same_v<T, double>;
+template <typename A, typename B>
+inline constexpr bool padding_free<std::pair<A, B>> =
+    padding_free<A> && padding_free<B> && sizeof(A) + sizeof(B) == sizeof(std::pair<A, B>);
+
 // Leaf-block storage for one Entry type: a raw_pool per power-of-two
 // capacity class, plus live accounting for the space experiments. Shared by
 // every balancing scheme instantiated over the Entry.
@@ -188,22 +199,25 @@ struct leaf_store {
   }
 
   // ------------------------------------------------- serialization hooks --
-  // Sealed flat blocks with trivially copyable entries round-trip as one
+  // Sealed flat blocks whose entries are plain bytes round-trip as one
   // memcpy of the entry array — the near-memcpy checkpoint path used by
-  // pam/serialize.h. Blocks whose entries own heap state (std::string keys
-  // forced flat) take the per-entry encoded path instead and never reach
-  // these hooks. Integrity is the caller's problem (the durability layer
-  // wraps payloads in CRC32C-checked pages); the augmented value is always
-  // recomputed by seal(), never trusted from the payload.
-  static constexpr bool raw_payload = std::is_trivially_copyable_v<entry_t>;
+  // pam/serialize.h. "Plain bytes" is scratch_storable (std::pair is never
+  // trivially copyable, so that trait would reject every entry) and
+  // padding_free (a pad byte would carry recycled pool contents to disk).
+  // Other blocks (std::string keys forced flat, padded pairs) take the
+  // per-entry encoded path and never reach these hooks. Integrity is the
+  // caller's problem (the durability layer wraps payloads in CRC32C-checked
+  // pages); the augmented value is always recomputed by seal(), never
+  // trusted from the payload.
+  static constexpr bool raw_payload = scratch_storable<entry_t> && padding_free<entry_t>;
 
   static size_t payload_bytes(const block* b) {
     return size_t{b->count} * sizeof(entry_t);
   }
 
-  static void write_payload(const block* b, char* dst) {
+  static const char* payload(const block* b) {
     static_assert(raw_payload);
-    std::memcpy(dst, b->entries(), payload_bytes(b));
+    return reinterpret_cast<const char*>(b->entries());
   }
 
   // Rebuild a sealed block from a raw entry payload. The caller validates

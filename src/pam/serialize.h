@@ -13,13 +13,19 @@
 //              between chunks, and any layout whose entries cannot travel
 //              raw (std::string keys forced flat at B = 0);
 //   kFlatRaw   a sealed flat leaf block as one memcpy of its entry array
-//              (the near-memcpy checkpoint path; trivially copyable
-//              entries only);
+//              (the near-memcpy checkpoint path; entries that are plain,
+//              padding-free bytes only — leaf_store::raw_payload);
 //   kCodedRaw  a sealed front-coded or delta-coded block as its raw encoded
 //              region ({u32 bytes, u32 val_off} + the layout's byte
 //              streams); the u8 layout stamp in the header (the numeric
 //              key_layout value) keeps the two coded layouts from misreading
 //              each other's streams.
+//
+// Writing is one walk over a byte sink, run twice by a writer that needs
+// the size first: measure() over a counting sink gives the exact stream
+// size and record count, and encode() writes the same bytes through any
+// sink — a vector, or the checkpoint writer's page cursor
+// (store/checkpoint.h).
 //
 // Deserialization rebuilds each record into a map piece (blocks through the
 // stores' from_payload hooks, runs through from_sorted_unique) and folds
@@ -72,21 +78,39 @@ class error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// Byte sinks: the writers below take any type with put(const void*, size_t),
+// and std::vector<char> (appended to) through the put_bytes overload.
 inline void put_bytes(std::vector<char>& out, const void* p, size_t n) {
   const char* c = static_cast<const char*>(p);
   out.insert(out.end(), c, c + n);
 }
 
-template <typename T>
-void put_pod(std::vector<char>& out, const T& v) {
+template <typename Sink>
+void put_bytes(Sink& out, const void* p, size_t n) {
+  out.put(p, n);
+}
+
+template <typename Sink, typename T>
+void put_pod(Sink& out, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   put_bytes(out, &v, sizeof(T));
 }
 
-inline void put_u8(std::vector<char>& out, uint8_t v) { put_pod(out, v); }
-inline void put_u16(std::vector<char>& out, uint16_t v) { put_pod(out, v); }
-inline void put_u32(std::vector<char>& out, uint32_t v) { put_pod(out, v); }
-inline void put_u64(std::vector<char>& out, uint64_t v) { put_pod(out, v); }
+template <typename Sink>
+void put_u8(Sink& out, uint8_t v) { put_pod(out, v); }
+template <typename Sink>
+void put_u16(Sink& out, uint16_t v) { put_pod(out, v); }
+template <typename Sink>
+void put_u32(Sink& out, uint32_t v) { put_pod(out, v); }
+template <typename Sink>
+void put_u64(Sink& out, uint64_t v) { put_pod(out, v); }
+
+// Counts what is written through it: the sizing pass of a writer that must
+// know its output's exact length before it writes.
+struct byte_counter {
+  size_t bytes = 0;
+  void put(const void*, size_t n) { bytes += n; }
+};
 
 // Bounds-checked sequential reader over a byte range; every primitive
 // throws wire::error instead of reading past `end`.
@@ -127,19 +151,24 @@ struct reader {
 
 // Per-field value codec: trivially copyable types travel raw; std::string
 // as u32 length + bytes; pairs member-wise. This is the encoding of kRun
-// records and of the store layer's WAL batch payloads.
+// records and of the store layer's WAL batch payloads. kMinBytes is the
+// fewest bytes one encoded value takes, which bounds any decoded count.
 template <typename T, typename = void>
 struct field_codec {
   static_assert(std::is_trivially_copyable_v<T>,
                 "wire::field_codec: provide a specialization for "
                 "non-trivially-copyable fields");
-  static void write(const T& v, std::vector<char>& out) { put_pod(out, v); }
+  static constexpr size_t kMinBytes = sizeof(T);
+  template <typename Sink>
+  static void write(const T& v, Sink& out) { put_pod(out, v); }
   static T read(reader& r) { return r.template pod<T>(); }
 };
 
 template <>
 struct field_codec<std::string> {
-  static void write(const std::string& s, std::vector<char>& out) {
+  static constexpr size_t kMinBytes = sizeof(uint32_t);
+  template <typename Sink>
+  static void write(const std::string& s, Sink& out) {
     put_u32(out, static_cast<uint32_t>(s.size()));
     put_bytes(out, s.data(), s.size());
   }
@@ -152,7 +181,9 @@ struct field_codec<std::string> {
 
 template <typename A, typename B>
 struct field_codec<std::pair<A, B>> {
-  static void write(const std::pair<A, B>& v, std::vector<char>& out) {
+  static constexpr size_t kMinBytes = field_codec<A>::kMinBytes + field_codec<B>::kMinBytes;
+  template <typename Sink>
+  static void write(const std::pair<A, B>& v, Sink& out) {
     field_codec<A>::write(v.first, out);
     field_codec<B>::write(v.second, out);
   }
@@ -200,21 +231,35 @@ struct map_codec {
 
   // ------------------------------------------------------------ writing --
 
+  // A stream's exact byte size and record count: what a writer needs to lay
+  // the stream out before writing it (store/checkpoint.h sizes a whole data
+  // file from these, then writes each stream into its pages in place).
+  struct extent {
+    size_t bytes = 0;
+    uint32_t records = 0;
+  };
+
+  // The sizing pass: the encoding walk over a counting sink. Raw blocks
+  // cost one header read each; only run entries are visited one by one.
+  static extent measure(const Map& m) {
+    wire::byte_counter c;
+    extent e;
+    e.records = emit(m, 0, c);
+    e.bytes = c.bytes;
+    return e;
+  }
+
+  // Write m's stream, exactly e.bytes bytes with e = measure(m), through
+  // `out` (any wire sink).
+  template <typename Sink>
+  static void encode(const Map& m, const extent& e, Sink& out) {
+    emit(m, e.records, out);
+  }
+
   static void serialize(const Map& m, std::vector<char>& out) {
-    wire::put_u32(out, kMagic);
-    wire::put_u8(out, static_cast<uint8_t>(ops::layout));
-    wire::put_u8(out, wire::kHostByteOrder);
-    wire::put_u16(out, entry_abi);
-    wire::put_u64(out, static_cast<uint64_t>(m.size()));
-    size_t count_at = out.size();
-    wire::put_u32(out, 0);  // record_count, patched below
-
-    state s{&out, {}, 0};
-    walk(m.root_, s);
-    flush_run(s);
-
-    uint32_t records = s.records;
-    std::memcpy(out.data() + count_at, &records, sizeof(records));
+    extent e = measure(m);
+    out.reserve(out.size() + e.bytes);
+    encode(m, e, out);
   }
 
   // ------------------------------------------------------------ reading --
@@ -268,54 +313,63 @@ struct map_codec {
   }
 
  private:
+  template <typename Sink>
   struct state {
-    std::vector<char>* out;
+    Sink* out;
     std::vector<entry_t> run;
     uint32_t records;
   };
 
-  static void put_record_header(state& s, uint8_t kind, uint32_t count,
-                                uint32_t len) {
+  // Write the stream header, claiming `records` records, then every record;
+  // returns how many records were written.
+  template <typename Sink>
+  static uint32_t emit(const Map& m, uint32_t records, Sink& out) {
+    wire::put_u32(out, kMagic);
+    wire::put_u8(out, static_cast<uint8_t>(ops::layout));
+    wire::put_u8(out, wire::kHostByteOrder);
+    wire::put_u16(out, entry_abi);
+    wire::put_u64(out, static_cast<uint64_t>(m.size()));
+    wire::put_u32(out, records);
+    state<Sink> s{&out, {}, 0};
+    walk(m.root_, s);
+    flush_run(s);
+    return s.records;
+  }
+
+  template <typename Sink>
+  static void put_record_header(state<Sink>& s, uint8_t kind, uint32_t count, size_t len) {
     wire::put_u8(*s.out, kind);
     wire::put_u32(*s.out, count);
-    wire::put_u32(*s.out, len);
+    wire::put_u32(*s.out, static_cast<uint32_t>(len));
     s.records++;
   }
 
-  static void flush_run(state& s) {
+  template <typename Sink>
+  static void flush_run(state<Sink>& s) {
     if (s.run.empty()) return;
-    std::vector<char> payload;
-    for (const entry_t& e : s.run) {
-      wire::field_codec<entry_t>::write(e, payload);
-    }
-    put_record_header(s, kRun, static_cast<uint32_t>(s.run.size()),
-                      static_cast<uint32_t>(payload.size()));
-    wire::put_bytes(*s.out, payload.data(), payload.size());
+    wire::byte_counter len;
+    for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, len);
+    put_record_header(s, kRun, static_cast<uint32_t>(s.run.size()), len.bytes);
+    for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, *s.out);
     s.run.clear();
   }
 
-  static void emit_chunk(const lblock* b, state& s) {
+  template <typename Sink>
+  static void emit_chunk(const lblock* b, state<Sink>& s) {
+    flush_run(s);
+    size_t len = lstore::payload_bytes(b);
     if constexpr (flat) {
-      flush_run(s);
-      size_t len = lstore::payload_bytes(b);
-      put_record_header(s, kFlatRaw, b->count, static_cast<uint32_t>(len));
-      size_t at = s.out->size();
-      s.out->resize(at + len);
-      lstore::write_payload(b, s.out->data() + at);
+      put_record_header(s, kFlatRaw, b->count, len);
     } else {
-      flush_run(s);
-      size_t len = lstore::payload_bytes(b);
-      put_record_header(s, kCodedRaw, b->count,
-                        static_cast<uint32_t>(len + 2 * sizeof(uint32_t)));
+      put_record_header(s, kCodedRaw, b->count, len + 2 * sizeof(uint32_t));
       wire::put_u32(*s.out, b->bytes);
       wire::put_u32(*s.out, b->val_off);
-      size_t at = s.out->size();
-      s.out->resize(at + len);
-      lstore::write_payload(b, s.out->data() + at);
     }
+    wire::put_bytes(*s.out, lstore::payload(b), len);
   }
 
-  static void walk(const node* t, state& s) {
+  template <typename Sink>
+  static void walk(const node* t, state<Sink>& s) {
     if (t == nullptr) return;
     walk(t->left, s);
     if (ops::is_chunk(t)) {
@@ -343,6 +397,11 @@ struct map_codec {
     if (count == 0) throw wire::error("map_codec: empty record");
     switch (kind) {
       case kRun: {
+        // Bound the count by the payload before reserving for it, so a
+        // corrupt count is a wire::error and never a huge allocation.
+        if (count > len / wire::field_codec<entry_t>::kMinBytes) {
+          throw wire::error("map_codec: run count exceeds its payload");
+        }
         wire::reader pr(payload, len);
         std::vector<entry_t> es;
         es.reserve(count);

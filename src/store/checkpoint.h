@@ -23,10 +23,20 @@
 //
 // crc is CRC32C over (shard, index, len, last, payload). A stream larger
 // than page_bytes spans consecutive pages with increasing index; `last`
-// closes it. Readers reject any page that fails its checksum or breaks
-// the index chain, and any stream that never saw its last page — so a
-// checkpoint interrupted mid-write is never loadable, even though it is
-// also never referenced (its manifest was never committed).
+// closes it. A data file is every stream's pages, stream after stream.
+//
+// The writer makes one pass over the bytes it writes. map_codec::measure
+// gives every shard stream's exact size, which fixes the whole file's page
+// layout; one page_image buffer of exactly the file's size is allocated;
+// each stream is encoded straight into its pages through a page_cursor
+// that steps over the header slots; each page is then checksummed in
+// place, and the file goes out as one append and one fsync. Sealed leaf
+// blocks reach their pages as one memcpy each (kFlatRaw / kCodedRaw).
+//
+// Readers reject any page that fails its checksum or breaks the index
+// chain, and any stream that never saw its last page — so a checkpoint
+// interrupted mid-write is never loadable, even though it is also never
+// referenced (its manifest was never committed).
 //
 // Commit protocol: data file(s) written and fsynced -> manifest written and
 // fsynced -> directory synced -> CURRENT.tmp written, fsynced, renamed
@@ -38,13 +48,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc/scratch_buffer.h"
+#include "obs/trace.h"
 #include "pam/pam.h"
 #include "server/sharded_map.h"
 #include "store/crc32c.h"
@@ -107,31 +121,132 @@ inline std::string manifest_file_name(uint64_t id) {
   return buf;
 }
 
-// Append `stream` to `out` as checksummed pages of <= page_bytes payload.
-inline void append_pages(std::vector<char>& out, uint32_t shard,
-                         const std::vector<char>& stream, size_t page_bytes) {
-  size_t off = 0;
-  uint32_t index = 0;
-  do {
-    size_t len = stream.size() - off < page_bytes ? stream.size() - off
-                                                  : page_bytes;
-    uint8_t last = off + len == stream.size() ? 1 : 0;
-    uint32_t len32 = static_cast<uint32_t>(len);
-    uint32_t crc = crc32c(&shard, sizeof(shard));
-    crc = crc32c(&index, sizeof(index), crc);
-    crc = crc32c(&len32, sizeof(len32), crc);
-    crc = crc32c(&last, sizeof(last), crc);
-    crc = crc32c(stream.data() + off, len, crc);
-    wire::put_u32(out, kCkptMagic);
-    wire::put_u32(out, shard);
-    wire::put_u32(out, index);
-    wire::put_u32(out, len32);
-    wire::put_u8(out, last);
-    wire::put_u32(out, crc);
-    wire::put_bytes(out, stream.data() + off, len);
-    off += len;
-    index++;
-  } while (off < stream.size());
+// Writes one stream's bytes into its pages' payload slots, stepping over the
+// page header between consecutive pages: the wire sink the checkpoint
+// writer encodes through. It holds exactly the stream's measured size, and
+// a write past that is a writer bug, refused before it touches memory.
+class page_cursor {
+ public:
+  page_cursor(char* first_payload, size_t page_bytes, size_t stream_bytes)
+      : p_(first_payload),
+        room_(stream_bytes < page_bytes ? stream_bytes : page_bytes),
+        left_(stream_bytes),
+        page_bytes_(page_bytes) {}
+
+  void put(const void* src, size_t n) {
+    if (n > left_) throw std::logic_error("page_cursor: write past the measured stream");
+    left_ -= n;
+    const char* s = static_cast<const char*>(src);
+    while (n > room_) {
+      std::memcpy(p_, s, room_);
+      s += room_;
+      n -= room_;
+      p_ += room_ + kCkptPageHeader;
+      room_ = page_bytes_;
+    }
+    std::memcpy(p_, s, n);
+    p_ += n;
+    room_ -= n;
+  }
+
+  // Bytes of the stream not yet written.
+  size_t left() const { return left_; }
+
+ private:
+  char* p_;
+  size_t room_;  // payload bytes left in the current page
+  size_t left_;
+  size_t page_bytes_;
+};
+
+// One data file assembled in memory in its final layout. Its streams' exact
+// sizes fix every page before a byte is written, so the file is one
+// allocation of its exact size: each stream is written in place through a
+// page_cursor, then seal() fills in each page's header and CRC.
+class page_image {
+ public:
+  struct stream {
+    uint32_t shard;
+    size_t bytes;
+    size_t offset = 0;  // of the stream's first page header
+  };
+
+  page_image(std::vector<stream> streams, size_t page_bytes)
+      : streams_(std::move(streams)), page_bytes_(page_bytes) {
+    if (page_bytes == 0) throw std::invalid_argument("page_image: zero page size");
+    size_t total = 0;
+    for (stream& s : streams_) {
+      s.offset = total;
+      total += s.bytes + pages(s) * kCkptPageHeader;
+    }
+    buf_ = scratch_buffer<char>(total);
+  }
+
+  // An image of one stream already held in memory.
+  static page_image of(uint32_t shard, const std::vector<char>& bytes, size_t page_bytes) {
+    page_image img({{shard, bytes.size()}}, page_bytes);
+    if (!bytes.empty()) img.cursor(0).put(bytes.data(), bytes.size());
+    return img;
+  }
+
+  page_cursor cursor(size_t i) {
+    const stream& s = streams_[i];
+    return page_cursor(buf_.data() + s.offset + kCkptPageHeader, page_bytes_, s.bytes);
+  }
+
+  // Write every page header, its CRC32C over (shard, index, len, last,
+  // payload) included. Call once every stream is written.
+  void seal() {
+    for (const stream& s : streams_) {
+      size_t n = pages(s);
+      for (size_t i = 0; i < n; i++) {
+        char* h = buf_.data() + s.offset + i * (kCkptPageHeader + page_bytes_);
+        size_t off = i * page_bytes_;
+        auto len = static_cast<uint32_t>(s.bytes - off < page_bytes_ ? s.bytes - off : page_bytes_);
+        auto index = static_cast<uint32_t>(i);
+        uint8_t last = i + 1 == n ? 1 : 0;
+        std::memcpy(h, &kCkptMagic, 4);
+        std::memcpy(h + 4, &s.shard, 4);
+        std::memcpy(h + 8, &index, 4);
+        std::memcpy(h + 12, &len, 4);
+        std::memcpy(h + 16, &last, 1);
+        uint32_t crc = crc32c(h + 4, 13);
+        crc = crc32c(h + kCkptPageHeader, len, crc);
+        std::memcpy(h + 17, &crc, 4);
+      }
+    }
+  }
+
+  const char* data() const { return buf_.data(); }
+  size_t size() const { return buf_.size(); }
+
+ private:
+  // A stream spans at least one page, so an empty stream still closes.
+  size_t pages(const stream& s) const {
+    return s.bytes == 0 ? 1 : (s.bytes + page_bytes_ - 1) / page_bytes_;
+  }
+
+  std::vector<stream> streams_;
+  size_t page_bytes_;
+  scratch_buffer<char> buf_;
+};
+
+// Seal `img` and write it as the data file `path` with one append and one
+// fsync; returns the bytes written. The file is complete on return but
+// unreferenced until a manifest naming it commits.
+inline uint64_t write_data_file(file_system& fs, const std::string& path, page_image img) {
+  {
+    obs::span span("ckpt.crc");
+    img.seal();
+  }
+  std::unique_ptr<file> f = fs.create(path);
+  {
+    obs::span span("ckpt.write");
+    f->append(img.data(), img.size());
+  }
+  obs::span span("ckpt.sync");
+  f->sync();
+  return img.size();
 }
 
 // Parse a paged file back into complete (shard, stream) pairs, in order of
@@ -294,14 +409,27 @@ struct checkpoint_io {
 
   // --------------------------------------------------------- cut streams --
 
-  // Serialize every shard of a cut (one map_codec stream per shard).
-  static std::vector<std::vector<char>> build_full_streams(
-      const snapshot_t& cut) {
-    std::vector<std::vector<char>> streams(cut.num_shards());
+  // The full checkpoint of a cut as a data-file image: shard s's map_codec
+  // stream under id s. A sizing pass over every shard lays out the pages,
+  // then each stream is encoded straight into them.
+  static page_image full_image(const snapshot_t& cut, size_t page_bytes) {
+    obs::span span("ckpt.encode");
+    using codec = map_codec<Map>;
+    std::vector<typename codec::extent> extents;
+    std::vector<page_image::stream> streams;
+    extents.reserve(cut.num_shards());
+    streams.reserve(cut.num_shards());
     for (size_t s = 0; s < cut.num_shards(); s++) {
-      cut.shard(s).serialize(streams[s]);
+      extents.push_back(codec::measure(cut.shard(s)));
+      streams.push_back({static_cast<uint32_t>(s), extents[s].bytes});
     }
-    return streams;
+    page_image img(std::move(streams), page_bytes);
+    for (size_t s = 0; s < cut.num_shards(); s++) {
+      page_cursor c = img.cursor(s);
+      codec::encode(cut.shard(s), extents[s], c);
+      if (c.left() != 0) throw std::logic_error("map_codec: encode fell short of measure");
+    }
+    return img;
   }
 
   // The change stream between two cuts over the same splitters: per-shard
@@ -326,23 +454,6 @@ struct checkpoint_io {
     }
     std::memcpy(out.data() + count_at, &n, sizeof(n));
     return out;
-  }
-
-  // Write a data file of checksummed pages; returns bytes written. The
-  // file is complete and fsynced on return but unreferenced until a
-  // manifest naming it commits.
-  static uint64_t write_data_file(
-      file_system& fs, const std::string& dir, const std::string& name,
-      const std::vector<std::pair<uint32_t, const std::vector<char>*>>& streams,
-      size_t page_bytes) {
-    std::vector<char> out;
-    for (const auto& [shard, stream] : streams) {
-      append_pages(out, shard, *stream, page_bytes);
-    }
-    std::unique_ptr<file> f = fs.create(dir + "/" + name);
-    f->append(out.data(), out.size());
-    f->sync();
-    return out.size();
   }
 
   // ------------------------------------------------------------ loading --

@@ -1,18 +1,31 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the checksum guarding every
-// WAL record, checkpoint page and manifest in the durability layer.
+// WAL record, checkpoint page and manifest in the durability layer. CRC32C
+// over plain CRC32 follows what storage systems standardized on (iSCSI,
+// ext4, LevelDB/RocksDB): better burst error detection, and an instruction
+// for it on x86-64.
 //
-// Software slice-by-8: eight 256-entry tables generated once at first use,
-// processing 8 input bytes per step (~1 GB/s on commodity cores — ample for
-// a durability path that is fsync-bound, and portable with no ISA
-// dependency). The choice of CRC32C over plain CRC32 follows what storage
-// systems standardized on (iSCSI, ext4, LevelDB/RocksDB): better burst
-// error detection and hardware assist available if this ever needs it.
+// Two kernels compute the same function:
+//
+//   crc32c_sse42   the SSE4.2 crc32 instruction, 8 bytes per step. It is
+//                  compiled for SSE4.2 whatever the build's -march, so
+//                  portable builds (PAM_NATIVE=OFF) carry it too, and runs
+//                  only where the CPU reports SSE4.2.
+//   crc32c_slice8  software slice-by-8: eight 256-entry tables generated
+//                  once at first use, 8 input bytes per step. The fallback
+//                  on every other CPU, and the tests' oracle for the first.
+//
+// crc32c() picks one once, on first call. bench_durability's `crc32c` row
+// records both kernels' MB/s and the ratio BENCH_PR10.json gates.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace pam::store {
 
@@ -45,9 +58,9 @@ inline const crc32c_tables& crc_tables() {
 
 }  // namespace detail
 
-// CRC32C of `n` bytes. `seed` chains incremental computation: pass the
-// previous result to extend a running checksum over multiple spans.
-inline uint32_t crc32c(const void* data, size_t n, uint32_t seed = 0) {
+// CRC32C of `n` bytes, in software. `seed` chains incremental computation:
+// pass the previous result to extend a running checksum over more spans.
+inline uint32_t crc32c_slice8(const void* data, size_t n, uint32_t seed = 0) {
   const auto& t = detail::crc_tables().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -65,6 +78,49 @@ inline uint32_t crc32c(const void* data, size_t n, uint32_t seed = 0) {
   }
   while (n-- > 0) crc = t[0][(crc ^ *p++) & 0xFF] ^ (crc >> 8);
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+inline bool crc32c_sse42_available() {
+  __builtin_cpu_init();  // callable before main, from static initializers
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// The same function with the crc32 instruction. Call it only where
+// crc32c_sse42_available() holds.
+__attribute__((target("sse4.2"))) inline uint32_t crc32c_sse42(const void* data, size_t n,
+                                                                uint32_t seed = 0) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = ~seed;
+  while (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    crc = _mm_crc32_u64(crc, w);
+    p += 8;
+    n -= 8;
+  }
+  auto c = static_cast<uint32_t>(crc);
+  while (n-- > 0) c = _mm_crc32_u8(c, *p++);
+  return ~c;
+}
+
+#else
+
+inline bool crc32c_sse42_available() { return false; }
+
+// No crc32 instruction on this architecture: the software kernel stands in.
+inline uint32_t crc32c_sse42(const void* data, size_t n, uint32_t seed = 0) {
+  return crc32c_slice8(data, n, seed);
+}
+
+#endif
+
+// CRC32C of `n` bytes with the fastest kernel this CPU runs; `seed` chains
+// as for crc32c_slice8.
+inline uint32_t crc32c(const void* data, size_t n, uint32_t seed = 0) {
+  static const bool hw = crc32c_sse42_available();
+  return hw ? crc32c_sse42(data, n, seed) : crc32c_slice8(data, n, seed);
 }
 
 }  // namespace pam::store

@@ -264,20 +264,12 @@ class durability {
     }
     manifest_t m;
     std::string data_name = ckpt_file_name(res.id, res.full);
+    res.bytes = write_data_file(*opts_.io, opts_.dir + "/" + data_name,
+                                res.full ? cio::full_image(cut, opts_.ckpt.page_bytes)
+                                         : page_image::of(kDeltaShard, delta, opts_.ckpt.page_bytes));
     if (res.full) {
-      std::vector<std::vector<char>> streams = cio::build_full_streams(cut);
-      std::vector<std::pair<uint32_t, const std::vector<char>*>> sp;
-      sp.reserve(streams.size());
-      for (size_t s = 0; s < streams.size(); s++) {
-        sp.emplace_back(static_cast<uint32_t>(s), &streams[s]);
-      }
-      res.bytes = cio::write_data_file(*opts_.io, opts_.dir, data_name, sp,
-                                       opts_.ckpt.page_bytes);
       m.files.emplace_back(uint8_t{0}, data_name);
     } else {
-      res.bytes = cio::write_data_file(*opts_.io, opts_.dir, data_name,
-                                       {{kDeltaShard, &delta}},
-                                       opts_.ckpt.page_bytes);
       m = cur_manifest_;
       m.files.emplace_back(uint8_t{1}, data_name);
     }

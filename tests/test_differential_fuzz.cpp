@@ -1,6 +1,7 @@
 // Differential fuzzing: long randomized mixed-operation runs (point ops,
 // bulk ops, aug queries, range extraction) against a std::map oracle, with
-// full structural validation and leak accounting at every phase boundary.
+// full structural validation, serialization round-trips, the checkpoint
+// writer's byte oracle, and leak accounting at every phase boundary.
 // Parameterized over seeds; run for both the default weight-balanced scheme
 // and red-black (the scheme with the most intricate join).
 #include <gtest/gtest.h>
@@ -12,10 +13,25 @@
 #include <string_view>
 #include <vector>
 
+#include "page_oracle.h"
 #include "pam/pam.h"
 #include "util/random.h"
 
 namespace {
+
+// The byte oracle for the checkpoint writer: the one-buffer full-checkpoint
+// image of `m` as a one-shard cut equals the reference framing of its
+// Map::serialize stream, at a page size that puts page boundaries inside
+// record headers and at the default page size.
+template <typename Map>
+void expect_checkpoint_image_matches_reference(const Map& m) {
+  pam::sharded_snapshot<Map> cut({m}, nullptr);
+  for (size_t page : {size_t{61}, size_t{1} << 20}) {
+    ASSERT_TRUE(pam_test::image_full_file(cut, page) ==
+                pam_test::reference_full_file(cut, page))
+        << "page " << page;
+  }
+}
 
 using K = uint64_t;
 using V = uint64_t;
@@ -152,6 +168,7 @@ void fuzz_run_impl(uint64_t seed, int phases, int ops_per_phase,
         // rebuild an equal, valid map — with its augmentation recomputed,
         // never trusted from the stream — at whatever balance scheme and
         // leaf block size this harness is sweeping.
+        expect_checkpoint_image_matches_reference(m);
         std::vector<char> wire;
         m.serialize(wire);
         map_t rt = map_t::deserialize(wire.data(), wire.size());
@@ -384,6 +401,7 @@ void fuzz_run_str(uint64_t seed, int phases, int ops_per_phase) {
       {
         // Serialization round-trip: front-coded blocks travel as raw
         // prefix-compressed regions and must decode back to the same keys.
+        expect_checkpoint_image_matches_reference(m);
         std::vector<char> wire;
         m.serialize(wire);
         map_t rt = map_t::deserialize(wire.data(), wire.size());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -129,10 +130,22 @@ TEST(Scheduler, ParallelSpeedupSmokeCheck) {
   // more than one thread (distinct worker ids observed inside a big loop).
   if (pam::num_workers() < 2) GTEST_SKIP() << "single-core machine";
   std::vector<std::atomic<uint8_t>> seen(static_cast<size_t>(pam::num_workers()));
-  pam::parallel_for(0, 1 << 18, [&](size_t) {
+  std::atomic<int> seen_count{0};
+  pam::parallel_for(0, 1 << 18, [&](size_t i) {
     int id = pam::worker_id();
     ASSERT_GE(id, 0);
-    seen[static_cast<size_t>(id)].store(1);
+    if (seen[static_cast<size_t>(id)].exchange(1) == 0) seen_count.fetch_add(1);
+    // Idle workers poll for work every 100 us, and on a loaded host the
+    // whole loop can finish on the calling thread before one wakes. So the
+    // first iteration (always on the caller, with every right half of the
+    // range still on its deque) holds until a thief has run one, for up to
+    // 10 s; a pool that never steals still fails below.
+    if (i == 0) {
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (seen_count.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
   }, 256);
   int distinct = 0;
   for (auto& s : seen) distinct += s.load();

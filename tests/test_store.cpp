@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "page_oracle.h"
 #include "pam/pam.h"
 #include "store/durability.h"
 #include "util/random.h"
@@ -22,6 +23,7 @@ namespace {
 using u64_map = pam::aug_map<pam::sum_entry<uint64_t, uint64_t>>;
 using str_map = pam::aug_map<pam::str_sum_entry<uint64_t>>;
 using delta_map = pam::aug_map<pam::delta_sum_entry<uint64_t, uint64_t>>;
+using padded_map = pam::aug_map<pam::sum_entry<uint32_t, uint64_t>>;
 
 // Sets the leaf block size for one test, restoring the previous one.
 struct block_size_guard {
@@ -47,24 +49,65 @@ struct temp_dir {
 
 // ----------------------------------------------------------------- crc32c --
 
+// Both kernels, the hardware one only where the CPU has it.
+using crc_kernel = uint32_t (*)(const void*, size_t, uint32_t);
+std::vector<std::pair<const char*, crc_kernel>> crc_kernels() {
+  std::vector<std::pair<const char*, crc_kernel>> ks = {
+      {"slice8", pam::store::crc32c_slice8}};
+  if (pam::store::crc32c_sse42_available()) {
+    ks.emplace_back("sse42", pam::store::crc32c_sse42);
+  }
+  return ks;
+}
+
 TEST(Crc32c, KnownVectors) {
-  // The canonical CRC32C check value (RFC 3720 appendix / every storage
-  // system's self-test): "123456789" -> 0xE3069283.
+  for (auto [name, crc] : crc_kernels()) {
+    // The canonical CRC32C check value (RFC 3720 appendix / every storage
+    // system's self-test): "123456789" -> 0xE3069283.
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u) << name;
+    EXPECT_EQ(crc("", 0, 0), 0u) << name;
+    // 32 zero bytes (iSCSI test vector).
+    unsigned char zeros[32] = {};
+    EXPECT_EQ(crc(zeros, sizeof zeros, 0), 0x8A9136AAu) << name;
+  }
   EXPECT_EQ(pam::store::crc32c("123456789", 9), 0xE3069283u);
-  EXPECT_EQ(pam::store::crc32c("", 0), 0u);
-  // 32 zero bytes (iSCSI test vector).
-  unsigned char zeros[32] = {};
-  EXPECT_EQ(pam::store::crc32c(zeros, sizeof zeros), 0x8A9136AAu);
 }
 
 TEST(Crc32c, SeedChainingMatchesOneShot) {
   const char* data = "the quick brown fox jumps over the lazy dog";
   size_t n = std::strlen(data);
-  uint32_t whole = pam::store::crc32c(data, n);
-  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, n}) {
-    uint32_t a = pam::store::crc32c(data, split);
-    uint32_t chained = pam::store::crc32c(data + split, n - split, a);
-    EXPECT_EQ(chained, whole) << "split at " << split;
+  for (auto [name, crc] : crc_kernels()) {
+    uint32_t whole = crc(data, n, 0);
+    for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, n}) {
+      uint32_t a = crc(data, split, 0);
+      uint32_t chained = crc(data + split, n - split, a);
+      EXPECT_EQ(chained, whole) << name << " split at " << split;
+    }
+  }
+}
+
+// The hardware kernel against the software oracle: every length up to past
+// a page, every start offset within a word, and chained seeds.
+TEST(Crc32c, HardwareKernelMatchesSlice8) {
+  if (!pam::store::crc32c_sse42_available()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  std::vector<char> buf(4100 + 16);
+  pam::random_gen g(5);
+  for (auto& c : buf) c = static_cast<char>(g.next());
+  for (size_t start = 0; start < 8; start++) {
+    for (size_t n = 0; n <= 4100; n++) {
+      const char* p = buf.data() + start;
+      uint32_t seed = static_cast<uint32_t>(n * 0x9E3779B9u);
+      ASSERT_EQ(pam::store::crc32c_sse42(p, n, seed), pam::store::crc32c_slice8(p, n, seed))
+          << "start " << start << " n " << n;
+    }
+  }
+  // A checksum chained across kernels is still the one-shot checksum.
+  uint32_t whole = pam::store::crc32c_slice8(buf.data(), buf.size());
+  for (size_t split : {size_t{1}, size_t{9}, size_t{4096}}) {
+    uint32_t a = pam::store::crc32c_slice8(buf.data(), split);
+    EXPECT_EQ(pam::store::crc32c_sse42(buf.data() + split, buf.size() - split, a), whole);
+    uint32_t b = pam::store::crc32c_sse42(buf.data(), split);
+    EXPECT_EQ(pam::store::crc32c_slice8(buf.data() + split, buf.size() - split, b), whole);
   }
 }
 
@@ -342,29 +385,71 @@ TEST(Wal, DeadWriterUnacksSilently) {
 
 // ------------------------------------------------- checkpoint page format --
 
+// Frame `streams` as one data file through page_image.
+std::vector<char> framed(const std::vector<std::pair<uint32_t, std::vector<char>>>& streams,
+                         size_t page_bytes) {
+  std::vector<pam::store::page_image::stream> layout;
+  for (const auto& [shard, bytes] : streams) layout.push_back({shard, bytes.size()});
+  pam::store::page_image img(layout, page_bytes);
+  for (size_t i = 0; i < streams.size(); i++) {
+    const std::vector<char>& bytes = streams[i].second;
+    pam::store::page_cursor c = img.cursor(i);
+    // Uneven writes, so pieces straddle the page boundaries.
+    for (size_t off = 0, step = 1; off < bytes.size(); off += step, step = step * 3 % 997 + 1) {
+      c.put(bytes.data() + off, std::min(step, bytes.size() - off));
+    }
+    EXPECT_EQ(c.left(), 0u);
+  }
+  img.seal();
+  return std::vector<char>(img.data(), img.data() + img.size());
+}
+
 TEST(CheckpointPages, MultiPageStreamsRoundTrip) {
   temp_dir td("pages");
   auto fs = pam::store::posix_fs();
   fs->mkdirs(td.path);
   pam::random_gen g(11);
-  std::vector<char> s0(10000), s1(3), s2;  // multi-page, tiny, empty
+  std::vector<char> s0(10000), s1(3), s2, s3(8192);  // multi-page, tiny, empty, exact
   for (auto& c : s0) c = static_cast<char>(g.next());
   for (auto& c : s1) c = static_cast<char>(g.next());
+  for (auto& c : s3) c = static_cast<char>(g.next());
 
-  std::vector<char> out;
-  pam::store::append_pages(out, 0, s0, 4096);
-  pam::store::append_pages(out, 1, s1, 4096);
-  pam::store::append_pages(out, 2, s2, 4096);
+  std::vector<char> ref;
+  pam_test::append_reference_pages(ref, 0, s0, 4096);
+  pam_test::append_reference_pages(ref, 1, s1, 4096);
+  pam_test::append_reference_pages(ref, 2, s2, 4096);
+  pam_test::append_reference_pages(ref, 3, s3, 4096);
+  std::vector<char> out = framed({{0, s0}, {1, s1}, {2, s2}, {3, s3}}, 4096);
+  EXPECT_EQ(out, ref) << "page_image must frame exactly as the reference framer";
   auto f = fs->create(td.path + "/p");
   f->append(out.data(), out.size());
   f.reset();
 
   auto streams = pam::store::read_page_streams(*fs, td.path + "/p");
-  ASSERT_EQ(streams.size(), 3u);
+  ASSERT_EQ(streams.size(), 4u);
   EXPECT_EQ(streams[0].first, 0u);
   EXPECT_EQ(streams[0].second, s0);
   EXPECT_EQ(streams[1].second, s1);
   EXPECT_TRUE(streams[2].second.empty());
+  EXPECT_EQ(streams[3].second, s3);
+
+  // Pages smaller than a header, and pages of one byte.
+  for (size_t page : {size_t{1}, size_t{7}, size_t{21}, size_t{4095}}) {
+    std::vector<char> r;
+    pam_test::append_reference_pages(r, 0, s0, page);
+    pam_test::append_reference_pages(r, 1, s1, page);
+    EXPECT_EQ(framed({{0, s0}, {1, s1}}, page), r) << "page " << page;
+  }
+}
+
+TEST(CheckpointPages, CursorRefusesWritesPastTheStream) {
+  pam::store::page_image img({{0, 10}}, 4);
+  pam::store::page_cursor c = img.cursor(0);
+  char bytes[11] = {};
+  c.put(bytes, 6);
+  EXPECT_THROW(c.put(bytes, 5), std::logic_error);
+  c.put(bytes, 4);
+  EXPECT_EQ(c.left(), 0u);
 }
 
 TEST(CheckpointPages, CorruptPageOrMissingTailRejected) {
@@ -372,8 +457,7 @@ TEST(CheckpointPages, CorruptPageOrMissingTailRejected) {
   auto fs = pam::store::posix_fs();
   fs->mkdirs(td.path);
   std::vector<char> stream(9000, 'q');
-  std::vector<char> out;
-  pam::store::append_pages(out, 0, stream, 4096);
+  std::vector<char> out = framed({{0, stream}}, 4096);
 
   // Flip one payload byte: checksum mismatch.
   auto bad = out;
@@ -526,10 +610,36 @@ TEST(WireCodec, AllSchemesAllLayoutsAllBlockSizes) {
   pam::set_leaf_block_size(saved_b);
 }
 
+// The stream header's size and one record header's: u8 kind | u32 count |
+// u32 payload_len.
+constexpr size_t kStreamHeader = 20;
+constexpr size_t kRecordHeader = 9;
+
+// (kind, offset) of every record in a well-formed stream.
+std::vector<std::pair<uint8_t, size_t>> records_of(const std::vector<char>& wire) {
+  std::vector<std::pair<uint8_t, size_t>> rs;
+  for (size_t at = kStreamHeader; at < wire.size();) {
+    uint32_t len;
+    std::memcpy(&len, wire.data() + at + 5, 4);
+    rs.emplace_back(static_cast<uint8_t>(wire[at]), at);
+    at += kRecordHeader + len;
+  }
+  return rs;
+}
+
+bool has_record_kind(const std::vector<char>& wire, uint8_t kind) {
+  for (auto [k, at] : records_of(wire)) {
+    if (k == kind) return true;
+  }
+  return false;
+}
+
 // Truncations at every prefix length of the header region and a sample of
 // interior cuts must throw wire::error, never crash or misparse; bit flips
-// across the stream either throw cleanly or (for flips confined to value
-// bytes, or key bytes that stay in order) yield a map that still validates.
+// in every byte of the stream header and of every record header, and in a
+// sample of payload bytes, either throw cleanly or (for flips confined to
+// value bytes, or key bytes that stay in order) yield a map that still
+// validates. A flipped count must never reach an allocation.
 template <typename Map>
 void expect_corruptions_handled(const Map& m) {
   std::vector<char> wire;
@@ -539,7 +649,13 @@ void expect_corruptions_handled(const Map& m) {
     EXPECT_THROW(Map::deserialize(wire.data(), cut), pam::wire::error)
         << "cut " << cut;
   }
-  for (size_t at = 0; at < wire.size(); at += 97) {
+  std::vector<size_t> flips;
+  for (size_t at = 0; at < kStreamHeader; at++) flips.push_back(at);
+  for (auto [kind, rec] : records_of(wire)) {
+    for (size_t i = 0; i < kRecordHeader; i++) flips.push_back(rec + i);
+  }
+  for (size_t at = 0; at < wire.size(); at += 97) flips.push_back(at);
+  for (size_t at : flips) {
     for (int mask : {0x10, 0x01, 0x80}) {
       auto bad = wire;
       bad[at] = static_cast<char>(bad[at] ^ mask);
@@ -569,6 +685,44 @@ TEST(WireCodec, CorruptStreamsThrowNeverCrash) {
   expect_corruptions_handled(flat);
   expect_corruptions_handled(front);
   expect_corruptions_handled(delta);
+}
+
+// A run whose count claims more entries than its payload could hold is
+// rejected before anything is reserved for it.
+TEST(WireCodec, RunCountBoundedByPayload) {
+  block_size_guard guard(0);  // classic nodes: the stream is all runs
+  u64_map m;
+  for (uint64_t k = 0; k < 100; k++) m = u64_map::insert(std::move(m), k, k);
+  std::vector<char> wire;
+  m.serialize(wire);
+  auto rs = records_of(wire);
+  ASSERT_EQ(rs.size(), 1u);
+  ASSERT_EQ(rs[0].first, 1) << "expected one kRun record";
+  for (uint32_t count : {uint32_t{101}, uint32_t{1} << 31, ~uint32_t{0}}) {
+    auto bad = wire;
+    std::memcpy(bad.data() + rs[0].second + 1, &count, 4);
+    EXPECT_THROW(u64_map::deserialize(bad.data(), bad.size()), pam::wire::error) << count;
+  }
+}
+
+// The near-memcpy path: sealed blocks of plain u64 pairs leave as kFlatRaw
+// records, one memcpy each, and come back through from_payload.
+static_assert(pam::map_codec<u64_map>::raw_blocks,
+              "sum_entry<uint64_t, uint64_t> blocks must serialize raw");
+
+TEST(WireCodec, FlatBlocksTravelRaw) {
+  block_size_guard guard(32);
+  std::vector<u64_map::entry_t> es;
+  for (uint64_t k = 0; k < 1000; k++) es.emplace_back(k * 3, k);
+  u64_map m(std::move(es));
+  std::vector<char> wire;
+  m.serialize(wire);
+  EXPECT_TRUE(has_record_kind(wire, 2)) << "no kFlatRaw record in the stream";
+  EXPECT_EQ(pam::map_codec<u64_map>::measure(m).bytes, wire.size());
+  u64_map rt = u64_map::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(rt.check_valid());
+  EXPECT_EQ(rt.size(), m.size());
+  EXPECT_EQ(rt.aug_val(), m.aug_val());
 }
 
 // ---- hand-built coded-block records: each breaks exactly one frame rule --
@@ -725,6 +879,16 @@ TEST(WireCodec, SerializeIsByteIdenticalAcrossPoolChurn) {
   });
   expect_serialize_stable_across_churn<delta_map>(
       [](uint64_t i, uint64_t salt) { return i * 3 + salt; });
+  expect_serialize_stable_across_churn<u64_map>(
+      [](uint64_t i, uint64_t salt) { return i * 3 + salt; });
+  // A padded pair (4 pad bytes after the key) must stay on per-field runs:
+  // a raw copy would carry recycled pool bytes in the pad.
+  static_assert(!pam::map_codec<padded_map>::raw_blocks);
+  expect_serialize_stable_across_churn<padded_map>(
+      [](uint64_t i, uint64_t salt) { return static_cast<uint32_t>(i * 3 + salt); });
+  std::vector<char> wire;
+  padded_map{{1, 2}, {3, 4}}.serialize(wire);
+  EXPECT_FALSE(has_record_kind(wire, 2));
 }
 
 TEST(WireCodec, CrossEndianStreamRejected) {
@@ -824,6 +988,46 @@ TEST(Durability, FullCheckpointForcedPastMaxChainAndGcSweeps) {
   auto rec = pam::store::durability<u64_map>::recover(opts);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->contents.size(), 5000u);
+}
+
+// The byte oracle at the file level: a full checkpoint's data file, written
+// through the one-buffer path, equals the reference framing of every
+// shard's Map::serialize stream.
+template <typename Map, typename MakeEntry>
+void expect_full_file_matches_reference(const char* tag, std::vector<typename Map::K> splitters,
+                                        MakeEntry make) {
+  temp_dir td(tag);
+  pam::store::durability_options opts;
+  opts.dir = td.path;
+  opts.ckpt.page_bytes = 4096;
+  pam::sharded_map<Map> shards(splitters);
+  pam::store::durability<Map> d(opts, shards.snapshot_all());
+  std::vector<typename Map::entry_t> bulk;
+  for (uint64_t i = 0; i < 20000; i++) bulk.push_back(make(i));
+  shards.multi_insert(std::move(bulk));
+  auto cut = shards.snapshot_all();
+  auto r = d.save_checkpoint(cut, 0);
+  ASSERT_TRUE(r.full);
+  auto fs = pam::store::posix_fs();
+  const std::string path = td.path + "/" + pam::store::ckpt_file_name(r.id, true);
+  auto f = fs->open_read(path);
+  std::vector<char> file(f->size());
+  ASSERT_EQ(f->read_at(0, file.data(), file.size()), file.size());
+  EXPECT_EQ(r.bytes, file.size());
+  EXPECT_TRUE(file == pam_test::reference_full_file(cut, 4096)) << tag;
+}
+
+TEST(Durability, FullCheckpointFileMatchesReferenceFraming) {
+  block_size_guard guard(32);
+  expect_full_file_matches_reference<u64_map>("oracle_u64", {30000, 60000}, [](uint64_t i) {
+    return u64_map::entry_t{i * 5, i};
+  });
+  expect_full_file_matches_reference<str_map>("oracle_str", {"k/5"}, [](uint64_t i) {
+    return str_map::entry_t{"k/" + std::to_string(i), i};
+  });
+  expect_full_file_matches_reference<delta_map>("oracle_delta", {50000}, [](uint64_t i) {
+    return delta_map::entry_t{i * 7, i};
+  });
 }
 
 TEST(Durability, RecoverOnEmptyDirectoryIsNullopt) {
