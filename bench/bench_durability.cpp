@@ -5,7 +5,13 @@
 // PAM_BENCH_SCALE). Measured:
 //
 //   * full checkpoint    serialize a consistent cut through the sealed-leaf
-//                        raw-region path and page it out — MB/s;
+//                        paths and page it out — MB/s, and the data file's
+//                        bytes per entry (gated in BENCH_PR10.json: integer
+//                        flat blocks travel delta-coded);
+//   * full image encode  full_image (measure + encode) on 1 worker and on
+//                        all workers; encode_speedup = serial time /
+//                        parallel time (gated against pathological slowdown
+//                        only, since CI runners may have one core);
 //   * incremental        churn 1% of keys, checkpoint again — the delta is
 //                        diff-driven, so its byte footprint must track the
 //                        churn, not the map (the ratio is the gated metric);
@@ -31,6 +37,7 @@
 #include "common/bench_util.h"
 #include "pam/pam.h"
 #include "server/sharded_map.h"
+#include "store/checkpoint.h"
 #include "store/crc32c.h"
 #include "store/durability.h"
 
@@ -95,6 +102,35 @@ int main() {
              double(full.bytes));
   bench_json("bench_durability", "full_n=" + std::to_string(n), "mb_s",
              full_mb_s);
+  const size_t entries = shards.snapshot_all().size();
+  double bytes_per_entry = entries > 0 ? double(full.bytes) / double(entries) : 0.0;
+  std::printf("%-26s %10.2f B/entry\n", "full image", bytes_per_entry);
+  bench_json("bench_durability", "full_image_u64", "bytes_per_entry", bytes_per_entry);
+
+  // ----------------------------------------- full image, 1 vs all workers --
+  {
+    const auto cut = shards.snapshot_all();
+    const int p = num_workers();
+    auto encode_s = [&](int workers) {
+      set_num_workers(workers);
+      return timed_median(1, 5, [&] {
+        store::page_image img = store::checkpoint_io<map_t>::full_image(cut, opts.ckpt.page_bytes);
+        if (img.size() != full.bytes) {
+          std::printf("ERROR: full image of %zu B, checkpoint wrote %llu B\n", img.size(),
+                      static_cast<unsigned long long>(full.bytes));
+          std::exit(2);
+        }
+      });
+    };
+    double t1 = encode_s(1);
+    double tp = encode_s(p);
+    double speedup = tp > 0 ? t1 / tp : 0.0;
+    std::printf("%-26s %10.4fs   1 worker %8.4fs   %d workers  (%.2fx)\n",
+                "full image encode", t1, tp, p, speedup);
+    bench_json("bench_durability", "full_image_encode", "t1_s", t1);
+    bench_json("bench_durability", "full_image_encode", "tp_s", tp);
+    bench_json("bench_durability", "full_image_encode", "encode_speedup", speedup);
+  }
 
   // --------------------------------------------- incremental checkpoint --
   shards.multi_insert(kv_entries(churn, 2, universe));

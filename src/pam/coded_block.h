@@ -60,6 +60,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -116,9 +117,10 @@ struct raw_values {
   static size_t bytes(const E*, uint32_t n) { return size_t{n} * sizeof(V); }
 
   template <typename E>
-  static void encode(char* dst, const E* es, uint32_t n) {
+  static char* encode(char* dst, const E* es, uint32_t n) {
     V* vs = reinterpret_cast<V*>(dst);
     for (uint32_t i = 0; i < n; i++) vs[i] = es[i].second;
+    return reinterpret_cast<char*>(vs + n);
   }
 
   static bool check(const char*, size_t len, uint32_t n) {
@@ -260,13 +262,9 @@ constexpr int64_t unzigzag(uint64_t u) {
   return int64_t(u >> 1) ^ -int64_t(u & 1);
 }
 
+// Bytes put() writes for v: one per started 7-bit group, without a loop.
 constexpr size_t length(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    n++;
-  }
-  return n;
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 inline char* put(char* p, uint64_t v) {
@@ -356,8 +354,9 @@ struct varint_values {
   }
 
   template <typename E>
-  static void encode(char* dst, const E* es, uint32_t n) {
+  static char* encode(char* dst, const E* es, uint32_t n) {
     for (uint32_t i = 0; i < n; i++) dst = vint::put(dst, code(es[i].second));
+    return dst;
   }
 
   static bool check(const char* p, size_t len, uint32_t n) {

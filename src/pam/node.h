@@ -199,16 +199,14 @@ struct leaf_store {
   }
 
   // ------------------------------------------------- serialization hooks --
-  // Sealed flat blocks whose entries are plain bytes round-trip as one
-  // memcpy of the entry array — the near-memcpy checkpoint path used by
-  // pam/serialize.h. "Plain bytes" is scratch_storable (std::pair is never
-  // trivially copyable, so that trait would reject every entry) and
-  // padding_free (a pad byte would carry recycled pool contents to disk).
-  // Other blocks (std::string keys forced flat, padded pairs) take the
-  // per-entry encoded path and never reach these hooks. Integrity is the
-  // caller's problem (the durability layer wraps payloads in CRC32C-checked
-  // pages); the augmented value is always recomputed by seal(), never
-  // trusted from the payload.
+  // Sealed flat blocks whose entries are plain bytes can leave as one
+  // memcpy of the entry array (pam/serialize.h's kFlatRaw records, used
+  // for entries that are not integer pairs; those travel delta-coded).
+  // "Plain bytes" is scratch_storable (std::pair is never trivially
+  // copyable, so that trait would reject every entry) and padding_free (a
+  // pad byte would carry recycled pool contents to disk). The reader
+  // rebuilds blocks through build(), so the augmented value is always
+  // recomputed, never trusted from the payload.
   static constexpr bool raw_payload = scratch_storable<entry_t> && padding_free<entry_t>;
 
   static size_t payload_bytes(const block* b) {
@@ -218,18 +216,6 @@ struct leaf_store {
   static const char* payload(const block* b) {
     static_assert(raw_payload);
     return reinterpret_cast<const char*>(b->entries());
-  }
-
-  // Rebuild a sealed block from a raw entry payload. The caller validates
-  // the frame (1 <= count <= kMaxLeafBlock, payload spans exactly count
-  // entries) before handing bytes over.
-  static block* from_payload(const char* src, uint32_t count) {
-    static_assert(raw_payload);
-    block* b = allocate(count);
-    std::memcpy(static_cast<void*>(b->entries()), src,
-                size_t{count} * sizeof(entry_t));
-    seal(b);
-    return b;
   }
 
   static block* retain(block* b) {

@@ -7,19 +7,34 @@
 //
 //   record := u8 kind | u32 count | u32 payload_len | payload
 //
-// Three record kinds, chosen per tree region during an in-order walk:
+// Five record kinds, chosen by the entry's type traits and the tree region
+// during an in-order walk:
 //
-//   kRun       per-field encoded entries (wire::field_codec) — inline nodes
-//              between chunks, and any layout whose entries cannot travel
-//              raw (std::string keys forced flat at B = 0);
-//   kFlatRaw   a sealed flat leaf block as one memcpy of its entry array
-//              (the near-memcpy checkpoint path; entries that are plain,
-//              padding-free bytes only — leaf_store::raw_payload);
-//   kCodedRaw  a sealed front-coded or delta-coded block as its raw encoded
-//              region ({u32 bytes, u32 val_off} + the layout's byte
-//              streams); the u8 layout stamp in the header (the numeric
-//              key_layout value) keeps the two coded layouts from misreading
-//              each other's streams.
+//   kRun        per-field encoded entries (wire::field_codec): inline nodes
+//               between chunks, flushed every kRunFlush entries, for every
+//               entry that is not an integer pair; std::string keys forced
+//               flat send their blocks this way too;
+//   kRunDelta   the same runs for integer pairs, delta-coded like
+//               kFlatDelta;
+//   kFlatRaw    a sealed flat leaf block as one memcpy of its entry array,
+//               for plain, padding-free entries that are not integer pairs
+//               (leaf_store::raw_payload, e.g. double keys). Readers also
+//               accept it for integer pairs: streams written before the
+//               delta-coded kinds existed carry those blocks this way;
+//   kCodedRaw   a sealed front-coded or delta-coded block as its raw encoded
+//               region ({u32 bytes, u32 val_off} + the layout's byte
+//               streams); the u8 layout stamp in the header (the numeric
+//               key_layout value) keeps the two coded layouts from
+//               misreading each other's streams;
+//   kFlatDelta  a sealed flat leaf block whose key and value types are both
+//               integral (not bool), difference-encoded on the way out:
+//               {u32 key_bytes, key stream, value stream}, the byte streams
+//               of a delta-layout block (delta_codec and varint_values in
+//               pam/coded_block.h). The reader validates them with the
+//               codec's checked decoders and rebuilds a flat block.
+//
+// The delta-coded kinds shrink a 1M-entry sum_entry<u64, u64> stream (keys
+// at density 1/2, values below 1000, B = 32) from 16.56 MB to 3.81 MB.
 //
 // Writing is one walk over a byte sink, run twice by a writer that needs
 // the size first: measure() over a counting sink gives the exact stream
@@ -27,11 +42,12 @@
 // sink — a vector, or the checkpoint writer's page cursor
 // (store/checkpoint.h).
 //
-// Deserialization rebuilds each record into a map piece (blocks through the
-// stores' from_payload hooks, runs through from_sorted_unique) and folds
-// the pieces left-to-right with join2, checking key ordering at every
-// boundary. The augmented values of rebuilt blocks are recomputed, never
-// read from the payload. Integrity of the bytes themselves is the caller's
+// Deserialization rebuilds each record into a map piece (flat blocks through
+// leaf_store::build, coded blocks through coded_store::from_payload, runs
+// through from_sorted_unique) and folds the pieces left-to-right with
+// join2, checking key ordering inside every record and at every boundary.
+// The augmented values of rebuilt blocks are recomputed, never read from
+// the payload. Integrity of the bytes themselves is the caller's
 // contract: the durability layer (src/store/) wraps these streams in
 // CRC32C-checked pages, and deserialize throws pam::wire::error on any
 // framing it cannot prove consistent (truncation, bad counts, out-of-order
@@ -211,11 +227,21 @@ struct map_codec {
   static constexpr uint8_t kRun = 1;
   static constexpr uint8_t kFlatRaw = 2;
   static constexpr uint8_t kCodedRaw = 3;
+  static constexpr uint8_t kFlatDelta = 4;
+  static constexpr uint8_t kRunDelta = 5;
   // Inline-node runs flush at this many entries so one record never grows
   // unbounded (the store layer re-chunks streams into fixed-size pages).
   static constexpr size_t kRunFlush = 4096;
 
   static constexpr bool flat = ops::flat_layout;
+  // Do this layout's entries travel delta-coded (kFlatDelta, kRunDelta)?
+  // bool is left out: it has no difference encoding, and a varint other
+  // than 0 or 1 would not round-trip.
+  template <typename T>
+  static constexpr bool delta_field = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+  static constexpr bool delta_entries = flat && delta_field<K> && delta_field<V>;
+  using key_stream = delta_codec<typename Map::entry_policy>;
+  using value_stream = varint_values<V>;
   // Can this layout's sealed blocks travel as raw payloads?
   static constexpr bool raw_blocks = [] {
     if constexpr (flat) {
@@ -240,7 +266,8 @@ struct map_codec {
   };
 
   // The sizing pass: the encoding walk over a counting sink. Raw blocks
-  // cost one header read each; only run entries are visited one by one.
+  // cost one header read each, delta-coded blocks one length sum over their
+  // entries; nothing is encoded.
   static extent measure(const Map& m) {
     wire::byte_counter c;
     extent e;
@@ -285,6 +312,7 @@ struct map_codec {
     node* acc = nullptr;
     bool have_last = false;
     K last_key{};
+    std::vector<entry_t> es;  // one record's entries, reused across records
     try {
       for (uint32_t i = 0; i < records; i++) {
         uint8_t kind = r.u8();
@@ -292,7 +320,7 @@ struct map_codec {
         uint32_t len = r.u32();
         const char* payload = r.skip(len);
         K first{}, last{};
-        node* piece = read_record(kind, count, payload, len, first, last);
+        node* piece = read_record(kind, count, payload, len, es, first, last);
         if (have_last && !ops::less(last_key, first)) {
           ops::dec(piece);
           throw wire::error("map_codec: records out of key order");
@@ -318,6 +346,7 @@ struct map_codec {
     Sink* out;
     std::vector<entry_t> run;
     uint32_t records;
+    std::vector<char> streams;  // one delta-coded payload, encoded
   };
 
   // Write the stream header, claiming `records` records, then every record;
@@ -330,7 +359,7 @@ struct map_codec {
     wire::put_u16(out, entry_abi);
     wire::put_u64(out, static_cast<uint64_t>(m.size()));
     wire::put_u32(out, records);
-    state<Sink> s{&out, {}, 0};
+    state<Sink> s{&out, {}, 0, {}};
     walk(m.root_, s);
     flush_run(s);
     return s.records;
@@ -347,25 +376,55 @@ struct map_codec {
   template <typename Sink>
   static void flush_run(state<Sink>& s) {
     if (s.run.empty()) return;
-    wire::byte_counter len;
-    for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, len);
-    put_record_header(s, kRun, static_cast<uint32_t>(s.run.size()), len.bytes);
-    for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, *s.out);
+    auto n = static_cast<uint32_t>(s.run.size());
+    if constexpr (delta_entries) {
+      emit_delta(kRunDelta, s.run.data(), n, s);
+    } else {
+      wire::byte_counter len;
+      for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, len);
+      put_record_header(s, kRun, n, len.bytes);
+      for (const entry_t& e : s.run) wire::field_codec<entry_t>::write(e, *s.out);
+    }
     s.run.clear();
+  }
+
+  // n sorted entries as one delta-coded record: u32 key_bytes, then the key
+  // and value streams. The sizing pass sums the codec's lengths; the writing
+  // pass encodes into the state's buffer, then copies out.
+  template <typename Sink>
+  static void emit_delta(uint8_t kind, const entry_t* es, uint32_t n, state<Sink>& s) {
+    if constexpr (std::is_same_v<Sink, wire::byte_counter>) {
+      size_t len = sizeof(uint32_t) + key_stream::key_bytes(es, n) + value_stream::bytes(es, n);
+      put_record_header(s, kind, n, len);
+      s.out->bytes += len;
+    } else {
+      size_t most = 2 * size_t{n} * vint::kMaxLen;
+      if (s.streams.size() < most) s.streams.resize(most);
+      char* keys = s.streams.data();
+      char* vals = key_stream::encode(keys, es, n);
+      char* end = value_stream::encode(vals, es, n);
+      put_record_header(s, kind, n, sizeof(uint32_t) + size_t(end - keys));
+      wire::put_u32(*s.out, static_cast<uint32_t>(vals - keys));
+      wire::put_bytes(*s.out, keys, size_t(end - keys));
+    }
   }
 
   template <typename Sink>
   static void emit_chunk(const lblock* b, state<Sink>& s) {
     flush_run(s);
-    size_t len = lstore::payload_bytes(b);
-    if constexpr (flat) {
-      put_record_header(s, kFlatRaw, b->count, len);
+    if constexpr (delta_entries) {
+      emit_delta(kFlatDelta, b->entries(), b->count, s);
     } else {
-      put_record_header(s, kCodedRaw, b->count, len + 2 * sizeof(uint32_t));
-      wire::put_u32(*s.out, b->bytes);
-      wire::put_u32(*s.out, b->val_off);
+      size_t len = lstore::payload_bytes(b);
+      if constexpr (flat) {
+        put_record_header(s, kFlatRaw, b->count, len);
+      } else {
+        put_record_header(s, kCodedRaw, b->count, len + 2 * sizeof(uint32_t));
+        wire::put_u32(*s.out, b->bytes);
+        wire::put_u32(*s.out, b->val_off);
+      }
+      wire::put_bytes(*s.out, lstore::payload(b), len);
     }
-    wire::put_bytes(*s.out, lstore::payload(b), len);
   }
 
   template <typename Sink>
@@ -373,7 +432,7 @@ struct map_codec {
     if (t == nullptr) return;
     walk(t->left, s);
     if (ops::is_chunk(t)) {
-      if constexpr (raw_blocks) {
+      if constexpr (delta_entries || raw_blocks) {
         emit_chunk(t->blk, s);
       } else {
         // std::string keys forced flat: decode and ride the encoded run.
@@ -391,56 +450,42 @@ struct map_codec {
   }
 
   // Rebuild one record into an owned map piece; reports the piece's first
-  // and last key for the cross-record ordering check.
+  // and last key for the cross-record ordering check. Every kind decodes to
+  // its entries, which are checked for key order; a block kind becomes one
+  // sealed block, a run kind goes through from_sorted_unique.
   static node* read_record(uint8_t kind, uint32_t count, const char* payload,
-                           uint32_t len, K& first, K& last) {
+                           uint32_t len, std::vector<entry_t>& es, K& first, K& last) {
     if (count == 0) throw wire::error("map_codec: empty record");
+    es.clear();
+    lblock* adopted = nullptr;  // kCodedRaw: the block rebuilt from its region
     switch (kind) {
-      case kRun: {
-        // Bound the count by the payload before reserving for it, so a
-        // corrupt count is a wire::error and never a huge allocation.
-        if (count > len / wire::field_codec<entry_t>::kMinBytes) {
-          throw wire::error("map_codec: run count exceeds its payload");
-        }
-        wire::reader pr(payload, len);
-        std::vector<entry_t> es;
-        es.reserve(count);
-        for (uint32_t i = 0; i < count; i++) {
-          entry_t e = wire::field_codec<entry_t>::read(pr);
-          if (i != 0 && !ops::less(es.back().first, e.first)) {
-            throw wire::error("map_codec: run entries out of key order");
-          }
-          es.push_back(std::move(e));
-        }
-        if (pr.remaining() != 0) {
-          throw wire::error("map_codec: run payload length mismatch");
-        }
-        first = es.front().first;
-        last = es.back().first;
-        return ops::from_sorted_unique(es.data(), es.size());
-      }
-      case kFlatRaw: {
+      case kRun:
+        read_fields(count, payload, len, es);
+        break;
+      case kFlatRaw:
         if constexpr (flat && raw_blocks) {
           if (count > kMaxLeafBlock ||
               size_t{len} != size_t{count} * sizeof(entry_t)) {
             throw wire::error("map_codec: bad flat block frame");
           }
-          lblock* b = lstore::from_payload(payload, count);
-          const entry_t* es = b->entries();
-          for (uint32_t i = 1; i < count; i++) {
-            if (!ops::less(es[i - 1].first, es[i].first)) {
-              lstore::release(b);
-              throw wire::error("map_codec: block entries out of key order");
-            }
-          }
-          first = es[0].first;
-          last = es[count - 1].first;
-          return ops::make_chunk(b);
+          es.resize(count);
+          std::memcpy(static_cast<void*>(es.data()), payload, len);
         } else {
           throw wire::error("map_codec: flat block in non-flat stream");
         }
-      }
-      case kCodedRaw: {
+        break;
+      case kFlatDelta:
+      case kRunDelta:
+        if constexpr (delta_entries) {
+          if (kind == kFlatDelta && count > kMaxLeafBlock) {
+            throw wire::error("map_codec: delta-coded block larger than a leaf block");
+          }
+          read_delta(count, payload, len, es);
+        } else {
+          throw wire::error("map_codec: delta-coded record in a stream that has none");
+        }
+        break;
+      case kCodedRaw:
         if constexpr (!flat) {
           if (count > kMaxLeafBlock || len < 2 * sizeof(uint32_t)) {
             throw wire::error("map_codec: bad coded block frame");
@@ -452,31 +497,69 @@ struct map_codec {
               pr.remaining() != bytes - lblock::dir_offset()) {
             throw wire::error("map_codec: coded block length mismatch");
           }
-          lblock* b = lstore::from_payload(pr.p, count, bytes, val_off);
-          if (b == nullptr) {
+          adopted = lstore::from_payload(pr.p, count, bytes, val_off);
+          if (adopted == nullptr) {
             throw wire::error("map_codec: inconsistent coded block");
           }
-          // Decoded keys are checked for order; the decode itself is
-          // bounds-safe after from_payload's frame validation.
-          std::vector<entry_t> es;
+          // Bounds-safe after from_payload's frame validation.
           es.reserve(count);
-          lstore::decode_all(b, es);
-          for (uint32_t i = 1; i < count; i++) {
-            if (!ops::less(es[i - 1].first, es[i].first)) {
-              lstore::release(b);
-              throw wire::error("map_codec: block entries out of key order");
-            }
-          }
-          first = es.front().first;
-          last = es.back().first;
-          return ops::make_chunk(b);
+          lstore::decode_all(adopted, es);
         } else {
           throw wire::error("map_codec: coded block in flat stream");
         }
-      }
+        break;
       default:
         throw wire::error("map_codec: unknown record kind");
     }
+    for (size_t i = 1; i < es.size(); i++) {
+      if (!ops::less(es[i - 1].first, es[i].first)) {
+        if (adopted != nullptr) lstore::release(adopted);
+        throw wire::error("map_codec: record entries out of key order");
+      }
+    }
+    first = es.front().first;
+    last = es.back().first;
+    if (kind == kRun || kind == kRunDelta) return ops::from_sorted_unique(es.data(), es.size());
+    return ops::make_chunk(adopted != nullptr ? adopted : lstore::build(es.data(), count));
+  }
+
+  // A kRun payload: count field_codec entries, exactly filling it.
+  static void read_fields(uint32_t count, const char* payload, uint32_t len,
+                          std::vector<entry_t>& es) {
+    // Bound the count by the payload before reserving for it, so a corrupt
+    // count is a wire::error and never a huge allocation.
+    if (count > len / wire::field_codec<entry_t>::kMinBytes) {
+      throw wire::error("map_codec: run count exceeds its payload");
+    }
+    wire::reader pr(payload, len);
+    es.reserve(count);
+    for (uint32_t i = 0; i < count; i++) es.push_back(wire::field_codec<entry_t>::read(pr));
+    if (pr.remaining() != 0) {
+      throw wire::error("map_codec: run payload length mismatch");
+    }
+  }
+
+  // A delta-coded payload: u32 key_bytes, then exactly count key varints in
+  // that many bytes and count value varints in the rest, both validated by
+  // the codec's checked decoders before the trusted decode (which also
+  // bounds count by the payload before anything is reserved).
+  static void read_delta(uint32_t count, const char* payload, uint32_t len,
+                         std::vector<entry_t>& es) {
+    wire::reader pr(payload, len);
+    uint32_t key_len = pr.u32();
+    if (key_len > pr.remaining()) {
+      throw wire::error("map_codec: key stream runs past its payload");
+    }
+    const char* keys = pr.p;
+    const char* vals = keys + key_len;
+    if (key_stream::check(keys, vals, count) != vals ||
+        !value_stream::check(vals, size_t(pr.end - vals), count)) {
+      throw wire::error("map_codec: undecodable delta-coded record");
+    }
+    es.reserve(count);
+    typename key_stream::cursor kc(keys, count);
+    typename value_stream::reader vr(vals);
+    for (uint32_t i = 0; i < count; i++) es.emplace_back(kc.next(), vr.next());
   }
 };
 

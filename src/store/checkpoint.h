@@ -25,13 +25,16 @@
 // than page_bytes spans consecutive pages with increasing index; `last`
 // closes it. A data file is every stream's pages, stream after stream.
 //
-// The writer makes one pass over the bytes it writes. map_codec::measure
-// gives every shard stream's exact size, which fixes the whole file's page
-// layout; one page_image buffer of exactly the file's size is allocated;
-// each stream is encoded straight into its pages through a page_cursor
-// that steps over the header slots; each page is then checksummed in
-// place, and the file goes out as one append and one fsync. Sealed leaf
-// blocks reach their pages as one memcpy each (kFlatRaw / kCodedRaw).
+// The writer makes one pass over the bytes it writes, one scheduler task
+// per shard. map_codec::measure gives every shard stream's exact size,
+// which fixes the whole file's page layout; one page_image buffer of
+// exactly the file's size is allocated; each stream is encoded straight
+// into its own disjoint pages through a page_cursor that steps over the
+// header slots; the pages are then checksummed in place, in parallel, and
+// the file goes out as one append and one fsync. The bytes do not depend
+// on how the tasks were scheduled. Sealed leaf blocks reach their pages as
+// one memcpy each (kFlatRaw / kCodedRaw) or difference-encoded
+// (kFlatDelta, integer flat blocks).
 //
 // Readers reject any page that fails its checksum or breaks the index
 // chain, and any stream that never saw its last page — so a checkpoint
@@ -49,6 +52,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -195,26 +199,12 @@ class page_image {
   }
 
   // Write every page header, its CRC32C over (shard, index, len, last,
-  // payload) included. Call once every stream is written.
+  // payload) included; pages are independent, so they are sealed in
+  // parallel. Call once every stream is written.
   void seal() {
-    for (const stream& s : streams_) {
-      size_t n = pages(s);
-      for (size_t i = 0; i < n; i++) {
-        char* h = buf_.data() + s.offset + i * (kCkptPageHeader + page_bytes_);
-        size_t off = i * page_bytes_;
-        auto len = static_cast<uint32_t>(s.bytes - off < page_bytes_ ? s.bytes - off : page_bytes_);
-        auto index = static_cast<uint32_t>(i);
-        uint8_t last = i + 1 == n ? 1 : 0;
-        std::memcpy(h, &kCkptMagic, 4);
-        std::memcpy(h + 4, &s.shard, 4);
-        std::memcpy(h + 8, &index, 4);
-        std::memcpy(h + 12, &len, 4);
-        std::memcpy(h + 16, &last, 1);
-        uint32_t crc = crc32c(h + 4, 13);
-        crc = crc32c(h + kCkptPageHeader, len, crc);
-        std::memcpy(h + 17, &crc, 4);
-      }
-    }
+    parallel_for(0, streams_.size(), [&](size_t s) {
+      parallel_for(0, pages(streams_[s]), [&](size_t i) { seal_page(streams_[s], i); }, 1);
+    }, 1);
   }
 
   const char* data() const { return buf_.data(); }
@@ -224,6 +214,22 @@ class page_image {
   // A stream spans at least one page, so an empty stream still closes.
   size_t pages(const stream& s) const {
     return s.bytes == 0 ? 1 : (s.bytes + page_bytes_ - 1) / page_bytes_;
+  }
+
+  void seal_page(const stream& s, size_t i) {
+    char* h = buf_.data() + s.offset + i * (kCkptPageHeader + page_bytes_);
+    size_t off = i * page_bytes_;
+    auto len = static_cast<uint32_t>(s.bytes - off < page_bytes_ ? s.bytes - off : page_bytes_);
+    auto index = static_cast<uint32_t>(i);
+    uint8_t last = i + 1 == pages(s) ? 1 : 0;
+    std::memcpy(h, &kCkptMagic, 4);
+    std::memcpy(h + 4, &s.shard, 4);
+    std::memcpy(h + 8, &index, 4);
+    std::memcpy(h + 12, &len, 4);
+    std::memcpy(h + 16, &last, 1);
+    uint32_t crc = crc32c(h + 4, 13);
+    crc = crc32c(h + kCkptPageHeader, len, crc);
+    std::memcpy(h + 17, &crc, 4);
   }
 
   std::vector<stream> streams_;
@@ -411,25 +417,45 @@ struct checkpoint_io {
 
   // The full checkpoint of a cut as a data-file image: shard s's map_codec
   // stream under id s. A sizing pass over every shard lays out the pages,
-  // then each stream is encoded straight into them.
+  // then each stream is encoded straight into them; both passes run one
+  // task per shard.
   static page_image full_image(const snapshot_t& cut, size_t page_bytes) {
-    obs::span span("ckpt.encode");
     using codec = map_codec<Map>;
-    std::vector<typename codec::extent> extents;
-    std::vector<page_image::stream> streams;
-    extents.reserve(cut.num_shards());
-    streams.reserve(cut.num_shards());
-    for (size_t s = 0; s < cut.num_shards(); s++) {
-      extents.push_back(codec::measure(cut.shard(s)));
-      streams.push_back({static_cast<uint32_t>(s), extents[s].bytes});
+    const size_t n = cut.num_shards();
+    std::vector<typename codec::extent> extents(n);
+    {
+      obs::span span("ckpt.measure");
+      per_shard(n, [&](size_t s) { extents[s] = codec::measure(cut.shard(s)); });
     }
+    std::vector<page_image::stream> streams;
+    streams.reserve(n);
+    for (size_t s = 0; s < n; s++) streams.push_back({static_cast<uint32_t>(s), extents[s].bytes});
+    obs::span span("ckpt.encode");
     page_image img(std::move(streams), page_bytes);
-    for (size_t s = 0; s < cut.num_shards(); s++) {
+    per_shard(n, [&](size_t s) {
       page_cursor c = img.cursor(s);
       codec::encode(cut.shard(s), extents[s], c);
       if (c.left() != 0) throw std::logic_error("map_codec: encode fell short of measure");
-    }
+    });
     return img;
+  }
+
+  // f(s) for every shard s in parallel. An exception escaping a stolen task
+  // would terminate the program (parallel/scheduler.h), so each shard's
+  // failure is held and the first one rethrown after the join.
+  template <typename F>
+  static void per_shard(size_t n, const F& f) {
+    std::vector<std::exception_ptr> failed(n);
+    parallel_for(0, n, [&](size_t s) {
+      try {
+        f(s);
+      } catch (...) {
+        failed[s] = std::current_exception();
+      }
+    }, 1);
+    for (const std::exception_ptr& e : failed) {
+      if (e) std::rethrow_exception(e);
+    }
   }
 
   // The change stream between two cuts over the same splitters: per-shard

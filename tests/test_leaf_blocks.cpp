@@ -427,4 +427,24 @@ TEST(CodedBlocks, CursorAndViewsOverEncodedBlocks) {
   EXPECT_EQ(seen, 500u);
 }
 
+// vint::length is the byte count vint::put writes, at both sides of every
+// 7-bit boundary and at the ends of the u64 range.
+TEST(CodedBlocks, VarintLengthMatchesPutAtEverySevenBitBoundary) {
+  std::vector<uint64_t> vs = {0, uint64_t{1} << 63, UINT64_MAX};
+  for (int bits = 7; bits < 64; bits += 7) {
+    vs.push_back((uint64_t{1} << bits) - 1);
+    vs.push_back(uint64_t{1} << bits);
+  }
+  for (uint64_t v : vs) {
+    char buf[pam::vint::kMaxLen];
+    size_t written = size_t(pam::vint::put(buf, v) - buf);
+    EXPECT_EQ(pam::vint::length(v), written) << v;
+    uint64_t back = 0;
+    EXPECT_EQ(pam::vint::get_checked(buf, buf + written, back), buf + written) << v;
+    EXPECT_EQ(back, v);
+  }
+  static_assert(pam::vint::length(0) == 1 && pam::vint::length(127) == 1 &&
+                pam::vint::length(128) == 2 && pam::vint::length(UINT64_MAX) == 10);
+}
+
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +26,7 @@ using u64_map = pam::aug_map<pam::sum_entry<uint64_t, uint64_t>>;
 using str_map = pam::aug_map<pam::str_sum_entry<uint64_t>>;
 using delta_map = pam::aug_map<pam::delta_sum_entry<uint64_t, uint64_t>>;
 using padded_map = pam::aug_map<pam::sum_entry<uint32_t, uint64_t>>;
+using dbl_map = pam::aug_map<pam::sum_entry<double, uint64_t>>;
 
 // Sets the leaf block size for one test, restoring the previous one.
 struct block_size_guard {
@@ -614,6 +617,8 @@ TEST(WireCodec, AllSchemesAllLayoutsAllBlockSizes) {
 // u32 payload_len.
 constexpr size_t kStreamHeader = 20;
 constexpr size_t kRecordHeader = 9;
+// Record kinds (pam/serialize.h).
+constexpr uint8_t kRun = 1, kFlatRaw = 2, kFlatDelta = 4, kRunDelta = 5;
 
 // (kind, offset) of every record in a well-formed stream.
 std::vector<std::pair<uint8_t, size_t>> records_of(const std::vector<char>& wire) {
@@ -691,38 +696,128 @@ TEST(WireCodec, CorruptStreamsThrowNeverCrash) {
 // rejected before anything is reserved for it.
 TEST(WireCodec, RunCountBoundedByPayload) {
   block_size_guard guard(0);  // classic nodes: the stream is all runs
-  u64_map m;
-  for (uint64_t k = 0; k < 100; k++) m = u64_map::insert(std::move(m), k, k);
+  dbl_map m;
+  for (uint64_t k = 0; k < 100; k++) m = dbl_map::insert(std::move(m), double(k), k);
   std::vector<char> wire;
   m.serialize(wire);
   auto rs = records_of(wire);
   ASSERT_EQ(rs.size(), 1u);
-  ASSERT_EQ(rs[0].first, 1) << "expected one kRun record";
+  ASSERT_EQ(rs[0].first, kRun) << "expected one kRun record";
   for (uint32_t count : {uint32_t{101}, uint32_t{1} << 31, ~uint32_t{0}}) {
     auto bad = wire;
     std::memcpy(bad.data() + rs[0].second + 1, &count, 4);
-    EXPECT_THROW(u64_map::deserialize(bad.data(), bad.size()), pam::wire::error) << count;
+    EXPECT_THROW(dbl_map::deserialize(bad.data(), bad.size()), pam::wire::error) << count;
   }
 }
 
-// The near-memcpy path: sealed blocks of plain u64 pairs leave as kFlatRaw
-// records, one memcpy each, and come back through from_payload.
-static_assert(pam::map_codec<u64_map>::raw_blocks,
-              "sum_entry<uint64_t, uint64_t> blocks must serialize raw");
+// The near-memcpy path: sealed blocks of plain entries that are not integer
+// pairs leave as kFlatRaw records, one memcpy each, and come back as blocks.
+static_assert(pam::map_codec<dbl_map>::raw_blocks && !pam::map_codec<dbl_map>::delta_entries,
+              "sum_entry<double, uint64_t> blocks must serialize raw");
 
 TEST(WireCodec, FlatBlocksTravelRaw) {
   block_size_guard guard(32);
-  std::vector<u64_map::entry_t> es;
-  for (uint64_t k = 0; k < 1000; k++) es.emplace_back(k * 3, k);
-  u64_map m(std::move(es));
+  std::vector<dbl_map::entry_t> es;
+  for (uint64_t k = 0; k < 1000; k++) es.emplace_back(double(k) * 0.75 - 300.0, k);
+  dbl_map m(std::move(es));
   std::vector<char> wire;
   m.serialize(wire);
-  EXPECT_TRUE(has_record_kind(wire, 2)) << "no kFlatRaw record in the stream";
-  EXPECT_EQ(pam::map_codec<u64_map>::measure(m).bytes, wire.size());
+  EXPECT_TRUE(has_record_kind(wire, kFlatRaw)) << "no kFlatRaw record in the stream";
+  EXPECT_EQ(pam::map_codec<dbl_map>::measure(m).bytes, wire.size());
+  dbl_map rt = dbl_map::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(rt.check_valid());
+  EXPECT_EQ(rt.entries(), m.entries());
+  EXPECT_EQ(rt.aug_val(), m.aug_val());
+}
+
+// Round-trip m through serialize and check that its blocks left as
+// kFlatDelta records and its inline entries as kRunDelta records, that
+// nothing left raw or per field, and that measure() predicted the stream's
+// size.
+template <typename Map>
+void expect_travels_delta_coded(const Map& m) {
+  std::vector<char> wire;
+  m.serialize(wire);
+  EXPECT_TRUE(has_record_kind(wire, kFlatDelta)) << "no kFlatDelta record in the stream";
+  EXPECT_FALSE(has_record_kind(wire, kFlatRaw));
+  EXPECT_FALSE(has_record_kind(wire, kRun));
+  EXPECT_EQ(pam::map_codec<Map>::measure(m).bytes, wire.size());
+  Map rt = Map::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(rt.check_valid());
+  EXPECT_EQ(rt.entries(), m.entries());
+  EXPECT_EQ(rt.aug_val(), m.aug_val());
+}
+
+// Integer flat blocks and runs travel difference-encoded: a base key,
+// zigzag key deltas and varint values, under 4 bytes an entry here instead
+// of 16.
+static_assert(pam::map_codec<u64_map>::delta_entries && pam::map_codec<padded_map>::delta_entries);
+
+TEST(WireCodec, IntegerFlatBlocksTravelDeltaCoded) {
+  block_size_guard guard(32);
+  std::vector<u64_map::entry_t> es;
+  for (uint64_t k = 0; k < 1000; k++) es.emplace_back(k * 3, k % 300);
+  u64_map m(std::move(es));
+  expect_travels_delta_coded(m);
+  std::vector<char> wire;
+  m.serialize(wire);
+  EXPECT_TRUE(has_record_kind(wire, kRunDelta)) << "no inline entries between the blocks";
+  EXPECT_LT(wire.size(), 4 * m.size()) << "integer blocks are not compact";
+
+  // Values and keys across the whole range, in multi-byte varints.
+  pam::random_gen g(11);
+  u64_map wide;
+  for (int i = 0; i < 1000; i++) wide = u64_map::insert(std::move(wide), g.next(), g.next());
+  expect_travels_delta_coded(wide);
+
+  // Signed keys under a descending comparator, negative values: the key
+  // differences wrap in the key's unsigned width.
+  using desc_map = pam::aug_map<pam::sum_entry<int32_t, int16_t, std::greater<int32_t>>>;
+  desc_map d;
+  for (int32_t k = -700; k < 700; k += 3) {
+    d = desc_map::insert(std::move(d), k * 1000, static_cast<int16_t>(k));
+  }
+  d = desc_map::insert(std::move(d), INT32_MIN, int16_t{-32768});
+  d = desc_map::insert(std::move(d), INT32_MAX, int16_t{32767});
+  expect_travels_delta_coded(d);
+  expect_travels_delta_coded(padded_map{{1, 2}, {3, 4}, {UINT32_MAX, UINT64_MAX}});
+}
+
+// A u64 stream written the way the previous writer wrote it, every sealed
+// block as one kFlatRaw memcpy and every inline entry between two blocks as
+// a one-entry kRun, still loads: checkpoints taken before the delta-coded
+// kinds existed recover.
+TEST(WireCodec, RawFlatBlocksOfIntegerEntriesStillLoad) {
+  using codec = pam::map_codec<u64_map>;
+  constexpr uint32_t kEntry = sizeof(u64_map::entry_t);
+  std::vector<u64_map::entry_t> es;
+  for (uint64_t k = 0; k < 1000; k++) es.emplace_back(k * 5 + 1, k * k);
+  std::vector<char> records;
+  uint32_t n_records = 0;
+  for (size_t at = 0; at < es.size(); n_records++) {
+    // Blocks of 32 entries, each followed by one inline entry.
+    bool block = n_records % 2 == 0;
+    auto n = static_cast<uint32_t>(std::min<size_t>(block ? 32 : 1, es.size() - at));
+    pam::wire::put_u8(records, block ? kFlatRaw : kRun);
+    pam::wire::put_u32(records, n);
+    pam::wire::put_u32(records, n * kEntry);
+    pam::wire::put_bytes(records, es.data() + at, n * kEntry);
+    at += n;
+  }
+  std::vector<char> wire;
+  pam::wire::put_u32(wire, codec::kMagic);
+  pam::wire::put_u8(wire, static_cast<uint8_t>(pam::key_layout::flat));
+  pam::wire::put_u8(wire, pam::wire::kHostByteOrder);
+  pam::wire::put_u16(wire, uint16_t{kEntry});
+  pam::wire::put_u64(wire, es.size());
+  pam::wire::put_u32(wire, n_records);
+  wire.insert(wire.end(), records.begin(), records.end());
   u64_map rt = u64_map::deserialize(wire.data(), wire.size());
   ASSERT_TRUE(rt.check_valid());
-  EXPECT_EQ(rt.size(), m.size());
-  EXPECT_EQ(rt.aug_val(), m.aug_val());
+  EXPECT_EQ(rt.entries(), es);
+  // Raw blocks keep their key-order check.
+  std::swap_ranges(wire.end() - 32, wire.end() - 24, wire.end() - 16);
+  EXPECT_THROW(u64_map::deserialize(wire.data(), wire.size()), pam::wire::error);
 }
 
 // ---- hand-built coded-block records: each breaks exactly one frame rule --
@@ -807,6 +902,81 @@ TEST(WireCodec, DeltaBlockFrameRulesEnforced) {
   EXPECT_THROW(load(keys, 1), pam::wire::error);
 }
 
+TEST(WireCodec, DeltaCodedFlatBlockFrameRulesEnforced) {
+  block_size_guard guard(32);
+  // Keys 1..4 and values 10..40 in one flat block: u32 key_bytes = 4, key
+  // varints 01 02 02 02, value varints 0a 14 1e 28.
+  u64_map m{{1, 10}, {2, 20}, {3, 30}, {4, 40}};
+  std::vector<char> wire;
+  m.serialize(wire);
+  ASSERT_EQ(records_of(wire).size(), 1u);
+  ASSERT_EQ(wire.at(kStreamHeader), char(kFlatDelta));
+  const std::vector<char> head(wire.begin(), wire.begin() + kStreamHeader + 1);
+  const std::vector<char> keys = {1, 2, 2, 2}, vals = {10, 20, 30, 40};
+  auto u32 = [](uint32_t v) {
+    std::vector<char> b(4);
+    std::memcpy(b.data(), &v, 4);
+    return b;
+  };
+  auto record = [&](uint32_t count, uint32_t key_len, const std::vector<char>& key_stream,
+                    const std::vector<char>& value_stream) {
+    auto payload = concat({u32(key_len), key_stream, value_stream});
+    return concat({head, u32(count), u32(static_cast<uint32_t>(payload.size())), payload});
+  };
+  auto load = [&](const std::vector<char>& key_stream, const std::vector<char>& value_stream) {
+    auto w = record(4, static_cast<uint32_t>(key_stream.size()), key_stream, value_stream);
+    return u64_map::deserialize(w.data(), w.size());
+  };
+  ASSERT_EQ(record(4, 4, keys, vals), wire);
+  EXPECT_EQ(load(keys, vals).aug_val(), 100u);  // the reassembly itself is sound
+
+  // A key-stream length running past the payload.
+  for (uint32_t key_len : {uint32_t{9}, ~uint32_t{0}}) {
+    auto w = record(4, key_len, keys, vals);
+    EXPECT_THROW(u64_map::deserialize(w.data(), w.size()), pam::wire::error) << key_len;
+  }
+  // A key stream with a byte left over past its fourth varint.
+  EXPECT_THROW(load({1, 2, 2, 2, 0}, vals), pam::wire::error);
+  // A truncated varint: the last key delta's continuation bit set at the
+  // end of the key stream.
+  EXPECT_THROW(load({1, 2, 2, char(0x82)}, vals), pam::wire::error);
+  // An 11-byte varint base key.
+  std::vector<char> eleven(10, char(0x80));
+  eleven.push_back(1);
+  EXPECT_THROW(load(concat({eleven, {2, 2, 2}}), vals), pam::wire::error);
+  // Non-canonical zero padding (0x81 0x00 also decodes to 1), in a key and
+  // in a value.
+  EXPECT_THROW(load({char(0x81), 0, 2, 2, 2}, vals), pam::wire::error);
+  EXPECT_THROW(load(keys, {10, 20, 30, char(0xA8), 0}), pam::wire::error);
+  // A zero key delta: key 2 repeated breaks the block's key order.
+  EXPECT_THROW(load({1, 2, 0, 2}, vals), pam::wire::error);
+  // A count past the largest leaf block, and counts the streams disagree
+  // with.
+  for (uint32_t count : {uint32_t(pam::kMaxLeafBlock + 1), uint32_t{3}, uint32_t{5}}) {
+    auto w = record(count, 4, keys, vals);
+    EXPECT_THROW(u64_map::deserialize(w.data(), w.size()), pam::wire::error) << count;
+  }
+  // A value stream one value short, and one byte long.
+  EXPECT_THROW(load(keys, {10, 20, 30}), pam::wire::error);
+  EXPECT_THROW(load(keys, {10, 20, 30, 40, 50}), pam::wire::error);
+  // A payload too short to hold its key-stream length.
+  auto w = concat({head, u32(4), u32(3), {0, 0, 0}});
+  EXPECT_THROW(u64_map::deserialize(w.data(), w.size()), pam::wire::error);
+
+  // The same payload as a kRunDelta record loads too, and the same rules
+  // hold; its count is bounded by the payload, not by a block.
+  std::vector<char> run = record(4, 4, keys, vals);
+  run[kStreamHeader] = char(kRunDelta);
+  EXPECT_EQ(u64_map::deserialize(run.data(), run.size()).entries(), m.entries());
+  for (uint32_t count : {uint32_t{5}, uint32_t{1} << 31}) {
+    auto bad = run;
+    std::memcpy(bad.data() + kStreamHeader + 1, &count, 4);
+    EXPECT_THROW(u64_map::deserialize(bad.data(), bad.size()), pam::wire::error) << count;
+  }
+  run[kStreamHeader + 1 + 4 + 4 + 4 + 2] = 0;  // key 3 = key 2
+  EXPECT_THROW(u64_map::deserialize(run.data(), run.size()), pam::wire::error);
+}
+
 TEST(WireCodec, FrontCodedBlockFrameRulesEnforced) {
   block_size_guard guard(32);
   // Keys "a" "b" "c": a u32 directory {3, 6, 9}, three records {u16 0,
@@ -881,14 +1051,14 @@ TEST(WireCodec, SerializeIsByteIdenticalAcrossPoolChurn) {
       [](uint64_t i, uint64_t salt) { return i * 3 + salt; });
   expect_serialize_stable_across_churn<u64_map>(
       [](uint64_t i, uint64_t salt) { return i * 3 + salt; });
-  // A padded pair (4 pad bytes after the key) must stay on per-field runs:
-  // a raw copy would carry recycled pool bytes in the pad.
+  // A padded pair (4 pad bytes after the key) must never travel raw: a raw
+  // copy would carry recycled pool bytes in the pad.
   static_assert(!pam::map_codec<padded_map>::raw_blocks);
   expect_serialize_stable_across_churn<padded_map>(
       [](uint64_t i, uint64_t salt) { return static_cast<uint32_t>(i * 3 + salt); });
   std::vector<char> wire;
   padded_map{{1, 2}, {3, 4}}.serialize(wire);
-  EXPECT_FALSE(has_record_kind(wire, 2));
+  EXPECT_FALSE(has_record_kind(wire, kFlatRaw));
 }
 
 TEST(WireCodec, CrossEndianStreamRejected) {
@@ -1028,6 +1198,59 @@ TEST(Durability, FullCheckpointFileMatchesReferenceFraming) {
   expect_full_file_matches_reference<delta_map>("oracle_delta", {50000}, [](uint64_t i) {
     return delta_map::entry_t{i * 7, i};
   });
+}
+
+// The full image does not depend on how its shard tasks and page CRCs were
+// scheduled: on 1 worker and on 4 it is the same bytes, and those are the
+// reference framing.
+template <typename Map, typename MakeEntry>
+void expect_image_independent_of_workers(std::vector<typename Map::K> splitters, size_t n,
+                                         MakeEntry make) {
+  pam::sharded_map<Map> shards(splitters);
+  std::vector<typename Map::entry_t> bulk;
+  for (uint64_t i = 0; i < n; i++) bulk.push_back(make(i));
+  shards.multi_insert(std::move(bulk));
+  auto cut = shards.snapshot_all();
+  const int before = pam::num_workers();
+  for (size_t page : {size_t{61}, size_t{4096}}) {
+    pam::set_num_workers(1);
+    std::vector<char> serial = pam_test::image_full_file(cut, page);
+    pam::set_num_workers(4);
+    std::vector<char> parallel = pam_test::image_full_file(cut, page);
+    pam::set_num_workers(before);
+    EXPECT_TRUE(serial == parallel) << "page " << page;
+    EXPECT_TRUE(parallel == pam_test::reference_full_file(cut, page)) << "page " << page;
+  }
+}
+
+TEST(Durability, FullImageSameOnOneWorkerAndOnFour) {
+  block_size_guard guard(32);
+  // Eight shards, the last two empty.
+  expect_image_independent_of_workers<u64_map>(
+      {1000, 2000, 4000, 8000, 16000, 40000, 50000}, 10000,
+      [](uint64_t i) { return u64_map::entry_t{i * 3, i}; });
+  expect_image_independent_of_workers<str_map>(
+      {"k/2", "k/4", "k/6"}, 5000,
+      [](uint64_t i) { return str_map::entry_t{"k/" + std::to_string(i), i}; });
+}
+
+// No exception leaves a shard task: every shard still runs, and the first
+// shard's failure is rethrown on the calling thread after the join.
+TEST(Durability, ShardTaskFailuresRethrownAfterTheJoin) {
+  const int before = pam::num_workers();
+  pam::set_num_workers(4);
+  std::vector<std::atomic<int>> ran(64);
+  try {
+    pam::store::checkpoint_io<u64_map>::per_shard(ran.size(), [&](size_t s) {
+      ran[s]++;
+      if (s % 7 == 3) throw std::logic_error("shard " + std::to_string(s));
+    });
+    ADD_FAILURE() << "no failure rethrown";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "shard 3");
+  }
+  pam::set_num_workers(before);
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
 }
 
 TEST(Durability, RecoverOnEmptyDirectoryIsNullopt) {
