@@ -10,6 +10,16 @@
 //      per entry for the same map, both layouts built in-process. The
 //      blocked layout must be >= 2x denser; with PAM_PERF_GATE=1 the gate
 //      is enforced by exit code (the CI perf-smoke job).
+//  (e) pool footprint after a parallel free: build two maps, run a few
+//      rounds of union and filter on them and drop the results (all in
+//      parallel), kv_store::trim_memory(), then report the pools' reserved
+//      bytes over their live bytes. Slots freed by the
+//      parallel teardown sit in the workers' caches until trim hands them
+//      back; any it misses pin whole chunks and push the ratio above 1.
+//      The section starts from trimmed pools: maps built from the slots
+//      earlier sections left on the free lists are spread over old chunks,
+//      and that fragmentation (trim never moves a live slot) would swamp
+//      what this row measures.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
 // are properties of one-node-per-entry path copying.
@@ -20,6 +30,7 @@
 #include "apps/range_sum.h"
 #include "apps/range_tree.h"
 #include "common/bench_util.h"
+#include "server/kv_store.h"
 
 namespace {
 using namespace pam;
@@ -134,10 +145,44 @@ int main() {
   }
   set_leaf_block_size(saved_b);
 
+  // ------------- (e) pool bytes reserved vs used after a parallel free ----
+  std::printf("\n--- pools after a parallel free and trim_memory ---\n");
+  {
+    using store_t = kv_store<range_sum_map>;
+    store_t::trim_memory();
+    // Each worker keeps one partly carved chunk per pool, live slots and
+    // all: a fixed ~64 KB x workers x pools. Below ~500K entries per map
+    // that, not trim, sets the ratio, so small PAM_BENCH_SCALEs stop there.
+    size_t tn = std::max<size_t>(scaled_size(2000000), 500000);
+    range_sum_map a(kv_entries(tn, 31));
+    range_sum_map b(kv_entries(tn, 32));
+    // A few rounds of the bulk kernel, as a server would run them: later
+    // rounds allocate from the scattered slots earlier rounds freed, so
+    // their trees (and the workers' caches after teardown) span many chunks.
+    for (int round = 0; round < 3; round++) {
+      range_sum_map u = range_sum_map::map_union(a, b);
+      range_sum_map f = range_sum_map::filter(
+          u, [](uint64_t, uint64_t v) { return v % 2 == 0; });
+    }  // parallel teardown of u and f
+    store_t::trim_memory();
+    auto mem = store_t::memory();
+    double over = static_cast<double>(mem.reserved_bytes) /
+                  static_cast<double>(mem.used_bytes);
+    std::printf("reserved %zu B, used %zu B, reserved/used %.3f\n",
+                mem.reserved_bytes, mem.used_bytes, over);
+    bench_json("bench_table4_space", "trim_after_parallel_free", "reserved_bytes",
+               static_cast<double>(mem.reserved_bytes));
+    bench_json("bench_table4_space", "trim_after_parallel_free", "used_bytes",
+               static_cast<double>(mem.used_bytes));
+    bench_json("bench_table4_space", "trim_after_parallel_free",
+               "reserved_over_used", over);
+  }
+
   std::printf("\nShape checks vs paper Table 4:\n");
   std::printf(" * union sharing: ~0-5%% for m=n, large (tens of %%) for m<<n\n");
   std::printf(" * range-tree inner sharing ~10-20%%\n");
   std::printf(" * blocked leaves >= 2x denser than the classic layout\n");
+  std::printf(" * pools reserve ~1x their live bytes after a parallel free + trim\n");
 
   if (env_long("PAM_PERF_GATE", 0) != 0 && ratio < 2.0) {
     std::printf("\nFAIL: blocked-leaf space ratio %.2fx below the 2x gate\n", ratio);

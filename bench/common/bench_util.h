@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/arena.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -163,6 +164,7 @@ inline void dump_observability() {
   if (const char* p = std::getenv("PAM_METRICS_DUMP");
       p != nullptr && *p != '\0') {
     std::ofstream os(p);
+    block_pool::used_bytes_all();  // refreshes pam_arena_used_bytes
     if (os) obs::prometheus_text(obs::registry::get().scrape(), os);
   }
   if (const char* p = std::getenv("PAM_TRACE_JSON");

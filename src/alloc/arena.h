@@ -6,13 +6,15 @@
 // and raw_pool (runtime slot size) each carried their own copy of the same
 // two-level pool: thread-local free lists refilled in batches from a
 // mutex-protected global list, cache-line-striped live counters, chunks
-// carved from the OS and never returned. Both are now thin shims over one
+// carved from the heap and never released. Both are now thin shims over one
 // class, block_pool, which additionally
 //
 //   * records the provenance of every carved chunk, so reserved/used
 //     accounting is exact and reserved_bytes() reports the true footprint;
-//   * can give fully-free chunks back to the OS (trim()), instead of
-//     "memory is returned only at process exit";
+//   * can release fully-free chunks (trim(), trim_all()), instead of
+//     "memory is returned only at process exit". Released chunks go back
+//     through ::operator delete to the C++ heap, not to the OS: glibc keeps
+//     most of them mapped for reuse, so the process RSS barely drops;
 //   * stripes its live counters by a hashed thread id for *all* threads —
 //     scheduler workers and foreign server threads alike — instead of
 //     funneling every non-worker thread onto one shared stripe.
@@ -72,6 +74,7 @@ struct alloc_metrics_t {
   obs::counter epoch_retired{"pam_epoch_retired_total"};
   obs::gauge limbo_depth{"pam_epoch_limbo_depth"};
   obs::gauge reserved_bytes{"pam_arena_reserved_bytes"};
+  obs::gauge used_bytes{"pam_arena_used_bytes"};
   obs::counter trimmed_bytes{"pam_arena_trimmed_bytes_total"};
 };
 
@@ -334,8 +337,8 @@ class epoch {
 //     list in batches sized to ~64KB of slots, so the mutex is amortized
 //     to invisibility;
 //   * when the global list is dry a chunk of `batch` slots is carved from
-//     the OS and recorded in the chunk table (provenance: base, slot count),
-//     which is what makes reserved_bytes() exact and trim() possible;
+//     the heap and recorded in the chunk table (provenance: base, slot
+//     count), which is what makes reserved_bytes() exact and trim() possible;
 //   * live counts are striped across cache lines, indexed by scheduler
 //     worker id or, for foreign threads, a hashed thread-local id.
 class block_pool {
@@ -392,12 +395,13 @@ class block_pool {
     return total;
   }
 
-  // Slots ever carved from the OS and not yet trimmed (capacity, not usage).
+  // Slots ever carved and not yet trimmed (capacity, not usage).
   int64_t reserved() const { return reserved_.load(std::memory_order_relaxed); }
 
-  // Exact OS footprint of this pool: every live chunk's slots times the slot
+  // Exact footprint of this pool: every live chunk's slots times the slot
   // stride. reserved_bytes() == reserved() * slot_bytes() by construction —
-  // the chunk table is the ground truth both derive from.
+  // the chunk table is the ground truth both derive from. This is heap the
+  // pool holds, not process RSS (see trim()).
   size_t reserved_bytes() const {
     return static_cast<size_t>(reserved_.load(std::memory_order_relaxed)) *
            slot_bytes_;
@@ -405,17 +409,19 @@ class block_pool {
 
   size_t slot_bytes() const { return slot_bytes_; }
 
-  // Return fully-free chunks to the OS; reports the bytes released.
+  // Release fully-free chunks; reports the bytes released.
   //
   // The calling thread's local cache is handed back first, so a quiescent
-  // single-threaded "free everything then trim" round-trips memory to the
-  // OS. Slots parked in *other* threads' caches conservatively pin their
-  // chunks (they are in use from the pool's point of view); a long-lived
-  // server gets the best results by trimming from its maintenance thread
-  // after an epoch::drain(). This is an explicit maintenance operation: it
-  // sorts the global free list under the pool mutex (O(F log F)), so
-  // allocation misses in other threads stall for its duration — schedule
-  // trims off the serving path.
+  // single-threaded "free everything then trim" releases every chunk. Slots
+  // parked in *other* threads' caches conservatively pin their chunks (they
+  // are in use from the pool's point of view); trim_all() first has every
+  // scheduler worker hand its caches back. Released chunks go to the C++
+  // heap through ::operator delete. glibc keeps most of them mapped, so RSS
+  // barely drops; what it trims off the top of its heaps the next carve
+  // faults back in. This is
+  // an explicit maintenance operation: it sorts the global free list under
+  // the pool mutex (O(F log F)), so allocation misses in other threads
+  // stall for its duration — schedule trims off the serving path.
   size_t trim() {
     // Pointers from distinct chunks are compared throughout with std::less,
     // the standard's total order over raw pointers (built-in < between
@@ -469,8 +475,8 @@ class block_pool {
     alloc_internal::alloc_metrics().reserved_bytes.add(
         -static_cast<int64_t>(released_bytes));
     alloc_internal::alloc_metrics().trimmed_bytes.inc(released_bytes);
-    // The OS handback happens after the mutex drops: concurrent refills and
-    // overflows need not wait on the kernel.
+    // The heap handback happens after the mutex drops: concurrent refills
+    // and overflows need not wait on the allocator.
     for (const auto& range : released) {
       ::operator delete(range.first, std::align_val_t{align_});
     }
@@ -479,10 +485,11 @@ class block_pool {
 
   // ---------------------------------------------- directory-wide rollups --
 
-  // Total OS footprint across every pool in the process (typed node pools
-  // and leaf-block pools alike — they all register here). The directory
-  // mutex is held across the walk: a pool cannot be destroyed mid-visit
-  // (its destructor serializes on the same mutex to unregister).
+  // Total footprint across every pool in the process (typed node pools and
+  // leaf-block pools alike — they all register here): heap held by the
+  // pools, not process RSS. The directory mutex is held across the walk: a
+  // pool cannot be destroyed mid-visit (its destructor serializes on the
+  // same mutex to unregister).
   static size_t reserved_bytes_all() {
     directory_t& d = directory();
     mutex_guard lock(d.mu);
@@ -493,11 +500,42 @@ class block_pool {
     return total;
   }
 
+  // Live bytes across every pool: used() slots times the stride. Exact when
+  // quiescent. The pam_arena_used_bytes gauge is refreshed here rather than
+  // on every allocate/deallocate, which would put a shared atomic on the
+  // hot path.
+  static size_t used_bytes_all() {
+    directory_t& d = directory();
+    mutex_guard lock(d.mu);
+    size_t total = 0;
+    for (block_pool* p : d.pools) {
+      if (p != nullptr) {
+        total += static_cast<size_t>(std::max<int64_t>(p->used(), 0)) *
+                 p->slot_bytes();
+      }
+    }
+    alloc_internal::alloc_metrics().used_bytes.set(static_cast<int64_t>(total));
+    return total;
+  }
+
   // Trim every pool; returns the total bytes released. Best preceded by
-  // epoch::drain() so limbo-held trees have actually been freed. Holds the
-  // directory mutex across the walk (see reserved_bytes_all); the lock
-  // order directory.mu -> pool.mu_ is the same everywhere.
+  // epoch::drain() so limbo-held trees have actually been freed.
+  //
+  // Every spawned scheduler worker first hands its caches back from its
+  // own thread (scheduler::on_each_worker), so slots freed by parallel
+  // teardown no longer pin their chunks. Two kinds of cache stay out of
+  // reach: worker 0's when the caller is another thread (worker 0 is the
+  // user's thread and answers no hook), and those of long-lived foreign
+  // threads — combiner flushers, server clients — which keep fewer than 4
+  // batches per pool each until they call trim themselves or exit.
+  //
+  // The hand-back runs before the directory mutex is taken (each worker
+  // takes it briefly itself); the walk then holds it (see
+  // reserved_bytes_all), and the lock order directory.mu -> pool.mu_ is the
+  // same everywhere.
   static size_t trim_all() {
+    internal::scheduler::on_each_worker(
+        [](void*) { thread_caches().hand_back(); }, nullptr);
     directory_t& d = directory();
     mutex_guard lock(d.mu);
     size_t total = 0;
@@ -579,6 +617,7 @@ class block_pool {
   void take_back(std::vector<void*>& blocks) {
     mutex_guard lock(mu_);
     for (void* p : blocks) free_slots_.push_back(p);
+    blocks.clear();
   }
 
   // ------------------------------------------------- pool id directory --
@@ -608,11 +647,14 @@ class block_pool {
     d.pools[static_cast<size_t>(id)] = nullptr;
   }
 
-  // Per-thread free lists for every pool, indexed by pool id. On thread
-  // exit everything is handed back so slots are never stranded.
+  // Per-thread free lists for every pool, indexed by pool id. Only the
+  // owning thread touches them: on thread exit, and when trim_all() asks a
+  // scheduler worker, everything is handed back to the pools.
   struct tl_caches {
     std::vector<std::vector<void*>> by_pool;
-    ~tl_caches() {
+    ~tl_caches() { hand_back(); }
+
+    void hand_back() {
       directory_t& d = directory();
       // The directory mutex is held across the hand-back itself, not just
       // the lookup: a pool destructor unregisters under the same mutex, so
@@ -621,15 +663,24 @@ class block_pool {
       // chunks are released); just drop the stale slot pointers.
       mutex_guard lock(d.mu);
       for (size_t i = 0; i < by_pool.size(); i++) {
-        if (by_pool[i].empty() || i >= d.pools.size()) continue;
+        if (by_pool[i].empty()) continue;
         block_pool* owner = d.pools[i];
-        if (owner != nullptr) owner->take_back(by_pool[i]);
+        if (owner != nullptr) {
+          owner->take_back(by_pool[i]);
+        } else {
+          by_pool[i].clear();
+        }
       }
     }
   };
 
-  static std::vector<void*>& local_cache(int id) {
+  static tl_caches& thread_caches() {
     static thread_local tl_caches tl;
+    return tl;
+  }
+
+  static std::vector<void*>& local_cache(int id) {
+    tl_caches& tl = thread_caches();
     if (tl.by_pool.size() <= static_cast<size_t>(id)) {
       tl.by_pool.resize(static_cast<size_t>(id) + 1);
     }

@@ -8,11 +8,20 @@
 namespace pam {
 namespace internal {
 
+namespace {
+// The scheduler once it exists, for callers that must not create it.
+std::atomic<scheduler*> g_live{nullptr};
+}  // namespace
+
 scheduler& scheduler::get() {
   // Leaked on purpose: workers may still be parked in their idle loop while
   // static destructors run, so the scheduler must outlive all of them.
-  // pam-lint: allow(naked-new) — immortal process-wide singleton.
-  static scheduler* instance = new scheduler();
+  static scheduler* instance = [] {
+    // pam-lint: allow(naked-new) — immortal process-wide singleton.
+    auto* s = new scheduler();
+    g_live.store(s, std::memory_order_release);
+    return s;
+  }();
   return *instance;
 }
 
@@ -29,6 +38,7 @@ void scheduler::spawn_workers(int p) {
   deques_.clear();
   deques_.reserve(p);
   for (int i = 0; i < p; i++) deques_.push_back(std::make_unique<ws_deque>());
+  hook_asked_ = std::make_unique<hook_flag[]>(static_cast<size_t>(p));
   shutdown_.store(false, std::memory_order_relaxed);
   threads_.reserve(p - 1);
   for (int i = 1; i < p; i++) {
@@ -54,6 +64,7 @@ void scheduler::worker_loop(int id) {
   uint64_t rng_state = hash64(0x9e1ull * (id + 1));
   int failures = 0;
   while (!shutdown_.load(std::memory_order_acquire)) {
+    answer_hook(id);
     work_item* w = try_steal(id, rng_state);
     if (w != nullptr) {
       w->execute(w);
@@ -84,6 +95,7 @@ void scheduler::wait_until_done(std::atomic<bool>& flag, int self) {
   uint64_t rng_state = hash64(0xabcdULL + self);
   int failures = 0;
   while (!flag.load(std::memory_order_acquire)) {
+    answer_hook(self);
     work_item* w = try_steal(self, rng_state);
     if (w != nullptr) {
       w->execute(w);
@@ -93,6 +105,49 @@ void scheduler::wait_until_done(std::atomic<bool>& flag, int self) {
       failures = 0;
     }
   }
+}
+
+void scheduler::on_each_worker(void (*hook)(void*), void* arg) {
+  scheduler* s = g_live.load(std::memory_order_acquire);
+  if (s == nullptr) {
+    hook(arg);
+    return;
+  }
+  s->broadcast(hook, arg);
+}
+
+void scheduler::broadcast(void (*hook)(void*), void* arg) {
+  int self = tl_worker_id();
+  // Claim the request slot. A worker that has to wait for it answers the
+  // request holding it, so two workers calling at once cannot wait on each
+  // other.
+  bool busy = false;
+  while (!hook_busy_.compare_exchange_weak(busy, true, std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+    busy = false;
+    if (self > 0) answer_hook(self);
+    std::this_thread::yield();
+  }
+  hook_fn_ = hook;
+  hook_arg_ = arg;
+  hook_pending_.store(num_workers_ - 1 - (self > 0 ? 1 : 0),
+                      std::memory_order_relaxed);
+  for (int i = 1; i < num_workers_; i++) {
+    if (i != self) hook_asked_[i].asked.store(true, std::memory_order_release);
+  }
+  hook(arg);
+  while (hook_pending_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::yield();
+  }
+  hook_busy_.store(false, std::memory_order_release);
+}
+
+void scheduler::answer_hook(int self) {
+  hook_flag& f = hook_asked_[self];
+  if (!f.asked.load(std::memory_order_acquire)) return;
+  hook_fn_(hook_arg_);
+  f.asked.store(false, std::memory_order_relaxed);
+  hook_pending_.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace internal

@@ -175,8 +175,29 @@ class scheduler {
   static int worker_id() noexcept { return tl_worker_id(); }
 
   // Resize the pool. Must be called at a quiescent point (no parallel work
-  // in flight) from the thread that owns worker id 0.
+  // in flight, no on_each_worker call pending) from the thread that owns
+  // worker id 0.
   void set_num_workers(int p);
+
+  // Run hook(arg) once on every spawned worker (ids 1..P-1), each from its
+  // own scheduling loop, and once inline on the calling thread; return when
+  // all have run it. This is how per-thread state that only its owner may
+  // touch (block_pool's free-list caches) is reached from one thread.
+  //
+  //   * Workers answer both when idle (worker_loop) and while helping a
+  //     join (wait_until_done), so a call made from inside a parallel task
+  //     cannot deadlock on a worker that is waiting for that very task.
+  //   * A worker busy in user code answers when that code returns to the
+  //     scheduler; the hook must not wait on anything the caller holds.
+  //   * Worker 0 is never asked: outside par_do it is the user's own
+  //     thread, in no scheduler loop, so a foreign caller cannot reach it.
+  //   * Calls are served one at a time; a worker queued behind another
+  //     call keeps answering it meanwhile.
+  //
+  // Before the scheduler exists there are no spawned workers and the hook
+  // just runs inline; this never creates the scheduler. Maintenance only:
+  // the caller spins until the last (possibly sleeping) worker answers.
+  static void on_each_worker(void (*hook)(void*), void* arg);
 
   template <typename L, typename R>
   void par_do(L&& left, R&& right) {
@@ -214,11 +235,28 @@ class scheduler {
   void worker_loop(int id);
   work_item* try_steal(int self, uint64_t& rng_state);
   void wait_until_done(std::atomic<bool>& flag, int self);
+  void broadcast(void (*hook)(void*), void* arg);
+  void answer_hook(int self);
+
+  // One flag per worker, on its own line: set by an on_each_worker caller,
+  // polled and cleared by the owning worker.
+  struct alignas(64) hook_flag {
+    std::atomic<bool> asked{false};
+  };
 
   std::vector<std::unique_ptr<ws_deque>> deques_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   int num_workers_ = 1;
+
+  // on_each_worker's single request. hook_busy_ owns it; hook_fn_/hook_arg_
+  // are written by the owner before any flag is raised (release) and read
+  // by a worker after it sees its flag (acquire).
+  std::unique_ptr<hook_flag[]> hook_asked_;
+  std::atomic<bool> hook_busy_{false};
+  std::atomic<int> hook_pending_{0};
+  void (*hook_fn_)(void*) = nullptr;
+  void* hook_arg_ = nullptr;
 };
 
 }  // namespace internal

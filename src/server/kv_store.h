@@ -297,9 +297,11 @@ class kv_store {
   // process — this store's combiner/WAL/checkpoint series, the global
   // cut/epoch/arena/scheduler series — merged by (name, label), plus this
   // store's per-shard entry counts refreshed as pam_shard_entries{shard="s"}
-  // gauges. With PAM_METRICS=0 the snapshot is empty.
+  // gauges and the process-wide pam_arena_used_bytes. With PAM_METRICS=0
+  // the snapshot is empty.
   obs::registry_snapshot metrics() const {
     refresh_shard_gauges();
+    block_pool::used_bytes_all();  // refreshes pam_arena_used_bytes
     return obs::registry::get().scrape();
   }
 
@@ -322,21 +324,28 @@ class kv_store {
   // numbers cover all stores, not just this one).
 
   struct memory_stats {
-    size_t reserved_bytes;   // exact OS footprint of all pools
+    size_t reserved_bytes;   // exact heap footprint of all pools (not RSS)
+    size_t used_bytes;       // live slots x stride, summed over pools
     size_t limbo_retired;    // displaced versions awaiting epoch drain
   };
 
   static memory_stats memory() {
-    return {block_pool::reserved_bytes_all(), epoch::pending()};
+    return {block_pool::reserved_bytes_all(), block_pool::used_bytes_all(),
+            epoch::pending()};
   }
 
   // Reclaim what a long-lived server can: drive the epoch forward so
-  // displaced versions in limbo are destroyed (parallel teardown), then
-  // return fully-free chunks from every pool to the OS. Returns the bytes
-  // released. Readers are never blocked; chunks pinned by other threads'
-  // local caches stay resident (see block_pool::trim). EXCLUDES: calling
-  // this from inside an epoch::guard could never drain past the caller's
-  // own pin — the contract propagates from epoch::drain.
+  // displaced versions in limbo are destroyed (parallel teardown), have
+  // every scheduler worker hand its pool caches back, then release
+  // fully-free chunks from every pool to the C++ heap. Returns the bytes
+  // released. The heap keeps most of them mapped, so this lowers
+  // reserved_bytes, not the process RSS. Readers are never blocked;
+  // chunks pinned by worker 0's cache (when called from another thread)
+  // or by long-lived foreign threads' caches stay reserved (see
+  // block_pool::trim_all). Safe to call from a parallel task or a foreign
+  // thread. EXCLUDES: calling this from inside an epoch::guard could never
+  // drain past the caller's own pin — the contract propagates from
+  // epoch::drain.
   static size_t trim_memory() PAM_EXCLUDES(epoch_domain) {
     epoch::drain();
     return block_pool::trim_all();

@@ -1,10 +1,12 @@
 // Tests for the unified pool layer (src/alloc/arena.h) and its typed /
 // runtime-sized facades (type_allocator, raw_pool): hot-path correctness,
 // exact striped accounting from worker and foreign threads alike, chunk
-// provenance (reserved_bytes) and trim(). Also the bulk scratch buffer
+// provenance (reserved_bytes), trim(), and trim_all() reaching the caches of
+// every scheduler worker. Also the bulk scratch buffer
 // (src/alloc/scratch_buffer.h): sizes around the huge-page threshold.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <utility>
 #include <set>
@@ -14,7 +16,9 @@
 #include "alloc/leaf_pool.h"
 #include "alloc/scratch_buffer.h"
 #include "alloc/type_allocator.h"
+#include "pam/pam.h"
 #include "parallel/parallel.h"
+#include "server/kv_store.h"
 
 namespace {
 
@@ -257,6 +261,129 @@ TEST(Arena, ForeignThreadsKeepCountsExact) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.used(), base);
+}
+
+// ------------------------------------------- trim_all and worker caches --
+
+// Runs body(worker_id) once on every scheduler worker, all at the same
+// time: a parallel_for with one iteration per worker whose iterations wait
+// for each other, so no worker can run two of them. Forces at least 4
+// workers for its duration. Returns false if the workers never all met
+// (a pool that cannot steal), which the callers assert on.
+template <typename F>
+bool on_every_worker_at_once(const F& body) {
+  int saved = pam::num_workers();
+  if (saved < 4) pam::set_num_workers(4);
+  const size_t p = static_cast<size_t>(pam::num_workers());
+  std::atomic<size_t> arrived{0};
+  std::atomic<bool> met{true};
+  pam::parallel_for(0, p, [&](size_t) {
+    arrived.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < p) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        met.store(false);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    body(pam::worker_id());
+  }, 1);
+  if (saved < 4) pam::set_num_workers(saved);
+  return met.load();
+}
+
+// Allocate a few chunks' worth of slots and free them all, leaving them in
+// the calling thread's cache for `pool`.
+void churn(pam::raw_pool& pool) {
+  std::vector<void*> mine;
+  for (int i = 0; i < 1500; i++) mine.push_back(pool.allocate());
+  for (void* q : mine) pool.deallocate(q);
+}
+
+TEST(Arena, TrimAllReclaimsWorkerCaches) {
+  ASSERT_EQ(pam::worker_id(), 0);
+  pam::raw_pool pool(200, 8);
+  // Every worker frees slots into its own cache; all are dead afterwards.
+  ASSERT_TRUE(on_every_worker_at_once([&](int) { churn(pool); }));
+  EXPECT_EQ(pool.used(), 0);
+  EXPECT_GT(pool.reserved_bytes(), 0u);
+  // trim() alone reaches only the calling thread's cache: the spawned
+  // workers' caches pin their chunks.
+  pool.trim();
+  EXPECT_GT(pool.reserved_bytes(), 0u);
+  // trim_all() has every spawned worker hand its caches back first.
+  pam::block_pool::trim_all();
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+  EXPECT_EQ(pool.reserved(), 0);
+  // The pool keeps working: the workers' emptied caches refill.
+  ASSERT_TRUE(on_every_worker_at_once([&](int) { churn(pool); }));
+  EXPECT_EQ(pool.used(), 0);
+  pam::block_pool::trim_all();
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+using trim_store_t = pam::kv_store<pam::aug_map<pam::sum_entry<uint64_t, uint64_t>>>;
+
+TEST(Arena, TrimMemoryFromASpawnedWorkerReturns) {
+  // A call from inside a parallel task: the other workers are still in
+  // their tasks or helping a join when it is made, and must answer from
+  // there. Only spawned workers touch the pool, and every one is reached
+  // (the calling worker inline), so everything is released.
+  pam::raw_pool pool(136, 8);
+  std::atomic<int> calls{0};
+  ASSERT_TRUE(on_every_worker_at_once([&](int id) {
+    if (id == 0) return;
+    churn(pool);
+    if (id == 1) {
+      trim_store_t::trim_memory();
+      calls.fetch_add(1);
+    }
+  }));
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(pool.used(), 0);
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+TEST(Arena, TrimMemoryFromAForeignThreadReturns) {
+  pam::raw_pool pool(152, 8);
+  ASSERT_TRUE(on_every_worker_at_once([&](int id) {
+    if (id != 0) churn(pool);
+  }));
+  size_t held = pool.reserved_bytes();
+  EXPECT_GT(held, 0u);
+  size_t released = 0;
+  std::thread t([&] { released = trim_store_t::trim_memory(); });
+  t.join();
+  EXPECT_GE(released, held);
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+TEST(Arena, ForeignTrimCannotDrainWorkerZero) {
+  // Worker 0 is the user's own thread and runs no scheduler loop, so a
+  // trim from another thread cannot reach its cache; its slots stay
+  // reserved until worker 0 trims itself (or exits).
+  ASSERT_EQ(pam::worker_id(), 0);
+  pam::raw_pool pool(264, 8);
+  churn(pool);
+  EXPECT_EQ(pool.used(), 0);
+  std::thread t([] { pam::block_pool::trim_all(); });
+  t.join();
+  EXPECT_GT(pool.reserved_bytes(), 0u);
+  pam::block_pool::trim_all();
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+TEST(Arena, MemoryStatsReportUsedBytes) {
+  pam::raw_pool pool(72, 8);
+  size_t before = trim_store_t::memory().used_bytes;
+  std::vector<void*> ps;
+  for (int i = 0; i < 100; i++) ps.push_back(pool.allocate());
+  auto mem = trim_store_t::memory();
+  EXPECT_EQ(mem.used_bytes - before, 100 * pool.slot_bytes());
+  EXPECT_GE(mem.reserved_bytes, mem.used_bytes);
+  for (void* q : ps) pool.deallocate(q);
+  EXPECT_EQ(trim_store_t::memory().used_bytes, before);
 }
 
 // Every byte of a scratch buffer is writable and T is aligned; on Linux

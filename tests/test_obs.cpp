@@ -399,10 +399,14 @@ TEST(ObsKvStore, ExpositionCoversTheStack) {
   // Epoch/arena (the flushes above displaced roots through snapshot_box).
   EXPECT_NE(find_counter(snap, "pam_epoch_retired_total"), nullptr);
   bool have_reserved = false;
+  int64_t used_bytes = -1;
   for (const auto& g : snap.gauges) {
     if (g.name == "pam_arena_reserved_bytes") have_reserved = true;
+    if (g.name == "pam_arena_used_bytes") used_bytes = g.value;
   }
   EXPECT_TRUE(have_reserved);
+  // Refreshed by metrics() itself: the store's live trees are in the pools.
+  EXPECT_GT(used_bytes, 0);
   // Per-shard entry gauges, labeled per shard.
   size_t shard_gauges = 0;
   int64_t total_entries = 0;

@@ -152,4 +152,75 @@ TEST(Scheduler, ParallelSpeedupSmokeCheck) {
   EXPECT_GE(distinct, 2);
 }
 
+// on_each_worker runs its hook once on every spawned worker plus inline on
+// the caller. The hook records the ids it ran on as a bit mask (a foreign
+// caller is bit 63).
+struct hook_probe {
+  std::atomic<uint64_t> ran_on{0};
+  std::atomic<int> runs{0};
+  static void hook(void* arg) {
+    auto* self = static_cast<hook_probe*>(arg);
+    int id = pam::worker_id();
+    self->ran_on.fetch_or(uint64_t{1} << (id < 0 ? 63 : id));
+    self->runs.fetch_add(1);
+  }
+};
+
+uint64_t spawned_mask() {
+  uint64_t m = 0;
+  for (int i = 1; i < pam::num_workers(); i++) m |= uint64_t{1} << i;
+  return m;
+}
+
+uint64_t expected_mask(int caller) {
+  return spawned_mask() | (uint64_t{1} << (caller < 0 ? 63 : caller));
+}
+
+int expected_runs(int caller) {
+  return pam::num_workers() - 1 + (caller <= 0 ? 1 : 0);
+}
+
+TEST(Scheduler, OnEachWorkerFromWorkerZero) {
+  // on_each_worker never creates the scheduler; make sure it exists.
+  ASSERT_GE(pam::num_workers(), 1);
+  ASSERT_EQ(pam::worker_id(), 0);
+  hook_probe probe;
+  pam::internal::scheduler::on_each_worker(&hook_probe::hook, &probe);
+  EXPECT_EQ(probe.ran_on.load(), expected_mask(0));
+  EXPECT_EQ(probe.runs.load(), expected_runs(0));
+}
+
+TEST(Scheduler, OnEachWorkerFromForeignThread) {
+  hook_probe probe;
+  std::thread t(
+      [&] { pam::internal::scheduler::on_each_worker(&hook_probe::hook, &probe); });
+  t.join();
+  EXPECT_EQ(probe.ran_on.load(), expected_mask(-1));
+  EXPECT_EQ(probe.runs.load(), expected_runs(-1));
+}
+
+TEST(Scheduler, OnEachWorkerFromInsideTasksConcurrently) {
+  // Every iteration calls from inside a parallel task, so calls overlap:
+  // workers queued behind one call, workers helping a join and workers
+  // deep in par_fib must all answer, and every call must still see each
+  // spawned worker exactly once.
+  int saved = pam::num_workers();
+  if (saved < 4) pam::set_num_workers(4);
+  constexpr size_t kCalls = 64;
+  std::vector<hook_probe> probes(kCalls);
+  std::vector<int> callers(kCalls);
+  std::atomic<uint64_t> fib_sum{0};
+  pam::parallel_for(0, kCalls, [&](size_t i) {
+    callers[i] = pam::worker_id();
+    pam::internal::scheduler::on_each_worker(&hook_probe::hook, &probes[i]);
+    fib_sum.fetch_add(par_fib(16));
+  }, 1);
+  EXPECT_EQ(fib_sum.load(), kCalls * 987u);
+  for (size_t i = 0; i < kCalls; i++) {
+    EXPECT_EQ(probes[i].ran_on.load(), expected_mask(callers[i])) << i;
+    EXPECT_EQ(probes[i].runs.load(), expected_runs(callers[i])) << i;
+  }
+  if (saved < 4) pam::set_num_workers(saved);
+}
+
 }  // namespace
