@@ -30,8 +30,12 @@
 // issued DIRECTLY (unhashed — rank 0 is the hottest key and hot ranks are
 // adjacent, so the hot set is spatially clustered onto few shards; the
 // mixes above deliberately hash ranks to scatter them). Direct per-op
-// sharded_map writes, 8 clients, static directory vs a background
-// maybe_rebalance policy thread. Reported per theta: throughput, p50/p99,
+// sharded_map writes, 8 clients, static directory vs maybe_rebalance. A
+// directory install excludes writers, so both configs replay each client
+// stream in 16 segments with all clients joined between segments; only the
+// rebalanced config re-splits at those 15 quiesced points. The clock covers
+// every segment, the first (unbalanced) one and the re-split calls
+// included. Reported per theta: throughput, p50/p99,
 // and the traffic imbalance ratio (hottest shard's share of ops over the
 // per-shard mean, under each config's final directory). Acceptance gate at
 // theta=0.99: rebalanced throughput >= 1.4x static on big machines
@@ -94,43 +98,52 @@ std::vector<std::vector<request>> make_streams(int threads,
   return streams;
 }
 
-// Replay the streams on `threads` clients against one serving path.
+// Replay the streams on `threads` clients against one serving path, in
+// `segments` consecutive slices of every stream: all clients run slice i,
+// join, `between()` runs with no client in flight, then slice i+1 starts.
 // do_read(k) / do_write(k, v) define the path; `barrier` commits
 // outstanding buffered writes before the clock stops. Req is any struct
 // with key/value/is_read — u64 `request` and the string-key variant below.
-template <typename Req, typename Read, typename Write, typename Barrier>
-mix_result run_mix(const std::vector<std::vector<Req>>& streams,
-                   int read_pct, const Read& do_read, const Write& do_write,
-                   const Barrier& barrier) {
+template <typename Req, typename Read, typename Write, typename Barrier,
+          typename Between>
+mix_result run_mix_segments(const std::vector<std::vector<Req>>& streams,
+                            int read_pct, const Read& do_read,
+                            const Write& do_write, const Barrier& barrier,
+                            size_t segments, const Between& between) {
   // Per-op latency is sampled 1-in-8 per client: two clock reads on a
   // sampled op only, so the tail percentiles come out of the same run the
   // throughput gates assert on without distorting it.
   constexpr size_t kSampleEvery = 8;
   std::atomic<size_t> sink{0};
-  std::vector<std::thread> clients;
   std::vector<std::vector<double>> samples(streams.size());
+  for (size_t ci = 0; ci < streams.size(); ci++)
+    samples[ci].reserve(streams[ci].size() / kSampleEvery + 1);
   timer t;
-  for (size_t ci = 0; ci < streams.size(); ci++) {
-    clients.emplace_back([&, ci] {
-      const auto& stream = streams[ci];
-      auto& lat = samples[ci];
-      lat.reserve(stream.size() / kSampleEvery + 1);
-      size_t hits = 0;
-      size_t i = 0;
-      for (const Req& r : stream) {
-        bool sampled = (i++ % kSampleEvery) == 0;
-        uint64_t t0 = sampled ? obs::now_ns() : 0;
-        if (r.is_read) {
-          if (do_read(r.key)) hits++;
-        } else {
-          do_write(r.key, r.value);
+  for (size_t seg = 0; seg < segments; seg++) {
+    std::vector<std::thread> clients;
+    for (size_t ci = 0; ci < streams.size(); ci++) {
+      clients.emplace_back([&, ci] {
+        const auto& stream = streams[ci];
+        auto& lat = samples[ci];
+        size_t hits = 0;
+        size_t end = stream.size() * (seg + 1) / segments;
+        for (size_t i = stream.size() * seg / segments; i < end; i++) {
+          const Req& r = stream[i];
+          bool sampled = (i % kSampleEvery) == 0;
+          uint64_t t0 = sampled ? obs::now_ns() : 0;
+          if (r.is_read) {
+            if (do_read(r.key)) hits++;
+          } else {
+            do_write(r.key, r.value);
+          }
+          if (sampled) lat.push_back(double(obs::now_ns() - t0));
         }
-        if (sampled) lat.push_back(double(obs::now_ns() - t0));
-      }
-      sink.fetch_add(hits);
-    });
+        sink.fetch_add(hits);
+      });
+    }
+    for (auto& c : clients) c.join();
+    if (seg + 1 < segments) between();
   }
-  for (auto& c : clients) c.join();
   barrier();
   double secs = t.elapsed();
   double total = 0;
@@ -141,6 +154,15 @@ mix_result run_mix(const std::vector<std::vector<Req>>& streams,
   std::sort(all.begin(), all.end());
   return {total / secs, writes / secs, percentile_sorted(all, 0.5),
           percentile_sorted(all, 0.99)};
+}
+
+// One slice: every client replays its whole stream.
+template <typename Req, typename Read, typename Write, typename Barrier>
+mix_result run_mix(const std::vector<std::vector<Req>>& streams,
+                   int read_pct, const Read& do_read, const Write& do_write,
+                   const Barrier& barrier) {
+  return run_mix_segments(streams, read_pct, do_read, do_write, barrier, 1,
+                          [] {});
 }
 
 }  // namespace
@@ -339,9 +361,9 @@ int main() {
   {
     const int skew_clients = 8;
     // Deliberately NOT scaled below a floor: the policy cuts load-weighted
-    // splitters from 2048-op windows, so a PAM_BENCH_SCALE-shrunk stream
-    // would measure its warm-up (one coarse install) instead of the
-    // converged directory the gate is about.
+    // splitters from 2048-op windows (one per segment), so a
+    // PAM_BENCH_SCALE-shrunk stream would measure its warm-up (one coarse
+    // install) instead of the converged directory the gate is about.
     const size_t skew_n = std::max(n, size_t(100000));
     const size_t skew_ops = std::max(ops, size_t(20000));
     std::vector<entry_t> rank_preload(skew_n);
@@ -366,24 +388,19 @@ int main() {
       double imbalance;   // hottest shard's traffic / per-shard mean
       uint64_t installs;  // directories installed by the policy
     };
+    // Both configs run the same segments and joins; the policy only acts
+    // at the quiesced points between segments (an install excludes
+    // writers).
+    constexpr size_t kSegments = 16;
     auto run_skew = [&](const std::vector<std::vector<request>>& streams,
                         bool rebalance) {
       sharded_map<map_t> sm(map_t{std::vector<entry_t>(rank_preload)}, shards);
-      std::atomic<bool> stop{false};
-      std::thread policy;
-      if (rebalance) {
-        policy = std::thread([&] {
-          while (!stop.load(std::memory_order_relaxed)) {
-            sm.maybe_rebalance(/*hot_ratio=*/1.5, /*min_ops=*/2048);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          }
-        });
-      }
-      auto mixed = run_mix(
+      auto mixed = run_mix_segments(
           streams, 50, [&](K k) { return sm.find(k).has_value(); },
-          [&](K k, V v) { sm.insert(k, v); }, [] {});
-      stop.store(true);
-      if (policy.joinable()) policy.join();
+          [&](K k, V v) { sm.insert(k, v); }, [] {}, kSegments, [&] {
+            if (rebalance) sm.maybe_rebalance(/*hot_ratio=*/1.5,
+                                              /*min_ops=*/2048);
+          });
       // Traffic imbalance under the directory each config ends with: replay
       // the key stream through shard_of. (The live write_ops counters are
       // consumed by every policy window, so they cannot compare configs.)

@@ -93,6 +93,16 @@ class map_iterator {
   // The end (and default) iterator: an empty ancestor stack.
   map_iterator() = default;
 
+  // A copy holds the same frames. It is built through the stack's range
+  // constructor: GCC 12 at -O3 misreads the inlined vector copy
+  // constructor + destructor pair of a by-value copy (std::distance's
+  // arguments) as freeing an interior pointer (-Wfree-nonheap-object).
+  map_iterator(const map_iterator& o)
+      : path_(o.path_.begin(), o.path_.end()), hi_(o.hi_) {}
+  map_iterator(map_iterator&&) = default;
+  map_iterator& operator=(const map_iterator&) = default;
+  map_iterator& operator=(map_iterator&&) = default;
+
   // Begin of an in-order walk over the whole tree rooted at t. Internal:
   // obtained via aug_map::begin() / range_view::begin().
   explicit map_iterator(const node* t) {

@@ -26,6 +26,8 @@
 // confirm no shard's version moved — see sharded_map::snapshot_all), with
 // writer_lock() as the writer-blocking fallback; the old protocol of holding
 // every box's reader mutex is gone along with the reader mutex itself.
+// sharded_map re-splits its boxes only while its caller excludes every
+// writer, so no box is ever drained from under a queued update().
 // The protocol is machine-checked (clang -Wthread-safety, see
 // util/thread_annotations.h): payload dereferences require the epoch_domain
 // capability (shared — an epoch::guard) or the writer lock; publication
@@ -150,26 +152,6 @@ class snapshot_box {
       displaced = publish(f(std::move(working)));
     }
     retire(displaced);
-  }
-
-  // update(), but gated: f runs and publishes only if cond() holds, checked
-  // AFTER the writer lock is won. Returns whether f was applied. This is
-  // the primitive behind sharded_map's rebalance protocol — cond re-checks
-  // the shard's retirement flag under the lock, so a writer that lost the
-  // race to a rebalance (which marks shards retired while holding every
-  // writer lock) aborts here and re-routes through the successor directory
-  // instead of committing into a box the rebalance already drained.
-  template <typename Cond, typename F>
-  bool update_if(const Cond& cond, const F& f) {
-    payload* displaced;
-    {
-      mutex_guard serialize(writer_mu_);
-      if (!cond()) return false;
-      Map working = payload_locked()->map;
-      displaced = publish(f(std::move(working)));
-    }
-    retire(displaced);
-    return true;
   }
 
   // --------------------------------------------- multi-box consistent cut --

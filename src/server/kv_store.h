@@ -18,13 +18,16 @@
 // history() answers time-travel reads and version diffs, and feed() hands
 // out pull-based change subscriptions.
 //
+// rebalance() re-splits the shard directory along the observed write load
+// when it is skewed. It runs behind the same writer fence as
+// save_checkpoint, so a directory install never races a write; the caller
+// decides when (e.g. next to each checkpoint).
+//
 // Writes are eventually visible (bounded by batch_size / flush_interval);
 // flush() is the barrier when read-your-writes is needed. All members are
 // safe to call from any thread.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,7 +35,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +46,6 @@
 #include "server/version_store.h"
 #include "server/write_combiner.h"
 #include "store/durability.h"
-#include "util/env.h"
 #include "util/thread_annotations.h"
 
 namespace pam {
@@ -58,40 +59,13 @@ class kv_store {
   using entry_t = typename Map::entry_t;
   using snapshot_type = sharded_snapshot<Map>;
 
-  // Skew-adaptive resharding policy (sharded_map::maybe_rebalance), driven
-  // by a background thread. Disabled unless the interval is positive; the
-  // env-gated defaults mean an operator can turn it on per process with
-  // PAM_REBALANCE_INTERVAL_MS alone, no code change.
-  struct rebalance_options {
-    // Policy tick period; zero (the default) disables the thread entirely.
-    std::chrono::milliseconds interval{0};
-    // A policy window must observe at least this many routed write ops
-    // before it judges skew (quiet windows are ignored, not accumulated).
-    uint64_t min_ops = 4096;
-    // Trigger when the hottest shard carries more than this multiple of
-    // the mean per-shard load.
-    double hot_ratio = 2.0;
-
-    bool enabled() const { return interval.count() > 0; }
-
-    static rebalance_options from_env() {
-      rebalance_options o;
-      o.interval = std::chrono::milliseconds(
-          env_long("PAM_REBALANCE_INTERVAL_MS", 0));
-      o.min_ops =
-          static_cast<uint64_t>(env_long("PAM_REBALANCE_MIN_OPS", 4096));
-      o.hot_ratio = env_double("PAM_REBALANCE_RATIO", 2.0);
-      return o;
-    }
-  };
-
   struct options {
     // Shard count for quantile partitioning of `initial`. Quantiles can
     // only be inferred from existing keys: an empty initial map collapses
-    // to ONE shard (no write parallelism until a rebalance observes enough
-    // keys to split; see `rebalance`) — a fresh store should set
-    // `splitters` instead, or enable rebalancing. Either way num_shards is
-    // recorded as the target the rebalancer re-splits toward.
+    // to ONE shard (no write parallelism until a rebalance() observes
+    // enough keys to split) — a fresh store should set `splitters` instead,
+    // or call rebalance() once keys exist. Either way num_shards is
+    // recorded as the target rebalance() re-splits toward.
     size_t num_shards = 16;
     // Explicit shard splitters; when non-empty they take precedence over
     // num_shards (S-1 splitters make S shards).
@@ -110,9 +84,6 @@ class kv_store {
     // immediately commits a full checkpoint of the initial contents (the
     // splitters are durable from the first instant).
     std::optional<store::durability_options> durability{};
-    // Background skew-adaptive resharding. The default reads the
-    // PAM_REBALANCE_* knobs (off unless PAM_REBALANCE_INTERVAL_MS > 0).
-    rebalance_options rebalance = rebalance_options::from_env();
   };
 
   explicit kv_store(Map initial = Map{}, options opt = {})
@@ -126,13 +97,7 @@ class kv_store {
                      : nullptr),
         combiner_(shards_, wire_sink(std::move(opt.combiner))) {
     init_history(opt);
-    init_rebalancer(opt.rebalance);
   }
-
-  // Stops the rebalancer before any member tears down (the thread holds a
-  // reference to shards_); the members then destroy in declaration-reverse
-  // order per the teardown contract below.
-  ~kv_store() { stop_rebalancer(); }
 
   // ------------------------------------------------------------- writes --
 
@@ -217,9 +182,8 @@ class kv_store {
   // version history is on, the persisted cut is byte-identical to the
   // version retained by the ring (version_store::capture_snapshot).
   //
-  // The (sync → read covered → snapshot) triple runs inside a writer
-  // fence: every shard flush lock is held (write_combiner::quiesced) and
-  // cut_mu_ is held exclusive, so no batch — combiner or bulk — can sit
+  // The (sync → read covered → snapshot) triple runs inside the writer
+  // fence (fenced()), so no batch — combiner or bulk — can sit
   // between its WAL append and its apply while the cut is taken. Without
   // the fence a record with seq <= covered could be durable but not yet
   // applied, and the committed checkpoint would claim coverage of a batch
@@ -238,16 +202,12 @@ class kv_store {
     combiner_.flush_all();  // drain the bulk of the backlog outside the fence
     uint64_t covered = 0;
     std::optional<snapshot_type> cut;
-    {
-      exclusive_guard fence(cut_mu_);
-      combiner_.quiesced([&] {
-        durable_->sync_wal();
-        covered = durable_->durable_seq();
-        cut.emplace(history_.has_value()
-                        ? history_->capture_snapshot().snapshot
-                        : shards_.snapshot_all());
-      });
-    }
+    fenced([&] {
+      durable_->sync_wal();
+      covered = durable_->durable_seq();
+      cut.emplace(history_.has_value() ? history_->capture_snapshot().snapshot
+                                       : shards_.snapshot_all());
+    });
     return durable_->save_checkpoint(*cut, covered);
   }
 
@@ -283,6 +243,27 @@ class kv_store {
     }
     return kv_store(recovered_tag{}, std::move(*rec), std::move(dopts),
                     std::move(opt));
+  }
+
+  // ----------------------------------------------------------- resharding --
+
+  // Re-split the shard directory along the write load observed since the
+  // last window (sharded_map::maybe_rebalance): install an equal-load
+  // directory when the hottest shard carries more than 2x the mean load
+  // over at least 4096 routed write ops, or when the store has fewer shards
+  // than options::num_shards and enough keys to split. Returns whether a
+  // new directory was installed. Runs behind the writer fence, so pending
+  // buffered writes are flushed first and writers wait for the install;
+  // readers, snapshots and cuts keep running against the old directory.
+  // On a durable store the next save_checkpoint() is a full one
+  // (crash-contract rule (d)).
+  bool rebalance() PAM_EXCLUDES(cut_mu_) {
+    bool installed = false;
+    fenced([&] {
+      installed =
+          shards_.maybe_rebalance(kRebalanceHotRatio, kRebalanceMinOps);
+    });
+    return installed;
   }
 
   // ------------------------------------------------------ introspection --
@@ -362,34 +343,22 @@ class kv_store {
             rec.next_seq)),
         combiner_(shards_, wire_sink(std::move(opt.combiner))) {
     init_history(opt);
-    init_rebalancer(opt.rebalance);
   }
 
-  void init_rebalancer(const rebalance_options& ro) {
-    if (!ro.enabled()) return;
-    reb_opts_ = ro;
-    rebalancer_ = std::thread([this] { rebalancer_loop(); });
-  }
+  // rebalance()'s policy: the hot-shard trigger and the minimum window.
+  static constexpr double kRebalanceHotRatio = 2.0;
+  static constexpr uint64_t kRebalanceMinOps = 4096;
 
-  void stop_rebalancer() {
-    if (!rebalancer_.joinable()) return;
-    {
-      mutex_guard lock(reb_mu_);
-      reb_stop_ = true;
-    }
-    reb_cv_.notify_all();
-    rebalancer_.join();
-  }
-
-  void rebalancer_loop() {
-    unique_guard lock(reb_mu_);
-    while (!reb_stop_) {
-      reb_cv_.wait_for(lock, reb_opts_.interval);
-      if (reb_stop_) break;
-      lock.unlock();
-      shards_.maybe_rebalance(reb_opts_.hot_ratio, reb_opts_.min_ops);
-      lock.lock();
-    }
+  // The writer fence: run fn with every writer of this store excluded.
+  // cut_mu_ exclusive shuts out bulk writes (they hold it shared across
+  // their WAL log → apply pair); write_combiner::quiesced holds every shard
+  // flush lock, so no combiner batch is between its sink call and its
+  // apply. Readers and cuts are never blocked. Ordered cut_mu_ → flush
+  // locks; fn must not write through this store.
+  template <typename Fn>
+  void fenced(Fn&& fn) PAM_EXCLUDES(cut_mu_) {
+    exclusive_guard fence(cut_mu_);
+    combiner_.quiesced(fn);
   }
 
   void init_history(const options& opt) {
@@ -432,8 +401,8 @@ class kv_store {
 
   // Create (lazily, growing on demand) and refresh the
   // pam_shard_entries{shard="s"} gauges from the shards' commit-time size
-  // counters — wait-free reads, no cut. The shard count is dynamic under
-  // rebalancing: the gauge vector grows to the widest directory ever
+  // counters — wait-free reads, no cut. The shard count changes with
+  // rebalance(): the gauge vector grows to the widest directory ever
   // scraped, and indices beyond the current directory read zero
   // (shard_size is bounds-safe), so a shrunk directory zeroes its stale
   // tail instead of exporting ghost counts.
@@ -477,13 +446,13 @@ class kv_store {
   }
 
   sharded_map<Map> shards_;
-  // The checkpoint-cut writer fence. Bulk writes hold it shared across
-  // their [WAL log → apply] pair; save_checkpoint holds it exclusive while
-  // it reads durable_seq and snapshots (combiner batches need no share —
-  // their log→apply pair lives under the shard flush locks, which the
-  // exclusive section also holds via write_combiner::quiesced). Ordered
-  // before the flush locks; nothing is PAM_GUARDED_BY it — it fences an
-  // ordering, not data.
+  // The bulk-write half of the writer fence (fenced()). Bulk writes hold it
+  // shared across their [WAL log → apply] pair; save_checkpoint and
+  // rebalance hold it exclusive (combiner batches need no share — their
+  // log→apply pair lives under the shard flush locks, which the exclusive
+  // section also holds via write_combiner::quiesced). Ordered before the
+  // flush locks; nothing is PAM_GUARDED_BY it — it fences an ordering, not
+  // data.
   mutable shared_mutex cut_mu_;
   // Serializes save_checkpoint callers so coverage claims reach the
   // durability manager in monotone order (see save_checkpoint).
@@ -500,14 +469,6 @@ class kv_store {
   mutable mutex gauges_mu_;
   mutable std::vector<std::unique_ptr<obs::gauge>> shard_gauges_
       PAM_GUARDED_BY(gauges_mu_);
-
-  // Background rebalance policy thread, declared last: the dtor body joins
-  // it before any member above begins teardown.
-  rebalance_options reb_opts_{};
-  mutex reb_mu_;
-  std::condition_variable_any reb_cv_;
-  bool reb_stop_ PAM_GUARDED_BY(reb_mu_) = false;
-  std::thread rebalancer_;
 };
 
 }  // namespace pam

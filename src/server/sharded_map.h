@@ -29,38 +29,33 @@
 // ranges tile the key space, so concatenating per-shard in-order walks is a
 // global in-order walk.
 //
-// Skew-adaptive resharding (ISSUE 10): the splitter directory is no longer
-// frozen at construction. The whole directory — splitters plus shard
-// handles — lives in one immutable heap object published through an atomic
-// pointer and reclaimed through the epoch (exactly snapshot_box's payload
-// discipline, one level up). rebalance() repartitions the key space along
-// the observed per-shard write load — hot shards shrink in key range,
-// cold neighbours absorb the slack — and installs a successor directory:
+// Skew-adaptive resharding: the splitter directory is not frozen at
+// construction. The whole directory — splitters plus shard handles — lives
+// in one immutable heap object published through an atomic pointer and
+// reclaimed through the epoch (exactly snapshot_box's payload discipline,
+// one level up). maybe_rebalance() / rebalance_now() repartition the key
+// space along the observed per-shard write load — hot shards shrink in key
+// range, cold neighbours absorb the slack — and install a successor
+// directory: snapshot the shards, concatenate them (O(S log n) joins on
+// shared subtrees — no entry is copied), cut equal-load splitters,
+// distribute into fresh shards, publish, and epoch-retire the predecessor.
 //
-//   1. take every shard's writer lock, in index order (the same global
-//      order as the cut fallback, so the two can never deadlock);
-//   2. mark every shard `retired` — a writer that wins a shard lock after
-//      this point observes the flag (snapshot_box::update_if) and re-routes
-//      through the successor directory instead of committing into a box no
-//      future reader will consult;
-//   3. peek the frozen shards, concatenate them (O(S log n) joins on shared
-//      subtrees — no entry is copied), cut equal-load splitters, and
-//      distribute into fresh shards;
-//   4. publish the successor directory, drop the locks, epoch-retire the
-//      predecessor (a concurrent reader may still be routing through it).
+// An install is a writer-excluded operation: the caller guarantees that no
+// write and no other install runs concurrently (kv_store::rebalance() runs
+// it behind the same writer fence as save_checkpoint). With writers out of
+// the picture the shards read by the install are frozen, so content is
+// never lost or duplicated and the write paths need no re-routing. Readers
+// and cuts may still run: they epoch-pin the old directory, whose shards
+// stay valid and frozen. A validated cut re-checks the directory generation
+// after its version pass and re-runs if an install landed meanwhile, so
+// every cut is current and carries the directory it was taken under.
 //
-// Content is never lost or duplicated: writers either committed before the
-// rebalance took their shard's lock (their write is inside the peeked map)
-// or abort on the retired flag and retry against the successor. Validated
-// cuts additionally re-check the directory generation after their version
-// pass: a cut that straddles an install restarts against the successor, so
-// snapshots always carry the directory they were actually taken under.
-//
-// Thread safety: every public member is safe to call from any thread, with
-// one re-entrancy rule: an update functor passed to update_shard / insert /
-// erase / multi_* runs while holding that shard's writer lock, and the cut
-// fallback (and rebalance()) acquires *every* shard's writer lock — so
-// cut-based reads of the same sharded_map (snapshot_all*, versions, size,
+// Thread safety: every public member is safe to call from any thread,
+// except that maybe_rebalance / rebalance_now must not overlap any writer
+// (update_shard / insert / erase / multi_*) or each other. One re-entrancy
+// rule: an update functor runs while holding its shard's writer lock, and
+// the cut fallback acquires *every* shard's writer lock — so cut-based
+// reads of the same sharded_map (snapshot_all*, versions, size,
 // multi_find) must not be called from inside an update functor. Per-shard
 // reads (find, snapshot_shard) are lock-free and remain safe anywhere.
 #pragma once
@@ -70,6 +65,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -107,8 +103,6 @@ inline cut_metrics_t& cut_metrics() {
 struct rebalance_metrics_t {
   obs::counter attempts{"pam_rebalance_attempts_total"};
   obs::counter installs{"pam_rebalance_installs_total"};
-  obs::counter writer_reroutes{"pam_rebalance_writer_reroutes_total"};
-  obs::counter cut_restarts{"pam_rebalance_cut_restarts_total"};
 };
 
 inline rebalance_metrics_t& rebalance_metrics() {
@@ -337,7 +331,7 @@ class sharded_map {
   }
 
   // The current shard boundaries, S-1 keys for S shards, copied out of the
-  // published directory (which a concurrent rebalance may replace — callers
+  // published directory (which a later install may replace — callers
   // needing identity across calls use splitters_handle()).
   std::vector<K> splitters() const {
     epoch::guard g;
@@ -359,9 +353,8 @@ class sharded_map {
   }
 
   // Index of the shard owning key k under the current directory. The index
-  // is only meaningful against the same directory generation — a concurrent
-  // rebalance may re-home k. The write paths below re-route internally;
-  // index-addressed callers (tests, gauges) get best-effort routing.
+  // is only meaningful against the same directory generation — an install
+  // may re-home k.
   size_t shard_of(const K& k) const {
     epoch::guard g;
     const directory* d = dir_ref();
@@ -372,22 +365,18 @@ class sharded_map {
 
   // Atomically apply f : Map -> Map to shard s of the current directory.
   // Writers of distinct shards run concurrently; writers of one shard
-  // serialize on its box. If a rebalance retires the directory mid-flight
-  // the update retries against the successor's shard s (indices are
-  // directory-relative; key-routed callers use insert/erase/multi_*).
+  // serialize on its box. Throws std::out_of_range if s >= num_shards().
   template <typename F>
   void update_shard(size_t s, const F& f) {
-    for (;;) {
-      std::shared_ptr<shard_t> sh;
-      {
-        epoch::guard g;
-        const directory* d = dir_ref();
-        sh = d->shards[s < d->shards.size() ? s : d->shards.size() - 1];
-      }
-      sh->write_ops.fetch_add(1, std::memory_order_relaxed);
-      if (sh->box.update_if([&] { return !sh->retired(); }, f)) return;
-      server_internal::rebalance_metrics().writer_reroutes.inc();
+    shard_t* sh = nullptr;
+    {
+      epoch::guard g;
+      const directory* d = dir_ref();
+      if (s >= d->shards.size())
+        throw std::out_of_range("sharded_map::update_shard: no such shard");
+      sh = d->shards[s].get();
     }
+    commit(*sh, 1, f);
   }
 
   // Per-op point upsert/erase: one O(log n) committed write to the owning
@@ -401,10 +390,7 @@ class sharded_map {
 
   // Bulk upsert: partition the batch by shard in O(m), then merge each
   // shard's slice on the O(m_s log(n_s/m_s + 1)) bulk path, all shards in
-  // parallel. Duplicate keys in `updates`: the last one wins. Buckets that
-  // lose a race to a rebalance are re-partitioned against the successor
-  // directory (each key is applied exactly once — a rejected bucket was
-  // never applied).
+  // parallel. Duplicate keys in `updates`: the last one wins.
   void multi_insert(std::vector<entry_t> updates) {
     bulk_write(
         std::move(updates),
@@ -424,45 +410,19 @@ class sharded_map {
 
   // ---------------------------------------------------------- rebalance --
 
-  // Per-shard load picture of the current directory: write ops routed to
-  // each shard since its directory was installed, and the commit-time entry
-  // counts. Wait-free reads; feeds the rebalance policy, kv_store's gauges,
-  // and the bench imbalance reports.
-  struct load_stats {
-    std::vector<uint64_t> write_ops;
-    std::vector<size_t> entries;
-    uint64_t total_ops = 0;
-    uint64_t directory_gen = 0;
-  };
-
-  load_stats shard_loads() const {
-    dir_view d = view_dir();
-    load_stats out;
-    out.directory_gen = d.gen;
-    out.write_ops.reserve(d.shards.size());
-    out.entries.reserve(d.shards.size());
-    for (const auto& sh : d.shards) {
-      uint64_t o = sh->write_ops.load(std::memory_order_relaxed);
-      out.write_ops.push_back(o);
-      out.total_ops += o;
-      out.entries.push_back(sh->box.version_size().second);
-    }
-    return out;
-  }
-
-  // The policy entry point the background rebalancer drives: install a new
-  // equal-load directory iff the observed write skew warrants it. Returns
-  // whether a new directory was installed.
+  // Install a new equal-load directory iff the observed write skew warrants
+  // it. Returns whether a new directory was installed. Writer-excluded: the
+  // caller guarantees no concurrent writer or install (see the header).
   //
   //   * at least `min_ops` write ops must have been routed since the last
-  //     policy window (the window's counters are consumed either way);
+  //     policy window (a window below the floor keeps accumulating; one
+  //     that reaches it is consumed, installed or not);
   //   * trigger when the hottest shard carries more than `hot_ratio` times
   //     the mean per-shard load — or when the directory is under-provisioned
   //     (fewer shards than the construction target, e.g. a store that
   //     started empty) and enough keys now exist to split.
   bool maybe_rebalance(double hot_ratio, uint64_t min_ops) {
-    mutex_guard serialize(rebalance_mu_);
-    dir_view d = view_dir();
+    directory d = view_dir();
     const size_t S = d.shards.size();
     uint64_t total = 0, hottest = 0;
     size_t entries = 0;
@@ -481,13 +441,13 @@ class sharded_map {
                      hot_ratio * (static_cast<double>(total) /
                                   static_cast<double>(S));
     bool installed = false;
-    if (under_provisioned || skewed) installed = install_balanced_locked();
+    if (under_provisioned || skewed) installed = install_balanced();
     if (!installed) {
       // Consume the window so the next policy check starts a fresh
       // measurement instead of re-judging process-lifetime totals. An
       // install consumed it implicitly (fresh shards start at zero); the
-      // counters must stay live until then — install_balanced_locked reads
-      // them as the load weights for the new splitters.
+      // counters must stay live until then — install_balanced reads them
+      // as the load weights for the new splitters.
       for (const auto& sh : d.shards) {
         sh->write_ops.store(0, std::memory_order_relaxed);
       }
@@ -496,13 +456,10 @@ class sharded_map {
   }
 
   // Unconditional repartition along the observed load (entry counts when no
-  // ops were recorded). Exposed for tests and manual operation; returns
+  // ops were recorded), under the same writer-exclusion contract. Returns
   // whether a new directory was installed (false = the balanced splitters
   // equal the current ones).
-  bool rebalance_now() {
-    mutex_guard serialize(rebalance_mu_);
-    return install_balanced_locked();
-  }
+  bool rebalance_now() { return install_balanced(); }
 
   // -------------------------------------------------------------- reads --
 
@@ -537,8 +494,8 @@ class sharded_map {
   // refcount decs; displaced trees are shared, so no teardown) and the cut
   // retries; after kCutRetries failures it takes every shard's *writer*
   // lock in index order and peeks, bounding latency under extreme churn.
-  // Pass 3 re-checks the directory generation: a cut that straddled a
-  // rebalance install restarts against the successor directory.
+  // Pass 3 re-checks the directory generation: a cut that straddled an
+  // install re-runs against the successor directory.
   versioned_snapshot snapshot_all_versioned() const {
     // The pinned lambdas run only on the fallback path, under every shard's
     // writer lock held through std::unique_lock handles the analysis cannot
@@ -574,7 +531,7 @@ class sharded_map {
   // Single-key committed read: run the lookup against the owning shard's
   // current version in place — no lock, no snapshot copy, no refcount
   // traffic (snapshot_box::with_current). The epoch guard spans the
-  // directory load and the lookup, so a concurrent rebalance cannot
+  // directory load and the lookup, so a concurrent install cannot
   // reclaim either from under the read.
   std::optional<V> find(const K& k) const {
     // One striped relaxed fetch_add: the counted read path stays wait-free
@@ -626,11 +583,11 @@ class sharded_map {
  private:
   using box_t = snapshot_box<Map>;
 
-  // One shard of one directory: the box plus the rebalance-protocol state.
-  // Shards are owned by their directory via shared_ptr so a writer can pin
-  // one past the epoch guard it resolved the directory under (the box's
-  // writer mutex may have to be waited on, and reclamation must not be
-  // pinned process-wide for that wait).
+  // One shard of one directory: the box plus its write-load counter. Shards
+  // are owned by their directory via shared_ptr so a cut can pin them past
+  // the epoch guard it resolved the directory under (a cut may outlive an
+  // install, and reclamation must not be pinned process-wide for its
+  // duration).
   struct shard_t {
     // Seeded through the box constructor, not store(): a shard's contents
     // at directory install are its version-0 state — commit counters count
@@ -638,31 +595,15 @@ class sharded_map {
     explicit shard_t(Map initial) : box(std::move(initial)) {}
 
     box_t box;
-    // Set under the box's writer lock by a rebalance that drained this
-    // shard into a successor directory; checked under the same lock by
-    // update_if's condition, so the flag and the peeked content can never
-    // disagree.
-    std::atomic<bool> retired_{false};
     // Write ops routed here since this directory was installed — the
     // rebalance policy's skew signal (consumed per policy window).
     std::atomic<uint64_t> write_ops{0};
-
-    bool retired() const { return retired_.load(std::memory_order_acquire); }
   };
 
   // One published partitioning of the key space. Immutable after publish;
-  // replaced wholesale by rebalance and reclaimed through the epoch, so a
+  // replaced wholesale by an install and reclaimed through the epoch, so a
   // reader mid-route can never observe a half-installed directory.
   struct directory {
-    std::shared_ptr<const std::vector<K>> splitters;
-    std::vector<std::shared_ptr<shard_t>> shards;
-    uint64_t gen = 0;
-  };
-
-  // A pinned copy of the published directory, safe to use after the epoch
-  // guard it was taken under has dropped (shared_ptrs keep the splitters
-  // and shards alive even once the directory object itself is reclaimed).
-  struct dir_view {
     std::shared_ptr<const std::vector<K>> splitters;
     std::vector<std::shared_ptr<shard_t>> shards;
     uint64_t gen = 0;
@@ -673,85 +614,67 @@ class sharded_map {
   // budget keeps worst-case cut latency bounded without giving up the
   // lock-free common case.
   static constexpr int kCutRetries = 8;
-  // Directory-generation restarts before a cut pins the directory by
-  // holding rebalance_mu_ (installs are rare; two mid-cut installs in a row
-  // already means the policy thread is misconfigured).
-  static constexpr int kDirRetries = 4;
 
-  // The two checked dereference paths to the published directory, mirroring
-  // snapshot_box's payload discipline: readers hold the epoch (the guard
-  // pins reclamation across the dereference), the rebalancer holds
-  // rebalance_mu_ (only rebalance ever replaces or retires a directory, so
-  // holding its lock pins the pointer).
+  // The checked dereference path to the published directory, mirroring
+  // snapshot_box's payload discipline: the caller's epoch guard pins
+  // reclamation across the dereference.
   const directory* dir_ref() const PAM_REQUIRES_SHARED(epoch_domain) {
     return dir_.load(std::memory_order_acquire);
   }
-  directory* dir_locked() const PAM_REQUIRES(rebalance_mu_) {
-    return dir_.load(std::memory_order_acquire);
-  }
 
-  dir_view view_dir() const {
+  // A copy of the published directory, safe to use after the epoch guard
+  // it was taken under has dropped (shared_ptrs keep the splitters and
+  // shards alive even once the published object itself is reclaimed).
+  directory view_dir() const {
     epoch::guard g;
-    const directory* d = dir_ref();
-    return {d->splitters, d->shards, d->gen};
+    return *dir_ref();
   }
 
-  // Key-routed conditional write: resolve the owning shard under the epoch,
-  // pin it, commit under its writer lock unless a rebalance retired it —
-  // then re-resolve against the successor directory.
+  // Count `ops` routed write ops against shard sh and commit f under its
+  // writer lock. The caller resolved sh under an epoch guard it has since
+  // dropped (the box lock may have to be waited on): no install can run
+  // concurrently with a writer, so sh's directory outlives the write.
+  template <typename F>
+  static void commit(shard_t& sh, uint64_t ops, const F& f) {
+    sh.write_ops.fetch_add(ops, std::memory_order_relaxed);
+    sh.box.update(f);
+  }
+
+  // Key-routed write: resolve the owning shard, commit under its lock.
   template <typename F>
   void route_write(const K& k, const F& f) {
-    for (;;) {
-      std::shared_ptr<shard_t> sh;
-      {
-        epoch::guard g;
-        const directory* d = dir_ref();
-        sh = d->shards[server_internal::shard_index(*d->splitters, k,
-                                                    entry_policy::comp)];
-      }
-      sh->write_ops.fetch_add(1, std::memory_order_relaxed);
-      if (sh->box.update_if([&] { return !sh->retired(); }, f)) return;
-      server_internal::rebalance_metrics().writer_reroutes.inc();
+    shard_t* sh = nullptr;
+    {
+      epoch::guard g;
+      const directory* d = dir_ref();
+      sh = d->shards[server_internal::shard_index(*d->splitters, k,
+                                                  entry_policy::comp)]
+               .get();
     }
+    commit(*sh, 1, f);
   }
 
   // Bulk engine behind multi_insert / multi_delete: partition against the
-  // current directory, apply per-shard buckets in parallel, re-partition
-  // any bucket whose shard a concurrent rebalance retired. A rejected
-  // bucket was never applied (update_if's condition runs before its
-  // functor), so each item commits exactly once.
+  // current directory, apply the per-shard buckets in parallel.
   template <typename Item, typename KeyOf, typename Apply>
   void bulk_write(std::vector<Item> items, const KeyOf& key_of,
                   const Apply& apply) {
-    while (!items.empty()) {
-      dir_view d = view_dir();
-      std::vector<std::vector<Item>> buckets(d.shards.size());
-      for (Item& it : items) {
-        size_t s = server_internal::shard_index(*d.splitters, key_of(it),
-                                                entry_policy::comp);
-        buckets[s].push_back(std::move(it));
-      }
-      std::vector<uint8_t> rejected(d.shards.size(), 0);
-      parallel_for(
-          0, d.shards.size(),
-          [&](size_t s) {
-            if (buckets[s].empty()) return;
-            shard_t& sh = *d.shards[s];
-            sh.write_ops.fetch_add(buckets[s].size(),
-                                   std::memory_order_relaxed);
-            bool applied = sh.box.update_if(
-                [&] { return !sh.retired(); },
-                [&](Map m) { return apply(std::move(m), std::move(buckets[s])); });
-            if (!applied) rejected[s] = 1;
-          },
-          1);
-      items.clear();
-      for (size_t s = 0; s < buckets.size(); s++) {
-        if (rejected[s] == 0) continue;
-        server_internal::rebalance_metrics().writer_reroutes.inc();
-        for (Item& it : buckets[s]) items.push_back(std::move(it));
-      }
+    directory d = view_dir();
+    std::vector<std::vector<Item>> buckets(d.shards.size());
+    for (Item& it : items) {
+      size_t s = server_internal::shard_index(*d.splitters, key_of(it),
+                                              entry_policy::comp);
+      buckets[s].push_back(std::move(it));
     }
+    parallel_for(
+        0, d.shards.size(),
+        [&](size_t s) {
+          if (buckets[s].empty()) return;
+          commit(*d.shards[s], buckets[s].size(), [&](Map m) {
+            return apply(std::move(m), std::move(buckets[s]));
+          });
+        },
+        1);
   }
 
   // The validated-cut engine over one pinned directory's shards (see
@@ -798,27 +721,20 @@ class sharded_map {
     return std::pair(std::move(values), std::move(versions));
   }
 
-  // validated_cut plus directory stability: re-run a cut that straddled a
-  // rebalance install against the successor directory; after kDirRetries
-  // such restarts, pin the directory by excluding installs outright
-  // (rebalance_mu_ before box locks — the same order install_balanced
-  // uses, so the fallbacks compose without deadlock).
+  // validated_cut plus directory currency: a cut of a directory that an
+  // install replaced meanwhile is consistent but stale (its shards froze at
+  // the install), so it re-runs against the successor. version_store's
+  // dedup relies on every cut being current.
   template <typename Optimistic, typename Pinned>
   auto stable_cut(const Optimistic& optimistic, const Pinned& pinned) const {
-    for (int attempt = 0; attempt < kDirRetries; attempt++) {
-      dir_view d = view_dir();
+    for (;;) {
+      directory d = view_dir();
       auto cut = validated_cut(d.shards, optimistic, pinned);
       if (directory_gen() == d.gen) {
         return std::tuple(std::move(d), std::move(cut.first),
                           std::move(cut.second));
       }
-      server_internal::rebalance_metrics().cut_restarts.inc();
     }
-    mutex_guard pin_directory(rebalance_mu_);
-    dir_view d = view_dir();
-    auto cut = validated_cut(d.shards, optimistic, pinned);
-    return std::tuple(std::move(d), std::move(cut.first),
-                      std::move(cut.second));
   }
 
   // Pass 2 of a validated cut: true iff no shard's commit counter moved
@@ -892,7 +808,7 @@ class sharded_map {
       if (counts[s] == 0) loads[s] = 0.0;  // nothing to cut inside
       total += loads[s];
     }
-    if (total <= 0.0) return quantile_splitters_of(whole, target);
+    if (total <= 0.0) return quantile_splitters(whole, target);
     std::vector<size_t> rank_before(loads.size(), 0);
     for (size_t s = 1; s < loads.size(); s++)
       rank_before[s] = rank_before[s - 1] + counts[s - 1];
@@ -915,36 +831,23 @@ class sharded_map {
     return sp;
   }
 
-  static std::vector<K> quantile_splitters_of(const Map& m, size_t target) {
-    return quantile_splitters(m, target);
-  }
-
-  // The install engine behind maybe_rebalance / rebalance_now. Excludes
-  // every writer of the current directory (box locks in index order — the
-  // same global order as the cut fallback), retires the shards, cuts
-  // equal-load splitters over the frozen content, distributes into a fresh
-  // directory, publishes it, and epoch-retires the predecessor.
-  //
-  // NO_THREAD_SAFETY_ANALYSIS: holds the dynamic writer-lock set (vector of
-  // unique_locks) the lexical model cannot express — same opt-out and TSan
-  // coverage as validated_cut's fallback.
-  bool install_balanced_locked() PAM_REQUIRES(rebalance_mu_)
-      PAM_NO_THREAD_SAFETY_ANALYSIS {
+  // The install engine behind maybe_rebalance / rebalance_now. The caller
+  // excludes every writer and every other install, so the current shards
+  // are frozen and dir_ can only be replaced here: read the shards, cut
+  // equal-load splitters over their concatenation, distribute into a fresh
+  // directory, publish it, and epoch-retire the predecessor (a concurrent
+  // reader or cut may still be routing through it).
+  bool install_balanced() {
     server_internal::rebalance_metrics().attempts.inc();
     obs::span span("sharded.rebalance");
-    directory* old = dir_locked();
-    std::vector<std::unique_lock<mutex>> locks;
-    locks.reserve(old->shards.size());
-    for (const auto& sh : old->shards) locks.push_back(sh->box.writer_lock());
-    // All writers excluded: the shards are frozen. Peek (no refcount bump
-    // needed for the reads below, but parts are retained across the joins).
+    directory old = view_dir();
     std::vector<double> loads;
     std::vector<size_t> counts;
     Map whole;
-    loads.reserve(old->shards.size());
-    counts.reserve(old->shards.size());
-    for (const auto& sh : old->shards) {
-      Map part = sh->box.peek();
+    loads.reserve(old.shards.size());
+    counts.reserve(old.shards.size());
+    for (const auto& sh : old.shards) {
+      Map part = sh->box.snapshot();
       loads.push_back(static_cast<double>(
           sh->write_ops.load(std::memory_order_relaxed)));
       counts.push_back(part.size());
@@ -952,24 +855,18 @@ class sharded_map {
     }
     std::vector<K> nsp =
         balanced_splitters(whole, counts, std::move(loads), target_shards_);
-    if (same_splitters(nsp, *old->splitters)) return false;
-    // Commit point: retire the old shards (writers queued on the locks we
-    // hold will observe the flag and re-route), install the successor.
-    for (const auto& sh : old->shards) {
-      sh->retired_.store(true, std::memory_order_release);
-    }
+    if (same_splitters(nsp, *old.splitters)) return false;
     // pam-lint: allow(naked-new) — directories are install-rate objects
     // owned by the map, freed exclusively through the epoch limbo below.
     directory* fresh = new directory{
         std::make_shared<const std::vector<K>>(std::move(nsp)), {},
-        old->gen + 1};
+        old.gen + 1};
     fresh->shards = shards_from(*fresh->splitters, std::move(whole));
-    dir_.store(fresh, std::memory_order_release);
+    directory* prev = dir_.exchange(fresh, std::memory_order_acq_rel);
     server_internal::rebalance_metrics().installs.inc();
-    locks.clear();  // release every writer before the (possibly slow) retire
     // pam-lint: allow(naked-delete) — the limbo deleter is the single
     // reclamation point for directories published by this map.
-    epoch::retire(old, [](void* p) { delete static_cast<directory*>(p); });
+    epoch::retire(prev, [](void* p) { delete static_cast<directory*>(p); });
     return true;
   }
 
@@ -986,9 +883,6 @@ class sharded_map {
   // the live directory may hold fewer when quantiles or balanced cuts
   // collapse duplicate keys.
   size_t target_shards_ = 1;
-  // Serializes directory replacement; held (before any box lock) by
-  // rebalance and by the cut fallback that needs a pinned directory.
-  mutable mutex rebalance_mu_;
   std::atomic<directory*> dir_{nullptr};
 };
 

@@ -21,19 +21,20 @@
 //     never overtake an earlier one.
 //   * Visibility: reads through the sharded_map see committed state only;
 //     each per-shard slice of a flushed batch becomes visible in one atomic
-//     epoch-protected root publication (snapshot_box::update_if), so
+//     epoch-protected root publication (snapshot_box::update), so
 //     readers never see a slice half-applied. flush_all() is the barrier —
 //     every op enqueued happens-before a flush_all() call is committed when
 //     it returns.
 //   * Rebalance-stable queues: ops are bucketed into queues by the splitter
 //     directory pinned at construction (a shared handle that outlives any
 //     number of rebalances), so a key's ops always ride the same queue and
-//     the per-queue flush lock keeps them in enqueue order even while the
-//     target's live directory changes underneath. At the flush boundary a
-//     batch is applied through the target's bulk write path, which
-//     partitions against the *live* directory and re-routes around any
-//     concurrent rebalance — queue index and live shard index are decoupled
-//     on purpose (the WAL replayer never trusted the queue index either).
+//     the per-queue flush lock keeps them in enqueue order across directory
+//     installs. At the flush boundary a batch is applied through the
+//     target's bulk write path, which partitions against the *live*
+//     directory — queue index and live shard index are decoupled on purpose
+//     (the WAL replayer never trusted the queue index either). An install
+//     must not overlap a flush: quiesced() is the fence kv_store::rebalance
+//     runs it behind.
 //   * Shutdown drains: shutdown() (also run by the destructor) stops the
 //     flusher thread and then flushes every remaining op, so the final
 //     drain is guaranteed to land in the target sharded_map before the
@@ -160,10 +161,11 @@ class write_combiner {
   // append) and its apply to the target — the two happen under the same
   // per-shard flush lock — and no new batch can commit until it returns.
   // This is the consistency fence kv_store::save_checkpoint cuts its
-  // durable checkpoint on: inside `fn`, the target reflects exactly the
-  // batches the sink has seen. Locks are taken in shard-index order (the
-  // only place more than one flush lock is ever held); `fn` must not
-  // re-enter the combiner.
+  // durable checkpoint on — inside `fn`, the target reflects exactly the
+  // batches the sink has seen — and the writer exclusion
+  // kv_store::rebalance installs a new shard directory under. Locks are
+  // taken in shard-index order (the only place more than one flush lock is
+  // ever held); `fn` must not re-enter the combiner.
   template <typename Fn>
   void quiesced(Fn&& fn) {
     quiesce_from(0, fn);
@@ -272,10 +274,9 @@ class write_combiner {
     ops_committed_.inc(upserts.size() + deletes.size());
     batches_flushed_.inc();
     // Apply through the live-directory bulk path: the target partitions
-    // each list against whatever directory is current and transparently
-    // re-routes around a concurrent rebalance. Coalescing put each key in
-    // exactly one of the two lists, so the apply order between them is
-    // immaterial.
+    // each list against whatever directory is current. Coalescing put each
+    // key in exactly one of the two lists, so the apply order between them
+    // is immaterial.
     if (!upserts.empty()) target_.multi_insert(std::move(upserts));
     if (!deletes.empty()) target_.multi_delete(std::move(deletes));
   }
@@ -351,8 +352,8 @@ class write_combiner {
   sharded_map<Map>& target_;
   const config cfg_;
   // The construction-time splitter directory, pinned: the stable bucketing
-  // for queues_ (whose count never changes) while the target's live
-  // directory rebalances freely.
+  // for queues_ (whose count never changes) across the target's directory
+  // installs.
   std::shared_ptr<const std::vector<K>> routing_;
   std::vector<std::unique_ptr<shard_queue>> queues_;
 

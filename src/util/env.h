@@ -76,8 +76,8 @@ struct env_knob {
 };
 
 // Every PAM_* environment knob in the tree. Kept sorted by name.
-inline const std::array<env_knob, 24>& env_knobs() {
-  static const std::array<env_knob, 24> knobs{{
+inline const std::array<env_knob, 21>& env_knobs() {
+  static const std::array<env_knob, 21> knobs{{
       {"PAM_BENCH_JSON", "bench", "(unset)",
        "append one JSON line per benchmark row to this file"},
       {"PAM_BENCH_SCALE", "bench", "1.0",
@@ -108,13 +108,6 @@ inline const std::array<env_knob, 24>& env_knobs() {
       {"PAM_REBALANCE_GATE", "bench", "derated by machine size",
        "fail the skewed-YCSB bench when rebalanced throughput is not this "
        "many times the static-directory baseline"},
-      {"PAM_REBALANCE_INTERVAL_MS", "server", "0 (off)",
-       "kv_store rebalance policy tick period; positive enables the thread"},
-      {"PAM_REBALANCE_MIN_OPS", "server", "4096",
-       "min routed write ops per policy window before skew is judged"},
-      {"PAM_REBALANCE_RATIO", "server", "2.0",
-       "rebalance when the hottest shard exceeds this multiple of the mean "
-       "per-shard load"},
       {"PAM_SIMD_FOLD", "tree", "1",
        "use the vectorized block fold path for hinted integer aug monoids"},
       {"PAM_SIMD_SEARCH", "tree", "1",

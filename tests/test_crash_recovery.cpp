@@ -364,6 +364,72 @@ TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
   expect_equals(recovered, oracle, "post-recovery: no acked batch lost");
 }
 
+// Crash-contract rule (d): a checkpoint cut under a different splitter
+// directory than its predecessor must be full — a per-shard delta across a
+// re-split would pair shards that no longer cover the same keys, and
+// load() (inserts, then deletes) would drop every key that moved. Skewed
+// writes make rebalance() install a new directory between two
+// checkpoints. A large cold preload keeps the per-shard delta far under
+// the size escalation, so only rule (d) can make the second checkpoint
+// full. Recovery must then return exactly the oracle, distributed along
+// the post-re-split splitters the full checkpoint recorded.
+TEST(CrashRecovery, CheckpointAfterResplitIsFullAndRecoversExactly) {
+  temp_dir td("resplit");
+  oracle_t oracle;
+  std::vector<uint64_t> resplit;
+  {
+    std::vector<map_t::entry_t> cold;  // all in the last shard, never written
+    for (uint64_t k = 100000; k < 300000; k++) {
+      cold.emplace_back(k, k);
+      oracle[k] = k;
+    }
+    store_t::options opt;
+    opt.splitters = {10000, 20000, 30000};
+    pam::store::durability_options dopts;
+    dopts.dir = td.path;
+    opt.durability = dopts;
+    store_t store(map_t(std::move(cold)), opt);
+
+    // Every write lands in shard 0: the load policy's hot-shard trigger.
+    pam::random_gen g(17);
+    for (uint64_t k = 0; k < 6000; k++) {
+      uint64_t v = g.next();
+      store.put(k, v);
+      oracle[k] = v;
+    }
+    store.save_checkpoint();
+    ASSERT_TRUE(store.rebalance());
+    resplit = store.shards().splitters();
+    ASSERT_NE(resplit, (std::vector<uint64_t>{10000, 20000, 30000}));
+
+    for (uint64_t i = 0; i < 500; i++) {
+      uint64_t k = 3000 + 7 * i;
+      uint64_t v = g.next();
+      store.put(k, v);
+      oracle[k] = v;
+    }
+    for (uint64_t k = 0; k < 6000; k += 13) {
+      store.erase(k);
+      oracle.erase(k);
+    }
+    auto res = store.save_checkpoint();
+    EXPECT_TRUE(res.full) << "a checkpoint across a re-split must be full";
+    // A WAL tail past the full checkpoint, replayed at recovery.
+    for (uint64_t k = 40000; k < 40100; k++) {
+      store.put(k, k);
+      oracle[k] = k;
+    }
+    store.flush();
+    ASSERT_FALSE(store.failed());
+    expect_equals(store, oracle, "pre-shutdown");
+  }
+  pam::store::durability_options dopts;
+  dopts.dir = td.path;
+  store_t recovered = store_t::recover(dopts);
+  expect_equals(recovered, oracle, "post-recovery");
+  EXPECT_EQ(recovered.shards().splitters(), resplit);
+}
+
 // Recovery leaves an audit trail in the metrics registry: runs, replayed
 // records, and the WAL/checkpoint counters the recovered store touched. The
 // fault-injected matrix above exercises recovery dozens of times before this

@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -387,61 +388,24 @@ TEST(ShardedMapRebalance, PolicyRepartitionsSkewAndPreservesContents) {
   EXPECT_TRUE(snap.merged().check_valid());
 }
 
-TEST(ShardedMapRebalance, InstallsRacingWritersLoseNoUpdates) {
-  // Writers own disjoint key ranges, so each can keep a private oracle in
-  // program order while rebalance_now() repartitions the directory under
-  // them nonstop. Every committed write must survive every install: the
-  // final merged contents must equal the union of the oracles exactly.
-  const int kWriters = 4, kOps = 3000;
-  sharded_t sm(std::vector<K>{100000, 200000, 300000});
-  std::atomic<bool> stop{false};
-
-  std::thread balancer([&] {
-    while (!stop.load()) {
-      sm.rebalance_now();
-      sm.maybe_rebalance(/*hot_ratio=*/1.2, /*min_ops=*/64);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::map<K, V>> oracles(kWriters);
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; w++) {
-    writers.emplace_back([&, w] {
-      pam::random_gen g(7000 + w);
-      auto& oracle = oracles[w];
-      for (int i = 0; i < kOps; i++) {
-        K k = K(w) * 100000 + g.next() % 2000;
-        if (g.next() % 5 == 0) {
-          sm.erase(k);
-          oracle.erase(k);
-        } else {
-          V v = g.next() % 100000;
-          sm.insert(k, v);
-          oracle[k] = v;
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true);
-  balancer.join();
-
-  // Installs actually raced the writers (the balancer ran throughout).
-  EXPECT_GE(sm.directory_gen(), 2u);
-
-  std::map<K, V> expect;
-  for (auto& o : oracles) expect.insert(o.begin(), o.end());
-  auto snap = sm.snapshot_all();
-  EXPECT_TRUE(snap.merged().check_valid());
-  auto got = snap.entries();
-  std::vector<entry_t> want(expect.begin(), expect.end());
-  EXPECT_EQ(got, want);
+TEST(ShardedMapRebalance, UpdateShardRejectsOutOfRangeIndex) {
+  // Shard indices are directory-relative; an index past the current
+  // directory names no shard and must not silently land in the last one.
+  sharded_t sm(std::vector<K>{100, 200});
+  ASSERT_EQ(sm.num_shards(), 3u);
+  auto put = [](K k) {
+    return [k](map_t m) { return map_t::insert(std::move(m), k, k); };
+  };
+  sm.update_shard(2, put(250));
+  EXPECT_THROW(sm.update_shard(3, put(300)), std::out_of_range);
+  EXPECT_THROW(sm.update_shard(size_t(-1), put(301)), std::out_of_range);
+  EXPECT_EQ(sm.size(), 1u);
+  EXPECT_EQ(sm.snapshot_shard(2).size(), 1u);
 }
 
 TEST(ShardedMapRebalance, CutsRacingInstallsKeepTheCutInvariant) {
-  // The consistent-cut invariant of SnapshotAllIsAConsistentCut, with an
-  // unconditional rebalancer racing the cuts: counters are advanced in key
+  // The consistent-cut invariant of SnapshotAllIsAConsistentCut, with
+  // unconditional installs racing the cuts: counters are advanced in key
   // order 0..3, so any cut — whatever directory generation it lands on —
   // must see c[s] non-increasing and spanning at most two rounds. Filler
   // inserts keep the entry distribution shifting so installs keep landing.
@@ -453,17 +417,16 @@ TEST(ShardedMapRebalance, CutsRacingInstallsKeepTheCutInvariant) {
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
 
-  std::thread balancer([&] {
-    while (!stop.load()) {
-      sm.rebalance_now();
-      std::this_thread::yield();
-    }
-  });
+  // Installs are writer-excluded, so the single writer installs itself
+  // between rounds; the reader threads' cuts still race every install.
   std::thread writer([&] {
     pam::random_gen g(9);
     for (V round = 1; round <= 2000; round++) {
       for (size_t s = 0; s < S; s++) sm.insert(counter_key[s], round);
-      if (round % 8 == 0) sm.insert(4000 + g.next() % 5000, round);
+      if (round % 8 == 0) {
+        sm.insert(4000 + g.next() % 5000, round);
+        sm.rebalance_now();
+      }
     }
     stop.store(true);
   });
@@ -496,9 +459,9 @@ TEST(ShardedMapRebalance, CutsRacingInstallsKeepTheCutInvariant) {
     });
   }
   writer.join();
-  balancer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0);
+  EXPECT_GE(sm.directory_gen(), 2u);
 }
 
 TEST(SnapshotBoxDifferential, ConcurrentPointWritersMatchMutexedStdMap) {
@@ -774,4 +737,54 @@ TEST(KvStore, EndToEnd) {
   EXPECT_GE(st.batches_flushed, 1u);
 }
 
+
+TEST(KvStoreRebalance, InstallsRacingWritersLoseNoUpdates) {
+  // Four put/erase clients own disjoint key ranges — each keeps a private
+  // oracle in program order — and all four ranges start inside shard 0, so
+  // the load policy sees one hot shard and re-splits. A fifth thread loops
+  // rebalance(), whose writer fence interleaves installs with the clients'
+  // combiner flushes. Every write must survive every install.
+  const int kWriters = 4, kOps = 5000;
+  store_t store(map_t{}, {.splitters = {100000, 200000, 300000},
+                          .combiner = {.batch_size = 64}});
+  std::atomic<bool> stop{false};
+  std::thread balancer([&] {
+    while (!stop.load()) {
+      store.rebalance();
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::map<K, V>> oracles(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      pam::random_gen g(7000 + w);
+      auto& oracle = oracles[w];
+      for (int i = 0; i < kOps; i++) {
+        K k = K(w) * 25000 + g.next() % 20000;
+        if (g.next() % 5 == 0) {
+          store.erase(k);
+          oracle.erase(k);
+        } else {
+          V v = g.next() % 100000;
+          store.put(k, v);
+          oracle[k] = v;
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true);
+  balancer.join();
+  store.flush();
+
+  EXPECT_GE(store.shards().directory_gen(), 2u);
+  std::map<K, V> expect;
+  for (auto& o : oracles) expect.insert(o.begin(), o.end());
+  auto snap = store.snapshot();
+  EXPECT_TRUE(snap.merged().check_valid());
+  std::vector<entry_t> want(expect.begin(), expect.end());
+  EXPECT_EQ(snap.entries(), want);
+}
 }  // namespace
