@@ -18,14 +18,17 @@
 // history() answers time-travel reads and version diffs, and feed() hands
 // out pull-based change subscriptions.
 //
-// rebalance() re-splits the shard directory along the observed write load
-// when it is skewed. It runs behind the same writer fence as
-// save_checkpoint, so a directory install never races a write; the caller
-// decides when (e.g. next to each checkpoint).
+// Every write — buffered put/erase or bulk put_batch/erase_batch — is logged
+// and applied under the combiner's flush locks of the queues it touches,
+// so there is one write path and one writer fence: write_combiner::quiesced.
+// save_checkpoint cuts inside that fence, and rebalance() re-splits the
+// shard directory along the observed write load inside it, so a directory
+// install never races a write; the caller decides when (e.g. next to each
+// checkpoint).
 //
-// Writes are eventually visible (bounded by batch_size / flush_interval);
-// flush() is the barrier when read-your-writes is needed. All members are
-// safe to call from any thread.
+// Buffered writes are eventually visible (bounded by batch_size /
+// flush_interval); flush() is the barrier when read-your-writes is needed.
+// All members are safe to call from any thread.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +81,7 @@ class kv_store {
     typename version_store<Map>::config history{};
     // Durability: when set, the store owns a store::durability manager
     // rooted at durability->dir — every flushed batch is WAL-logged before
-    // it becomes visible (write_combiner::config::batch_sink),
+    // it becomes visible (the combiner's sink),
     // save_checkpoint() persists consistent cuts, and recover() rebuilds a
     // store from the directory after a crash. Constructing with this set
     // immediately commits a full checkpoint of the initial contents (the
@@ -95,7 +98,7 @@ class kv_store {
                      ? std::make_unique<store::durability<Map>>(
                            std::move(*opt.durability), shards_.snapshot_all())
                      : nullptr),
-        combiner_(shards_, wire_sink(std::move(opt.combiner))) {
+        combiner_(shards_, opt.combiner, wal_sink()) {
     init_history(opt);
   }
 
@@ -113,19 +116,17 @@ class kv_store {
     if (durable_) durable_->sync_wal();
   }
 
-  // Bulk writes bypass the combiner: they are already batches, and commit
-  // before returning. Mixing bulk and buffered writes to the same key is
-  // racy by construction — flush() first if ordering matters. On a durable
-  // store each bulk call is one WAL record, logged before it is applied.
-  void put_batch(std::vector<entry_t> updates) PAM_EXCLUDES(cut_mu_) {
-    shared_guard fence(cut_mu_);
-    log_bulk(updates, {});
-    shards_.multi_insert(std::move(updates));
+  // Bulk writes are already batches: each commits before returning, as one
+  // WAL record on a durable store, in program order with this thread's
+  // earlier put/erase calls on the same keys (write_combiner::commit_now).
+  // Each holds the flush locks of the queues its keys route to from log to
+  // apply, so bulk batches over shared queues commit one at a time. An
+  // empty batch is a no-op.
+  void put_batch(std::vector<entry_t> updates) {
+    combiner_.commit_now(std::move(updates), {});
   }
-  void erase_batch(std::vector<K> keys) PAM_EXCLUDES(cut_mu_) {
-    shared_guard fence(cut_mu_);
-    log_bulk({}, keys);
-    shards_.multi_delete(std::move(keys));
+  void erase_batch(std::vector<K> keys) {
+    combiner_.commit_now({}, std::move(keys));
   }
 
   // -------------------------------------------------------------- reads --
@@ -183,8 +184,8 @@ class kv_store {
   // version retained by the ring (version_store::capture_snapshot).
   //
   // The (sync → read covered → snapshot) triple runs inside the writer
-  // fence (fenced()), so no batch — combiner or bulk — can sit
-  // between its WAL append and its apply while the cut is taken. Without
+  // fence (write_combiner::quiesced), so no batch — buffered or bulk — can
+  // sit between its WAL append and its apply while the cut is taken. Without
   // the fence a record with seq <= covered could be durable but not yet
   // applied, and the committed checkpoint would claim coverage of a batch
   // it lacks — wal_replay skips seq <= covered, silently losing the acked
@@ -192,7 +193,7 @@ class kv_store {
   // itself (O(shards) root grabs + one group fsync); serialization and
   // commit run outside the fence, concurrent with new writes.
   typename store::durability<Map>::ckpt_result save_checkpoint()
-      PAM_EXCLUDES(cut_mu_, ckpt_mu_) {
+      PAM_EXCLUDES(ckpt_mu_) {
     require_durable();
     // Serializing checkpoints end-to-end keeps covered_wal_seq monotone
     // across the durability manager's commits: were two cuts to commit in
@@ -202,7 +203,7 @@ class kv_store {
     combiner_.flush_all();  // drain the bulk of the backlog outside the fence
     uint64_t covered = 0;
     std::optional<snapshot_type> cut;
-    fenced([&] {
+    combiner_.quiesced([&] {
       durable_->sync_wal();
       covered = durable_->durable_seq();
       cut.emplace(history_.has_value() ? history_->capture_snapshot().snapshot
@@ -257,9 +258,9 @@ class kv_store {
   // readers, snapshots and cuts keep running against the old directory.
   // On a durable store the next save_checkpoint() is a full one
   // (crash-contract rule (d)).
-  bool rebalance() PAM_EXCLUDES(cut_mu_) {
+  bool rebalance() {
     bool installed = false;
-    fenced([&] {
+    combiner_.quiesced([&] {
       installed =
           shards_.maybe_rebalance(kRebalanceHotRatio, kRebalanceMinOps);
     });
@@ -341,25 +342,13 @@ class kv_store {
         durable_(std::make_unique<store::durability<Map>>(
             std::move(dopts), shards_.snapshot_all(), rec.next_seq - 1,
             rec.next_seq)),
-        combiner_(shards_, wire_sink(std::move(opt.combiner))) {
+        combiner_(shards_, opt.combiner, wal_sink()) {
     init_history(opt);
   }
 
   // rebalance()'s policy: the hot-shard trigger and the minimum window.
   static constexpr double kRebalanceHotRatio = 2.0;
   static constexpr uint64_t kRebalanceMinOps = 4096;
-
-  // The writer fence: run fn with every writer of this store excluded.
-  // cut_mu_ exclusive shuts out bulk writes (they hold it shared across
-  // their WAL log → apply pair); write_combiner::quiesced holds every shard
-  // flush lock, so no combiner batch is between its sink call and its
-  // apply. Readers and cuts are never blocked. Ordered cut_mu_ → flush
-  // locks; fn must not write through this store.
-  template <typename Fn>
-  void fenced(Fn&& fn) PAM_EXCLUDES(cut_mu_) {
-    exclusive_guard fence(cut_mu_);
-    combiner_.quiesced(fn);
-  }
 
   void init_history(const options& opt) {
     if (opt.retain_versions > 0) {
@@ -369,34 +358,17 @@ class kv_store {
     }
   }
 
-  // Chain the WAL onto the combiner's pre-visibility hook: a batch that
-  // cannot be logged is never applied (the sink throws, the combiner drops
-  // it and counts a sink_failure). A user-supplied sink still runs, before
-  // the log — its failure also keeps the batch out of both.
-  typename write_combiner<Map>::config wire_sink(
-      typename write_combiner<Map>::config cfg) {
-    if (durable_) {
-      auto prior = std::move(cfg.batch_sink);
-      auto* d = durable_.get();
-      cfg.batch_sink = [d, prior = std::move(prior)](
-                           size_t s, const std::vector<entry_t>& ups,
-                           const std::vector<K>& dels) {
-        if (prior) prior(s, ups, dels);
-        if (d->log_batch(static_cast<uint32_t>(s), ups, dels) == 0) {
-          throw store::io_error("kv_store: WAL writer is dead, batch unacked");
-        }
-      };
-    }
-    return cfg;
-  }
-
-  // Bulk writes don't ride the combiner, so they log their own record
-  // (shard field = ~0: routing is rederived from splitters at recovery).
-  void log_bulk(const std::vector<entry_t>& ups, const std::vector<K>& dels) {
-    if (!durable_) return;
-    if (durable_->log_batch(~uint32_t{0}, ups, dels) == 0) {
-      throw store::io_error("kv_store: WAL writer is dead, batch unacked");
-    }
+  // The combiner's pre-visibility hook, the store's one WAL append site: a
+  // batch that cannot be logged is never applied (the sink throws, the
+  // combiner drops it and counts a sink_failure).
+  typename write_combiner<Map>::sink_fn wal_sink() {
+    if (!durable_) return {};
+    return [d = durable_.get()](size_t s, const std::vector<entry_t>& ups,
+                                const std::vector<K>& dels) {
+      if (d->log_batch(static_cast<uint32_t>(s), ups, dels) == 0) {
+        throw store::io_error("kv_store: WAL writer is dead, batch unacked");
+      }
+    };
   }
 
   // Create (lazily, growing on demand) and refresh the
@@ -446,14 +418,6 @@ class kv_store {
   }
 
   sharded_map<Map> shards_;
-  // The bulk-write half of the writer fence (fenced()). Bulk writes hold it
-  // shared across their [WAL log → apply] pair; save_checkpoint and
-  // rebalance hold it exclusive (combiner batches need no share — their
-  // log→apply pair lives under the shard flush locks, which the exclusive
-  // section also holds via write_combiner::quiesced). Ordered before the
-  // flush locks; nothing is PAM_GUARDED_BY it — it fences an ordering, not
-  // data.
-  mutable shared_mutex cut_mu_;
   // Serializes save_checkpoint callers so coverage claims reach the
   // durability manager in monotone order (see save_checkpoint).
   mutex ckpt_mu_;

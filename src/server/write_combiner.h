@@ -35,6 +35,12 @@
 //     (the WAL replayer never trusted the queue index either). An install
 //     must not overlap a flush: quiesced() is the fence kv_store::rebalance
 //     runs it behind.
+//   * Bulk batches: commit_now() takes a pre-formed upsert/delete batch
+//     (kv_store::put_batch / erase_batch) onto the same path. It holds the
+//     flush locks of every queue its keys route to, drains their pending
+//     ops ahead of it, and logs and applies it before the locks drop — so
+//     per key, log order equals apply order, and a thread's buffered ops
+//     and later bulk batch land in program order.
 //   * Shutdown drains: shutdown() (also run by the destructor) stops the
 //     flusher thread and then flushes every remaining op, so the final
 //     drain is guaranteed to land in the target sharded_map before the
@@ -42,16 +48,16 @@
 //     than it — is torn down. An op enqueued concurrently with shutdown is
 //     never stranded: it either lands in a buffer before the closed flag is
 //     set (the final flush_all commits it) or observes the flag and commits
-//     directly to the target. shutdown() is idempotent; after it returns,
+//     as a one-op commit_now(). shutdown() is idempotent; after it returns,
 //     every later upsert/erase bypasses the (now permanently drained)
-//     buffers and commits as a point write.
+//     buffers the same way.
 //
-// Thread safety: upsert / erase / flush_all / shutdown / stats may be
-// called from any number of threads concurrently. Only the destructor
-// itself must be externally synchronized with other member calls (standard
-// C++ object lifetime), which is why kv_store declares the combiner after
-// its sharded_map: members destroy in reverse order, so the drain always
-// precedes the target's destruction.
+// Thread safety: upsert / erase / flush_all / commit_now / quiesced /
+// shutdown / stats may be called from any number of threads concurrently.
+// Only the destructor itself must be externally synchronized with other
+// member calls (standard C++ object lifetime), which is why kv_store
+// declares the combiner after its sharded_map: members destroy in reverse
+// order, so the drain always precedes the target's destruction.
 #pragma once
 
 #include <algorithm>
@@ -62,6 +68,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -88,26 +95,32 @@ class write_combiner {
     // Background flusher period; zero disables the flusher thread (flushes
     // then happen only on batch_size overflow and explicit flush_all).
     std::chrono::milliseconds flush_interval{2};
-    // Durability hook: called with each coalesced batch under the shard's
-    // flush lock, BEFORE the batch is applied to the target — so a batch is
-    // never visible to readers unless it was offered to the log first. A
-    // throwing sink aborts the commit (the batch is dropped, the exception
-    // propagates to whoever drove the flush): crash semantics, exercised by
-    // the fault-injection tests. Empty = no durability (the default).
-    std::function<void(size_t shard, const std::vector<entry_t>& upserts,
-                       const std::vector<K>& deletes)>
-        batch_sink{};
   };
+
+  // Durability hook: called with each batch under the flush locks of the
+  // queues it touches, BEFORE the batch is applied to the target — so a
+  // batch is never visible to readers unless it was offered to the log
+  // first. `shard` is the queue index of a buffered batch, kBulkShard for a
+  // commit_now() batch. A throwing sink aborts the commit (the batch is
+  // dropped, the exception propagates to whoever drove the flush): crash
+  // semantics, exercised by the fault-injection tests. Empty = no
+  // durability.
+  using sink_fn =
+      std::function<void(size_t shard, const std::vector<entry_t>& upserts,
+                         const std::vector<K>& deletes)>;
+  static constexpr size_t kBulkShard = ~uint32_t{0};
 
   struct stats_snapshot {
     uint64_t ops_enqueued;    // upserts + erases accepted
     uint64_t ops_committed;   // ops surviving coalescing, applied to shards
     uint64_t batches_flushed; // non-empty batch commits
-    uint64_t sink_failures;   // batches dropped because batch_sink threw
+    uint64_t sink_failures;   // batches dropped because the sink threw
   };
 
-  explicit write_combiner(sharded_map<Map>& target, config cfg = {})
-      : target_(target), cfg_(cfg), routing_(target.splitters_handle()),
+  explicit write_combiner(sharded_map<Map>& target, config cfg = {},
+                          sink_fn sink = {})
+      : target_(target), cfg_(cfg), sink_(std::move(sink)),
+        routing_(target.splitters_handle()),
         queues_(routing_->size() + 1) {
     for (auto& q : queues_) q = std::make_unique<shard_queue>();
     if (cfg_.flush_interval.count() > 0)
@@ -118,7 +131,7 @@ class write_combiner {
     try {
       shutdown();
     } catch (...) {
-      // The final drain hit a batch_sink failure: the undrained ops were
+      // The final drain hit a sink failure: the undrained ops were
       // never acked, and a destructor must not throw.
     }
   }
@@ -156,19 +169,41 @@ class write_combiner {
     for (size_t s = 0; s < queues_.size(); s++) flush_shard(s);
   }
 
+  // Commit a pre-formed batch now, ordered with every buffered op on its
+  // keys: hold the flush locks of the queues its keys route to, commit
+  // their pending ops first, then offer the batch to the sink as ONE call
+  // (shard kBulkShard) and apply it — upserts, then deletes, as WAL replay
+  // does — before the locks drop. Visible on return. An empty batch is a
+  // no-op: nothing is logged.
+  void commit_now(std::vector<entry_t> upserts, std::vector<K> deletes) {
+    if (upserts.empty() && deletes.empty()) return;
+    std::vector<bool> hit(queues_.size(), false);
+    for (const entry_t& e : upserts) hit[route(e.first)] = true;
+    for (const K& k : deletes) hit[route(k)] = true;
+    std::vector<size_t> touched;
+    for (size_t s = 0; s < hit.size(); s++) {
+      if (hit[s]) touched.push_back(s);
+    }
+    auto commit = [&] {
+      log_and_apply(kBulkShard, std::move(upserts), std::move(deletes));
+    };
+    quiesce_walk(touched, 0, commit);
+  }
+
   // Flush every shard, then run `fn` while ALL shard flush locks are held.
-  // While `fn` runs no batch can sit between its batch_sink call (the WAL
-  // append) and its apply to the target — the two happen under the same
-  // per-shard flush lock — and no new batch can commit until it returns.
-  // This is the consistency fence kv_store::save_checkpoint cuts its
-  // durable checkpoint on — inside `fn`, the target reflects exactly the
-  // batches the sink has seen — and the writer exclusion
-  // kv_store::rebalance installs a new shard directory under. Locks are
-  // taken in shard-index order (the only place more than one flush lock is
-  // ever held); `fn` must not re-enter the combiner.
+  // Every write — buffered batch or commit_now() — calls the sink (the WAL
+  // append) and applies to the target under the flush locks of the queues
+  // it touches, so while `fn` runs no batch sits between the two and no
+  // new batch can commit until it returns. This is the whole writer fence:
+  // kv_store::save_checkpoint cuts its durable checkpoint in it — inside
+  // `fn`, the target reflects exactly the batches the sink has seen — and
+  // kv_store::rebalance installs a new shard directory in it. `fn` must
+  // not re-enter the combiner.
   template <typename Fn>
   void quiesced(Fn&& fn) {
-    quiesce_from(0, fn);
+    std::vector<size_t> all(queues_.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    quiesce_walk(all, 0, fn);
   }
 
   // A point-in-time view over this instance's registry counters: the
@@ -194,11 +229,15 @@ class write_combiner {
     mutex flush_mu;             // orders [swap → commit] sections per shard
   };
 
+  // Routed by the pinned construction-time splitters, NOT the live
+  // directory: the queue index must be stable across rebalances so every
+  // write of a key always serializes on one flush lock.
+  size_t route(const K& k) const {
+    return server_internal::shard_index(*routing_, k, entry_policy::comp);
+  }
+
   void enqueue(const K& k, std::optional<V> v) {
-    // Routed by the pinned construction-time splitters, NOT the live
-    // directory: the queue index must be stable across rebalances so both
-    // ops of a same-key pair always serialize on one flush lock.
-    size_t s = server_internal::shard_index(*routing_, k, entry_policy::comp);
+    size_t s = route(k);
     shard_queue& q = *queues_[s];
     bool buffered = false;
     bool overflow = false;
@@ -206,8 +245,8 @@ class write_combiner {
       mutex_guard lock(q.buffer_mu);
       // The closed check is under the buffer lock: an op either lands in
       // the buffer before shutdown() closes (its final flush_all takes this
-      // same lock and drains it) or sees closed and takes the direct path
-      // below — no op can be stranded in a dead buffer.
+      // same lock and drains it) or sees closed and commits directly below
+      // — no op can be stranded in a dead buffer.
       if (!closed_.load(std::memory_order_acquire)) {
         if (q.pending.empty()) q.oldest_ns = obs::now_ns();
         q.pending.emplace_back(k, std::move(v));
@@ -216,56 +255,56 @@ class write_combiner {
       }
     }
     ops_enqueued_.inc();
-    if (buffered) queue_depth_.add(1);
     if (!buffered) {
-      // Post-shutdown: drain whatever is still pending for this shard and
-      // commit this op behind it, all under the flush lock — an older
-      // buffered write can never overtake it.
-      mutex_guard serialize(q.flush_mu);
-      auto [batch, oldest] = swap_out(q);
-      batch.emplace_back(k, std::move(v));
-      commit_batch(q, s, std::move(batch), oldest);
-      return;
+      // Post-shutdown: commit_now drains whatever is still pending for this
+      // queue first, so an older buffered write can never overtake it.
+      return v ? commit_now({{k, std::move(*v)}}, {}) : commit_now({}, {k});
     }
+    queue_depth_.add(1);
     if (overflow) flush_shard(s);
   }
 
-  // Drain the shard's buffer; returns (batch, enqueue time of its oldest
-  // op — 0 when the batch is empty).
-  std::pair<std::vector<op_t>, uint64_t> swap_out(shard_queue& q) {
+  // Swap out queue s's buffer and commit it as one batch. flush_mu spans
+  // swap-out and commit, so batches of a queue apply in enqueue order and
+  // last-writer-wins holds across batch boundaries. The caller-holds-
+  // q.flush_mu contract is an annotation, not just this comment: calling it
+  // unlocked fails to compile under clang -Wthread-safety.
+  void drain(shard_queue& q, size_t s) PAM_REQUIRES(q.flush_mu) {
+    {
+      // Most drains under a flusher tick or a fence find the buffer empty:
+      // skip the swap and its fresh reservation. Outside flush_mu only
+      // enqueue touches the buffer, and it only grows it.
+      mutex_guard lock(q.buffer_mu);
+      if (q.pending.empty()) return;
+    }
     std::vector<op_t> batch;
     batch.reserve(cfg_.batch_size);
-    uint64_t oldest = 0;
+    uint64_t oldest_ns = 0;
     {
       mutex_guard lock(q.buffer_mu);
       batch.swap(q.pending);
-      oldest = q.oldest_ns;
+      oldest_ns = q.oldest_ns;
       q.oldest_ns = 0;
     }
     queue_depth_.add(-static_cast<int64_t>(batch.size()));
-    return {std::move(batch), oldest};
-  }
-
-  // Coalesce and apply one batch to shard s. The caller-holds-q.flush_mu
-  // contract is an annotation, not just this comment: calling it unlocked
-  // (which would let a later batch overtake this one) fails to compile
-  // under clang -Wthread-safety.
-  void commit_batch(shard_queue& q, size_t s, std::vector<op_t> batch,
-                    uint64_t oldest_ns = 0) PAM_REQUIRES(q.flush_mu) {
-    (void)q;
-    if (batch.empty()) return;
     obs::span flush_span("combiner.flush");
     batch_ops_.record(batch.size());
-    if (oldest_ns != 0) {
-      enqueue_to_flush_ns_.record(obs::now_ns() - oldest_ns);
-    }
+    enqueue_to_flush_ns_.record(obs::now_ns() - oldest_ns);
     auto [upserts, deletes] = coalesce(std::move(batch));
-    if (cfg_.batch_sink) {
-      // Still under q.flush_mu: the log sees this shard's batches in the
-      // same order readers will, and a sink failure keeps the batch out of
-      // the target entirely — it was never acked, so losing it is correct.
+    log_and_apply(s, std::move(upserts), std::move(deletes));
+  }
+
+  // Offer one batch to the sink, then apply it through the live-directory
+  // bulk path: the target partitions each list against whatever directory
+  // is current. Called only with the flush locks of every queue the batch
+  // touches held, so the log sees each key's batches in the order readers
+  // will, and a sink failure keeps the batch out of the target entirely —
+  // it was never acked, so losing it is correct.
+  void log_and_apply(size_t s, std::vector<entry_t> upserts,
+                     std::vector<K> deletes) {
+    if (sink_) {
       try {
-        cfg_.batch_sink(s, upserts, deletes);
+        sink_(s, upserts, deletes);
       } catch (...) {
         sink_failures_.inc();
         throw;
@@ -273,39 +312,32 @@ class write_combiner {
     }
     ops_committed_.inc(upserts.size() + deletes.size());
     batches_flushed_.inc();
-    // Apply through the live-directory bulk path: the target partitions
-    // each list against whatever directory is current. Coalescing put each
-    // key in exactly one of the two lists, so the apply order between them
-    // is immaterial.
     if (!upserts.empty()) target_.multi_insert(std::move(upserts));
     if (!deletes.empty()) target_.multi_delete(std::move(deletes));
   }
 
-  // quiesced()'s lock-accumulating walk: flush shard s under its flush
-  // lock, keep the lock, recurse to s+1, and run fn once every shard's
-  // lock is held. Recursion keeps each acquisition lexical, so clang's
+  // The lock-accumulating walk behind quiesced() and commit_now(): drain
+  // queue qs[i] under its flush lock, keep the lock, recurse to i+1, and
+  // run fn once every listed queue's lock is held. qs is ascending, so
+  // locks are always taken in queue-index order and two walks can never
+  // deadlock. Recursion keeps each acquisition lexical, so clang's
   // thread-safety analysis tracks the whole dynamic lock set.
   template <typename Fn>
-  void quiesce_from(size_t s, Fn& fn) {
-    if (s == queues_.size()) {
+  void quiesce_walk(const std::vector<size_t>& qs, size_t i, Fn& fn) {
+    if (i == qs.size()) {
       fn();
       return;
     }
-    shard_queue& q = *queues_[s];
+    shard_queue& q = *queues_[qs[i]];
     mutex_guard serialize(q.flush_mu);
-    auto [batch, oldest] = swap_out(q);
-    commit_batch(q, s, std::move(batch), oldest);
-    quiesce_from(s + 1, fn);
+    drain(q, qs[i]);
+    quiesce_walk(qs, i + 1, fn);
   }
 
   void flush_shard(size_t s) {
     shard_queue& q = *queues_[s];
-    // flush_mu spans swap-out and commit: batches of this shard apply in
-    // enqueue order, which is what makes last-writer-wins hold across
-    // batch boundaries (no later batch overtakes an earlier one).
     mutex_guard serialize(q.flush_mu);
-    auto [batch, oldest] = swap_out(q);
-    commit_batch(q, s, std::move(batch), oldest);
+    drain(q, s);
   }
 
   // Keep only the latest op per key (stable sort by key preserves enqueue
@@ -341,7 +373,7 @@ class write_combiner {
       try {
         flush_all();
       } catch (...) {
-        // A batch_sink failure on the background thread must not terminate
+        // A sink failure on the background thread must not terminate
         // the process: the batch was dropped (counted in sink_failures_),
         // the WAL writer is dead, and the owner observes it via failed().
       }
@@ -351,6 +383,7 @@ class write_combiner {
 
   sharded_map<Map>& target_;
   const config cfg_;
+  const sink_fn sink_;
   // The construction-time splitter directory, pinned: the stable bucketing
   // for queues_ (whose count never changes) across the target's directory
   // installs.

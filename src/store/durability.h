@@ -150,11 +150,12 @@ class durability {
   // (sync, read durable_seq, snapshot) triple must be fenced against
   // writers so no record with seq <= covered_seq is still between its WAL
   // append and its apply when the cut is taken — kv_store::save_checkpoint
-  // does this by quiescing the combiner's flush locks and excluding bulk
-  // writes. Replay of any seq in (covered, last] is idempotent because
-  // records carry absolute upserts/deletes. covered_seq must be monotone
-  // across calls (a regressing claim would follow a truncate that already
-  // unlinked records the older manifest needs).
+  // does this by holding every combiner flush lock (quiesced), under which
+  // all of its writes log and apply. Replay of any seq in (covered, last]
+  // is idempotent because records carry absolute upserts/deletes.
+  // covered_seq must be monotone across calls (a regressing claim would
+  // follow a truncate that already unlinked records the older manifest
+  // needs).
   ckpt_result save_checkpoint(const snapshot_t& cut, uint64_t covered_seq)
       PAM_EXCLUDES(mu_) {
     mutex_guard g(mu_);

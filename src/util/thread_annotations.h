@@ -12,8 +12,8 @@
 // Three kinds of capability appear in the codebase:
 //
 //   * plain mutexes (pam::mutex / pam::shared_mutex below): annotated
-//     wrappers over the std types, lockable through the scoped guards or
-//     std::unique_lock;
+//     wrappers over the std types, lockable directly, through
+//     std::unique_lock, or (pam::mutex) through the scoped guards;
 //   * the EBR domain (alloc/arena.h `epoch_domain`): a process-global
 //     capability held *shared* by every epoch::guard. Dereferencing
 //     epoch-published state is REQUIRES_SHARED(epoch_domain); reclamation
@@ -162,34 +162,6 @@ class PAM_SCOPED_CAPABILITY mutex_guard {
 
  private:
   mutex& mu_;
-};
-
-// Scoped exclusive lock over pam::shared_mutex (the writer side).
-class PAM_SCOPED_CAPABILITY exclusive_guard {
- public:
-  explicit exclusive_guard(shared_mutex& mu) PAM_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~exclusive_guard() PAM_RELEASE() { mu_.unlock(); }
-  exclusive_guard(const exclusive_guard&) = delete;
-  exclusive_guard& operator=(const exclusive_guard&) = delete;
-
- private:
-  shared_mutex& mu_;
-};
-
-// Scoped shared lock over pam::shared_mutex (the reader side).
-class PAM_SCOPED_CAPABILITY shared_guard {
- public:
-  explicit shared_guard(shared_mutex& mu) PAM_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~shared_guard() PAM_RELEASE() { mu_.unlock_shared(); }
-  shared_guard(const shared_guard&) = delete;
-  shared_guard& operator=(const shared_guard&) = delete;
-
- private:
-  shared_mutex& mu_;
 };
 
 // std::unique_lock over pam::mutex, annotated and re-lockable: the shape

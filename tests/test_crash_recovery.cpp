@@ -298,10 +298,11 @@ TEST(CrashRecovery, ConcurrentWritersCleanShutdownRecoverExactly) {
 // seq <= covered but whose apply had not yet happened when the cut was
 // snapshotted would be absent from the checkpoint AND skipped by replay —
 // an acked batch silently lost after recovery. save_checkpoint fences the
-// (sync, read covered, snapshot) triple against both writer paths (the
-// combiner's flush locks via quiesced, bulk writes via the cut fence);
-// this test hammers continuous checkpoints against concurrent put() and
-// put_batch() traffic and requires exact oracle equality after recovery.
+// (sync, read covered, snapshot) triple against every writer by holding
+// all of the combiner's flush locks (quiesced), under which buffered and
+// bulk batches alike log and apply; this test hammers continuous
+// checkpoints against concurrent put() and put_batch() traffic on shared
+// per-thread keys and requires exact oracle equality after recovery.
 // Runs under TSan in CI.
 TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
   temp_dir td("ckpt_race");
@@ -336,15 +337,10 @@ TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
              i < kMinOps || !ckpts_done.load(std::memory_order_acquire);
              i++) {
           uint64_t v = g.next();
-          uint64_t k;
+          uint64_t k = uint64_t(t) * 10000 + (g.next() % 1500);
           if (i % 4 == 3) {
-            // Bulk path — logs and applies outside the combiner locks.
-            // Disjoint from the buffered key range: mixing the two paths
-            // on one key is racy by the kv_store contract.
-            k = uint64_t(t) * 10000 + 5000 + (g.next() % 1500);
             store.put_batch({{k, v}});
           } else {
-            k = uint64_t(t) * 10000 + (g.next() % 1500);
             store.put(k, v);
           }
           std::lock_guard<std::mutex> lk(oracle_mu);
@@ -362,6 +358,72 @@ TEST(CrashRecovery, CheckpointsRacingWritersNeverLoseAckedBatches) {
   dopts.dir = td.path;
   store_t recovered = store_t::recover(dopts);
   expect_equals(recovered, oracle, "post-recovery: no acked batch lost");
+}
+
+// Two writers race on one fresh key per round — put_batch against
+// put_batch, or put_batch against a buffered put — with no fault injected.
+// Every write of a key logs and applies under that key's combiner flush
+// lock, so WAL order equals apply order per key and recovery must rebuild
+// exactly the live store. A bulk path that logged and applied outside that
+// lock could log A, B and apply B, A: the live store keeps A, recovery
+// replays to B. batch_size 1 makes every put() commit at once, and a spin
+// barrier lines the two writes of a round up as closely as possible.
+void race_writers_on_one_key(const std::string& tag, bool both_bulk) {
+  constexpr uint64_t kRounds = 50000;
+  temp_dir td(tag);
+  std::vector<map_t::entry_t> live;
+  {
+    store_t::options opt;
+    opt.splitters = {kRounds / 2};
+    opt.combiner.batch_size = 1;
+    opt.combiner.flush_interval = std::chrono::milliseconds(0);
+    pam::store::durability_options dopts;
+    dopts.dir = td.path;
+    dopts.wal.sync_every = 1 << 20;  // the race, not the fsync, is the point
+    opt.durability = dopts;
+    store_t store(map_t{}, opt);
+
+    std::atomic<uint64_t> arrived{0};
+    auto writer = [&](uint64_t v) {
+      for (uint64_t r = 0; r < kRounds; r++) {
+        arrived.fetch_add(1, std::memory_order_acq_rel);
+        for (uint64_t spins = 0;
+             arrived.load(std::memory_order_acquire) < 2 * (r + 1);
+             spins++) {
+          if (spins % 1024 == 1023) std::this_thread::yield();
+        }
+        if (v == 1 || both_bulk) {
+          store.put_batch({{r, v}});
+        } else {
+          store.put(r, v);
+        }
+      }
+    };
+    std::thread a(writer, 1);
+    std::thread b(writer, 2);
+    a.join();
+    b.join();
+    store.flush();
+    ASSERT_FALSE(store.failed());
+    live = store.snapshot().entries();
+    ASSERT_EQ(live.size(), kRounds);
+  }
+  pam::store::durability_options dopts;
+  dopts.dir = td.path;
+  store_t recovered = store_t::recover(dopts);
+  auto got = recovered.snapshot().entries();
+  ASSERT_EQ(got.size(), live.size());
+  size_t diverged = 0;
+  for (size_t i = 0; i < got.size(); i++) diverged += got[i] != live[i];
+  EXPECT_EQ(diverged, 0u) << "keys whose recovered value differs from live";
+}
+
+TEST(CrashRecovery, BulkWritersRacingOneKeyRecoverTheLiveStore) {
+  race_writers_on_one_key("race_bulk_bulk", /*both_bulk=*/true);
+}
+
+TEST(CrashRecovery, BulkAndBufferedWritersRacingOneKeyRecoverTheLiveStore) {
+  race_writers_on_one_key("race_bulk_put", /*both_bulk=*/false);
 }
 
 // Crash-contract rule (d): a checkpoint cut under a different splitter

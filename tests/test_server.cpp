@@ -6,10 +6,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -737,13 +739,47 @@ TEST(KvStore, EndToEnd) {
   EXPECT_GE(st.batches_flushed, 1u);
 }
 
+TEST(KvStore, BulkWritesLandInProgramOrderAfterBufferedWrites) {
+  // A bulk batch commits behind every still-buffered op on its keys, so one
+  // thread's put/erase followed by a put_batch of the same key ends with
+  // the bulk value — in both shards. An empty bulk batch is a no-op: it
+  // logs no WAL record.
+  std::string dir = ::testing::TempDir() + "pam_server_program_order";
+  std::string rm = "rm -rf " + dir;
+  ASSERT_EQ(std::system(rm.c_str()), 0);
+  {
+    store_t::options opt;
+    opt.splitters = {1000};
+    opt.combiner = {.batch_size = 1u << 20,
+                    .flush_interval = std::chrono::milliseconds(0)};
+    opt.durability = pam::store::durability_options{.dir = dir};
+    store_t store(map_t{}, opt);
+    const K k = 7, j = 1500;
+    store.put(k, 1);
+    store.put_batch({{k, 2}});
+    store.erase(j);
+    store.put_batch({{j, 3}});
+    store.flush();
+    EXPECT_EQ(store.get(k), std::optional<V>(2));
+    EXPECT_EQ(store.get(j), std::optional<V>(3));
+
+    uint64_t seq = store.durable().last_seq();
+    store.put_batch({});
+    store.erase_batch({});
+    EXPECT_EQ(store.durable().last_seq(), seq);
+  }
+  (void)std::system(rm.c_str());
+}
+
 
 TEST(KvStoreRebalance, InstallsRacingWritersLoseNoUpdates) {
   // Four put/erase clients own disjoint key ranges — each keeps a private
   // oracle in program order — and all four ranges start inside shard 0, so
-  // the load policy sees one hot shard and re-splits. A fifth thread loops
-  // rebalance(), whose writer fence interleaves installs with the clients'
-  // combiner flushes. Every write must survive every install.
+  // the load policy sees one hot shard and re-splits. Every 8th write is a
+  // one-key put_batch/erase_batch. A fifth thread loops rebalance(), whose
+  // writer fence (quiesced alone) interleaves installs with the clients'
+  // combiner flushes and bulk batches. Every write must survive every
+  // install.
   const int kWriters = 4, kOps = 5000;
   store_t store(map_t{}, {.splitters = {100000, 200000, 300000},
                           .combiner = {.batch_size = 64}});
@@ -763,12 +799,21 @@ TEST(KvStoreRebalance, InstallsRacingWritersLoseNoUpdates) {
       auto& oracle = oracles[w];
       for (int i = 0; i < kOps; i++) {
         K k = K(w) * 25000 + g.next() % 20000;
+        bool bulk = i % 8 == 7;
         if (g.next() % 5 == 0) {
-          store.erase(k);
+          if (bulk) {
+            store.erase_batch({k});
+          } else {
+            store.erase(k);
+          }
           oracle.erase(k);
         } else {
           V v = g.next() % 100000;
-          store.put(k, v);
+          if (bulk) {
+            store.put_batch({{k, v}});
+          } else {
+            store.put(k, v);
+          }
           oracle[k] = v;
         }
       }

@@ -49,6 +49,14 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
                       in util/env.h's env_knobs() catalogue — the config
                       provenance benches dump. `PAM_TEST_*` names are test
                       fixtures and exempt.
+  wal-append-site     one write path: in src/** outside the durability layer
+                      (src/store/**), only src/server/kv_store.h may call
+                      `log_batch(`, and only once — in the sink it hands the
+                      write combiner, which logs every batch under the
+                      flush locks it applies under. A second call site
+                      would be a second log→apply path with its own
+                      ordering. bench/ stays exempt (bench_durability drives
+                      the WAL directly).
 
 Usage:
   pam_lint.py --root <repo-root>    lint the repository (exit 1 on findings)
@@ -68,6 +76,7 @@ RULES = (
     "include-discipline",
     "metric-name",
     "env-catalogue",
+    "wal-append-site",
 )
 
 WAIVER_RE = re.compile(r"pam-lint:\s*allow\(([a-z-]+)\)")
@@ -196,6 +205,11 @@ ENV_READ_RE = re.compile(
     r'\b(?:env_long|env_double|getenv)\s*\(\s*"(PAM_\w+)"')
 # Rows of the env_knobs() table in util/env.h.
 ENV_CATALOGUE_ROW_RE = re.compile(r'\{"(PAM_\w+)"')
+# A WAL append call (matched in stripped code: a comment naming it is not a
+# call site).
+LOG_BATCH_RE = re.compile(r"\blog_batch\s*\(")
+# The one file allowed to append to the WAL, and how often.
+WAL_APPEND_SITE = "src/server/kv_store.h"
 
 
 def lineno_of(text, pos):
@@ -309,6 +323,19 @@ def lint_file(relpath, text, env_catalogue=None):
                         relpath, ln, "env-catalogue",
                         f"knob '{name}' is read here but missing from "
                         "env_knobs() in src/util/env.h"))
+
+    # One write path: the only WAL append outside the durability layer is
+    # the combiner sink kv_store wires up.
+    if in_src and not unix.startswith("src/store/"):
+        allowed = 1 if unix == WAL_APPEND_SITE else 0
+        for n, m in enumerate(LOG_BATCH_RE.finditer(code)):
+            ln = lineno_of(code, m.start())
+            if n >= allowed and not waived(lines, ln, "wal-append-site"):
+                findings.append(Finding(
+                    relpath, ln, "wal-append-site",
+                    "log_batch( outside the combiner sink in "
+                    f"{WAL_APPEND_SITE}: every WAL append must ride the "
+                    "write combiner's flush locks"))
 
     # src/store/ is inside src/ but is a CONSUMER of the tree kernel, not
     # part of it: the checkpoint format depends only on the facade's
