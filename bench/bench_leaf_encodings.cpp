@@ -7,11 +7,10 @@
 //      flat side has no untracked heap and the comparison is exact. Gate:
 //      flat/coded leaf-bytes ratio >= 1.5x (PAM_PERF_GATE=1).
 //
-//  (b) in-block search — the branch-free counting lower-bound (the
-//      PAM_SIMD_SEARCH path; vectorizable, AVX2-accelerated under
-//      PAM_NATIVE) vs the classic binary search, on B=32 blocks of u64
-//      keys: the hot loop of every blocked-leaf descent. Gate: >= 1.3x
-//      find throughput at B=32 (PAM_PERF_GATE=1).
+//  (b) in-block search — the branch-free counting lower-bound
+//      (block_lower_idx, plain C++) vs std::lower_bound by Entry::comp, on
+//      B=32 blocks of u64 keys: the hot loop of every blocked-leaf descent.
+//      Gate: >= 1.3x find throughput at B=32 (PAM_PERF_GATE=1).
 //
 //  (c) delta space — integer keys stored delta-coded (zigzag-varint
 //      successor differences + varint value stream, delta_codec in
@@ -20,11 +19,12 @@
 //      id-space shape real key allocators produce). Gate: flat/delta
 //      leaf-bytes ratio >= 1.5x (PAM_PERF_GATE=1).
 //
-//  (d) SIMD fold — the reassociating fast fold (grouped + AVX2 value-lane
-//      kernel, PAM_SIMD_FOLD, pam/block_fold.h) vs the strict per-entry
+//  (d) block fold — the grouped fold every block site uses
+//      (fold_entries_assoc, pam/entry_traits.h) vs the strict per-entry
 //      policy-order fold, on B=32 blocks of (u64, u64) sum entries: the
 //      hot loop of every block seal and boundary aug query. Gate: >= 1.3x
 //      fold throughput (PAM_PERF_GATE=1).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -134,30 +134,38 @@ int main() {
     std::vector<uint64_t> queries = keys_only(q, 7, kB * 977 + 500);
 
     uint64_t sink = 0;
-    auto sweep = [&] {
+    auto classic_sweep = [&] {
+      uint64_t acc = 0;
+      for (uint64_t k : queries) {
+        auto it = std::lower_bound(
+            block.begin(), block.end(), k,
+            [](const auto& e, uint64_t key) { return E::comp(e.first, key); });
+        acc += static_cast<uint64_t>(it - block.begin());
+      }
+      sink += acc;
+    };
+    auto count_sweep = [&] {
       uint64_t acc = 0;
       for (uint64_t k : queries) acc += block_lower_idx<E>(block.data(), kB, k);
       sink += acc;
     };
 
-    set_simd_search_enabled(false);
-    double t_classic = timed_median(1, 5, sweep);
-    set_simd_search_enabled(true);
-    double t_vec = timed_median(1, 5, sweep);
+    double t_classic = timed_median(1, 5, classic_sweep);
+    double t_count = timed_median(1, 5, count_sweep);
     if (sink == 0) std::printf("(unreachable sink)\n");
 
     double mq_classic = static_cast<double>(q) / t_classic / 1e6;
-    double mq_vec = static_cast<double>(q) / t_vec / 1e6;
-    find_ratio = t_classic / t_vec;
+    double mq_count = static_cast<double>(q) / t_count / 1e6;
+    find_ratio = t_classic / t_count;
     std::printf("search            Mops/s\n");
-    std::printf("binary search   %8.1f\n", mq_classic);
-    std::printf("branch-free     %8.1f\n", mq_vec);
+    std::printf("std::lower_bound %7.1f\n", mq_classic);
+    std::printf("branch-free     %8.1f\n", mq_count);
     std::printf("find speedup (classic / branch-free): %.2fx  (gate: >= 1.3x)\n",
                 find_ratio);
     bench_json("bench_leaf_encodings", "block_find_B=32", "classic_mops",
                mq_classic);
     bench_json("bench_leaf_encodings", "block_find_B=32", "branchfree_mops",
-               mq_vec);
+               mq_count);
     bench_json("bench_leaf_encodings", "block_find_B=32", "speedup",
                find_ratio);
   }
@@ -205,15 +213,13 @@ int main() {
                delta_ratio);
   }
 
-  // ----------------------------- (d) SIMD fold vs strict scalar fold --
+  // -------------------------- (d) grouped fold vs strict scalar fold --
   // Baseline is the strict per-entry fold in policy order — what a generic
-  // aug fold does without reassociation. The shipped fast path (grouped
-  // fold + AVX2 value-lane kernel, pam/block_fold.h) is allowed to
-  // reassociate; that licence is the optimization, so the A/B must not
-  // hand it to the baseline too. The grouped scalar fold is also reported:
-  // the compiler auto-vectorizes it under -march=native, so on AVX2
-  // machines it lands at parity with the intrinsics kernel (which then
-  // mainly serves non-auto-vectorizing builds and the runtime kill switch).
+  // aug fold does without reassociation. The shipped fold
+  // (fold_entries_assoc) regroups by associativity alone; that licence is
+  // the optimization, so the A/B must not hand it to the baseline too. The
+  // regrouped loop has independent sub-folds, which the compiler
+  // vectorizes wherever the target allows.
   std::printf("\n--- block aug fold at B=32, (u64,u64) sum entries ---\n");
   double fold_ratio;
   {
@@ -245,38 +251,32 @@ int main() {
       }
       sink += acc;
     };
-    auto fast_sweep = [&] {
+    auto grouped_sweep = [&] {
       uint64_t acc = 0;
       for (size_t i = 0; i < folds; i++) {
         const auto* blk = blocks.data() + (i % kBlocks) * kB;
-        acc += fold_entries_fast<traits, E>(blk, 0, kB);
+        acc += fold_entries_assoc<traits>(blk, 0, kB);
       }
       sink += acc;
     };
 
     double t_strict = timed_median(1, 5, strict_sweep);
-    set_simd_fold_enabled(false);
-    double t_grouped = timed_median(1, 5, fast_sweep);
-    set_simd_fold_enabled(true);
-    double t_vec = timed_median(1, 5, fast_sweep);
+    double t_grouped = timed_median(1, 5, grouped_sweep);
     if (sink == 0) std::printf("(unreachable sink)\n");
 
     double mf_strict = static_cast<double>(folds) / t_strict / 1e6;
     double mf_grouped = static_cast<double>(folds) / t_grouped / 1e6;
-    double mf_vec = static_cast<double>(folds) / t_vec / 1e6;
-    fold_ratio = t_strict / t_vec;
+    fold_ratio = t_strict / t_grouped;
     std::printf("fold                Mops/s\n");
     std::printf("strict scalar     %8.1f\n", mf_strict);
-    std::printf("grouped scalar    %8.1f\n", mf_grouped);
-    std::printf("vectorized        %8.1f\n", mf_vec);
+    std::printf("grouped           %8.1f\n", mf_grouped);
     std::printf(
-        "fold speedup (strict scalar / vectorized): %.2fx  (gate: >= 1.3x)\n",
+        "fold speedup (strict scalar / grouped): %.2fx  (gate: >= 1.3x)\n",
         fold_ratio);
     bench_json("bench_leaf_encodings", "block_fold_B=32", "strict_mops",
                mf_strict);
     bench_json("bench_leaf_encodings", "block_fold_B=32", "grouped_mops",
                mf_grouped);
-    bench_json("bench_leaf_encodings", "block_fold_B=32", "simd_mops", mf_vec);
     bench_json("bench_leaf_encodings", "block_fold_B=32", "speedup",
                fold_ratio);
   }
@@ -301,7 +301,7 @@ int main() {
       fail = true;
     }
     if (fold_ratio < 1.3) {
-      std::printf("\nFAIL: SIMD fold speedup %.2fx below the 1.3x gate\n",
+      std::printf("\nFAIL: block fold speedup %.2fx below the 1.3x gate\n",
                   fold_ratio);
       fail = true;
     }

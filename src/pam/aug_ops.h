@@ -42,13 +42,6 @@ struct aug_ops : map_ops<Entry, Balance> {
   // is cached at the root.
   static A aug_val(const node* t) { return aug_of(t); }
 
-  // Fold g over es[a, b) (the partial-block boundary case): vectorized over
-  // the value lanes for hinted integer monoids (pam/block_fold.h), a plain
-  // base/combine loop otherwise.
-  static A fold_entries(const entry_t* es, size_t a, size_t b) {
-    return fold_entries_fast<traits, Entry>(es, a, b);
-  }
-
   // AUGLEFT(t, k): augmented value of all entries with key <= k
   // (paper Figure 2; its code includes the boundary key). O(log n).
   static A aug_left(const node* t, const K& k) {
@@ -59,7 +52,7 @@ struct aug_ops : map_ops<Entry, Balance> {
       size_t c = bv.size();
       if (less(k, es[0].first)) return aug_left(t->left, k);
       size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      A own = pos == c ? t->blk->aug : fold_entries(es, 0, pos);
+      A own = pos == c ? t->blk->aug : fold_entries_assoc<traits>(es, 0, pos);
       A acc = traits::combine(aug_of(t->left), own);
       if (pos == c) acc = traits::combine(acc, aug_left(t->right, k));
       return acc;
@@ -79,7 +72,7 @@ struct aug_ops : map_ops<Entry, Balance> {
       size_t c = bv.size();
       if (less(es[c - 1].first, k)) return aug_right(t->right, k);
       size_t pos = lower_idx(es, c, k);  // entries [pos, c) are >= k
-      A own = pos == 0 ? t->blk->aug : fold_entries(es, pos, c);
+      A own = pos == 0 ? t->blk->aug : fold_entries_assoc<traits>(es, pos, c);
       A acc = traits::combine(own, aug_of(t->right));
       if (pos == 0) acc = traits::combine(aug_right(t->left, k), acc);
       return acc;
@@ -102,7 +95,7 @@ struct aug_ops : map_ops<Entry, Balance> {
       if (less(hi, es[0].first)) return aug_range(t->left, lo, hi);
       size_t i = lower_idx(es, c, lo);
       size_t j = upper_idx(es, c, hi);
-      A mid = (i == 0 && j == c) ? t->blk->aug : fold_entries(es, i, j);
+      A mid = (i == 0 && j == c) ? t->blk->aug : fold_entries_assoc<traits>(es, i, j);
       A acc = i == 0 ? traits::combine(aug_right(t->left, lo), mid) : mid;
       if (j == c) acc = traits::combine(acc, aug_left(t->right, hi));
       return acc;

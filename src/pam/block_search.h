@@ -1,127 +1,36 @@
 // In-block search over the sorted entry run of a sealed leaf block.
 //
-// Post-blocking (PR 3), the per-block binary search *is* the hot comparison
+// With blocked leaves, the per-block binary search *is* the hot comparison
 // loop of every point operation: a find on a B=32 tree does a handful of
 // node descents and then one 32-entry search. A branchy binary search takes
 // ~log2(B) dependent, poorly-predicted branches; on a sorted run the same
 // answer is a *count* — lower_bound(k) == |{i : e[i].key < k}| — which is a
 // branch-free reduction of independent comparisons that the compiler turns
-// into cmov/setcc chains, and (for 64-bit keys under the default ordering)
-// an explicit AVX2 compare+popcount when the build enables it.
+// into cmov/setcc chains or vector compares.
 //
-// Dispatch: integral keys on runs up to kBranchFreeCutoff use the counting
-// kernel when the runtime knob allows (PAM_SIMD_SEARCH, default on; the
-// ablation benches toggle it to measure the branchy baseline); everything
-// else — long runs, non-integral keys, custom comparators on the vector
-// path — falls back to the classic binary search through Entry::comp.
+// Dispatch is by input alone: integral keys on runs up to kBranchFreeCutoff
+// take the counting loop; longer runs and non-integral keys take the classic
+// binary search. Both compare through Entry::comp, so custom comparators
+// are honoured on either side.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <type_traits>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
-#include "util/env.h"
-
 namespace pam {
-
-// Runtime toggle for the branch-free/SIMD in-block search. Toggle only while
-// quiescent (it is a process-wide knob read per search, like reuse_flag).
-inline std::atomic<bool>& simd_search_flag() {
-  static std::atomic<bool> f{env_long("PAM_SIMD_SEARCH", 1) != 0};
-  return f;
-}
-inline bool simd_search_enabled() {
-  return simd_search_flag().load(std::memory_order_relaxed);
-}
-inline void set_simd_search_enabled(bool on) { simd_search_flag().store(on); }
 
 // Runs at most this long take the counting kernel: B comparisons with full
 // ILP beat log2(B) dependent mispredictable branches up to roughly a cache
 // line's worth of entries; past that the binary search's O(log B) wins back.
 inline constexpr size_t kBranchFreeCutoff = 64;
 
-namespace detail {
-
-// Entry policies built on std::less declare `default_compare = true`
-// (entries.h); only then may the vector kernel compare raw key bits instead
-// of calling Entry::comp.
-template <typename Entry, typename = void>
-struct uses_default_less : std::false_type {};
-template <typename Entry>
-struct uses_default_less<Entry, std::void_t<decltype(Entry::default_compare)>>
-    : std::bool_constant<Entry::default_compare> {};
-
-#if defined(__AVX2__)
-// |{i : key_i < k}| over n strided uint64 keys. AVX2 has only a *signed*
-// 64-bit compare, so both sides are biased by 2^63 (sign flip), which maps
-// unsigned order onto signed order. The count ignores element ORDER, so the
-// wide loops never shuffle keys back into position: stride 8 (packed keys)
-// compares straight loads, stride 16 (the ubiquitous pair<u64, u64> leaf
-// slot) merges the low qwords of two entry loads with unpacklo — scalar
-// set_epi64x gathers here cost more than the branchy search they replace.
-inline size_t avx2_count_less_u64(const char* base, size_t stride, size_t n,
-                                  uint64_t k) {
-  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
-  const __m256i kv = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(k)), bias);
-  auto count_lt = [&](__m256i keys) {
-    keys = _mm256_xor_si256(keys, bias);
-    // keys < k  ==  k > keys
-    __m256i lt = _mm256_cmpgt_epi64(kv, keys);
-    return static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(lt)))));
-  };
-  size_t cnt = 0;
-  size_t i = 0;
-  if (stride == sizeof(uint64_t)) {
-    for (; i + 4 <= n; i += 4) {
-      cnt += count_lt(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(base + i * sizeof(uint64_t))));
-    }
-  } else if (stride == 2 * sizeof(uint64_t)) {
-    for (; i + 4 <= n; i += 4) {
-      __m256i a = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(base + i * stride));
-      __m256i b = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(base + (i + 2) * stride));
-      // [k_i, k_{i+2}, k_{i+1}, k_{i+3}] — permuted, which a count allows.
-      cnt += count_lt(_mm256_unpacklo_epi64(a, b));
-    }
-  }
-  for (; i < n; i++) {
-    uint64_t v;
-    std::memcpy(&v, base + i * stride, sizeof(v));
-    cnt += static_cast<size_t>(v < k);
-  }
-  return cnt;
-}
-#endif  // __AVX2__
-
-}  // namespace detail
-
 // First index i in the sorted run es[0, n) with !(es[i].first < k), i.e.
 // std::lower_bound by Entry::comp. ET is any struct with the key in `first`
 // (leaf-block slots and materialized entry vectors both qualify).
 template <typename Entry, typename ET, typename Key>
 size_t block_lower_idx(const ET* es, size_t n, const Key& k) {
-  using K = typename Entry::key_t;
-  if constexpr (std::is_integral_v<K>) {
-    if (n <= kBranchFreeCutoff && simd_search_enabled()) {
-#if defined(__AVX2__)
-      if constexpr (std::is_same_v<K, uint64_t> &&
-                    detail::uses_default_less<Entry>::value) {
-        return detail::avx2_count_less_u64(
-            reinterpret_cast<const char*>(&es[0].first), sizeof(ET), n,
-            static_cast<uint64_t>(k));
-      }
-#endif
+  if constexpr (std::is_integral_v<typename Entry::key_t>) {
+    if (n <= kBranchFreeCutoff) {
       // Sortedness makes lower_bound a count; the loop is branch-free.
       size_t cnt = 0;
       for (size_t i = 0; i < n; i++) {
@@ -145,23 +54,8 @@ size_t block_lower_idx(const ET* es, size_t n, const Key& k) {
 // First index i in es[0, n) with k < es[i].first (std::upper_bound).
 template <typename Entry, typename ET, typename Key>
 size_t block_upper_idx(const ET* es, size_t n, const Key& k) {
-  using K = typename Entry::key_t;
-  if constexpr (std::is_integral_v<K>) {
-    if (n <= kBranchFreeCutoff && simd_search_enabled()) {
-#if defined(__AVX2__)
-      if constexpr (std::is_same_v<K, uint64_t> &&
-                    detail::uses_default_less<Entry>::value) {
-        // upper_bound(k) == count of keys < k+1 for integer keys, except at
-        // the wrap point where every key <= k anyway.
-        uint64_t kk = static_cast<uint64_t>(k);
-        if (kk != ~0ull) {
-          return detail::avx2_count_less_u64(
-              reinterpret_cast<const char*>(&es[0].first), sizeof(ET), n,
-              kk + 1);
-        }
-        return n;
-      }
-#endif
+  if constexpr (std::is_integral_v<typename Entry::key_t>) {
+    if (n <= kBranchFreeCutoff) {
       size_t cnt = 0;
       for (size_t i = 0; i < n; i++) {
         cnt += static_cast<size_t>(!Entry::comp(k, es[i].first));

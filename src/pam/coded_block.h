@@ -72,7 +72,6 @@
 #include <vector>
 
 #include "alloc/leaf_pool.h"
-#include "pam/block_fold.h"
 #include "pam/entry_traits.h"
 #include "util/thread_annotations.h"
 
@@ -644,7 +643,7 @@ struct coded_store {
  private:
   static A fold(const entry_t* es, uint32_t n) {
     if constexpr (traits::has_aug) {
-      return fold_entries_fast<traits, Entry>(es, 0, n);
+      return fold_entries_assoc<traits>(es, 0, n);
     } else {
       return A();
     }

@@ -45,24 +45,21 @@ struct map_entry {
   using key_t = K;
   using val_t = V;
   // True iff keys order by the default operator< — the licence for the
-  // in-block vector search to compare raw key bits (pam/block_search.h).
+  // bulk radix sort to order raw key bits (pam/map_ops.h).
   static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
 };
 
 // Augmentation by the sum of values (the paper's Equation 1: the running
-// example "augmented sum" map).
+// example "augmented sum" map). Block folds use the one grouped
+// fold_entries_assoc (entry_traits.h) for every value type, so float sums
+// regroup the same way at every site that folds a block and agree bit for bit.
 template <typename K, typename V, typename Less = std::less<K>>
 struct sum_entry {
   using key_t = K;
   using val_t = V;
   using aug_t = V;
   static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  // combine is integer/float addition: the hint licenses the vectorized
-  // block fold (pam/block_fold.h), which additionally requires a 64-bit
-  // *integral* aug_t before taking the data-parallel path — float sums keep
-  // the grouped scalar fold, so regrouping never changes a float result.
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::sum;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return V{}; }
   static aug_t base(const K&, const V& v) { return v; }
@@ -78,7 +75,6 @@ struct max_entry {
   using val_t = V;
   using aug_t = V;
   static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::max;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return extreme_values<V>::lowest(); }
   static aug_t base(const K&, const V& v) { return v; }
@@ -94,7 +90,6 @@ struct min_entry {
   using val_t = V;
   using aug_t = V;
   static constexpr bool default_compare = std::is_same_v<Less, std::less<K>>;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::min;
   static bool comp(const K& a, const K& b) { return Less()(a, b); }
   static aug_t identity() { return extreme_values<V>::highest(); }
   static aug_t base(const K&, const V& v) { return v; }
@@ -136,7 +131,6 @@ struct str_max_entry {
   using val_t = V;
   using aug_t = V;
   static constexpr key_layout layout = key_layout::front_coded;
-  static constexpr aug_fold_kind fold_hint = aug_fold_kind::max;
   static bool comp(std::string_view a, std::string_view b) { return a < b; }
   static aug_t identity() { return extreme_values<V>::lowest(); }
   static aug_t base(const key_t&, const V& v) { return v; }

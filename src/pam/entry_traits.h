@@ -1,8 +1,8 @@
 // Entry-policy introspection shared by every layer below the public maps:
 // the normalized view of an Entry (entry_traits), the key-layout trait that
-// selects a leaf-block encoding per policy, and the associativity-only block
-// fold. This header sits below both node.h and the block encoders
-// (coded_block.h), which is why it exists as its own file.
+// selects a leaf-block encoding per policy, the default-order trait, and the
+// associativity-only block fold. This header sits below both node.h and the
+// block encoders (coded_block.h), which is why it exists as its own file.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +51,7 @@ struct entry_traits<Entry, std::void_t<typename Entry::aug_t>> {
 
 // How an Entry's keys are stored inside sealed leaf blocks:
 //   flat         a sorted array of entry_t — fixed-width keys, zero-copy
-//                reads, SIMD/branch-free in-block search;
+//                reads, branch-free in-block search;
 //   front_coded  variable-length string keys, each stored as a shared-prefix
 //                length plus suffix bytes behind a small offset directory
 //                (PaC-tree-style difference encoding);
@@ -78,30 +78,20 @@ struct entry_layout<Entry, std::void_t<decltype(Entry::layout)>> {
 template <typename Entry>
 inline constexpr key_layout entry_layout_v = entry_layout<Entry>::value;
 
-// ------------------------------------------------------------- fold hints --
+// --------------------------------------------------------- default order --
 
-// Optional self-description of an Entry's combine: policies whose `combine`
-// is exactly the named integer monoid may declare
-//   static constexpr aug_fold_kind fold_hint = aug_fold_kind::sum;
-// which licenses the vectorized block fold (pam/block_fold.h) to replace the
-// grouped fold_entries_assoc with a data-parallel reduction. Only *exactly
-// associative* monoids qualify — float sums change value under regrouping,
-// so they must never declare a hint. Everything without the declaration
-// keeps the scalar grouped fold.
-enum class aug_fold_kind { none, sum, max, min };
+namespace detail {
 
+// Entry policies built on std::less declare `default_compare = true`
+// (entries.h); only then may a kernel order keys by their raw bits instead
+// of calling Entry::comp (the radix sort in map_ops.h).
 template <typename Entry, typename = void>
-struct entry_fold_hint {
-  static constexpr aug_fold_kind value = aug_fold_kind::none;
-};
-
+struct uses_default_less : std::false_type {};
 template <typename Entry>
-struct entry_fold_hint<Entry, std::void_t<decltype(Entry::fold_hint)>> {
-  static constexpr aug_fold_kind value = Entry::fold_hint;
-};
+struct uses_default_less<Entry, std::void_t<decltype(Entry::default_compare)>>
+    : std::bool_constant<Entry::default_compare> {};
 
-template <typename Entry>
-inline constexpr aug_fold_kind entry_fold_hint_v = entry_fold_hint<Entry>::value;
+}  // namespace detail
 
 // ------------------------------------------------------------ block fold --
 

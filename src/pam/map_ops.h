@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "pam/block_search.h"
 #include "pam/tree_ops.h"
 #include "parallel/merge_sort.h"
 #include "parallel/parallel.h"

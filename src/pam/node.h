@@ -42,7 +42,6 @@
 #include "alloc/leaf_pool.h"
 #include "alloc/scratch_buffer.h"
 #include "alloc/type_allocator.h"
-#include "pam/block_fold.h"
 #include "pam/coded_block.h"
 #include "pam/entry_traits.h"
 #include "parallel/parallel.h"
@@ -176,13 +175,12 @@ struct leaf_store {
     return b;
   }
 
-  // Compute and cache the block's augmented value from its entries: the
-  // vectorized value-lane reduction for hinted integer monoids, the grouped
-  // associativity-only fold (entry_traits.h) for everything else.
+  // Compute and cache the block's augmented value from its entries with the
+  // grouped associativity-only fold (entry_traits.h), the one fold every
+  // block site uses.
   static void seal(block* b) {
     if constexpr (traits::has_aug) {
-      new (&b->aug)
-          A(fold_entries_fast<traits, Entry>(b->entries(), 0, b->count));
+      new (&b->aug) A(fold_entries_assoc<traits>(b->entries(), 0, b->count));
     } else {
       new (&b->aug) A();
     }

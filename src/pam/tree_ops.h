@@ -13,7 +13,7 @@
 //
 // Two block encodings live behind this seam (selected per Entry policy by
 // the key_layout trait): flat fixed-width arrays, read zero-copy and point-
-// searched by the vectorized kernels of pam/block_search.h, and coded
+// searched by the branch-free kernels of pam/block_search.h, and coded
 // blocks (pam/coded_block.h: front-coded strings, delta-coded integers),
 // point-searched by incremental decode and materialized through
 // NM::read_block on the multi-entry paths. The
@@ -55,7 +55,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   using NM::size;
 
   // First index in es[0, n) whose key is >= k (all keys before it are < k).
-  // Dispatches to the branch-free/SIMD counting kernel for short integral-key
+  // Dispatches to the branch-free counting kernel for short integral-key
   // runs (pam/block_search.h), classic binary search otherwise.
   template <typename Key>
   static size_t lower_idx(const entry_t* es, size_t n, const Key& k) {
@@ -813,10 +813,9 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) return true;
     if (is_chunk(t)) {
       auto bv = NM::read_block(t->blk);
-      // Must agree with the stores' fold (seal/build): hinted integer
-      // monoids are exact under any grouping, and everything else takes the
-      // same grouped fold, so floats compare equal too.
-      A block_expect = fold_entries_fast<traits, Entry>(bv.data(), 0, bv.size());
+      // The same grouped fold the stores' seal/build use, so the cached
+      // value compares equal bit for bit, floats included.
+      A block_expect = fold_entries_assoc<traits>(bv.data(), 0, bv.size());
       if (!(t->blk->aug == block_expect)) return false;
     }
     A expect = traits::combine(aug_of(t->left),

@@ -1,7 +1,8 @@
 // Tests for the augmented-map-specific operations (paper Figure 1, below
 // the dashed line): aug_val, aug_left, aug_range, aug_filter, aug_project.
 // Each is differentially tested against a brute-force scan, across all
-// four balancing schemes and both sum and max augmentations.
+// four balancing schemes and both sum and max augmentations, plus the
+// unsigned sum/max/min block folds at B = 32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -310,6 +311,72 @@ TEST(MapConvenience, MaxEntryOverStringValues) {
   m = smax_map::insert(std::move(m), 4, "aardvark");
   EXPECT_EQ(m.aug_range(3, 4), "mole");
   EXPECT_TRUE(m.check_valid());
+}
+
+// Unsigned sum/max/min folds at B = 32 over u64 values straddling 2^63,
+// where a signed-order max/min would pick the wrong side. Every aug query
+// that cuts a block (aug_left, aug_right through a view, aug_range) folds a
+// partial run; each must equal a naive left fold, and every block's cached
+// value (sealed at build and after updates) must pass check_valid.
+template <typename Entry>
+void expect_u64_folds_match_naive() {
+  using map = pam::aug_map<Entry>;
+  using A = typename Entry::aug_t;
+  struct block_size_guard {
+    size_t saved = pam::leaf_block_size();
+    ~block_size_guard() { pam::set_leaf_block_size(saved); }
+  } guard;
+  pam::set_leaf_block_size(32);
+
+  constexpr uint64_t kMid = uint64_t{1} << 63;
+  constexpr size_t kN = 300;
+  std::map<K, V> oracle;
+  pam::random_gen g(21);
+  for (size_t i = 0; i < kN; i++) {
+    uint64_t off = g.next() % 1000;
+    oracle[2 * i] = i % 2 == 0 ? kMid + off : kMid - 1 - off;
+  }
+  oracle[14] = 0;
+  oracle[80] = UINT64_MAX;
+  map m(std::vector<std::pair<K, V>>(oracle.begin(), oracle.end()));
+
+  auto naive = [&](K lo, K hi) {
+    A acc = Entry::identity();
+    for (const auto& [k, v] : oracle) {
+      if (lo <= k && k <= hi) acc = Entry::combine(acc, Entry::base(k, v));
+    }
+    return acc;
+  };
+  auto check = [&](const map& t, const char* phase) {
+    ASSERT_TRUE(t.check_valid()) << phase;
+    ASSERT_EQ(t.aug_val(), naive(0, UINT64_MAX)) << phase;
+    for (K k = 0; k <= 2 * kN + 1; k++) {
+      ASSERT_EQ(t.aug_left(k), naive(0, k)) << phase << " k=" << k;
+      ASSERT_EQ(t.view_down_to(k).aug_val(), naive(k, UINT64_MAX))
+          << phase << " k=" << k;
+    }
+    for (K lo = 0; lo <= 2 * kN; lo += 3) {
+      for (K w : {0, 1, 2, 31, 32, 33, 63, 64, 65, 130}) {
+        ASSERT_EQ(t.aug_range(lo, lo + w), naive(lo, lo + w))
+            << phase << " [" << lo << ", " << lo + w << "]";
+      }
+    }
+  };
+  check(m, "built");
+  if (::testing::Test::HasFatalFailure()) return;
+  // Re-sealed blocks: odd keys land inside existing blocks and split them.
+  for (K k = 1; k < 2 * kN; k += 38) {
+    V v = k % 4 == 1 ? kMid : kMid - 1;
+    oracle[k] = v;
+    m = map::insert(std::move(m), k, v);
+  }
+  check(m, "after inserts");
+}
+
+TEST(BlockFold, UnsignedSumMaxMinStraddling2To63AtB32) {
+  expect_u64_folds_match_naive<pam::sum_entry<K, V>>();
+  expect_u64_folds_match_naive<pam::max_entry<K, V>>();
+  expect_u64_folds_match_naive<pam::min_entry<K, V>>();
 }
 
 TEST(MapConvenience, StringKeyedMaxAugmentation) {

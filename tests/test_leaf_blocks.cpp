@@ -1,15 +1,19 @@
 // Blocked-leaf layer tests: the PAM_LEAF_BLOCK knob, block sharing across
 // snapshots and re-packs, layout switching mid-life (blocked trees keep
 // working after the knob changes), space accounting for the leaf pools,
-// and the applications under small block sizes (which maximize the number
-// of block boundaries every query crosses).
+// the applications under small block sizes (which maximize the number
+// of block boundaries every query crosses), and the in-block search against
+// the standard library's bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "apps/interval_map.h"
@@ -445,6 +449,71 @@ TEST(CodedBlocks, VarintLengthMatchesPutAtEverySevenBitBoundary) {
   }
   static_assert(pam::vint::length(0) == 1 && pam::vint::length(127) == 1 &&
                 pam::vint::length(128) == 2 && pam::vint::length(UINT64_MAX) == 10);
+}
+
+// The in-block search in lockstep with std::lower_bound/std::upper_bound by
+// Entry::comp, over one sorted run of keys: every key, its neighbours (with
+// wrap-around at the ends of the key range) and the caller's extra probes.
+template <typename Entry>
+void expect_block_search_matches_std(std::vector<typename Entry::key_t> keys,
+                                     const std::vector<typename Entry::key_t>& extra) {
+  using Key = typename Entry::key_t;
+  using UKey = std::make_unsigned_t<Key>;
+  auto less = [](const Key& a, const Key& b) { return Entry::comp(a, b); };
+  std::sort(keys.begin(), keys.end(), less);
+  std::vector<std::pair<Key, uint64_t>> es;
+  for (const Key& k : keys) es.emplace_back(k, 0);
+  std::vector<Key> probes = extra;
+  for (const Key& k : keys) {
+    probes.push_back(k);
+    probes.push_back(static_cast<Key>(static_cast<UKey>(k) - 1));
+    probes.push_back(static_cast<Key>(static_cast<UKey>(k) + 1));
+  }
+  for (const Key& p : probes) {
+    size_t lo = size_t(std::lower_bound(keys.begin(), keys.end(), p, less) - keys.begin());
+    size_t hi = size_t(std::upper_bound(keys.begin(), keys.end(), p, less) - keys.begin());
+    ASSERT_EQ(pam::block_lower_idx<Entry>(es.data(), es.size(), p), lo)
+        << "n=" << es.size() << " probe=" << p;
+    ASSERT_EQ(pam::block_upper_idx<Entry>(es.data(), es.size(), p), hi)
+        << "n=" << es.size() << " probe=" << p;
+  }
+}
+
+// Run lengths 0..65 cross kBranchFreeCutoff, where the counting loop hands
+// over to the binary search. u64 keys straddle 2^63, the point where a
+// signed compare would misorder them, and runs with the range's end keys
+// present probe the upper-bound wrap at UINT64_MAX.
+TEST(LeafBlocks, InBlockSearchMatchesStdBoundsAcrossCutoff) {
+  static_assert(pam::kBranchFreeCutoff < 65);
+  constexpr uint64_t kMid = uint64_t{1} << 63;
+  const std::vector<uint64_t> u_probes = {0, kMid - 1, kMid, UINT64_MAX};
+  const std::vector<int64_t> i_probes = {INT64_MIN, -1, 0, 1, INT64_MAX};
+  for (size_t n = 0; n <= 65; n++) {
+    std::vector<uint64_t> u(n);
+    std::vector<int64_t> s(n);
+    for (size_t i = 0; i < n; i++) {
+      u[i] = kMid - (n / 2) * 3 + i * 3;
+      s[i] = (static_cast<int64_t>(i) - static_cast<int64_t>(n / 2)) * 5;
+    }
+    std::vector<uint64_t> u_ends = u;
+    std::vector<int64_t> s_ends = s;
+    if (n >= 2) {
+      u_ends.front() = 0;
+      u_ends.back() = UINT64_MAX;
+      s_ends.front() = INT64_MIN;
+      s_ends.back() = INT64_MAX;
+    }
+    using u_entry = pam::map_entry<uint64_t, uint64_t>;
+    using s_entry = pam::map_entry<int64_t, uint64_t>;
+    using desc_entry = pam::map_entry<uint64_t, uint64_t, std::greater<uint64_t>>;
+    expect_block_search_matches_std<u_entry>(u, u_probes);
+    expect_block_search_matches_std<u_entry>(u_ends, u_probes);
+    expect_block_search_matches_std<s_entry>(s, i_probes);
+    expect_block_search_matches_std<s_entry>(s_ends, i_probes);
+    expect_block_search_matches_std<desc_entry>(u, u_probes);
+    expect_block_search_matches_std<desc_entry>(u_ends, u_probes);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -57,6 +57,15 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
                       would be a second log→apply path with its own
                       ordering. bench/ stays exempt (bench_durability drives
                       the WAL directly).
+  isa-intrinsics      in src/**, ISA intrinsic headers (<immintrin.h>,
+                      <nmmintrin.h>, <x86intrin.h>, ... and <arm_neon.h>)
+                      and __AVX*__ / __SSE*__ feature-macro branches appear
+                      only in src/store/crc32c.h, whose SSE4.2 CRC has a
+                      committed bench row (bench_durability crc32c
+                      hw_over_sw). Hand-written SIMD lands only with a
+                      committed row showing it beats the plain loop the
+                      compiler vectorizes; a new site adds its row and its
+                      path here together.
 
 Usage:
   pam_lint.py --root <repo-root>    lint the repository (exit 1 on findings)
@@ -77,6 +86,7 @@ RULES = (
     "metric-name",
     "env-catalogue",
     "wal-append-site",
+    "isa-intrinsics",
 )
 
 WAIVER_RE = re.compile(r"pam-lint:\s*allow\(([a-z-]+)\)")
@@ -210,6 +220,14 @@ ENV_CATALOGUE_ROW_RE = re.compile(r'\{"(PAM_\w+)"')
 LOG_BATCH_RE = re.compile(r"\blog_batch\s*\(")
 # The one file allowed to append to the WAL, and how often.
 WAL_APPEND_SITE = "src/server/kv_store.h"
+# ISA intrinsics, matched in stripped code (a comment naming a header or a
+# feature macro is not a use): intrinsic headers, and the compiler's
+# per-ISA feature macros that gate hand-written kernels.
+ISA_HEADER_RE = re.compile(
+    r"^[ \t]*#[ \t]*include[ \t]*<(\w*intrin\.h|arm_neon\.h)>", re.MULTILINE)
+ISA_MACRO_RE = re.compile(r"\b__(?:AVX|SSE)\w*__\b")
+# The one src/ file whose intrinsics are backed by a committed bench row.
+ISA_INTRINSICS_SITE = "src/store/crc32c.h"
 
 
 def lineno_of(text, pos):
@@ -336,6 +354,20 @@ def lint_file(relpath, text, env_catalogue=None):
                     "log_batch( outside the combiner sink in "
                     f"{WAL_APPEND_SITE}: every WAL append must ride the "
                     "write combiner's flush locks"))
+
+    # Hand-written SIMD only where a committed bench row shows it wins.
+    if in_src and unix != ISA_INTRINSICS_SITE:
+        hits = [(m.start(), f"<{m.group(1)}>")
+                for m in ISA_HEADER_RE.finditer(code)]
+        hits += [(m.start(), m.group(0)) for m in ISA_MACRO_RE.finditer(code)]
+        for pos, what in sorted(hits):
+            ln = lineno_of(code, pos)
+            if not waived(lines, ln, "isa-intrinsics"):
+                findings.append(Finding(
+                    relpath, ln, "isa-intrinsics",
+                    f"{what} outside {ISA_INTRINSICS_SITE}: intrinsics need "
+                    "a committed bench row showing they beat the plain "
+                    "loop"))
 
     # src/store/ is inside src/ but is a CONSUMER of the tree kernel, not
     # part of it: the checkpoint format depends only on the facade's
