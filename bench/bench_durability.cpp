@@ -12,8 +12,9 @@
 //                        all workers; encode_speedup = serial time /
 //                        parallel time (gated against pathological slowdown
 //                        only, since CI runners may have one core);
-//   * incremental        churn 1% of keys, checkpoint again — the delta is
-//                        diff-driven, so its byte footprint must track the
+//   * incremental        churn 1% of keys, checkpoint again — the delta
+//                        carries the keys the WAL logged since the full
+//                        checkpoint, so its byte footprint must track the
 //                        churn, not the map (the ratio is the gated metric);
 //   * WAL append         group-commit throughput (sync_every=16) in ops/s;
 //   * recovery           load checkpoint chain + replay the WAL tail — wall
@@ -50,6 +51,27 @@ using map_t = aug_map<sum_entry<K, uint64_t>>;
 using entry_t = map_t::entry_t;
 using durability_t = store::durability<map_t>;
 
+// The write protocol kv_store runs under its writer fence: log the entries
+// as WAL batches (their keys join the dirty-key log), apply them, and make
+// the log durable.
+void logged_insert(durability_t& d, sharded_map<map_t>& shards, std::vector<entry_t> es) {
+  constexpr size_t kBatch = 1 << 16;
+  for (size_t i = 0; i < es.size(); i += kBatch) {
+    std::vector<entry_t> batch(es.begin() + i, es.begin() + std::min(es.size(), i + kBatch));
+    if (d.log_batch(0, batch, {}) == 0) {
+      std::printf("ERROR: WAL writer died mid-bench\n");
+      std::exit(2);
+    }
+  }
+  shards.multi_insert(std::move(es));
+  d.sync_wal();
+}
+
+// A checkpoint of everything logged, synced and applied so far.
+durability_t::ckpt_result checkpoint_all(durability_t& d, const sharded_map<map_t>& shards) {
+  return d.save_checkpoint(shards.snapshot_all(), d.durable_seq(), d.take_dirty());
+}
+
 struct temp_dir {
   std::string path;
   temp_dir() {
@@ -84,11 +106,9 @@ int main() {
   durability_t d(opts, shards.snapshot_all());
 
   // ------------------------------------------------------ full checkpoint --
-  shards.multi_insert(kv_entries(n, 1, universe));
+  logged_insert(d, shards, kv_entries(n, 1, universe));
   durability_t::ckpt_result full;
-  double t_full = timed([&] {
-    full = d.save_checkpoint(shards.snapshot_all(), d.durable_seq());
-  });
+  double t_full = timed([&] { full = checkpoint_all(d, shards); });
   if (!full.full) {
     std::printf("ERROR: first checkpoint of %zu fresh keys was not full\n", n);
     return 2;
@@ -133,11 +153,9 @@ int main() {
   }
 
   // --------------------------------------------- incremental checkpoint --
-  shards.multi_insert(kv_entries(churn, 2, universe));
+  logged_insert(d, shards, kv_entries(churn, 2, universe));
   durability_t::ckpt_result delta;
-  double t_delta = timed([&] {
-    delta = d.save_checkpoint(shards.snapshot_all(), d.durable_seq());
-  });
+  double t_delta = timed([&] { delta = checkpoint_all(d, shards); });
   if (delta.full) {
     std::printf("ERROR: 1%% churn checkpoint escalated to full\n");
     return 2;

@@ -183,9 +183,12 @@ class kv_store {
   // version history is on, the persisted cut is byte-identical to the
   // version retained by the ring (version_store::capture_snapshot).
   //
-  // The (sync → read covered → snapshot) triple runs inside the writer
-  // fence (write_combiner::quiesced), so no batch — buffered or bulk — can
-  // sit between its WAL append and its apply while the cut is taken. Without
+  // The (sync → read covered → detach dirty keys → snapshot) steps run
+  // inside the writer fence (write_combiner::quiesced), so no batch —
+  // buffered or bulk — can sit between its WAL append and its apply while
+  // the cut is taken, and the detached keys are exactly those of the
+  // records logged since the previous checkpoint's fence: the delta's
+  // source (store/durability.h). Without
   // the fence a record with seq <= covered could be durable but not yet
   // applied, and the committed checkpoint would claim coverage of a batch
   // it lacks — wal_replay skips seq <= covered, silently losing the acked
@@ -202,14 +205,16 @@ class kv_store {
     mutex_guard order(ckpt_mu_);
     combiner_.flush_all();  // drain the bulk of the backlog outside the fence
     uint64_t covered = 0;
+    typename store::durability<Map>::dirty_keys dirty;
     std::optional<snapshot_type> cut;
     combiner_.quiesced([&] {
       durable_->sync_wal();
       covered = durable_->durable_seq();
+      dirty = durable_->take_dirty();
       cut.emplace(history_.has_value() ? history_->capture_snapshot().snapshot
                                        : shards_.snapshot_all());
     });
-    return durable_->save_checkpoint(*cut, covered);
+    return durable_->save_checkpoint(*cut, covered, std::move(dirty));
   }
 
   store::durability<Map>& durable() {

@@ -151,8 +151,9 @@ class sharded_snapshot {
   // The splitter directory this cut was taken under, shared with the
   // directory object that produced it. Two cuts of one sharded_map compare
   // equal here iff no rebalance installed a new directory between them —
-  // the identity check the incremental checkpoint / diff paths use to
-  // decide whether per-shard pairing is meaningful.
+  // the identity check the diff paths use to decide whether per-shard
+  // pairing is meaningful, and the checkpoint manager to force a full
+  // checkpoint across a re-split.
   std::shared_ptr<const std::vector<K>> splitters_handle() const {
     return splitters_;
   }
@@ -254,8 +255,8 @@ class sharded_snapshot {
 
   // All shards concatenated back into one map: O(S log n) joins on shared
   // subtrees — no entry is copied, the result shares every node with the
-  // cut. The directory-agnostic view the diff / checkpoint paths fall back
-  // to when two cuts were taken under different splitter directories.
+  // cut. The directory-agnostic view the diff paths fall back to when two
+  // cuts were taken under different splitter directories.
   Map merged() const {
     Map whole;
     for (const Map& m : shards_) whole = Map::concat(std::move(whole), m);

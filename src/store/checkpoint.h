@@ -5,10 +5,10 @@
 // snapshot_all_versioned) as data files plus a manifest:
 //
 //   ckpt-<id>-full.pam    one map_codec stream per shard, paged
-//   ckpt-<id>-delta.pam   one change stream (aug_map::diff against the
-//                         previous cut), paged — only blocks that changed
-//                         since the last cut contribute, which is the whole
-//                         point of diffing two path-copied versions
+//   ckpt-<id>-delta.pam   one change stream, paged: the current entry (or
+//                         its absence) of every key the WAL logged since
+//                         the previous checkpoint, so its size tracks the
+//                         churn, not the map
 //   manifest-<id>         the chain: splitters, covered WAL seq, and the
 //                         data files to apply in order (full, then deltas)
 //   CURRENT               the name of the committed manifest
@@ -322,7 +322,6 @@ struct checkpoint_io {
   using K = typename Map::K;
   using V = typename Map::V;
   using entry_t = typename Map::entry_t;
-  using change_t = typename Map::change_t;
   using snapshot_t = sharded_snapshot<Map>;
 
   struct manifest_t {
@@ -458,27 +457,19 @@ struct checkpoint_io {
     }
   }
 
-  // The change stream between two cuts over the same splitters: per-shard
-  // aug_map::diff, concatenated in shard (= key) order. Only subtrees and
-  // leaf blocks that actually changed are visited — shared regions prune in
-  // O(1) — which is what makes incremental checkpoints proportional to the
-  // churn, not the map.
-  static std::vector<char> build_delta_stream(const snapshot_t& prev,
-                                              const snapshot_t& cur) {
+  // The change stream of `keys` (sorted, distinct) against the cut: for
+  // each key its present flag, the key, and its value if present. A key
+  // the cut holds unchanged still travels; applying it is a no-op.
+  static std::vector<char> delta_stream(const snapshot_t& cut,
+                                        const std::vector<K>& keys) {
+    std::vector<std::optional<V>> found = cut.multi_find(keys);
     std::vector<char> out;
-    size_t count_at = out.size();
-    wire::put_u32(out, 0);  // change count, patched below
-    uint32_t n = 0;
-    for (size_t s = 0; s < cur.num_shards(); s++) {
-      std::vector<change_t> cs = Map::diff_changes(prev.shard(s), cur.shard(s));
-      for (const change_t& c : cs) {
-        wire::put_u8(out, c.after.has_value() ? 1 : 0);
-        wire::field_codec<K>::write(c.key, out);
-        if (c.after.has_value()) wire::field_codec<V>::write(*c.after, out);
-        n++;
-      }
+    wire::put_u32(out, static_cast<uint32_t>(keys.size()));
+    for (size_t i = 0; i < keys.size(); i++) {
+      wire::put_u8(out, found[i].has_value() ? 1 : 0);
+      wire::field_codec<K>::write(keys[i], out);
+      if (found[i].has_value()) wire::field_codec<V>::write(*found[i], out);
     }
-    std::memcpy(out.data() + count_at, &n, sizeof(n));
     return out;
   }
 
@@ -543,8 +534,7 @@ struct checkpoint_io {
     if (r.remaining() != 0) {
       throw wire::error("checkpoint: delta stream length mismatch");
     }
-    // One delta's keys are distinct (a diff of two versions), so the two
-    // bulk passes commute with nothing.
+    // One delta's keys are distinct, so the two bulk passes commute.
     if (!ups.empty()) m = Map::multi_insert(std::move(m), std::move(ups));
     if (!dels.empty()) m = Map::multi_delete(std::move(m), std::move(dels));
   }

@@ -3,7 +3,10 @@
 //
 //   log_batch        encode one write-combiner batch as a WAL record and
 //                    append it (group fsync per wal_config); the returned
-//                    seq is what "acked" means
+//                    seq is what "acked" means. The keys of every appended
+//                    record also go to the dirty-key log
+//   take_dirty       detach the dirty-key log: the keys written since the
+//                    last detach
 //   save_checkpoint  persist a consistent cut — full or incremental per
 //                    policy — commit it, then truncate WAL segments the
 //                    new checkpoint covers
@@ -11,30 +14,42 @@
 //                    the WAL tail (repairing torn records), return the
 //                    reconstructed contents + splitters + resume seqs
 //
-// Incremental policy: a checkpoint is a delta (aug_map::diff against the
-// previous cut, so only changed blocks are serialized) unless (a) there is
-// no previous cut, (b) the chain already has max_chain deltas, (c) the
-// delta stream's bytes exceed incr_max_ratio of the last full checkpoint —
-// the decision is made on the actual encoded delta, so the byte-footprint
-// guarantee tests assert on is exact, not an estimate — or (d) the cut was
-// taken under a different splitter directory than the previous one (a
-// rebalance installed new shard boundaries between checkpoints).
-// Case (d) is a correctness rule, not a policy choice: build_delta_stream
-// diffs shard s against shard s, which is only meaningful when both cuts
-// partition the key space identically. Across a rebalance, a key that
-// moved shards would appear as a remove in one pair and an insert in
-// another, and load()'s apply order (inserts, then deletes) would net to
-// deleting it. Each manifest records the splitters of the cut it
-// serializes, so recovery always redistributes along the boundaries the
-// committed checkpoint was actually taken under.
+// Incremental policy: a delta checkpoint is built from the dirty keys
+// detached together with the cut (kv_store does both inside its writer
+// fence, so they are exactly the keys of the records logged since the
+// previous commit). The keys are sorted, deduplicated and looked up in the
+// cut with one multi_find; each writes its present flag, the key and, if
+// present, its value. A key rewritten to its old value, or inserted and
+// erased within one interval, travels as a no-op change. No earlier cut is
+// held to diff against, so an old version's blocks are freed once no
+// reader holds them. A checkpoint is full instead when (a) the manager was
+// just opened, (b) the chain already has max_chain deltas, (c) the delta
+// would exceed incr_max_ratio of the last full checkpoint's bytes —
+// decided on the encoded stream, or up front when the distinct keys alone
+// cannot fit — or (d) the cut was taken under a different splitter
+// directory than the previous commit (a rebalance ran in between).
+//
+// The dirty log is bounded: it is compacted (sort + unique) each time it
+// doubles, and once its distinct keys cannot fit the delta budget it is
+// dropped and the next checkpoint is full (an escalation). Its size is the
+// pam_ckpt_dirty_keys gauge.
+//
+// Rule (d) keeps every file of a chain cut along the splitters its
+// manifest records, so the full file's shard streams are the manifest's
+// shards and recovery redistributes along the boundaries the full image
+// was laid out by. The key-based change stream itself does not depend on
+// shard boundaries; a re-split costs one full checkpoint.
 //
 // Crash safety: every mutation of manager state happens only after
 // commit_current() returns. An injected crash anywhere inside
 // save_checkpoint leaves the previous checkpoint current and the manager's
-// in-memory chain state untouched; the dead attempt's files are garbage
-// that the next successful commit's GC pass sweeps.
+// in-memory chain state untouched, and the detached dirty keys are merged
+// back into the log, so the next checkpoint's delta still covers them; the
+// dead attempt's files are garbage that the next successful commit's GC
+// pass sweeps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -90,6 +105,14 @@ class durability {
   using cio = checkpoint_io<Map>;
   using manifest_t = typename cio::manifest_t;
 
+  // The keys written since the last take_dirty(), unsorted and possibly
+  // repeated, and whether the log was dropped for outgrowing the delta
+  // budget (the next checkpoint is then full).
+  struct dirty_keys {
+    std::vector<K> keys;
+    bool overflowed = false;
+  };
+
   // Open a durable store rooted at opts.dir and immediately commit a full
   // checkpoint of `cut` covering `covered_seq` — a fresh store passes the
   // (possibly empty) initial cut with covered_seq 0 / next_seq 1, recovery
@@ -103,7 +126,7 @@ class durability {
     wal_ = std::make_unique<wal_writer>(opts_.io, opts_.dir, opts_.wal,
                                         next_seq);
     mutex_guard g(mu_);
-    commit_locked(cut, covered_seq, /*force_full=*/true);
+    commit_locked(cut, covered_seq, dirty_keys{}, /*force_full=*/true);
   }
 
   durability(const durability&) = delete;
@@ -114,9 +137,12 @@ class durability {
   // WAL record payload for one batch:
   //   [ u32 shard | u32 n_ups | u32 n_dels | entries... | keys... ]
   // Returns the record's seq, or 0 when the writer is dead (batch unacked).
+  // The keys of an appended record join the dirty-key log.
   uint64_t log_batch(uint32_t shard, const std::vector<entry_t>& upserts,
-                     const std::vector<K>& deletes) {
+                     const std::vector<K>& deletes) PAM_EXCLUDES(dirty_mu_) {
     std::vector<char> buf;
+    buf.reserve(12 + upserts.size() * wire::field_codec<entry_t>::kMinBytes +
+                deletes.size() * wire::field_codec<K>::kMinBytes);
     wire::put_u32(buf, shard);
     wire::put_u32(buf, static_cast<uint32_t>(upserts.size()));
     wire::put_u32(buf, static_cast<uint32_t>(deletes.size()));
@@ -124,7 +150,43 @@ class durability {
       wire::field_codec<entry_t>::write(e, buf);
     }
     for (const K& k : deletes) wire::field_codec<K>::write(k, buf);
-    return wal_->append(buf.data(), buf.size());
+    uint64_t seq = wal_->append(buf.data(), buf.size());
+    if (seq != 0) {
+      // The sink runs concurrently for different combiner queues.
+      mutex_guard g(dirty_mu_);
+      if (!dirty_.overflowed) {
+        for (const entry_t& e : upserts) dirty_.keys.push_back(e.first);
+        dirty_.keys.insert(dirty_.keys.end(), deletes.begin(), deletes.end());
+        if (dirty_.keys.size() >= compact_at_) compact_dirty_locked();
+        dirty_gauge_.set(static_cast<int64_t>(dirty_.keys.size()));
+      }
+    }
+    return seq;
+  }
+
+  // Detach the dirty-key log and start an empty one. Taken together with
+  // the cut (kv_store: inside the writer fence), so the keys are exactly
+  // those of the records logged since the previous detach.
+  dirty_keys take_dirty() PAM_EXCLUDES(dirty_mu_) {
+    mutex_guard g(dirty_mu_);
+    dirty_keys out = std::move(dirty_);
+    dirty_ = dirty_keys{};
+    compact_at_ = kMinCompact;
+    dirty_gauge_.set(0);
+    return out;
+  }
+
+  // Keys in the dirty log, and its bound: after each log_batch the log is
+  // below its next compaction point (twice its size after the last one),
+  // and a compaction keeps at most the distinct keys the delta budget of
+  // the last full checkpoint can hold.
+  size_t dirty_size() const PAM_EXCLUDES(dirty_mu_) {
+    mutex_guard g(dirty_mu_);
+    return dirty_.keys.size();
+  }
+  size_t dirty_bound() const PAM_EXCLUDES(dirty_mu_) {
+    mutex_guard g(dirty_mu_);
+    return std::max(2 * budget_keys_, kMinCompact);
   }
 
   // Durability barrier over everything logged so far.
@@ -145,9 +207,10 @@ class durability {
     uint64_t bytes = 0;  // data file bytes written (pages + headers)
   };
 
-  // Persist `cut`, which must reflect every record with seq <= covered_seq.
-  // The caller is responsible for making that true under concurrency: the
-  // (sync, read durable_seq, snapshot) triple must be fenced against
+  // Persist `cut`, which must reflect every record with seq <= covered_seq,
+  // with `dirty` the log detached by take_dirty() at the same moment. The
+  // caller is responsible for making that true under concurrency: the
+  // (sync, read durable_seq, detach, snapshot) steps must be fenced against
   // writers so no record with seq <= covered_seq is still between its WAL
   // append and its apply when the cut is taken — kv_store::save_checkpoint
   // does this by holding every combiner flush lock (quiesced), under which
@@ -155,11 +218,12 @@ class durability {
   // is idempotent because records carry absolute upserts/deletes.
   // covered_seq must be monotone across calls (a regressing claim would
   // follow a truncate that already unlinked records the older manifest
-  // needs).
-  ckpt_result save_checkpoint(const snapshot_t& cut, uint64_t covered_seq)
-      PAM_EXCLUDES(mu_) {
+  // needs). An attempt that throws before its commit point merges `dirty`
+  // back into the log.
+  ckpt_result save_checkpoint(const snapshot_t& cut, uint64_t covered_seq,
+                              dirty_keys dirty) PAM_EXCLUDES(mu_, dirty_mu_) {
     mutex_guard g(mu_);
-    return commit_locked(cut, covered_seq, /*force_full=*/false);
+    return commit_locked(cut, covered_seq, std::move(dirty), /*force_full=*/false);
   }
 
   // ------------------------------------------------------------ recovery --
@@ -232,54 +296,97 @@ class durability {
   }
 
  private:
-  ckpt_result commit_locked(const snapshot_t& cut, uint64_t covered_seq,
-                            bool force_full) PAM_REQUIRES(mu_) {
-    if (covered_seq < cur_manifest_.covered_wal_seq) {
-      // A cut older than the committed one: committing it would move
-      // CURRENT backwards past a truncate that may already have unlinked
-      // the WAL records bridging the gap. kv_store serializes its callers
-      // (ckpt_mu_), so only a direct misuse of this API can get here.
-      throw std::logic_error(
-          "durability: checkpoint coverage must be monotone");
+  // A change costs at least its flag byte and the key's smallest encoding,
+  // after the stream's u32 count: past this many distinct keys a delta
+  // cannot fit `budget` bytes.
+  static size_t keys_within(double budget) {
+    double n = (budget - 4) / static_cast<double>(1 + wire::field_codec<K>::kMinBytes);
+    return n > 0 ? static_cast<size_t>(n) : 0;
+  }
+
+  static void sort_unique(std::vector<K>& keys) {
+    std::sort(keys.begin(), keys.end(), Map::entry_policy::comp);
+    keys.erase(std::unique(keys.begin(), keys.end(),
+                           [](const K& a, const K& b) { return !Map::entry_policy::comp(a, b); }),
+               keys.end());
+  }
+
+  // Compact the log; drop it once its distinct keys cannot fit the delta
+  // budget (the next checkpoint is full either way).
+  void compact_dirty_locked() PAM_REQUIRES(dirty_mu_) {
+    sort_unique(dirty_.keys);
+    if (dirty_.keys.size() > budget_keys_) {
+      dirty_ = dirty_keys{{}, true};
+      return;
     }
+    compact_at_ = std::max(2 * dirty_.keys.size(), kMinCompact);
+  }
+
+  // Merge the keys of a checkpoint that failed before its commit point
+  // back into the log, so the next delta still carries them.
+  void restore_dirty(dirty_keys d) PAM_EXCLUDES(dirty_mu_) {
+    mutex_guard g(dirty_mu_);
+    if (d.overflowed) {
+      dirty_ = dirty_keys{{}, true};
+    } else if (!dirty_.overflowed) {
+      dirty_.keys.insert(dirty_.keys.end(), d.keys.begin(), d.keys.end());
+      if (dirty_.keys.size() >= compact_at_) compact_dirty_locked();
+    }
+    dirty_gauge_.set(static_cast<int64_t>(dirty_.keys.size()));
+  }
+
+  ckpt_result commit_locked(const snapshot_t& cut, uint64_t covered_seq,
+                            dirty_keys dirty, bool force_full) PAM_REQUIRES(mu_) {
     obs::span commit_span("ckpt.commit");
     ckpt_result res;
-    res.id = next_id_++;
-    // Splitter-handle identity: two cuts share a handle iff no rebalance
-    // installed a new directory between them — the exact condition under
-    // which per-shard delta pairing is meaningful (rule (d) above).
-    bool resharded =
-        prev_cut_.has_value() &&
-        prev_cut_->splitters_handle() != cut.splitters_handle();
-    res.full = force_full || resharded || !prev_cut_.has_value() ||
-               chain_len_ >= opts_.ckpt.max_chain;
-    std::vector<char> delta;
-    if (!res.full) {
-      delta = cio::build_delta_stream(*prev_cut_, cut);
-      if (static_cast<double>(delta.size()) >
-          opts_.ckpt.incr_max_ratio * static_cast<double>(last_full_bytes_)) {
-        res.full = true;
-        // A delta that outgrew its budget forced a full checkpoint.
-        ckpt_escalations_.inc();
-      }
-    }
     manifest_t m;
-    std::string data_name = ckpt_file_name(res.id, res.full);
-    res.bytes = write_data_file(*opts_.io, opts_.dir + "/" + data_name,
-                                res.full ? cio::full_image(cut, opts_.ckpt.page_bytes)
-                                         : page_image::of(kDeltaShard, delta, opts_.ckpt.page_bytes));
-    if (res.full) {
-      m.files.emplace_back(uint8_t{0}, data_name);
-    } else {
-      m = cur_manifest_;
-      m.files.emplace_back(uint8_t{1}, data_name);
+    try {
+      if (covered_seq < cur_manifest_.covered_wal_seq) {
+        // A cut older than the committed one: committing it would move
+        // CURRENT backwards past a truncate that may already have unlinked
+        // the WAL records bridging the gap. kv_store serializes its callers
+        // (ckpt_mu_), so only a direct misuse of this API can get here.
+        throw std::logic_error(
+            "durability: checkpoint coverage must be monotone");
+      }
+      res.id = next_id_++;
+      // Splitter-handle identity: two cuts share a handle iff no rebalance
+      // installed a new directory between them (rule (d) above).
+      res.full = force_full || splitters_ != cut.splitters_handle() ||
+                 chain_len_ >= opts_.ckpt.max_chain;
+      std::vector<char> delta;
+      if (!res.full) {
+        const double budget =
+            opts_.ckpt.incr_max_ratio * static_cast<double>(last_full_bytes_);
+        sort_unique(dirty.keys);
+        const bool fits = !dirty.overflowed && dirty.keys.size() <= keys_within(budget);
+        if (fits) delta = cio::delta_stream(cut, dirty.keys);
+        if (!fits || static_cast<double>(delta.size()) > budget) {
+          res.full = true;
+          // A delta that outgrew its budget forced a full checkpoint.
+          ckpt_escalations_.inc();
+        }
+      }
+      std::string data_name = ckpt_file_name(res.id, res.full);
+      res.bytes = write_data_file(*opts_.io, opts_.dir + "/" + data_name,
+                                  res.full ? cio::full_image(cut, opts_.ckpt.page_bytes)
+                                           : page_image::of(kDeltaShard, delta, opts_.ckpt.page_bytes));
+      if (res.full) {
+        m.files.emplace_back(uint8_t{0}, data_name);
+      } else {
+        m = cur_manifest_;
+        m.files.emplace_back(uint8_t{1}, data_name);
+      }
+      m.id = res.id;
+      m.covered_wal_seq = covered_seq;
+      m.splitters = cut.splitter_keys();
+      cio::write_manifest(*opts_.io, opts_.dir, m);
+      opts_.io->sync_dir(opts_.dir);
+      cio::commit_current(*opts_.io, opts_.dir, manifest_file_name(res.id));
+    } catch (...) {
+      restore_dirty(std::move(dirty));
+      throw;
     }
-    m.id = res.id;
-    m.covered_wal_seq = covered_seq;
-    m.splitters = cut.splitter_keys();
-    cio::write_manifest(*opts_.io, opts_.dir, m);
-    opts_.io->sync_dir(opts_.dir);
-    cio::commit_current(*opts_.io, opts_.dir, manifest_file_name(res.id));
     // -- commit point passed: only now may manager state change. --
     ckpt_total_.inc();
     if (res.full) {
@@ -289,10 +396,13 @@ class durability {
     }
     ckpt_bytes_.inc(res.bytes);
     cur_manifest_ = std::move(m);
-    prev_cut_ = cut;
+    splitters_ = cut.splitters_handle();
     if (res.full) {
       last_full_bytes_ = res.bytes;
       chain_len_ = 0;
+      mutex_guard g(dirty_mu_);
+      budget_keys_ = keys_within(opts_.ckpt.incr_max_ratio * static_cast<double>(res.bytes));
+      compact_at_ = std::min(compact_at_, std::max(2 * budget_keys_, kMinCompact));
     } else {
       chain_len_++;
     }
@@ -323,11 +433,21 @@ class durability {
   std::unique_ptr<wal_writer> wal_;
 
   mutable mutex mu_;
-  std::optional<snapshot_t> prev_cut_ PAM_GUARDED_BY(mu_);
+  // The splitter directory of the last committed cut, for rule (d). Holding
+  // the handle keeps its address from being reused by a later directory.
+  std::shared_ptr<const std::vector<K>> splitters_ PAM_GUARDED_BY(mu_);
   manifest_t cur_manifest_ PAM_GUARDED_BY(mu_);
   uint64_t next_id_ PAM_GUARDED_BY(mu_) = 1;
   uint64_t last_full_bytes_ PAM_GUARDED_BY(mu_) = 0;
   long chain_len_ PAM_GUARDED_BY(mu_) = 0;
+
+  // The dirty-key log. Lock order: mu_ before dirty_mu_.
+  static constexpr size_t kMinCompact = 4096;
+  mutable mutex dirty_mu_;
+  dirty_keys dirty_ PAM_GUARDED_BY(dirty_mu_);
+  size_t compact_at_ PAM_GUARDED_BY(dirty_mu_) = kMinCompact;
+  // Distinct keys that can fit the delta budget of the last full checkpoint.
+  size_t budget_keys_ PAM_GUARDED_BY(dirty_mu_) = 0;
 
   // Registry-backed checkpoint instrumentation (PR 9); per-instance,
   // summed at scrape across managers.
@@ -336,6 +456,7 @@ class durability {
   obs::counter ckpt_delta_{"pam_ckpt_delta_total"};
   obs::counter ckpt_bytes_{"pam_ckpt_bytes_total"};
   obs::counter ckpt_escalations_{"pam_ckpt_escalations_total"};
+  obs::gauge dirty_gauge_{"pam_ckpt_dirty_keys"};
 };
 
 }  // namespace pam::store

@@ -19,8 +19,10 @@
 // lifecycle: mid-WAL-append, mid-checkpoint-write, mid-fsync, mid-rename.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -427,13 +429,11 @@ TEST(CrashRecovery, BulkAndBufferedWritersRacingOneKeyRecoverTheLiveStore) {
 }
 
 // Crash-contract rule (d): a checkpoint cut under a different splitter
-// directory than its predecessor must be full — a per-shard delta across a
-// re-split would pair shards that no longer cover the same keys, and
-// load() (inserts, then deletes) would drop every key that moved. Skewed
-// writes make rebalance() install a new directory between two
-// checkpoints. A large cold preload keeps the per-shard delta far under
-// the size escalation, so only rule (d) can make the second checkpoint
-// full. Recovery must then return exactly the oracle, distributed along
+// directory than its predecessor must be full, so every file of a chain
+// was cut along the splitters its manifest records. Skewed writes make
+// rebalance() install a new directory between two checkpoints. A large
+// cold preload keeps the delta far under the size escalation, so only
+// rule (d) can make the second checkpoint full. Recovery must then return exactly the oracle, distributed along
 // the post-re-split splitters the full checkpoint recorded.
 TEST(CrashRecovery, CheckpointAfterResplitIsFullAndRecoversExactly) {
   temp_dir td("resplit");
@@ -490,6 +490,205 @@ TEST(CrashRecovery, CheckpointAfterResplitIsFullAndRecoversExactly) {
   store_t recovered = store_t::recover(dopts);
   expect_equals(recovered, oracle, "post-recovery");
   EXPECT_EQ(recovered.shards().splitters(), resplit);
+}
+
+// ------------------------------------------- delta checkpoints from logs --
+
+// Incremental checkpoints are built from the keys the WAL logged since the
+// previous checkpoint, looked up in the cut. Within one interval: a rewrite
+// of a key to its current value, an insert then erase of a fresh key, an
+// erase of a key that never existed, plus real changes. Each interval ends
+// in a delta checkpoint, and recovery through full + delta + delta, with no
+// WAL tail to replay, must equal the oracle exactly.
+template <typename Map, typename MakeKey>
+void expect_delta_chain_recovers(const std::string& tag, MakeKey key) {
+  using K = typename Map::K;
+  using V = typename Map::V;
+  using kv_t = pam::kv_store<Map>;
+  temp_dir td(tag);
+  std::map<K, V> oracle;
+  std::vector<typename Map::entry_t> preload;
+  for (uint64_t i = 0; i < 4000; i++) {
+    preload.emplace_back(key(i), i);
+    oracle[key(i)] = i;
+  }
+  {
+    typename kv_t::options opt;
+    opt.splitters = {key(1000), key(3000)};
+    pam::store::durability_options dopts;
+    dopts.dir = td.path;
+    opt.durability = dopts;
+    kv_t store(Map(std::move(preload)), opt);
+    for (uint64_t round = 0; round < 2; round++) {
+      store.put(key(10), 10);  // the value it already has
+      store.put_batch({{key(20), 20}});
+      store.put(key(900000 + round), 1);  // fresh, then erased
+      store.erase(key(900000 + round));
+      store.erase(key(800000 + round));  // never existed
+      store.erase_batch({key(800100 + round)});
+      for (uint64_t i = 0; i < 50; i++) {
+        uint64_t k = 37 * i + round;
+        store.put(key(k), 7 + round);
+        oracle[key(k)] = 7 + round;
+      }
+      store.erase(key(2000 + round));
+      oracle.erase(key(2000 + round));
+      auto res = store.save_checkpoint();
+      EXPECT_FALSE(res.full) << tag << " round " << round;
+    }
+    ASSERT_FALSE(store.failed());
+  }
+  pam::store::durability_options dopts;
+  dopts.dir = td.path;
+  typename kv_t::recovery_stats rs;
+  kv_t recovered = kv_t::recover(dopts, {}, &rs);
+  EXPECT_EQ(rs.checkpoint_files, 3u) << tag;
+  EXPECT_EQ(rs.wal_records, 0u) << tag;
+  auto got = recovered.snapshot().entries();
+  ASSERT_EQ(got.size(), oracle.size()) << tag;
+  size_t i = 0;
+  for (const auto& [k, v] : oracle) {
+    EXPECT_TRUE(got[i].first == k && got[i].second == v) << tag << " entry " << i;
+    i++;
+  }
+}
+
+TEST(DeltaCheckpoint, NoOpAndTransientChangesRecoverThroughTheChain) {
+  expect_delta_chain_recovers<map_t>("delta_u64", [](uint64_t i) { return i; });
+}
+
+TEST(DeltaCheckpoint, StringKeyStoreRecoversThroughTheChain) {
+  using str_map = pam::aug_map<pam::str_sum_entry<uint64_t>>;
+  expect_delta_chain_recovers<str_map>("delta_str", [](uint64_t i) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "user%012llu", static_cast<unsigned long long>(i));
+    return std::string(buf);
+  });
+}
+
+// A checkpoint that fails before its commit point (its data file, manifest
+// or CURRENT write cut short) hands its dirty keys back to the log, so the
+// next good delta still carries them. That delta covers, and the WAL
+// truncation it triggers unlinks, the records of the failed interval:
+// without the hand-back their keys would be in neither the chain nor the
+// replayed WAL tail.
+TEST(DeltaCheckpoint, FailedCommitKeepsItsKeysForTheNextDelta) {
+  // Short writes 1, 2 and 3 of a checkpoint: data file, manifest, CURRENT.
+  for (long n = 1; n <= 3; n++) {
+    temp_dir td("ckpt_fail_" + std::to_string(n));
+    auto fp = std::make_shared<pam::store::failpoints>();
+    auto fs = std::make_shared<pam::store::faulty_fs>(pam::store::posix_fs(), fp);
+    oracle_t oracle;
+    std::vector<map_t::entry_t> preload;
+    for (uint64_t k = 0; k < 4000; k++) {
+      preload.emplace_back(k, k);
+      oracle[k] = k;
+    }
+    auto wal_segments = [&] {
+      size_t segs = 0;
+      for (const std::string& name : fs->list(td.path)) segs += name.rfind("wal-", 0) == 0;
+      return segs;
+    };
+    {
+      store_t::options opt;
+      opt.splitters = {2000};
+      pam::store::durability_options dopts;
+      dopts.dir = td.path;
+      dopts.io = fs;
+      dopts.wal.segment_bytes = 1;  // one record per segment
+      opt.durability = dopts;
+      store_t store(map_t(std::move(preload)), opt);
+
+      for (uint64_t k = 0; k < 40; k++) {
+        store.put_batch({{k * 11, 1}});
+        oracle[k * 11] = 1;
+      }
+      store.erase_batch({5});
+      oracle.erase(5);
+      store.flush();
+      fp->writes_until_short.store(n);
+      EXPECT_THROW(store.save_checkpoint(), pam::store::crash_error) << "N=" << n;
+      fp->disarm();
+      ASSERT_FALSE(store.failed());
+
+      for (uint64_t k = 0; k < 20; k++) {
+        store.put_batch({{k * 13 + 1, 2}});
+        oracle[k * 13 + 1] = 2;
+      }
+      const size_t before = wal_segments();
+      auto res = store.save_checkpoint();
+      EXPECT_FALSE(res.full) << "N=" << n;
+      EXPECT_LT(wal_segments() + 40, before) << "N=" << n << ": WAL not truncated";
+      expect_equals(store, oracle, "pre-shutdown");
+    }
+    pam::store::durability_options dopts;
+    dopts.dir = td.path;
+    store_t::recovery_stats rs;
+    store_t recovered = store_t::recover(dopts, {}, &rs);
+    EXPECT_EQ(rs.wal_records, 0u) << "N=" << n;
+    expect_equals(recovered, oracle, "post-recovery");
+  }
+}
+
+// The dirty-key log is bounded: a store that takes far more writes than
+// the delta budget can carry, with no checkpoint in between, keeps the log
+// at or under its bound (it is dropped once its distinct keys cannot fit),
+// exports its size as pam_ckpt_dirty_keys, and escalates the next
+// checkpoint to full.
+TEST(DeltaCheckpoint, DirtyLogStaysBoundedAndEscalatesToFull) {
+  temp_dir td("dirty_bound");
+  oracle_t oracle;
+  std::vector<map_t::entry_t> preload;
+  for (uint64_t k = 0; k < 2000; k++) {
+    preload.emplace_back(k, k);
+    oracle[k] = k;
+  }
+  {
+    store_t::options opt;
+    opt.splitters = {1000, 100000};
+    pam::store::durability_options dopts;
+    dopts.dir = td.path;
+    dopts.wal.sync_every = 1 << 20;
+    opt.durability = dopts;
+    store_t store(map_t(std::move(preload)), opt);
+    auto& d = store.durable();
+    const size_t bound = d.dirty_bound();
+    auto gauge = [&] {
+      for (const auto& g : store.metrics().gauges) {
+        if (g.name == "pam_ckpt_dirty_keys") return g.value;
+      }
+      return int64_t{-1};
+    };
+
+    size_t peak = 0;
+    for (uint64_t b = 0; b < 200; b++) {
+      std::vector<map_t::entry_t> batch;
+      for (uint64_t i = 0; i < 500; i++) {
+        uint64_t k = 10000 + b * 500 + i;
+        batch.emplace_back(k, b);
+        oracle[k] = b;
+      }
+      store.put_batch(std::move(batch));
+      peak = std::max(peak, d.dirty_size());
+      ASSERT_LE(d.dirty_size(), bound) << "batch " << b;
+    }
+    EXPECT_GT(peak, 0u);
+    if (pam::obs::kEnabled) {
+      EXPECT_LE(gauge(), static_cast<int64_t>(bound));
+    }
+    auto res = store.save_checkpoint();
+    EXPECT_TRUE(res.full) << "100k distinct keys cannot fit the delta budget";
+    EXPECT_EQ(d.dirty_size(), 0u);
+    if (pam::obs::kEnabled) {
+      EXPECT_EQ(gauge(), 0);
+    }
+    store.flush();
+    expect_equals(store, oracle, "pre-shutdown");
+  }
+  pam::store::durability_options dopts;
+  dopts.dir = td.path;
+  store_t recovered = store_t::recover(dopts);
+  expect_equals(recovered, oracle, "post-recovery");
 }
 
 // Recovery leaves an audit trail in the metrics registry: runs, replayed

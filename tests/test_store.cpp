@@ -1080,6 +1080,23 @@ TEST(WireCodec, CrossEndianStreamRejected) {
 
 // -------------------------------------------- durability manager + deltas --
 
+// The write protocol kv_store runs under its writer fence, driven by hand:
+// log the batch (its keys join the dirty-key log), then apply it.
+template <typename Map>
+void logged_insert(pam::store::durability<Map>& d, pam::sharded_map<Map>& shards,
+                   std::vector<typename Map::entry_t> es) {
+  ASSERT_NE(d.log_batch(0, es, {}), 0u);
+  shards.multi_insert(std::move(es));
+}
+
+// A checkpoint of everything logged and applied so far, with the keys
+// logged since the previous one.
+template <typename Map>
+auto checkpoint_all(pam::store::durability<Map>& d, const pam::sharded_map<Map>& shards) {
+  d.sync_wal();
+  return d.save_checkpoint(shards.snapshot_all(), d.durable_seq(), d.take_dirty());
+}
+
 TEST(Durability, IncrementalCheckpointPersistsOnlyChangedBlocks) {
   temp_dir td("incr");
   pam::store::durability_options opts;
@@ -1093,17 +1110,17 @@ TEST(Durability, IncrementalCheckpointPersistsOnlyChangedBlocks) {
 
   std::vector<u64_map::entry_t> bulk;
   for (uint64_t i = 0; i < 100000; i++) bulk.emplace_back(i, i);
-  shards.multi_insert(std::move(bulk));
+  logged_insert(d, shards, std::move(bulk));
   // 100k fresh keys dwarf the empty baseline: the ratio policy forces full.
-  auto full = d.save_checkpoint(shards.snapshot_all(), 0);
+  auto full = checkpoint_all(d, shards);
   EXPECT_TRUE(full.full);
 
   // Touch 20 of 100k keys: the delta must be proportional to the churn,
-  // not the map — the byte-footprint guarantee of diff-driven checkpoints.
+  // not the map — the byte-footprint guarantee of log-driven checkpoints.
   std::vector<u64_map::entry_t> churn;
   for (uint64_t i = 0; i < 20; i++) churn.emplace_back(i * 977, 1);
-  shards.multi_insert(std::move(churn));
-  auto delta = d.save_checkpoint(shards.snapshot_all(), 0);
+  logged_insert(d, shards, std::move(churn));
+  auto delta = checkpoint_all(d, shards);
   EXPECT_FALSE(delta.full);
   EXPECT_LT(delta.bytes * 100, full.bytes)
       << "delta " << delta.bytes << "B should be <1% of full " << full.bytes
@@ -1136,9 +1153,8 @@ TEST(Durability, FullCheckpointForcedPastMaxChainAndGcSweeps) {
   pam::store::durability<u64_map> d(opts, shards.snapshot_all());
   int fulls = 0, deltas = 0;
   for (int round = 0; round < 8; round++) {
-    std::vector<u64_map::entry_t> churn = {{uint64_t(round), 99u}};
-    shards.multi_insert(std::move(churn));
-    auto r = d.save_checkpoint(shards.snapshot_all(), 0);
+    logged_insert(d, shards, {{uint64_t(round), 99u}});
+    auto r = checkpoint_all(d, shards);
     (r.full ? fulls : deltas)++;
   }
   EXPECT_GE(fulls, 2) << "max_chain=2 must force periodic fulls";
@@ -1158,6 +1174,7 @@ TEST(Durability, FullCheckpointForcedPastMaxChainAndGcSweeps) {
   auto rec = pam::store::durability<u64_map>::recover(opts);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->contents.size(), 5000u);
+  EXPECT_EQ(rec->contents.find(7), std::optional<uint64_t>(99));
 }
 
 // The byte oracle at the file level: a full checkpoint's data file, written
@@ -1174,9 +1191,10 @@ void expect_full_file_matches_reference(const char* tag, std::vector<typename Ma
   pam::store::durability<Map> d(opts, shards.snapshot_all());
   std::vector<typename Map::entry_t> bulk;
   for (uint64_t i = 0; i < 20000; i++) bulk.push_back(make(i));
-  shards.multi_insert(std::move(bulk));
+  logged_insert(d, shards, std::move(bulk));
   auto cut = shards.snapshot_all();
-  auto r = d.save_checkpoint(cut, 0);
+  d.sync_wal();
+  auto r = d.save_checkpoint(cut, d.durable_seq(), d.take_dirty());
   ASSERT_TRUE(r.full);
   auto fs = pam::store::posix_fs();
   const std::string path = td.path + "/" + pam::store::ckpt_file_name(r.id, true);

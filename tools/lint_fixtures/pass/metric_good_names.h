@@ -9,6 +9,7 @@ struct example {
   obs::counter ops_{"pam_example_ops_total"};
   obs::gauge depth_{"pam_example_queue_depth"};
   obs::gauge bytes_{"pam_example_reserved_bytes"};
+  obs::gauge keys_{"pam_example_dirty_keys"};
   obs::histogram lat_{"pam_example_flush_ns"};
   // Wrapped member initializers are still checked (name on the next line).
   obs::histogram batch_{

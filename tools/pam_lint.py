@@ -41,7 +41,7 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
                       constructed with a literal name must follow the naming
                       contract: the `pam_` prefix plus a unit suffix by kind
                       (counter: `_total`; gauge: `_bytes`, `_depth`,
-                      `_entries`, `_ns`, `_ratio`; histogram: `_ns`,
+                      `_entries`, `_keys`, `_ns`, `_ratio`; histogram: `_ns`,
                       `_bytes`, `_ops`). Dashboards and the exposition sort
                       by name; an unsuffixed metric is ambiguous forever.
   env-catalogue       every `PAM_*` environment knob read anywhere in the
@@ -206,7 +206,7 @@ OBS_METRIC_CTOR_RE = re.compile(
     r'[({]\s*"([^"]*)"')
 METRIC_SUFFIXES = {
     "counter": ("_total",),
-    "gauge": ("_bytes", "_depth", "_entries", "_ns", "_ratio"),
+    "gauge": ("_bytes", "_depth", "_entries", "_keys", "_ns", "_ratio"),
     "histogram": ("_ns", "_bytes", "_ops"),
 }
 # Env-knob reads, matched against ORIGINAL lines for the same reason as
