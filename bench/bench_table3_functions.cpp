@@ -5,9 +5,11 @@
 // Paper workloads: n = m = 1e8 and (n = 1e8, m = 1e5); here scaled to
 // laptop size with the same n:m ratios (PAM_BENCH_SCALE restores larger
 // sizes). "T1" is the parallel code on one worker; "Tp" on all workers.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "apps/range_sum.h"
@@ -104,6 +106,34 @@ int main() {
                                     [](uint64_t a, uint64_t b) { return a + b; });
     });
     row("Multi-Insert", n, m_small, t1, tp);
+  }
+  {
+    // L1 ledger row: the same multi_insert of n/4 entries into A, driven
+    // from a spawned std::thread and from the main thread, in alternating
+    // reps. Both are user threads, so both hand the whole fork-join to the
+    // pool; gated <= 1.3 in bench/baselines/BENCH_PR10.json.
+    auto ef = kv_entries(n / 4, 10);
+    auto once = [&] {
+      aug_t mi;  // freed after the timed region
+      return timed([&] {
+        mi = aug_t::multi_insert(A, ef, [](uint64_t a, uint64_t b) { return a + b; });
+      });
+    };
+    std::vector<double> t_main, t_foreign;
+    for (int rep = 0; rep < 7; rep++) {
+      t_main.push_back(once());
+      std::thread t([&] { t_foreign.push_back(once()); });
+      t.join();
+    }
+    std::sort(t_main.begin(), t_main.end());
+    std::sort(t_foreign.begin(), t_foreign.end());
+    double main_s = t_main[t_main.size() / 2];
+    double foreign_s = t_foreign[t_foreign.size() / 2];
+    std::printf("%-28s n=%-11zu m=%-11zu main=%8.4fs  thread=%8.4fs  ratio=%5.2f\n",
+                "Multi-Insert(foreign)", n, n / 4, main_s, foreign_s,
+                foreign_s / main_s);
+    bench_json(current_bench().c_str(), "foreign_over_main", "time_ratio",
+               foreign_s / main_s);
   }
   {
     // m range extractions (each O(log n + out) via path copying).

@@ -521,13 +521,12 @@ class block_pool {
   // Trim every pool; returns the total bytes released. Best preceded by
   // epoch::drain() so limbo-held trees have actually been freed.
   //
-  // Every spawned scheduler worker first hands its caches back from its
-  // own thread (scheduler::on_each_worker), so slots freed by parallel
-  // teardown no longer pin their chunks. Two kinds of cache stay out of
-  // reach: worker 0's when the caller is another thread (worker 0 is the
-  // user's thread and answers no hook), and those of long-lived foreign
-  // threads — combiner flushers, server clients — which keep fewer than 4
-  // batches per pool each until they call trim themselves or exit.
+  // Every scheduler worker first hands its caches back from its own thread
+  // (scheduler::on_each_worker), and the caller hands back its own, so
+  // slots freed by parallel teardown no longer pin their chunks. Only other
+  // user threads' caches stay out of reach — combiner flushers, server
+  // clients, which keep fewer than 4 batches per pool each until they call
+  // trim themselves or exit.
   //
   // The hand-back runs before the directory mutex is taken (each worker
   // takes it briefly itself); the walk then holds it (see

@@ -364,8 +364,12 @@ struct map_ops : tree_ops<Entry, Balance> {
     bool hit = idx < n && !less(m->key, a[idx].first);
     node* nl = nullptr;
     node* nr = nullptr;
+    // Fork on the batch, not the tree: n keys into a big tree cost
+    // O(n log(size/n + 1)), so a batch under the cutoff runs on one thread.
+    // Forked from a user thread, its few path copies would otherwise land
+    // on every worker and spread over their pool caches' chunks.
     par_do_if(
-        size(l) + size(r) + n >= par_cutoff(),
+        n >= par_cutoff(),
         [&] { nl = multi_insert_sorted(l, a, idx, comb); },
         [&] { nr = multi_insert_sorted(r, a + idx + hit, n - idx - hit, comb); });
     if (hit) m->value = comb(m->value, a[idx].second);
@@ -411,7 +415,7 @@ struct map_ops : tree_ops<Entry, Balance> {
     node* nl = nullptr;
     node* nr = nullptr;
     par_do_if(
-        size(l) + size(r) + n >= par_cutoff(),
+        n >= par_cutoff(),  // on the batch, as in multi_insert_sorted
         [&] { nl = multi_delete_sorted(l, keys, idx); },
         [&] { nr = multi_delete_sorted(r, keys + idx + hit, n - idx - hit); });
     if (hit) {

@@ -40,6 +40,7 @@
 #include <utility>
 
 #include "alloc/arena.h"
+#include "parallel/parallel.h"
 #include "util/thread_annotations.h"
 
 namespace pam {
@@ -149,7 +150,9 @@ class snapshot_box {
       // Holding the writer lock, current_ cannot change and the payload it
       // points at cannot be retired: copying the map here needs no guard.
       Map working = payload_locked()->map;
-      displaced = publish(f(std::move(working)));
+      // f may fork while the lock is held: isolated, a worker waiting in one
+      // of its joins never runs another task that takes this lock.
+      displaced = publish(isolate([&] { return f(std::move(working)); }));
     }
     retire(displaced);
   }

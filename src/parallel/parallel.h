@@ -19,8 +19,8 @@ namespace pam {
 
 // Bulk tree recursions (union, build, filter, multi_*): trees smaller than
 // this run sequentially (the paper: "parallelism is not used on very small
-// trees"). The read is one relaxed load, negligible against the subtree
-// work it gates.
+// trees"); multi_insert/multi_delete compare their batch instead. The read
+// is one relaxed load, negligible against the subtree work it gates.
 inline std::atomic<size_t>& par_cutoff_knob() {
   static std::atomic<size_t> cutoff{512};
   return cutoff;
@@ -52,6 +52,16 @@ inline int worker_id() { return internal::scheduler::worker_id(); }
 template <typename L, typename R>
 void par_do(L&& left, R&& right) {
   internal::scheduler::get().par_do(std::forward<L>(left), std::forward<R>(right));
+}
+
+// Run f() with its joins isolated and return its result: while f, or any
+// task it forks, waits for a stolen branch, that worker runs no other task.
+// Code that forks while holding a lock that pool tasks also take must run
+// its forks this way (scheduler.h, "Lock rule").
+template <typename F>
+decltype(auto) isolate(F&& f) {
+  internal::isolation_scope scope;
+  return f();
 }
 
 // par_do when `parallel` is true, otherwise run sequentially (left; right).

@@ -29,7 +29,6 @@ scheduler::scheduler() {
   long p = env_long("PAM_NUM_WORKERS", 0);
   if (p <= 0) p = static_cast<long>(std::thread::hardware_concurrency());
   if (p <= 0) p = 1;
-  tl_worker_id() = 0;  // the constructing thread is worker 0
   spawn_workers(static_cast<int>(p));
 }
 
@@ -40,8 +39,8 @@ void scheduler::spawn_workers(int p) {
   for (int i = 0; i < p; i++) deques_.push_back(std::make_unique<ws_deque>());
   hook_asked_ = std::make_unique<hook_flag[]>(static_cast<size_t>(p));
   shutdown_.store(false, std::memory_order_relaxed);
-  threads_.reserve(p - 1);
-  for (int i = 1; i < p; i++) {
+  threads_.reserve(p);
+  for (int i = 0; i < p; i++) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -53,6 +52,7 @@ void scheduler::stop_workers() {
 }
 
 void scheduler::set_num_workers(int p) {
+  assert(tl_worker_id() < 0);  // a worker cannot join itself
   if (p < 1) p = 1;
   if (p == num_workers_) return;
   stop_workers();
@@ -65,9 +65,10 @@ void scheduler::worker_loop(int id) {
   int failures = 0;
   while (!shutdown_.load(std::memory_order_acquire)) {
     answer_hook(id);
-    work_item* w = try_steal(id, rng_state);
+    work_item* w = injected_.take(rng_state);
+    if (w == nullptr) w = try_steal(id, rng_state);
     if (w != nullptr) {
-      w->execute(w);
+      w->run();
       failures = 0;
     } else if (++failures >= 64) {
       if (failures >= 2048) {
@@ -78,6 +79,12 @@ void scheduler::worker_loop(int id) {
       }
     }
   }
+}
+
+void scheduler::inject(work_item* w) {
+  // One slot per waiting user thread; past 64 of them a post waits for a
+  // worker to free one.
+  while (!injected_.post(w)) std::this_thread::yield();
 }
 
 work_item* scheduler::try_steal(int self, uint64_t& rng_state) {
@@ -93,12 +100,13 @@ work_item* scheduler::try_steal(int self, uint64_t& rng_state) {
 
 void scheduler::wait_until_done(std::atomic<bool>& flag, int self) {
   uint64_t rng_state = hash64(0xabcdULL + self);
+  const bool help = tl_isolation() == 0;
   int failures = 0;
   while (!flag.load(std::memory_order_acquire)) {
     answer_hook(self);
-    work_item* w = try_steal(self, rng_state);
+    work_item* w = help ? try_steal(self, rng_state) : nullptr;
     if (w != nullptr) {
-      w->execute(w);
+      w->run();
       failures = 0;
     } else if (++failures >= 128) {
       std::this_thread::yield();
@@ -125,14 +133,14 @@ void scheduler::broadcast(void (*hook)(void*), void* arg) {
   while (!hook_busy_.compare_exchange_weak(busy, true, std::memory_order_acquire,
                                            std::memory_order_relaxed)) {
     busy = false;
-    if (self > 0) answer_hook(self);
+    if (self >= 0) answer_hook(self);
     std::this_thread::yield();
   }
   hook_fn_ = hook;
   hook_arg_ = arg;
-  hook_pending_.store(num_workers_ - 1 - (self > 0 ? 1 : 0),
+  hook_pending_.store(num_workers_ - (self >= 0 ? 1 : 0),
                       std::memory_order_relaxed);
-  for (int i = 1; i < num_workers_; i++) {
+  for (int i = 0; i < num_workers_; i++) {
     if (i != self) hook_asked_[i].asked.store(true, std::memory_order_release);
   }
   hook(arg);

@@ -323,13 +323,13 @@ class kv_store {
 
   // Reclaim what a long-lived server can: drive the epoch forward so
   // displaced versions in limbo are destroyed (parallel teardown), have
-  // every scheduler worker hand its pool caches back, then release
-  // fully-free chunks from every pool to the C++ heap. Returns the bytes
-  // released. The heap keeps most of them mapped, so this lowers
-  // reserved_bytes, not the process RSS. Readers are never blocked;
-  // chunks pinned by worker 0's cache (when called from another thread)
-  // or by long-lived foreign threads' caches stay reserved (see
-  // block_pool::trim_all). Safe to call from a parallel task or a foreign
+  // every scheduler worker and the calling thread hand their pool caches
+  // back, then release fully-free chunks from every pool to the C++ heap.
+  // Returns the bytes released. The heap keeps most of them mapped, so
+  // this lowers reserved_bytes, not the process RSS. Readers are never
+  // blocked; chunks pinned by other user threads' caches (long-lived
+  // clients, the combiner's flusher) stay reserved (see
+  // block_pool::trim_all). Safe to call from a parallel task or any user
   // thread. EXCLUDES: calling this from inside an epoch::guard could never
   // drain past the caller's own pin — the contract propagates from
   // epoch::drain.

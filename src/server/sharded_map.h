@@ -667,15 +667,25 @@ class sharded_map {
                                               entry_policy::comp);
       buckets[s].push_back(std::move(it));
     }
-    parallel_for(
-        0, d.shards.size(),
-        [&](size_t s) {
-          if (buckets[s].empty()) return;
-          commit(*d.shards[s], buckets[s].size(), [&](Map m) {
-            return apply(std::move(m), std::move(buckets[s]));
-          });
-        },
-        1);
+    auto write = [&](size_t s) {
+      if (buckets[s].empty()) return;
+      commit(*d.shards[s], buckets[s].size(), [&](Map m) {
+        return apply(std::move(m), std::move(buckets[s]));
+      });
+    };
+    // A batch smaller than par_cutoff() forks nowhere in the kernel, and
+    // when it hits one shard there is nothing to fan out either: apply it
+    // on the calling thread, whose pool cache then keeps its path copies
+    // (handed to the pool, each flush would carve from a different
+    // worker's cache). It holds that shard's writer lock without forking,
+    // so the lock rule of parallel/scheduler.h is not in play.
+    size_t hit = 0;
+    for (const auto& b : buckets) hit += !b.empty();
+    if (hit == 1 && items.size() < par_cutoff()) {
+      for (size_t s = 0; s < buckets.size(); s++) write(s);
+      return;
+    }
+    parallel_for(0, d.shards.size(), write, 1);
   }
 
   // The validated-cut engine over one pinned directory's shards (see

@@ -302,17 +302,17 @@ void churn(pam::raw_pool& pool) {
 }
 
 TEST(Arena, TrimAllReclaimsWorkerCaches) {
-  ASSERT_EQ(pam::worker_id(), 0);
+  ASSERT_EQ(pam::worker_id(), -1);
   pam::raw_pool pool(200, 8);
   // Every worker frees slots into its own cache; all are dead afterwards.
   ASSERT_TRUE(on_every_worker_at_once([&](int) { churn(pool); }));
   EXPECT_EQ(pool.used(), 0);
   EXPECT_GT(pool.reserved_bytes(), 0u);
-  // trim() alone reaches only the calling thread's cache: the spawned
-  // workers' caches pin their chunks.
+  // trim() alone reaches only the calling thread's cache: the workers'
+  // caches pin their chunks.
   pool.trim();
   EXPECT_GT(pool.reserved_bytes(), 0u);
-  // trim_all() has every spawned worker hand its caches back first.
+  // trim_all() has every worker hand its caches back first.
   pam::block_pool::trim_all();
   EXPECT_EQ(pool.reserved_bytes(), 0u);
   EXPECT_EQ(pool.reserved(), 0);
@@ -328,12 +328,11 @@ using trim_store_t = pam::kv_store<pam::aug_map<pam::sum_entry<uint64_t, uint64_
 TEST(Arena, TrimMemoryFromASpawnedWorkerReturns) {
   // A call from inside a parallel task: the other workers are still in
   // their tasks or helping a join when it is made, and must answer from
-  // there. Only spawned workers touch the pool, and every one is reached
-  // (the calling worker inline), so everything is released.
+  // there. Every worker churns and every one is reached (the calling
+  // worker inline), so everything is released.
   pam::raw_pool pool(136, 8);
   std::atomic<int> calls{0};
   ASSERT_TRUE(on_every_worker_at_once([&](int id) {
-    if (id == 0) return;
     churn(pool);
     if (id == 1) {
       trim_store_t::trim_memory();
@@ -347,9 +346,7 @@ TEST(Arena, TrimMemoryFromASpawnedWorkerReturns) {
 
 TEST(Arena, TrimMemoryFromAForeignThreadReturns) {
   pam::raw_pool pool(152, 8);
-  ASSERT_TRUE(on_every_worker_at_once([&](int id) {
-    if (id != 0) churn(pool);
-  }));
+  ASSERT_TRUE(on_every_worker_at_once([&](int) { churn(pool); }));
   size_t held = pool.reserved_bytes();
   EXPECT_GT(held, 0u);
   size_t released = 0;
@@ -359,11 +356,11 @@ TEST(Arena, TrimMemoryFromAForeignThreadReturns) {
   EXPECT_EQ(pool.reserved_bytes(), 0u);
 }
 
-TEST(Arena, ForeignTrimCannotDrainWorkerZero) {
-  // Worker 0 is the user's own thread and runs no scheduler loop, so a
-  // trim from another thread cannot reach its cache; its slots stay
-  // reserved until worker 0 trims itself (or exits).
-  ASSERT_EQ(pam::worker_id(), 0);
+TEST(Arena, TrimCannotDrainAnotherUserThreadsCache) {
+  // A user thread runs no scheduler loop, so its cache is reachable only
+  // by that thread: slots the main thread freed stay reserved through a
+  // trim from another thread, until main trims itself (or exits).
+  ASSERT_EQ(pam::worker_id(), -1);
   pam::raw_pool pool(264, 8);
   churn(pool);
   EXPECT_EQ(pool.used(), 0);
