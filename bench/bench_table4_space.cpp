@@ -20,17 +20,30 @@
 //      earlier sections left on the free lists are spread over old chunks,
 //      and that fragmentation (trim never moves a live slot) would swamp
 //      what this row measures.
+//  (f) pool footprint after serving churn: a 16-shard kv_store preloaded
+//      with n = max(scaled 1M, 500K) entries takes n puts from 3 writer
+//      threads while a fourth thread runs gets. The write combiner commits
+//      the puts in per-shard batches (on batch-size overflow and on its
+//      flusher tick); then flush() and trim_memory(), and the row reports
+//      the pools' reserved bytes over their live bytes. Every shard commit
+//      path-copies, so every commit displaces a version into epoch limbo;
+//      the longer those versions wait there, the more chunks the live
+//      tree's new slots spread over, and trim releases no chunk that still
+//      holds one live slot.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
 // are properties of one-node-per-entry path copying.
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "apps/range_sum.h"
 #include "apps/range_tree.h"
 #include "common/bench_util.h"
 #include "server/kv_store.h"
+#include "util/random.h"
 
 namespace {
 using namespace pam;
@@ -178,11 +191,60 @@ int main() {
                "reserved_over_used", over);
   }
 
+  // ------------------- (f) pool bytes reserved vs used after serving churn --
+  std::printf("\n--- pools after serving churn and trim_memory ---\n");
+  {
+    using store_t = kv_store<range_sum_map>;
+    store_t::trim_memory();
+    // The same per-worker partly carved chunks as in (e) set a floor on the
+    // ratio below ~500K entries.
+    size_t sn = std::max<size_t>(scaled_size(1000000), 500000);
+    constexpr int kWriters = 3;
+    const size_t puts_per_writer = sn / kWriters;
+    const uint64_t universe = 2 * sn;
+    {
+      store_t store(range_sum_map(kv_entries(sn, 41, universe)),
+                    {.num_shards = 16});
+      std::atomic<int> writing{kWriters};
+      std::vector<std::thread> threads;
+      for (int w = 0; w < kWriters; w++) {
+        threads.emplace_back([&, w] {
+          random_gen g(100 + static_cast<uint64_t>(w));
+          for (size_t i = 0; i < puts_per_writer; i++) {
+            store.put(g.next_bounded(universe), g.next() % 1000);
+          }
+          writing.fetch_sub(1);
+        });
+      }
+      threads.emplace_back([&] {
+        random_gen g(7);
+        while (writing.load() > 0) store.get(g.next_bounded(universe));
+      });
+      for (auto& t : threads) t.join();
+      store.flush();
+      store_t::trim_memory();
+      auto mem = store_t::memory();
+      double over = static_cast<double>(mem.reserved_bytes) /
+                    static_cast<double>(mem.used_bytes);
+      std::printf("n=%zu, %d writers x %zu puts, 1 reader\n", sn, kWriters,
+                  puts_per_writer);
+      std::printf("reserved %zu B, used %zu B, reserved/used %.3f\n",
+                  mem.reserved_bytes, mem.used_bytes, over);
+      bench_json("bench_table4_space", "serving_churn", "reserved_bytes",
+                 static_cast<double>(mem.reserved_bytes));
+      bench_json("bench_table4_space", "serving_churn", "used_bytes",
+                 static_cast<double>(mem.used_bytes));
+      bench_json("bench_table4_space", "serving_churn", "reserved_over_used",
+                 over);
+    }
+  }
+
   std::printf("\nShape checks vs paper Table 4:\n");
   std::printf(" * union sharing: ~0-5%% for m=n, large (tens of %%) for m<<n\n");
   std::printf(" * range-tree inner sharing ~10-20%%\n");
   std::printf(" * blocked leaves >= 2x denser than the classic layout\n");
   std::printf(" * pools reserve ~1x their live bytes after a parallel free + trim\n");
+  std::printf(" * serving churn: pools reserve well under 2x their live bytes after trim\n");
 
   if (env_long("PAM_PERF_GATE", 0) != 0 && ratio < 2.0) {
     std::printf("\nFAIL: blocked-leaf space ratio %.2fx below the 2x gate\n", ratio);

@@ -40,10 +40,20 @@
 // sizes pass gc_par_cutoff()) — limbo drains therefore parallelize exactly
 // like every other bulk free in the system.
 //
+// Every retirement tries to turn the epoch over while the current limbo
+// bucket holds fewer than kDrainThreshold objects, so with no reader pinned
+// limbo holds only the last two epochs' retirements: each retired object is
+// freed by the second retirement after its own. Past that fill a
+// pinned reader must be holding the epoch back, and retire falls back to
+// one try per kDrainThreshold retirements.
+//
 // Guarantees: guard entry/exit are wait-free (two seq_cst accesses plus a
 // validation loop that only retries while a concurrent advance is in
-// flight); retire is O(1) amortized; try_advance is lock-free for readers
-// (it never blocks them) and mutual-exclusive among reclaimers.
+// flight); retire is O(1) amortized plus one reader-slot scan per try
+// (every call while limbo is shallow; under a pinned reader, at most
+// kDrainThreshold + n / kDrainThreshold scans over n retirements);
+// try_advance is lock-free for readers (it never blocks them) and
+// mutual-exclusive among reclaimers.
 #pragma once
 
 #include <algorithm>
@@ -71,6 +81,7 @@ namespace alloc_internal {
 // multiply identical series.
 struct alloc_metrics_t {
   obs::counter epoch_advances{"pam_epoch_advances_total"};
+  obs::counter epoch_advance_blocked{"pam_epoch_advance_blocked_total"};
   obs::counter epoch_retired{"pam_epoch_retired_total"};
   obs::gauge limbo_depth{"pam_epoch_limbo_depth"};
   obs::gauge reserved_bytes{"pam_arena_reserved_bytes"};
@@ -129,33 +140,33 @@ class epoch {
   // publication), not per node, so one process-wide limbo list suffices at
   // current commit rates; if profiles ever show this mutex on a write path,
   // the standard evolution is per-thread retire lists folded in at advance
-  // time. Amortized drains (every kDrainThreshold-th retire) run on the
-  // retiring thread, outside any snapshot_box writer lock (see
+  // time. The epoch turn is tried in the same critical section that queues
+  // p, on every call while the bucket is shallow and on every
+  // kDrainThreshold-th call once a pinned reader has let it grow (see the
+  // header). The freed bucket's deleters run on the retiring thread after
+  // the lock drops, and outside any snapshot_box writer lock (see
   // snapshot_box::retire).
   //
   // EXCLUDES(epoch_domain): must not run inside an epoch::guard — the
-  // amortized try_advance below could never move past the caller's own pin.
+  // turn attempted here could never move past the caller's own pin.
   static void retire(void* p, void (*deleter)(void*))
       PAM_EXCLUDES(epoch_domain) {
     limbo_state& L = limbo();
-    size_t bucket_fill;
+    std::vector<retired> to_free;
     {
       mutex_guard lock(L.mu);
       uint64_t e = global_epoch().load(std::memory_order_relaxed);
       auto& bucket = L.buckets[e % 3];
       bucket.push_back({p, deleter});
       L.pending.fetch_add(1, std::memory_order_relaxed);
-      bucket_fill = bucket.size();
+      size_t fill = bucket.size();
+      if (fill < kDrainThreshold || fill % kDrainThreshold == 0) {
+        advance_locked(L, to_free);
+      }
     }
     alloc_internal::alloc_metrics().epoch_retired.inc();
     alloc_internal::alloc_metrics().limbo_depth.add(1);
-    // Amortized housekeeping: every kDrainThreshold-th retirement into a
-    // bucket attempts to turn the epoch over so old limbo drains. The
-    // modulus (not >=) matters when a long-lived guard pins the epoch: the
-    // bucket then grows without bound, and attempting on every retire would
-    // add a limbo-mutex + slot-scan to every commit exactly while the
-    // system is already degraded. Never blocks readers.
-    if (bucket_fill % kDrainThreshold == 0) try_advance();
+    free_retired(L, to_free);
   }
 
   // Attempt one epoch turn. Returns true if the epoch advanced (draining the
@@ -170,30 +181,13 @@ class epoch {
   static bool try_advance() PAM_EXCLUDES(epoch_domain) {
     limbo_state& L = limbo();
     std::vector<retired> to_free;
+    bool advanced;
     {
       mutex_guard lock(L.mu);
-      uint64_t e = global_epoch().load(std::memory_order_seq_cst);
-      for (thread_slot* s = slot_head().load(std::memory_order_acquire);
-           s != nullptr; s = s->next) {
-        uint64_t se = s->announced.load(std::memory_order_seq_cst);
-        if (se != kIdle && se != e) return false;  // reader pinned at e-1
-      }
-      // Every active reader has announced e: advance, and free the bucket
-      // now two epochs stale (retired at e-2; any guard that could hold one
-      // of those objects was pinned at <= e-1 and has provably exited).
-      global_epoch().store(e + 1, std::memory_order_seq_cst);
-      to_free.swap(L.buckets[(e + 1) % 3]);
+      advanced = advance_locked(L, to_free);
     }
-    alloc_internal::alloc_metrics().epoch_advances.inc();
-    if (!to_free.empty()) {
-      // Deleters run outside the mutex: a tree teardown may fork into the
-      // scheduler, and other threads must be able to keep retiring.
-      for (const retired& r : to_free) r.deleter(r.p);
-      L.pending.fetch_sub(to_free.size(), std::memory_order_relaxed);
-      alloc_internal::alloc_metrics().limbo_depth.add(
-          -static_cast<int64_t>(to_free.size()));
-    }
-    return true;
+    free_retired(L, to_free);
+    return advanced;
   }
 
   // Drive the epoch forward until limbo is empty or a pinned reader blocks
@@ -226,9 +220,12 @@ class epoch {
     return global_epoch().load(std::memory_order_relaxed);
   }
 
+  // Limbo bucket fill past which retire stops trying the epoch turn on every
+  // call and tries once per this many retirements (see retire).
+  static constexpr size_t kDrainThreshold = 64;
+
  private:
   static constexpr uint64_t kIdle = ~uint64_t{0};
-  static constexpr size_t kDrainThreshold = 64;
 
   struct retired {
     void* p;
@@ -265,6 +262,39 @@ class epoch {
   static limbo_state& limbo() {
     static limbo_state* L = new limbo_state();  // immortal
     return *L;
+  }
+
+  // The epoch turn, run under the limbo mutex by retire and try_advance.
+  // Refused while any reader is still announced at e-1; otherwise advances
+  // to e+1 and moves the bucket that became safe into `to_free`.
+  static bool advance_locked(limbo_state& L, std::vector<retired>& to_free)
+      PAM_REQUIRES(L.mu) {
+    uint64_t e = global_epoch().load(std::memory_order_seq_cst);
+    for (thread_slot* s = slot_head().load(std::memory_order_acquire);
+         s != nullptr; s = s->next) {
+      uint64_t se = s->announced.load(std::memory_order_seq_cst);
+      if (se != kIdle && se != e) {  // reader pinned at e-1
+        alloc_internal::alloc_metrics().epoch_advance_blocked.inc();
+        return false;
+      }
+    }
+    // Every active reader has announced e: advance, and free the bucket
+    // now two epochs stale (retired at e-2; any guard that could hold one
+    // of those objects was pinned at <= e-1 and has provably exited).
+    global_epoch().store(e + 1, std::memory_order_seq_cst);
+    to_free.swap(L.buckets[(e + 1) % 3]);
+    alloc_internal::alloc_metrics().epoch_advances.inc();
+    return true;
+  }
+
+  // Deleters run outside the mutex: a tree teardown may fork into the
+  // scheduler, and other threads must be able to keep retiring.
+  static void free_retired(limbo_state& L, const std::vector<retired>& to_free) {
+    if (to_free.empty()) return;
+    for (const retired& r : to_free) r.deleter(r.p);
+    L.pending.fetch_sub(to_free.size(), std::memory_order_relaxed);
+    alloc_internal::alloc_metrics().limbo_depth.add(
+        -static_cast<int64_t>(to_free.size()));
   }
 
   static thread_slot* acquire_slot() {

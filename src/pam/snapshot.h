@@ -224,10 +224,12 @@ class snapshot_box {
   // Retire a displaced payload onto the epoch limbo list — never freed
   // inline, because a concurrent reader may be mid-acquisition on it.
   // Called *after* the writer lock drops, and annotated so (EXCLUDES):
-  // retire occasionally runs a limbo drain (amortized, every
-  // kDrainThreshold-th retirement), and a large displaced-version teardown
-  // must not stall this shard's commits or a fallback cut waiting on
-  // writer_lock(). Moving this call back inside the writer critical
+  // retire tries an epoch turn and frees the bucket it makes safe — on
+  // every retirement while limbo is shallow, so with no reader pinned each
+  // commit frees the version displaced two epochs back; under a pinned
+  // reader, once per kDrainThreshold retirements — and a large
+  // displaced-version teardown must not stall this shard's commits or a
+  // fallback cut waiting on writer_lock(). Moving this call back inside the writer critical
   // section is a compile error under clang -Wthread-safety.
   void retire(payload* displaced) const PAM_EXCLUDES(writer_mu_) {
     // pam-lint: allow(naked-delete) — the limbo deleter is the single

@@ -2,9 +2,10 @@
 // the critical section that displaced the object. Two layers of the same
 // rule:
 //
-//  * epoch::retire is PAM_EXCLUDES(epoch_domain) — retiring while pinned by
-//    an epoch::guard can deadlock the reclamation heuristic against the
-//    caller's own pin (an amortized drain can never advance past it);
+//  * epoch::retire is PAM_EXCLUDES(epoch_domain) — retire tries an epoch
+//    turn on every call while limbo is shallow (once per kDrainThreshold
+//    retirements after that), and a turn tried while the caller's own
+//    guard is pinned can never succeed, so limbo would only grow;
 //  * the snapshot_box writer protocol retires a displaced payload only
 //    after the writer lock drops (its retire is PAM_EXCLUDES(writer_mu_));
 //    mini_box replicates that shape, since the real method is private.

@@ -6,6 +6,7 @@
 // drains. The concurrency cases here run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -36,19 +37,88 @@ struct tracked {
   int payload = 0;
 };
 
-TEST(Epoch, RetiredObjectsAreFreedByDrain) {
-  int before = tracked::deleted.load();
-  size_t pending_before = pam::epoch::pending();
-  for (int i = 0; i < 10; i++) {
-    pam::epoch::retire(new tracked{i}, [](void* p) {
-      tracked::deleted.fetch_add(1);
-      delete static_cast<tracked*>(p);
-    });
+void retire_tracked() {
+  pam::epoch::retire(new tracked{}, [](void* p) {
+    tracked::deleted.fetch_add(1);
+    delete static_cast<tracked*>(p);
+  });
+}
+
+// Holds an epoch::guard on its own thread for the object's lifetime.
+class pinned_reader {
+ public:
+  pinned_reader() : t_([this] {
+    pam::epoch::guard g;
+    in_guard_.store(true);
+    while (!release_.load()) std::this_thread::yield();
+  }) {
+    while (!in_guard_.load()) std::this_thread::yield();
   }
-  EXPECT_EQ(pam::epoch::pending(), pending_before + 10);
+  ~pinned_reader() {
+    release_.store(true);
+    t_.join();
+  }
+
+ private:
+  std::atomic<bool> in_guard_{false}, release_{false};
+  std::thread t_;
+};
+
+TEST(Epoch, RetiredObjectsAreFreedByDrain) {
+  drain_all();
+  int before = tracked::deleted.load();
+  {
+    // A guard held on another thread keeps every retirement pending.
+    pinned_reader reader;
+    for (int i = 0; i < 10; i++) retire_tracked();
+    EXPECT_EQ(pam::epoch::pending(), 10u);
+    EXPECT_EQ(tracked::deleted.load(), before);
+  }
   drain_all();
   EXPECT_EQ(tracked::deleted.load(), before + 10);
   EXPECT_EQ(pam::epoch::pending(), 0u);
+}
+
+// With no reader pinned, every retirement turns the epoch over, so limbo
+// holds only the last two epochs' retirements: each object is freed by the
+// second retirement after it.
+TEST(Epoch, UnpinnedLimboHoldsTwoEpochs) {
+  drain_all();
+  int before = tracked::deleted.load();
+  size_t max_pending = 0;
+  for (int i = 0; i < 1000; i++) {
+    retire_tracked();
+    max_pending = std::max(max_pending, pam::epoch::pending());
+  }
+  EXPECT_LE(max_pending, 2u);
+  EXPECT_GE(tracked::deleted.load(), before + 998);
+  drain_all();
+  EXPECT_EQ(tracked::deleted.load(), before + 1000);
+}
+
+// Under a long-lived guard the turn cannot succeed, so retire backs off to
+// one attempt per kDrainThreshold retirements once the bucket is deep.
+TEST(Epoch, PinnedReaderBacksOff) {
+  constexpr size_t kRetirements = 10000;
+  constexpr size_t kT = pam::epoch::kDrainThreshold;
+  drain_all();
+  int before = tracked::deleted.load();
+  const auto& blocked =
+      pam::alloc_internal::alloc_metrics().epoch_advance_blocked;
+  uint64_t blocked_before = blocked.value();
+  {
+    pinned_reader reader;
+    for (size_t i = 0; i < kRetirements; i++) retire_tracked();
+    EXPECT_EQ(pam::epoch::pending(), kRetirements);
+    EXPECT_EQ(tracked::deleted.load(), before);
+    if (pam::obs::kEnabled) {
+      uint64_t attempts = blocked.value() - blocked_before;
+      EXPECT_GT(attempts, 0u);
+      EXPECT_LE(attempts, kT + kRetirements / kT);
+    }
+  }
+  EXPECT_EQ(pam::epoch::drain(), 0u);
+  EXPECT_EQ(tracked::deleted.load(), before + static_cast<int>(kRetirements));
 }
 
 TEST(Epoch, GuardPinsReclamation) {
