@@ -17,11 +17,13 @@
 // (tools/pam_lint.py): the pool-table singletons and the overflow path are
 // the only places the encoders touch raw memory.
 //
-// A codec owns only its key stream and names its value stream:
+// A codec owns its key stream and names its value stream:
 //
 //   using key_arg             what the in-block search compares against
 //                             (std::string_view or K);
 //   using values              raw_values<V> or varint_values<V>;
+//   kWireVersion              its record format version, stamped into
+//                             map_codec streams (serialize.h);
 //   key_bytes(es, n)          encoded size of the key stream;
 //   encode(dst, es, n)        write it, returning its end;
 //   check(p, limit, n)        validate untrusted bytes in [p, limit),
@@ -31,14 +33,14 @@
 //                             the next call);
 //   first_key(keys, n)        key 0 without a chain walk.
 //
+// No codec keeps a directory: every reader walks the stream in order.
 // Two codecs implement it:
 //
-//   front_codec  std::string keys: a u32 end[n] directory, then records
-//                {u16 prefix_len, suffix bytes} — key i is the first
-//                prefix_len bytes of key i-1 plus the suffix (record 0
-//                stores the whole key; prefixes clamp at 65535, the rest
-//                rides in the suffix). end[i] is the offset one past record
-//                i inside the record region.
+//   front_codec  std::string keys: n records {varint prefix_len, varint
+//                suffix_len, suffix bytes} — key i is the first prefix_len
+//                bytes of key i-1 plus the suffix. Record 0 has prefix 0 and
+//                stores the whole key; varints put no ceiling on either
+//                length. Values are a raw array.
 //   delta_codec  integral keys: varint 0 is the base key (plain for unsigned
 //                key types, zigzag for signed), varint i >= 1 the zigzag of
 //                key_i - key_{i-1} computed in the key's unsigned width and
@@ -93,15 +95,13 @@ struct coded_block {
 
   static constexpr int32_t kOverflowClass = -1;
 
-  static constexpr size_t dir_offset() {
-    return (sizeof(coded_block) + 3) / 4 * 4;
-  }
+  static constexpr size_t keys_offset() { return sizeof(coded_block); }
 
   // Base of the key stream (immediately after the header).
   const char* keys() const {
-    return reinterpret_cast<const char*>(this) + dir_offset();
+    return reinterpret_cast<const char*>(this) + keys_offset();
   }
-  char* keys() { return reinterpret_cast<char*>(this) + dir_offset(); }
+  char* keys() { return reinterpret_cast<char*>(this) + keys_offset(); }
 
   const char* vals() const { return reinterpret_cast<const char*>(this) + val_off; }
   char* vals() { return reinterpret_cast<char*>(this) + val_off; }
@@ -137,113 +137,7 @@ struct raw_values {
   };
 };
 
-// ------------------------------------------------------------ front codec --
-
-template <typename Entry>
-struct front_codec {
-  using K = typename Entry::key_t;
-  using V = typename Entry::val_t;
-  using entry_t = std::pair<K, V>;
-  using key_arg = std::string_view;
-  using values = raw_values<V>;
-
-  static_assert(std::is_same_v<K, std::string>,
-                "PAM leaf-layout contract: key_layout::front_coded requires "
-                "key_t = std::string; fixed-width keys must use "
-                "key_layout::flat or key_layout::delta");
-
-  static constexpr size_t kPrefixBytes = sizeof(uint16_t);
-  static constexpr uint16_t kMaxPrefix = 0xFFFF;
-
-  static size_t key_bytes(const entry_t* es, uint32_t n) {
-    size_t recs = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      recs += kPrefixBytes + es[i].first.size() - prefix_len(es, i);
-    }
-    return size_t{n} * sizeof(uint32_t) + recs;
-  }
-
-  static char* encode(char* dst, const entry_t* es, uint32_t n) {
-    char* r = dst + size_t{n} * sizeof(uint32_t);
-    uint32_t off = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      uint16_t plen = prefix_len(es, i);
-      std::memcpy(r + off, &plen, kPrefixBytes);
-      size_t suffix = es[i].first.size() - plen;
-      std::memcpy(r + off + kPrefixBytes, es[i].first.data() + plen, suffix);
-      off += static_cast<uint32_t>(kPrefixBytes + suffix);
-      std::memcpy(dst + size_t{i} * sizeof(uint32_t), &off, sizeof(off));
-    }
-    return r + off;
-  }
-
-  // The directory must fit below limit and be strictly increasing (every
-  // record carries at least its prefix_len), and no record may share more
-  // prefix than its predecessor's key has.
-  static const char* check(const char* p, const char* limit, uint32_t n) {
-    if (size_t(limit - p) / sizeof(uint32_t) < n) return nullptr;
-    const char* recs = p + size_t{n} * sizeof(uint32_t);
-    const size_t avail = size_t(limit - recs);
-    size_t start = 0, prev_len = 0;
-    for (uint32_t i = 0; i < n; i++) {
-      uint32_t end;
-      std::memcpy(&end, p + size_t{i} * sizeof(uint32_t), sizeof(end));
-      if (end < start + kPrefixBytes || end > avail) return nullptr;
-      uint16_t plen;
-      std::memcpy(&plen, recs + start, kPrefixBytes);
-      if (plen > prev_len) return nullptr;
-      prev_len = plen + (end - start - kPrefixBytes);
-      start = end;
-    }
-    return recs + start;
-  }
-
-  // Incremental decode: each step re-derives only the suffix on top of the
-  // running key.
-  struct cursor {
-    const char* dir;
-    const char* recs;
-    uint32_t i = 0, start = 0;
-    std::string cur;
-
-    cursor(const char* keys, uint32_t n)
-        : dir(keys), recs(keys + size_t{n} * sizeof(uint32_t)) {}
-
-    std::string_view next() {
-      uint32_t end;
-      std::memcpy(&end, dir + size_t{i++} * sizeof(uint32_t), sizeof(end));
-      uint16_t plen;
-      std::memcpy(&plen, recs + start, kPrefixBytes);
-      cur.resize(plen);
-      cur.append(recs + start + kPrefixBytes, end - start - kPrefixBytes);
-      start = end;
-      return cur;
-    }
-  };
-
-  // Zero-copy: record 0 stores the whole key.
-  static std::string_view first_key(const char* keys, uint32_t n) {
-    uint32_t end;
-    std::memcpy(&end, keys, sizeof(end));
-    return {keys + size_t{n} * sizeof(uint32_t) + kPrefixBytes,
-            end - kPrefixBytes};
-  }
-
- private:
-  // Length of the prefix of es[i].first shared with es[i-1].first, capped at
-  // the u16 record field (0 for the block's first key).
-  static uint16_t prefix_len(const entry_t* es, uint32_t i) {
-    if (i == 0) return 0;
-    const std::string& prev = es[i - 1].first;
-    const std::string& cur = es[i].first;
-    size_t lim = std::min({prev.size(), cur.size(), size_t{kMaxPrefix}});
-    size_t p = 0;
-    while (p < lim && prev[p] == cur[p]) p++;
-    return static_cast<uint16_t>(p);
-  }
-};
-
-// ------------------------------------------------------------ delta codec --
+// ---------------------------------------------------------------- varints --
 
 // LEB128-style varints with zigzag mapping for signed numbers. The checked
 // decoder is only used on untrusted (deserialized) bytes; in-memory blocks
@@ -379,6 +273,107 @@ struct varint_values {
   };
 };
 
+// ------------------------------------------------------------ front codec --
+
+template <typename Entry>
+struct front_codec {
+  using K = typename Entry::key_t;
+  using V = typename Entry::val_t;
+  using entry_t = std::pair<K, V>;
+  using key_arg = std::string_view;
+  // Raw, not varint-packed: a value update must not change a block's byte
+  // size, or rewritten blocks hop between byte classes and the slots they
+  // leave pin half-empty pool chunks that trim cannot release.
+  using values = raw_values<V>;
+
+  static_assert(std::is_same_v<K, std::string>,
+                "PAM leaf-layout contract: key_layout::front_coded requires "
+                "key_t = std::string; fixed-width keys must use "
+                "key_layout::flat or key_layout::delta");
+
+  // Record format version, stamped into map_codec streams (serialize.h):
+  // 1 is the varint record stream; streams of the older u32-directory
+  // format carry 0 and are refused.
+  static constexpr uint16_t kWireVersion = 1;
+
+  static size_t key_bytes(const entry_t* es, uint32_t n) {
+    size_t total = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      size_t plen = prefix_len(es, i), slen = es[i].first.size() - plen;
+      total += vint::length(plen) + vint::length(slen) + slen;
+    }
+    return total;
+  }
+
+  static char* encode(char* dst, const entry_t* es, uint32_t n) {
+    for (uint32_t i = 0; i < n; i++) {
+      size_t plen = prefix_len(es, i), slen = es[i].first.size() - plen;
+      dst = vint::put(vint::put(dst, plen), slen);
+      std::memcpy(dst, es[i].first.data() + plen, slen);
+      dst += slen;
+    }
+    return dst;
+  }
+
+  // Every varint must be canonical and inside limit, no record may share
+  // more prefix than its predecessor's key has (so record 0 shares none),
+  // and no suffix may run past limit.
+  static const char* check(const char* p, const char* limit, uint32_t n) {
+    uint64_t prev_len = 0;
+    for (uint32_t i = 0; i < n; i++) {
+      uint64_t plen, slen;
+      if ((p = vint::get_checked(p, limit, plen)) == nullptr || plen > prev_len ||
+          (p = vint::get_checked(p, limit, slen)) == nullptr ||
+          slen > uint64_t(limit - p)) {
+        return nullptr;
+      }
+      p += slen;
+      prev_len = plen + slen;
+    }
+    return p;
+  }
+
+  // Incremental decode: each step re-derives only the suffix on top of the
+  // running key.
+  struct cursor {
+    const char* p;
+    std::string cur;
+
+    cursor(const char* keys, uint32_t) : p(keys) {}
+
+    std::string_view next() {
+      uint64_t plen, slen;
+      p = vint::get(vint::get(p, plen), slen);
+      cur.resize(plen);
+      cur.append(p, slen);
+      p += slen;
+      return cur;
+    }
+  };
+
+  // Zero-copy: record 0 stores the whole key (its prefix varint is 0).
+  static std::string_view first_key(const char* keys, uint32_t) {
+    uint64_t slen;
+    const char* suffix = vint::get(keys + 1, slen);
+    return {suffix, slen};
+  }
+
+ private:
+  // Length of the prefix of es[i].first shared with es[i-1].first (0 for
+  // the block's first key).
+  static size_t prefix_len(const entry_t* es, uint32_t i) {
+    if (i == 0) return 0;
+    const std::string& prev = es[i - 1].first;
+    const std::string& cur = es[i].first;
+    size_t lim = std::min(prev.size(), cur.size());
+    size_t p = 0;
+    while (p < lim && prev[p] == cur[p]) p++;
+    return p;
+  }
+};
+
+// ------------------------------------------------------------ delta codec --
+
 template <typename Entry>
 struct delta_codec {
   using K = typename Entry::key_t;
@@ -387,6 +382,10 @@ struct delta_codec {
   using key_arg = K;
   using values =
       std::conditional_t<std::is_integral_v<V>, varint_values<V>, raw_values<V>>;
+
+  // Stamped into map_codec streams (serialize.h); unchanged since the
+  // layout first shipped.
+  static constexpr uint16_t kWireVersion = 0;
 
   static_assert(std::is_integral_v<K>,
                 "PAM leaf-layout contract: key_layout::delta requires an "
@@ -498,7 +497,7 @@ struct coded_store {
 
   // Encode n sorted unique entries (1 <= n) into a fresh sealed block.
   static block* build(const entry_t* es, uint32_t n) {
-    size_t key_end = block::dir_offset() + Codec::key_bytes(es, n);
+    size_t key_end = block::keys_offset() + Codec::key_bytes(es, n);
     size_t val_off = (key_end + kValAlign - 1) / kValAlign * kValAlign;
     block* b = allocate(val_off + values::bytes(es, n), n, val_off);
     char* pad = Codec::encode(b->keys(), es, n);
@@ -510,18 +509,18 @@ struct coded_store {
 
   // ------------------------------------------------- serialization hooks --
   // A sealed block serializes as its raw encoded region — key stream, pad
-  // and value stream exactly as laid out in memory, [dir_offset, bytes) —
+  // and value stream exactly as laid out in memory, [keys_offset, bytes) —
   // because every codec's encoding is position-independent past the header.
   // The header fields {count, bytes, val_off} travel in the frame; the
   // augmented value is recomputed on rebuild, never trusted from disk.
   static size_t payload_bytes(const block* b) {
-    return size_t{b->bytes} - block::dir_offset();
+    return size_t{b->bytes} - block::keys_offset();
   }
 
   static const char* payload(const block* b) { return b->keys(); }
 
   // Rebuild a sealed block from its encoded region (`region` holds
-  // bytes - dir_offset() bytes). Returns nullptr when the framing is
+  // bytes - keys_offset() bytes). Returns nullptr when the framing is
   // internally inconsistent — a key or value stream the codec rejects, a
   // pad that breaks the pad rule, a misaligned value stream — so a decoder
   // can never be walked outside the slot. Key *ordering* is the
@@ -530,12 +529,12 @@ struct coded_store {
   // paths.
   static block* from_payload(const char* region, uint32_t count,
                              uint32_t bytes, uint32_t val_off) {
-    const size_t dir_off = block::dir_offset();
-    if (count == 0 || val_off < dir_off || val_off > bytes ||
+    const size_t keys_off = block::keys_offset();
+    if (count == 0 || val_off < keys_off || val_off > bytes ||
         val_off % kValAlign != 0) {
       return nullptr;
     }
-    const char* vals = region + (val_off - dir_off);
+    const char* vals = region + (val_off - keys_off);
     const char* pad = Codec::check(region, vals, count);
     if (pad == nullptr || size_t(vals - pad) >= kValAlign ||
         std::any_of(pad, vals, [](char c) { return c != 0; }) ||
@@ -543,7 +542,7 @@ struct coded_store {
       return nullptr;
     }
     block* b = allocate(bytes, count, val_off);
-    std::memcpy(b->keys(), region, size_t{bytes} - dir_off);
+    std::memcpy(b->keys(), region, size_t{bytes} - keys_off);
     if constexpr (traits::has_aug) {
       std::vector<entry_t> es;
       es.reserve(count);

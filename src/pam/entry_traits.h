@@ -52,9 +52,10 @@ struct entry_traits<Entry, std::void_t<typename Entry::aug_t>> {
 // How an Entry's keys are stored inside sealed leaf blocks:
 //   flat         a sorted array of entry_t — fixed-width keys, zero-copy
 //                reads, branch-free in-block search;
-//   front_coded  variable-length string keys, each stored as a shared-prefix
-//                length plus suffix bytes behind a small offset directory
-//                (PaC-tree-style difference encoding);
+//   front_coded  variable-length string keys, each stored as a varint
+//                shared-prefix length, a varint suffix length and the suffix
+//                bytes, then a raw value array (PaC-tree-style difference
+//                encoding);
 //   delta        integral keys stored as a full base key plus zigzag-varint
 //                successor differences, with integral values varint-packed in
 //                a trailing stream (PaC-tree difference encoding for the

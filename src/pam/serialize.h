@@ -25,7 +25,10 @@
 //               region ({u32 bytes, u32 val_off} + the layout's byte
 //               streams); the u8 layout stamp in the header (the numeric
 //               key_layout value) keeps the two coded layouts from
-//               misreading each other's streams;
+//               misreading each other's streams, and the u16 entry_abi
+//               stamp carries the codec's record format version, so a
+//               front-coded stream of the older u32-directory format is
+//               refused;
 //   kFlatDelta  a sealed flat leaf block whose key and value types are both
 //               integral (not bool), difference-encoded on the way out:
 //               {u32 key_bytes, key stream, value stream}, the byte streams
@@ -251,9 +254,15 @@ struct map_codec {
     }
   }();
   // The ABI stamp pins sizeof(entry_t) wherever kFlatRaw records can occur,
-  // so a stream written by one build cannot be misread by another.
-  static constexpr uint16_t entry_abi =
-      flat && raw_blocks ? static_cast<uint16_t>(sizeof(entry_t)) : 0;
+  // and a coded layout's record format version (codec kWireVersion), so a
+  // stream written by one build cannot be misread by another.
+  static constexpr uint16_t entry_abi = [] {
+    if constexpr (flat) {
+      return raw_blocks ? static_cast<uint16_t>(sizeof(entry_t)) : uint16_t{0};
+    } else {
+      return codec_of<typename Map::entry_policy>::kWireVersion;
+    }
+  }();
 
   // ------------------------------------------------------------ writing --
 
@@ -493,8 +502,8 @@ struct map_codec {
           wire::reader pr(payload, len);
           uint32_t bytes = pr.u32();
           uint32_t val_off = pr.u32();
-          if (bytes < lblock::dir_offset() ||
-              pr.remaining() != bytes - lblock::dir_offset()) {
+          if (bytes < lblock::keys_offset() ||
+              pr.remaining() != bytes - lblock::keys_offset()) {
             throw wire::error("map_codec: coded block length mismatch");
           }
           adopted = lstore::from_payload(pr.p, count, bytes, val_off);

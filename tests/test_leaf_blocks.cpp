@@ -358,10 +358,10 @@ TEST(CodedBlocks, FrontCodingBeatsFlatStringStorage) {
   EXPECT_TRUE(m.check_valid());
 }
 
-TEST(CodedBlocks, PrefixClampAt64KiLosslessRoundTrip) {
-  // A shared prefix longer than the u16 prefix-length field (65535) must
-  // clamp losslessly: the excess is re-stored in each suffix. 70000-char
-  // common prefix, differing tails.
+TEST(CodedBlocks, PrefixPast64KiRoundTripsWithoutClamp) {
+  // A 70000-char shared prefix, past any fixed 16-bit length field: the
+  // record's varint prefix length (3 bytes) carries it whole. Differing
+  // tails.
   block_size_guard guard;
   pam::set_leaf_block_size(32);
   const std::string huge(70000, 'q');
@@ -383,11 +383,120 @@ TEST(CodedBlocks, PrefixClampAt64KiLosslessRoundTrip) {
   // Heterogeneous point lookups against the oversized keys.
   EXPECT_EQ(*m.find(std::string_view(es[7].first)), 7u);
   EXPECT_FALSE(m.contains(std::string_view(huge + "zzz")));
-  // Range machinery across the clamped records.
+  // Range machinery across the long records.
   EXPECT_EQ(m.rank(es[32].first), 32u);
   auto sel = m.select(9);
   ASSERT_TRUE(sel.has_value());
   EXPECT_EQ(sel->first, es[9].first);
+}
+
+// Build a front-coded map from sorted entries at the current block size,
+// then check iteration, point lookups and a serialize/deserialize round
+// trip (which re-validates every block through the codec's check) against
+// the entries.
+template <typename Map>
+void expect_front_coded_round_trip(const std::vector<typename Map::entry_t>& es) {
+  Map m = Map::from_sorted(es);
+  ASSERT_TRUE(m.check_valid());
+  ASSERT_EQ(m.size(), es.size());
+  auto expect_same = [&](const Map& got) {
+    size_t i = 0;
+    for (auto [k, v] : got) {
+      ASSERT_LT(i, es.size());
+      ASSERT_EQ(k, es[i].first) << i;
+      ASSERT_EQ(v, es[i].second) << i;
+      i++;
+    }
+    ASSERT_EQ(i, es.size());
+    for (const auto& [k, v] : es) {
+      auto hit = got.find(std::string_view(k));
+      ASSERT_TRUE(hit.has_value()) << k.size();
+      EXPECT_EQ(*hit, v);
+    }
+  };
+  expect_same(m);
+  std::vector<char> wire;
+  m.serialize(wire);
+  Map back = Map::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(back.check_valid());
+  expect_same(back);
+}
+
+TEST(CodedBlocks, EmptyKeyAsRecordZero) {
+  // The empty key sorts first, so it is record 0 of the first block: a
+  // prefix and a suffix length of 0 and no suffix bytes.
+  block_size_guard guard;
+  std::vector<str_entry_t> es = {{"", 7}, {"a", 1}, {"ab", 2}, {"b", 3}};
+  for (size_t b : {1, 2, 32}) {
+    pam::set_leaf_block_size(b);
+    expect_front_coded_round_trip<str_map_t>(es);
+    str_map_t m = str_map_t::from_sorted(es);
+    EXPECT_EQ(m.aug_val(), 13u);
+    EXPECT_EQ(m.rank(""), 0u);
+    EXPECT_EQ(m.select(0)->first, "");
+  }
+  using codec = pam::front_codec<pam::str_sum_entry<uint64_t>>;
+  EXPECT_EQ(codec::key_bytes(es.data(), 4), 2 + 3 + 3 + 3u);
+}
+
+TEST(CodedBlocks, LongPrefixesAndSuffixesTakeMultiByteVarints) {
+  // Prefix and suffix lengths of 128..16383 take 2-byte varints, 16384 and
+  // up 3 bytes; the encoded size counts exactly those widths.
+  block_size_guard guard;
+  pam::set_leaf_block_size(32);
+  const std::string p2(200, 'p'), p3(20000, 'q');
+  const std::string s2(130, 's'), s3(17000, 't');
+  std::vector<str_entry_t> es = {
+      {p2 + "a", 1},       // record 0: suffix 201 (2-byte length)
+      {p2 + "b" + s2, 2},  // prefix 200 (2 bytes), suffix 131 (2 bytes)
+      {p2 + "b" + s3, 3},  // prefix 201 (2 bytes), suffix 17000 (3 bytes)
+      {p3 + "a", 4},       // prefix 0, suffix 20001 (3 bytes)
+      {p3 + "b", 5},       // prefix 20000 (3 bytes), suffix 1
+  };
+  using codec = pam::front_codec<pam::str_sum_entry<uint64_t>>;
+  const size_t expect = (1 + 2 + 201) + (2 + 2 + 131) + (2 + 3 + 17000) +
+                        (1 + 3 + 20001) + (3 + 1 + 1);
+  EXPECT_EQ(codec::key_bytes(es.data(), static_cast<uint32_t>(es.size())), expect);
+  expect_front_coded_round_trip<str_map_t>(es);
+  pam::set_leaf_block_size(2);
+  expect_front_coded_round_trip<str_map_t>(es);
+}
+
+TEST(CodedBlocks, FullRangeUnsignedValuesRoundTrip) {
+  // The full u64 value range, across the 2^63 boundary.
+  block_size_guard guard;
+  pam::set_leaf_block_size(32);
+  constexpr uint64_t kMid = uint64_t{1} << 63;
+  std::vector<str_entry_t> es = {
+      {"k0", 0}, {"k1", kMid - 1}, {"k2", kMid}, {"k3", UINT64_MAX}};
+  expect_front_coded_round_trip<str_map_t>(es);
+  // The sum wraps modulo 2^64: 0 + (2^63 - 1) + 2^63 + (2^64 - 1).
+  EXPECT_EQ(str_map_t::from_sorted(es).aug_val(), UINT64_MAX - 1);
+}
+
+TEST(CodedBlocks, SignedValuesRoundTrip) {
+  // A block of negative values sums back exactly, and the extremes
+  // round-trip.
+  block_size_guard guard;
+  using i64_map = pam::aug_map<pam::str_sum_entry<int64_t>>;
+  std::vector<i64_map::entry_t> es;
+  int64_t sum = 0;
+  for (int64_t i = 0; i < 100; i++) {
+    int64_t v = -(i * i * 37) + (i % 3 == 0 ? 5 : 0);
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "neg/%04lld", static_cast<long long>(i));
+    es.push_back({buf, v});
+    sum += v;
+  }
+  // Extremes in their own map, so no partial sum overflows.
+  std::vector<i64_map::entry_t> ext = {{"a", INT64_MIN}, {"b", 0}, {"c", INT64_MAX}};
+  for (size_t b : {1, 32}) {
+    pam::set_leaf_block_size(b);
+    expect_front_coded_round_trip<i64_map>(es);
+    EXPECT_EQ(i64_map::from_sorted(es).aug_val(), sum);
+    expect_front_coded_round_trip<i64_map>(ext);
+    EXPECT_EQ(i64_map::from_sorted(ext).aug_val(), -1);
+  }
 }
 
 TEST(CodedBlocks, CursorAndViewsOverEncodedBlocks) {

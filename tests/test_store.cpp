@@ -825,7 +825,7 @@ TEST(WireCodec, RawFlatBlocksOfIntegerEntriesStillLoad) {
 // The one coded-block record of a single-block map's stream.
 struct coded_record {
   std::vector<char> head;  // stream header + record kind and count
-  uint32_t dir_off;        // header bytes before the encoded region
+  uint32_t keys_off;       // header bytes before the encoded region
   uint32_t val_off;
   std::vector<char> region;
 };
@@ -848,7 +848,7 @@ coded_record coded_record_of(const Map& m) {
   coded_record r;
   r.head.assign(wire.begin(), wire.begin() + at + 5);
   r.region.assign(wire.begin() + at + 17, wire.end());
-  r.dir_off = bytes - static_cast<uint32_t>(r.region.size());
+  r.keys_off = bytes - static_cast<uint32_t>(r.region.size());
   r.val_off = val_off;
   return r;
 }
@@ -860,8 +860,8 @@ std::vector<char> coded_stream(const coded_record& r,
                                size_t val_at) {
   std::vector<char> w = r.head;
   uint32_t len = static_cast<uint32_t>(region.size() + 8);
-  uint32_t bytes = r.dir_off + static_cast<uint32_t>(region.size());
-  uint32_t val_off = r.dir_off + static_cast<uint32_t>(val_at);
+  uint32_t bytes = r.keys_off + static_cast<uint32_t>(region.size());
+  uint32_t val_off = r.keys_off + static_cast<uint32_t>(val_at);
   for (uint32_t f : {len, bytes, val_off}) {
     const char* p = reinterpret_cast<const char*>(&f);
     w.insert(w.end(), p, p + 4);
@@ -979,45 +979,107 @@ TEST(WireCodec, DeltaCodedFlatBlockFrameRulesEnforced) {
 
 TEST(WireCodec, FrontCodedBlockFrameRulesEnforced) {
   block_size_guard guard(32);
-  // Keys "a" "b" "c": a u32 directory {3, 6, 9}, three records {u16 0,
-  // key byte}, then the value array at the next 8-byte boundary.
+  // Keys "a" "b" "c": three records {varint prefix 0, varint suffix 1, key
+  // byte}, a zero pad to the next 8-byte boundary, then the raw u64 values.
   str_map m{{"a", 1}, {"b", 2}, {"c", 3}};
   coded_record r = coded_record_of(m);
-  const size_t key_end = 12 + 9, val_at = r.val_off - r.dir_off;
-  ASSERT_GT(val_at, key_end) << "the fixture needs a non-empty pad";
-  ASSERT_LT(val_at - key_end, 8u);
-  const std::vector<char> keys(r.region.begin(), r.region.begin() + key_end);
-  const std::vector<char> vals(r.region.begin() + val_at, r.region.end());
-  ASSERT_EQ(vals.size(), 3 * sizeof(uint64_t));
-  auto load = [&](const std::vector<char>& key_stream, size_t pad,
-                  char pad_byte = 0) {
-    auto region = concat({key_stream, std::vector<char>(pad, pad_byte), vals});
-    auto w = coded_stream(r, region, key_stream.size() + pad);
+  const std::vector<char> keys = {0, 1, 'a', 0, 1, 'b', 0, 1, 'c'};
+  const size_t val_at = r.val_off - r.keys_off, pad = val_at - keys.size();
+  ASSERT_GT(pad, 0u) << "the fixture needs a non-empty pad";
+  ASSERT_LT(pad, 8u);
+  auto raw = [](std::initializer_list<uint64_t> vs) {
+    std::vector<char> out(vs.size() * 8);
+    std::memcpy(out.data(), std::data(vs), out.size());
+    return out;
+  };
+  const std::vector<char> vals = raw({1, 2, 3});
+  ASSERT_EQ(r.region, concat({keys, std::vector<char>(pad, 0), vals}));
+  auto load_with = [&](const std::vector<char>& key_stream, size_t pad_len,
+                       const std::vector<char>& value_stream, char pad_byte = 0) {
+    auto region = concat({key_stream, std::vector<char>(pad_len, pad_byte), value_stream});
+    auto w = coded_stream(r, region, key_stream.size() + pad_len);
     return str_map::deserialize(w.data(), w.size());
   };
-  const size_t pad = val_at - key_end;
-  EXPECT_EQ(load(keys, pad).aug_val(), 6u);  // the reassembly itself is sound
-  EXPECT_EQ(r.region, concat({keys, std::vector<char>(pad, 0), vals}))
-      << "the pad is zeroed";
+  // Every key stream below is 9 bytes long, so the value array keeps its
+  // offset.
+  auto load = [&](const std::vector<char>& key_stream) {
+    return load_with(key_stream, pad, vals);
+  };
+  EXPECT_EQ(load(keys).aug_val(), 6u);  // the reassembly itself is sound
 
+  // An overlong suffix length (0x81 0x00 also decodes to 1).
+  EXPECT_THROW(load({0, char(0x81), 0, 'a', 0, 1, 'b', 0, 1}), pam::wire::error);
+  // A prefix longer than the previous key: record 1 sharing 2 bytes of "a",
+  // and record 0 sharing any, though it has no predecessor.
+  EXPECT_THROW(load({0, 1, 'a', 2, 1, 'b', 0, 1, 'c'}), pam::wire::error);
+  EXPECT_THROW(load({1, 1, 'a', 0, 1, 'b', 0, 1, 'c'}), pam::wire::error);
+  // A suffix running past the key stream: record 2 claims one byte more
+  // than its key byte and the pad hold, and a nine-byte length of 2^56.
+  EXPECT_THROW(load({0, 1, 'a', 0, 1, 'b', 0, char(pad + 2), 'c'}), pam::wire::error);
+  const char c = char(0x80);
+  EXPECT_THROW(load_with({0, 1, 'a', 0, c, c, c, c, c, c, c, c, 1, 'b'}, 2, vals),
+               pam::wire::error);
+  // A truncated varint: record 2's suffix length has its continuation bit
+  // set at the end of a 16-byte key stream with no pad.
+  const std::vector<char> truncated = {0, 9, 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'a',
+                                       'a', 0, 1, 'b', 0, char(0x81)};
+  EXPECT_THROW(load_with(truncated, 0, vals), pam::wire::error);
+  // A value array one value short, and one value long.
+  EXPECT_THROW(load_with(keys, pad, raw({1, 2})), pam::wire::error);
+  EXPECT_THROW(load_with(keys, pad, raw({1, 2, 3, 4})), pam::wire::error);
   // A non-zero pad byte, and a pad of a whole extra alignment step.
-  EXPECT_THROW(load(keys, pad, 0x5A), pam::wire::error);
-  EXPECT_THROW(load(keys, pad + 8), pam::wire::error);
-  // A directory that is not strictly increasing: {3, 3, 9} and {6, 3, 9}.
-  for (char first : {char{3}, char{6}}) {
-    auto bad = keys;
-    bad[0] = first;
-    bad[4] = 3;
-    EXPECT_THROW(load(bad, pad), pam::wire::error) << int(first);
-  }
-  // Record 0 claiming a shared prefix, though it has no predecessor.
-  auto shared = keys;
-  shared[12] = 1;
-  EXPECT_THROW(load(shared, pad), pam::wire::error);
+  EXPECT_THROW(load_with(keys, pad, vals, 0x5A), pam::wire::error);
+  EXPECT_THROW(load_with(keys, pad + 8, vals), pam::wire::error);
   // A value array at an offset that is not a multiple of alignof(uint64_t),
   // with every other rule intact (a one-byte zero pad).
-  ASSERT_NE((r.dir_off + key_end + 1) % alignof(uint64_t), 0u);
-  EXPECT_THROW(load(keys, 1), pam::wire::error);
+  ASSERT_NE((r.keys_off + keys.size() + 1) % alignof(uint64_t), 0u);
+  EXPECT_THROW(load_with(keys, 1, vals), pam::wire::error);
+}
+
+// A front-coded stream in the older record format: a u32 end[n] directory,
+// {u16 prefix_len, suffix} records and a raw value array, stamped with
+// entry_abi 0. It must be refused, never misread.
+TEST(WireCodec, OldFormatFrontCodedStreamRejected) {
+  auto put = [](std::string& out, auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  // Keys "a" "b" "c", values 1 2 3, in a block whose 32-byte header made
+  // the key region start at 32 and the value array at 56.
+  std::string region;
+  for (uint32_t end : {3u, 6u, 9u}) put(region, end);
+  for (char k : {'a', 'b', 'c'}) {
+    put(region, uint16_t{0});
+    put(region, k);
+  }
+  region.resize(56 - 32, 0);
+  for (uint64_t v : {1u, 2u, 3u}) put(region, v);
+  std::string w;
+  put(w, uint32_t{0x314D4150});
+  put(w, static_cast<uint8_t>(pam::key_layout::front_coded));
+  put(w, pam::wire::kHostByteOrder);
+  put(w, uint16_t{0});
+  put(w, uint64_t{3});
+  put(w, uint32_t{1});
+  put(w, uint8_t{3});  // kCodedRaw
+  put(w, uint32_t{3});
+  put(w, static_cast<uint32_t>(8 + region.size()));
+  put(w, static_cast<uint32_t>(32 + region.size()));
+  put(w, uint32_t{56});
+  w += region;
+  ASSERT_EQ(w.size(), kStreamHeader + kRecordHeader + 8 + 48);
+  EXPECT_THROW(str_map::deserialize(w.data(), w.size()), pam::wire::error);
+
+  // The stamp alone refuses it: a current-format stream stamped 0 fails
+  // too.
+  std::vector<char> cur;
+  str_map{{"a", 1}, {"b", 2}, {"c", 3}}.serialize(cur);
+  uint16_t abi;
+  std::memcpy(&abi, cur.data() + 6, 2);
+  ASSERT_EQ(abi, 1u) << "front-coded streams carry record format 1";
+  EXPECT_EQ(str_map::deserialize(cur.data(), cur.size()).size(), 3u);
+  abi = 0;
+  std::memcpy(cur.data() + 6, &abi, 2);
+  EXPECT_THROW(str_map::deserialize(cur.data(), cur.size()), pam::wire::error);
 }
 
 // A block's payload is a function of its entries alone: rebuilding the same
