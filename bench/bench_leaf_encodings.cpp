@@ -12,8 +12,10 @@
 //      B=32 blocks of u64 keys: the hot loop of every blocked-leaf descent.
 //      Gate: >= 1.3x find throughput at B=32 (PAM_PERF_GATE=1). The
 //      constant run length lets the compiler specialize the counting loop,
-//      so an ungated reference row repeats the search with each query's
-//      run length drawn from 16..32, the spread of tree block counts.
+//      so a second row repeats the search with each query's run length
+//      drawn from 16..32, the spread of tree block counts. That variable-n
+//      row is the honest one: it is gated at >= 1.1x here and in the
+//      committed baseline (bench/baselines/BENCH_PR10.json).
 //
 //  (c) delta space — integer keys stored delta-coded (zigzag-varint
 //      successor differences + varint value stream, delta_codec in
@@ -126,7 +128,7 @@ int main() {
 
   // ----------------------- (b) in-block search: branch-free vs classic --
   std::printf("\n--- in-block lower-bound at B=32, u64 keys ---\n");
-  double find_ratio;
+  double find_ratio, var_ratio;
   {
     using E = map_entry<uint64_t, uint64_t>;
     constexpr size_t kB = 32;
@@ -192,9 +194,9 @@ int main() {
     };
     double t_classic_var = timed_median(1, 5, classic_var);
     double t_count_var = timed_median(1, 5, count_var);
-    double var_ratio = t_classic_var / t_count_var;
+    var_ratio = t_classic_var / t_count_var;
     if (sink == 0) std::printf("(unreachable sink)\n");
-    std::printf("B=16..32: std::lower_bound %.1f  branch-free %.1f Mops/s  (%.2fx, ungated)\n",
+    std::printf("B=16..32: std::lower_bound %.1f  branch-free %.1f Mops/s  (%.2fx, gate: >= 1.1x)\n",
                 static_cast<double>(q) / t_classic_var / 1e6,
                 static_cast<double>(q) / t_count_var / 1e6, var_ratio);
     bench_json("bench_leaf_encodings", "block_find_B=16..32", "classic_mops",
@@ -327,6 +329,11 @@ int main() {
     if (find_ratio < 1.3) {
       std::printf("\nFAIL: in-block find speedup %.2fx below the 1.3x gate\n",
                   find_ratio);
+      fail = true;
+    }
+    if (var_ratio < 1.1) {
+      std::printf("\nFAIL: B=16..32 find speedup %.2fx below the 1.1x gate\n",
+                  var_ratio);
       fail = true;
     }
     if (delta_ratio < 1.5) {

@@ -30,6 +30,11 @@
 //      the longer those versions wait there, the more chunks the live
 //      tree's new slots spread over, and trim releases no chunk that still
 //      holds one live slot.
+//  (g) tree-node bytes per entry of a delta-coded map at B = 32: live nodes
+//      x sizeof(node) over entries, right after a build of n random keys and
+//      again after n/10 more random point inserts. Leaf blocks are not
+//      counted: this row isolates what the tree above the blocks costs. The
+//      post-insert row is gated in bench/baselines/BENCH_PR10.json.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
 // are properties of one-node-per-entry path copying.
@@ -239,12 +244,40 @@ int main() {
     }
   }
 
+  // ------------- (g) tree-node bytes per entry, delta layout, B = 32 ------
+  std::printf("\n--- tree-node bytes per entry (delta layout, B = 32) ---\n");
+  {
+    using delta_map = aug_map<delta_sum_entry<uint64_t, uint64_t>>;
+    set_leaf_block_size(32);
+    size_t dn = scaled_size(2000000);
+    int64_t nodes0 = delta_map::used_nodes();
+    delta_map m(kv_entries(dn, 51));
+    auto node_bpe = [&] {
+      return static_cast<double>((delta_map::used_nodes() - nodes0) *
+                                 static_cast<int64_t>(delta_map::node_bytes())) /
+             static_cast<double>(m.size());
+    };
+    double built = node_bpe();
+    random_gen g(52);
+    for (size_t i = 0; i < dn / 10; i++) m.insert_inplace(g.next(), g.next() % 1000);
+    double inserted = node_bpe();
+    std::printf("node bytes %zu, n=%zu\n", delta_map::node_bytes(), dn);
+    std::printf("after build            %6.2f B/entry\n", built);
+    std::printf("after +10%% inserts     %6.2f B/entry\n", inserted);
+    bench_json("bench_table4_space", "node_bytes_delta_B=32_build", "node_bytes_per_entry",
+               built);
+    bench_json("bench_table4_space", "node_bytes_delta_B=32_inserts", "node_bytes_per_entry",
+               inserted);
+    set_leaf_block_size(saved_b);
+  }
+
   std::printf("\nShape checks vs paper Table 4:\n");
   std::printf(" * union sharing: ~0-5%% for m=n, large (tens of %%) for m<<n\n");
   std::printf(" * range-tree inner sharing ~10-20%%\n");
   std::printf(" * blocked leaves >= 2x denser than the classic layout\n");
   std::printf(" * pools reserve ~1x their live bytes after a parallel free + trim\n");
   std::printf(" * serving churn: pools reserve well under 2x their live bytes after trim\n");
+  std::printf(" * about one 48-byte node per 32-entry block: ~1.5 B/entry of nodes\n");
 
   if (env_long("PAM_PERF_GATE", 0) != 0 && ratio < 2.0) {
     std::printf("\nFAIL: blocked-leaf space ratio %.2fx below the 2x gate\n", ratio);

@@ -3,10 +3,10 @@
 // range sums, pruned filtering, and projected range sums. These are the
 // functions whose efficiency the augmentation exists for (paper Table 2).
 //
-// Blocked leaves: a chunk node contributes its block's cached augmented
-// value when the whole block is inside the query; only the (at most two)
-// boundary blocks are partially folded entry-by-entry, so the O(log n)
-// bounds become O(log n + B) with a tiny constant.
+// Blocked leaves: a leaf block contributes its cached augmented value when
+// the whole block is inside the query; only the (at most two) boundary
+// blocks are partially folded entry-by-entry, so the O(log n) bounds become
+// O(log n + B) with a tiny constant.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,9 @@ struct aug_ops : map_ops<Entry, Balance> {
   using entry_t = typename MO::entry_t;
 
   using MO::aug_of;
+  using MO::block_of;
   using MO::dec;
-  using MO::expose_own;
-  using MO::is_chunk;
-  using MO::is_chunk_leaf;
+  using MO::is_block;
   using MO::join;
   using MO::join2;
   using MO::less;
@@ -46,16 +45,11 @@ struct aug_ops : map_ops<Entry, Balance> {
   // (paper Figure 2; its code includes the boundary key). O(log n).
   static A aug_left(const node* t, const K& k) {
     if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(k, es[0].first)) return aug_left(t->left, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      A own = pos == c ? t->blk->aug : fold_entries_assoc<traits>(es, 0, pos);
-      A acc = traits::combine(aug_of(t->left), own);
-      if (pos == c) acc = traits::combine(acc, aug_left(t->right, k));
-      return acc;
+      size_t pos = upper_idx(bv.data(), c, k);  // entries [0, pos) are <= k
+      return pos == c ? block_of(t)->aug : fold_entries_assoc<traits>(bv.data(), 0, pos);
     }
     if (less(k, t->key)) return aug_left(t->left, k);
     return traits::combine(
@@ -66,16 +60,11 @@ struct aug_ops : map_ops<Entry, Balance> {
   // Augmented value of all entries with key >= k. O(log n).
   static A aug_right(const node* t, const K& k) {
     if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return aug_right(t->right, k);
-      size_t pos = lower_idx(es, c, k);  // entries [pos, c) are >= k
-      A own = pos == 0 ? t->blk->aug : fold_entries_assoc<traits>(es, pos, c);
-      A acc = traits::combine(own, aug_of(t->right));
-      if (pos == 0) acc = traits::combine(aug_right(t->left, k), acc);
-      return acc;
+      size_t pos = lower_idx(bv.data(), c, k);  // entries [pos, c) are >= k
+      return pos == 0 ? block_of(t)->aug : fold_entries_assoc<traits>(bv.data(), pos, c);
     }
     if (less(t->key, k)) return aug_right(t->right, k);
     return traits::combine(
@@ -87,18 +76,14 @@ struct aug_ops : map_ops<Entry, Balance> {
   // equivalent to aug_val(range(t, lo, hi)) but O(log n) and allocation-free.
   static A aug_range(const node* t, const K& lo, const K& hi) {
     if (t == nullptr) return traits::identity();
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return aug_range(t->right, lo, hi);
-      if (less(hi, es[0].first)) return aug_range(t->left, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      A mid = (i == 0 && j == c) ? t->blk->aug : fold_entries_assoc<traits>(es, i, j);
-      A acc = i == 0 ? traits::combine(aug_right(t->left, lo), mid) : mid;
-      if (j == c) acc = traits::combine(acc, aug_left(t->right, hi));
-      return acc;
+      size_t i = lower_idx(bv.data(), c, lo);
+      size_t j = upper_idx(bv.data(), c, hi);
+      if (j <= i) return traits::identity();
+      return (i == 0 && j == c) ? block_of(t)->aug
+                                : fold_entries_assoc<traits>(bv.data(), i, j);
     }
     if (less(t->key, lo)) return aug_range(t->right, lo, hi);
     if (less(hi, t->key)) return aug_range(t->left, lo, hi);
@@ -114,12 +99,12 @@ struct aug_ops : map_ops<Entry, Balance> {
   template <typename Pred>
   static node* aug_filter(node* t, const Pred& h) {
     if (t == nullptr) return nullptr;
-    if (!h(t->aug)) {
+    if (!h(NM::aug_ref(t))) {
       dec(t);
       return nullptr;
     }
-    if (is_chunk_leaf(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       const entry_t* es = bv.data();
       std::vector<entry_t> keep;
       for (size_t i = 0; i < bv.size(); i++) {
@@ -131,7 +116,7 @@ struct aug_ops : map_ops<Entry, Balance> {
     }
     size_t n = t->size;
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     node* l2 = nullptr;
     node* r2 = nullptr;
     par_do_if(
@@ -151,18 +136,12 @@ struct aug_ops : map_ops<Entry, Balance> {
   static B aug_project(const node* t, const G2& g2, const F2& f2, const B& id,
                        const K& lo, const K& hi) {
     if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return aug_project(t->right, g2, f2, id, lo, hi);
-      if (less(hi, es[0].first)) return aug_project(t->left, g2, f2, id, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      B left = i == 0 ? project_right(t->left, g2, f2, id, lo) : id;
-      B mid = fold_projected(es, i, j, g2, f2, id);
-      B right = j == c ? project_left(t->right, g2, f2, id, hi) : id;
-      return f2(f2(left, mid), right);
+      size_t i = lower_idx(bv.data(), c, lo);
+      size_t j = upper_idx(bv.data(), c, hi);
+      return fold_projected(bv.data(), i, j, g2, f2, id);
     }
     if (less(t->key, lo)) return aug_project(t->right, g2, f2, id, lo, hi);
     if (less(hi, t->key)) return aug_project(t->left, g2, f2, id, lo, hi);
@@ -183,27 +162,26 @@ struct aug_ops : map_ops<Entry, Balance> {
     return acc;
   }
 
+  // g2-projected sum over a whole subtree: its cached aug, projected.
+  template <typename G2, typename B>
+  static B project_all(const node* t, const G2& g2, const B& id) {
+    return t == nullptr ? id : g2(NM::aug_ref(t));
+  }
+
   // g2-projected sum over keys >= k.
   template <typename G2, typename F2, typename B>
   static B project_right(const node* t, const G2& g2, const F2& f2, const B& id,
                          const K& k) {
     if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return project_right(t->right, g2, f2, id, k);
-      size_t pos = lower_idx(es, c, k);
-      B left = pos == 0 ? project_right(t->left, g2, f2, id, k) : id;
-      B mid = fold_projected(es, pos, c, g2, f2, id);
-      B right = t->right == nullptr ? id : g2(t->right->aug);
-      return f2(f2(left, mid), right);
+      return fold_projected(bv.data(), lower_idx(bv.data(), c, k), c, g2, f2, id);
     }
     if (less(t->key, k)) return project_right(t->right, g2, f2, id, k);
     B left = project_right(t->left, g2, f2, id, k);
     B mid = g2(traits::base(t->key, t->value));
-    B right = t->right == nullptr ? id : g2(t->right->aug);
-    return f2(f2(left, mid), right);
+    return f2(f2(left, mid), project_all(t->right, g2, id));
   }
 
   // g2-projected sum over keys <= k.
@@ -211,19 +189,13 @@ struct aug_ops : map_ops<Entry, Balance> {
   static B project_left(const node* t, const G2& g2, const F2& f2, const B& id,
                         const K& k) {
     if (t == nullptr) return id;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       size_t c = bv.size();
-      if (less(k, es[0].first)) return project_left(t->left, g2, f2, id, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      B left = t->left == nullptr ? id : g2(t->left->aug);
-      B mid = fold_projected(es, 0, pos, g2, f2, id);
-      B right = pos == c ? project_left(t->right, g2, f2, id, k) : id;
-      return f2(f2(left, mid), right);
+      return fold_projected(bv.data(), 0, upper_idx(bv.data(), c, k), g2, f2, id);
     }
     if (less(k, t->key)) return project_left(t->left, g2, f2, id, k);
-    B left = t->left == nullptr ? id : g2(t->left->aug);
+    B left = project_all(t->left, g2, id);
     B mid = g2(traits::base(t->key, t->value));
     B right = project_left(t->right, g2, f2, id, k);
     return f2(f2(left, mid), right);

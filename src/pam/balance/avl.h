@@ -5,6 +5,11 @@
 // (SPAA 2016): walk down the taller tree's spine to a subtree whose height
 // is within one of the shorter tree, attach there, and fix any +2 imbalance
 // on the way back up with at most one (single or double) rotation per level.
+//
+// A leaf block stands where a null child would, with height 0: the heights
+// and the AVL invariant are those of the internal nodes. A spine never
+// reaches a block (the taller side is at least 2 high), and every rotation
+// promotes a node of height >= 1, so no block is ever lifted off a leaf.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +18,8 @@ namespace pam {
 
 struct avl_tree {
   static constexpr const char* name = "avl";
+  // Depth bound in nodes: 1.44 log2(n + 2) (check_valid adds 2 levels).
+  static constexpr double depth_factor = 1.45;
 
   struct data {
     uint8_t height = 1;
@@ -20,7 +27,7 @@ struct avl_tree {
 
   template <typename NM>
   static int height_of(const typename NM::node* t) {
-    return t == nullptr ? 0 : t->bal.height;
+    return NM::is_node(t) ? t->bal.height : 0;
   }
 
   template <typename NM>
@@ -42,7 +49,7 @@ struct avl_tree {
     }
 
     static bool check(const node* t) {
-      if (t == nullptr) return true;
+      if (!NM::is_node(t)) return true;
       int hl = h(t->left), hr = h(t->right);
       int diff = hl - hr;
       if (diff < -1 || diff > 1) return false;

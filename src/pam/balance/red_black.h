@@ -9,6 +9,11 @@
 // repair the possible red-red chain on the way up with one recolor+rotation
 // per level. Both inputs are blackened first, which keeps the invariant
 // reasoning simple at a cost of at most one extra black level per join.
+//
+// A leaf block is a black leaf, like a null child: black height 0, never
+// red. Every path still counts the same number of black nodes, a join
+// attaches at a block instead of descending into it, and the red nodes
+// that rotations lift are always nodes.
 #pragma once
 
 #include <cstdint>
@@ -17,17 +22,24 @@ namespace pam {
 
 struct red_black {
   static constexpr const char* name = "red-black";
+  // Depth bound in nodes: 2 log2(n + 1).
+  static constexpr double depth_factor = 2.0;
 
   struct data {
     uint8_t black_height = 1;
     bool red = false;
   };
 
+  template <typename NM>
+  static int black_height_of(const typename NM::node* t) {
+    return NM::is_node(t) ? t->bal.black_height : 0;
+  }
+
   // Recompute black height from the left child (children agree by
   // invariant); the color is state, not derived, so update keeps it.
   template <typename NM>
   static void update_data(typename NM::node* t) {
-    uint8_t ch = t->left == nullptr ? 0 : t->left->bal.black_height;
+    int ch = black_height_of<NM>(t->left);
     t->bal.black_height = static_cast<uint8_t>(ch + (t->bal.red ? 0 : 1));
   }
 
@@ -35,8 +47,8 @@ struct red_black {
   struct ops {
     using node = typename NM::node;
 
-    static int bh(const node* t) { return t == nullptr ? 0 : t->bal.black_height; }
-    static bool is_red(const node* t) { return t != nullptr && t->bal.red; }
+    static int bh(const node* t) { return black_height_of<NM>(t); }
+    static bool is_red(const node* t) { return NM::is_node(t) && t->bal.red; }
 
     static node* node_join(node* l, node* m, node* r) {
       l = blacken(l);
@@ -113,7 +125,7 @@ struct red_black {
 
     // Returns the black height, or -1 on any invariant violation.
     static int check_rec(const node* t) {
-      if (t == nullptr) return 0;
+      if (!NM::is_node(t)) return 0;
       int hl = check_rec(t->left);
       int hr = check_rec(t->right);
       if (hl < 0 || hr < 0 || hl != hr) return -1;

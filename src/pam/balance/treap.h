@@ -5,7 +5,8 @@
 // reproducible (important for the deterministic tests and benchmarks), and
 // keeps the node as small as the weight-balanced one. Join walks down
 // whichever input root has the higher priority, so the expected join depth
-// is O(log n).
+// is O(log n). A leaf block has no priority: it sits below every node, as
+// a null child would, so a join never lifts a block above a node.
 //
 // Keys must be hashable: either the Entry provides
 //   static uint64_t hash(const key_t&)
@@ -21,6 +22,10 @@ namespace pam {
 
 struct treap {
   static constexpr const char* name = "treap";
+  // Depth bound in nodes, with high probability: a random BST's height
+  // concentrates at 2.99 log2 n, and the deterministic hashed priorities
+  // make every tree of a key set the same tree.
+  static constexpr double depth_factor = 4.0;
 
   struct data {};
 
@@ -42,12 +47,10 @@ struct treap {
 
     static node* node_join(node* l, node* m, node* r) {
       uint64_t pm = prio(m->key);
-      uint64_t pl = l == nullptr ? 0 : prio(l->key);
-      uint64_t pr = r == nullptr ? 0 : prio(r->key);
-      if ((l == nullptr || pl <= pm) && (r == nullptr || pr <= pm)) {
-        return NM::attach(l, m, r);
-      }
-      if (pl >= pr) {  // l is non-null here: pl > pm >= 0
+      uint64_t pl = NM::is_node(l) ? prio(l->key) : 0;
+      uint64_t pr = NM::is_node(r) ? prio(r->key) : 0;
+      if (pl <= pm && pr <= pm) return NM::attach(l, m, r);
+      if (pl >= pr) {  // l is a node here: pl > pm >= 0
         node* t = NM::ensure_owned(l);
         t->right = node_join(t->right, m, r);
         NM::update(t);
@@ -60,10 +63,10 @@ struct treap {
     }
 
     static bool check(const node* t) {
-      if (t == nullptr) return true;
+      if (!NM::is_node(t)) return true;
       uint64_t p = prio(t->key);
-      if (t->left != nullptr && prio(t->left->key) > p) return false;
-      if (t->right != nullptr && prio(t->right->key) > p) return false;
+      if (NM::is_node(t->left) && prio(t->left->key) > p) return false;
+      if (NM::is_node(t->right) && prio(t->right->key) > p) return false;
       return check(t->left) && check(t->right);
     }
   };

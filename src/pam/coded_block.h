@@ -30,8 +30,7 @@
 //                             returning the stream's end or nullptr;
 //   cursor(keys, n).next()    yield key 0, then key 1, ... by incremental
 //                             decode (the returned key_arg is valid until
-//                             the next call);
-//   first_key(keys, n)        key 0 without a chain walk.
+//                             the next call).
 //
 // No codec keeps a directory: every reader walks the stream in order.
 // Two codecs implement it:
@@ -351,13 +350,6 @@ struct front_codec {
     }
   };
 
-  // Zero-copy: record 0 stores the whole key (its prefix varint is 0).
-  static std::string_view first_key(const char* keys, uint32_t) {
-    uint64_t slen;
-    const char* suffix = vint::get(keys + 1, slen);
-    return {suffix, slen};
-  }
-
  private:
   // Length of the prefix of es[i].first shared with es[i-1].first (0 for
   // the block's first key).
@@ -428,12 +420,6 @@ struct delta_codec {
       return static_cast<K>(cur);
     }
   };
-
-  static K first_key(const char* keys, uint32_t) {
-    uint64_t u;
-    vint::get(keys, u);
-    return static_cast<K>(base_key(u));
-  }
 
  private:
   // Varint code for key i: the base key whole, then successor differences
@@ -575,9 +561,6 @@ struct coded_store {
 
   // ------------------------------------------------------------- reading --
 
-  static key_arg first_key(const block* b) {
-    return Codec::first_key(b->keys(), b->count);
-  }
   static V value_at(const block* b, uint32_t i) { return values::at(b->vals(), i); }
 
   // Append all n entries, keys materialized, onto out.

@@ -1,8 +1,7 @@
 // Parallel structural diff between two versions of a map.
 //
 // Path-copying persistence means two versions of one map share every
-// unchanged subtree by pointer (and, with blocked leaves, share sealed leaf
-// blocks across re-packs). The diff walks both roots with the same
+// unchanged subtree, and every unchanged leaf block, by pointer. The diff walks both roots with the same
 // split/expose recursion as union, but prunes the moment the two sides
 // share storage (`tree_ops::shares_storage`, O(1)), so the work is
 // proportional to the *difference* between the versions — O(d log(n/d + 1))
@@ -57,8 +56,9 @@ struct diff_ops : aug_ops<Entry, Balance> {
 
   using MO::dec;
   using MO::expose_own;
+  using MO::block_of;
   using MO::inc;
-  using MO::is_chunk_leaf;
+  using MO::is_block;
   using MO::join;
   using MO::join2;
   using MO::less;
@@ -96,7 +96,7 @@ struct diff_ops : aug_ops<Entry, Balance> {
     }
     if (a == nullptr) return {nullptr, b};
     if (b == nullptr) return {a, nullptr};
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return diff_blocks(a, b);
+    if (is_block(a) && is_block(b)) return diff_blocks(a, b);
     size_t total = size(a) + size(b);
     node *l2, *m2, *r2;
     expose_own(b, l2, m2, r2);
@@ -124,8 +124,8 @@ struct diff_ops : aug_ops<Entry, Balance> {
 
   // Base case: two distinct leaf blocks, one two-pointer merge.
   static diff_trees diff_blocks(node* a, node* b) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
+    auto av = NM::read_block(block_of(a));
+    auto bv = NM::read_block(block_of(b));
     std::vector<entry_t> before, after;
     MO::merge_runs(
         av.data(), av.size(), bv.data(), bv.size(),
@@ -167,9 +167,9 @@ struct diff_ops : aug_ops<Entry, Balance> {
       dec(a);
       return {af, id};
     }
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) {
-      auto av = NM::read_block(a->blk);
-      auto bv = NM::read_block(b->blk);
+    if (is_block(a) && is_block(b)) {
+      auto av = NM::read_block(block_of(a));
+      auto bv = NM::read_block(block_of(b));
       std::pair<B, B> out{id, id};
       MO::merge_runs(
           av.data(), av.size(), bv.data(), bv.size(), MO::entry_key,

@@ -10,13 +10,13 @@
 //
 //           for (auto [k, v] : m) ...
 //
-//       With blocked leaves the stack holds (node, in-block index) frames,
-//       so stepping through a leaf block is one index bump over a flat
-//       array — the fast path the blocked layout exists for. Front-coded
-//       blocks cannot hand out references into their compressed bytes, so
-//       a chunk frame additionally carries a shared decoded copy of its
-//       block (filled once when the frame is pushed); stepping is still an
-//       index bump, and copying the iterator shares the cache.
+//       With blocked leaves the stack's top frame may be a leaf block with
+//       an in-block index, so stepping through a block is one index bump
+//       over a flat array — the fast path the blocked layout exists for.
+//       Coded blocks cannot hand out references into their compressed
+//       bytes, so a block frame additionally carries a shared decoded copy
+//       of its block (filled once when the frame is pushed); stepping is
+//       still an index bump, and copying the iterator shares the cache.
 //
 //   range_view<Entry, Balance>     a lazy sub-range [lo, hi] of a map (or
 //       the whole map). Holds its own reference to the tree root, so it
@@ -27,10 +27,10 @@
 //       aug_map::range, which path-copies O(log n) nodes).
 //
 //   tree_cursor<Entry, Balance>    a read-only cursor over tree structure:
-//       the entries stored at the current subtree root (one for a plain
-//       node, a whole block for a chunk node — see entry_count()/key(i)/
-//       value(i)), the subtree's cached augmented value, and navigation to
-//       left/right children. This replaces the old internal_root() raw-node
+//       the entries stored at the current subtree root (one for a node, a
+//       whole run for a leaf block — see entry_count()/key(i)/value(i)),
+//       the subtree's cached augmented value, and navigation to left/right
+//       children (a block has none). This replaces the old internal_root() raw-node
 //       escape hatch: applications that need structural traversal (e.g.
 //       best-first search over augmented values, range-tree canonical
 //       decomposition) get the shape of the tree without the ability to
@@ -119,19 +119,14 @@ class map_iterator {
       push_left(t);
     } else {
       while (t != nullptr) {
-        if (ops::is_chunk(t)) {
-          size_t c = t->blk->count;
-          size_t pos = ops::blk_lower(t->blk, *lo, nullptr);  // first >= *lo
-          if (pos == c) {
-            t = t->right;  // whole block (and left subtree) below the range
-          } else if (pos == 0) {
-            path_.push_back(make_frame(t, 0));
-            t = t->left;  // left subtree may still hold keys >= *lo
-          } else {
+        if (ops::is_block(t)) {
+          size_t pos = ops::blk_lower(ops::block_of(t), *lo, nullptr);  // first >= *lo
+          if (pos < ops::block_of(t)->count) {
             path_.push_back(make_frame(t, static_cast<uint32_t>(pos)));
-            break;  // entries before pos are < *lo, so the left side is too
           }
-        } else if (ops::less(t->key, *lo)) {
+          break;
+        }
+        if (ops::less(t->key, *lo)) {
           t = t->right;  // everything here is below the range
         } else {
           path_.push_back(make_frame(t, 0));
@@ -153,20 +148,17 @@ class map_iterator {
     uint32_t best_idx = 0;
     size_t best_depth = 0;
     while (t != nullptr) {
-      if (ops::is_chunk(t)) {
-        size_t c = t->blk->count;
-        size_t pos = hi != nullptr ? ops::blk_upper(t->blk, *hi) : c;  // first > *hi
-        if (pos == 0) {
-          path_.push_back(make_frame(t, 0));  // block entries are future successors
-          t = t->left;
-        } else {
+      if (ops::is_block(t)) {
+        size_t c = ops::block_of(t)->count;
+        size_t pos = hi != nullptr ? ops::blk_upper(ops::block_of(t), *hi) : c;  // first > *hi
+        if (pos > 0) {
           best = t;
           best_idx = static_cast<uint32_t>(pos - 1);
           best_depth = path_.size();
-          if (pos < c) break;  // the right subtree is > *hi as well
-          t = t->right;
         }
-      } else if (hi != nullptr && ops::less(*hi, t->key)) {
+        break;
+      }
+      if (hi != nullptr && ops::less(*hi, t->key)) {
         path_.push_back(make_frame(t, 0));  // a future in-order successor
         t = t->left;
       } else {
@@ -189,7 +181,7 @@ class map_iterator {
 
   entry_ref operator*() const {
     const frame& f = path_.back();
-    if (ops::is_chunk(f.n)) {
+    if (ops::is_block(f.n)) {
       const entry_t& e = frame_entry(f);
       return {e.first, e.second};
     }
@@ -199,14 +191,17 @@ class map_iterator {
 
   map_iterator& operator++() {
     frame& f = path_.back();
-    if (ops::is_chunk(f.n) && f.idx + 1 < f.n->blk->count) {
-      f.idx++;  // step within the flat block: the hot path
-      clamp();
-      return *this;
+    if (ops::is_block(f.n)) {
+      if (f.idx + 1 < ops::block_of(f.n)->count) {
+        f.idx++;  // step within the flat block: the hot path
+      } else {
+        path_.pop_back();  // the block's parent node, if any, is next
+      }
+    } else {
+      const node* t = f.n;
+      path_.pop_back();
+      push_left(t->right);
     }
-    const node* t = f.n;
-    path_.pop_back();
-    push_left(t->right);
     clamp();
     return *this;
   }
@@ -236,9 +231,8 @@ class map_iterator {
       std::conditional_t<kCoded, std::shared_ptr<const std::vector<entry_t>>,
                          unit>;
 
-  // Ancestor stack frame: a node plus (for chunk nodes) the index of the
-  // current/next-to-visit entry inside its block, plus (coded layout only)
-  // the decoded block.
+  // Ancestor stack frame: a node, or a leaf block with the index of the
+  // current entry inside it plus (coded layout only) the decoded block.
   struct frame {
     const node* n;
     uint32_t idx;
@@ -251,8 +245,8 @@ class map_iterator {
 
   static frame make_frame(const node* t, uint32_t idx) {
     if constexpr (kCoded) {
-      if (ops::is_chunk(t)) {
-        auto bv = ops::NM::read_block(t->blk);
+      if (ops::is_block(t)) {
+        auto bv = ops::NM::read_block(ops::block_of(t));
         return {t, idx,
                 std::make_shared<const std::vector<entry_t>>(std::move(bv.buf))};
       }
@@ -262,28 +256,29 @@ class map_iterator {
     }
   }
 
-  // The frame's current entry; only valid for chunk frames.
+  // The frame's current entry; only valid for block frames.
   static const entry_t& frame_entry(const frame& f) {
     if constexpr (kCoded) {
       return (*f.cache)[f.idx];
     } else {
-      return f.n->blk->entries()[f.idx];
+      return ops::block_of(f.n)->entries()[f.idx];
     }
   }
 
   static const K& frame_key(const frame& f) {
-    return ops::is_chunk(f.n) ? frame_entry(f).first : f.n->key;
+    return ops::is_block(f.n) ? frame_entry(f).first : f.n->key;
   }
 
   // Key at (t, idx) as an owned copy — for bound checks before a frame (and
   // its decode cache) exists.
   static K entry_key_copy(const node* t, uint32_t idx) {
-    return ops::is_chunk(t) ? ops::blk_entry(t->blk, idx).first : t->key;
+    return ops::is_block(t) ? ops::blk_entry(ops::block_of(t), idx).first : t->key;
   }
 
   void push_left(const node* t) {
     while (t != nullptr) {
       path_.push_back(make_frame(t, 0));
+      if (ops::is_block(t)) return;
       t = t->left;
     }
   }
@@ -307,10 +302,10 @@ class map_iterator {
 
 // A read-only view of a subtree: the entries and augmented value cached at
 // its root, and navigation to the child subtrees. With blocked leaves a
-// subtree root may carry a whole run of entries: entry_count() gives the
-// run length and key(i)/value(i) index into it (keys sorted; the left
-// subtree is below key(0), the right above key(entry_count()-1)). key() and
-// value() are the first entry, which keeps single-entry callers working.
+// subtree may be one leaf block: entry_count() gives the run length,
+// key(i)/value(i) index into it (keys sorted), and both children are
+// empty. key() and value() are the first entry, which keeps single-entry
+// callers working.
 // Borrows the tree — no refcount traffic, so it is as cheap as a raw
 // pointer but cannot violate the persistence invariants. An empty cursor
 // tests false.
@@ -326,12 +321,12 @@ class tree_cursor {
 
   tree_cursor() = default;
   // Internal: obtained via aug_map::root_cursor(). A cursor on a coded
-  // chunk decodes the block once, up front; key(i)/value(i) then hand out
+  // block decodes it once, up front; key(i)/value(i) then hand out
   // references into that owned copy.
   explicit tree_cursor(const node* t) : t_(t) {
     if constexpr (kCoded) {
-      if (t_ != nullptr && ops::is_chunk(t_)) {
-        auto bv = ops::NM::read_block(t_->blk);
+      if (ops::is_block(t_)) {
+        auto bv = ops::NM::read_block(ops::block_of(t_));
         cache_ = std::make_shared<const std::vector<entry_t>>(std::move(bv.buf));
       }
     }
@@ -340,22 +335,22 @@ class tree_cursor {
   bool empty() const { return t_ == nullptr; }
   explicit operator bool() const { return t_ != nullptr; }
 
-  // Number of entries stored at the subtree root itself (1 for a plain
-  // node, the block length for a chunk node).
-  size_t entry_count() const { return ops::cnt(t_); }
+  // Number of entries stored at the subtree root itself (1 for a node,
+  // the block length for a leaf block).
+  size_t entry_count() const { return ops::is_block(t_) ? ops::size(t_) : 1; }
 
   // The i-th entry stored at the root, in key order. i < entry_count().
   const K& key(size_t i) const {
-    if (ops::is_chunk(t_)) {
+    if (ops::is_block(t_)) {
       if constexpr (kCoded) return (*cache_)[i].first;
-      else return t_->blk->entries()[i].first;
+      else return ops::block_of(t_)->entries()[i].first;
     }
     return t_->key;
   }
   const V& value(size_t i) const {
-    if (ops::is_chunk(t_)) {
+    if (ops::is_block(t_)) {
       if constexpr (kCoded) return (*cache_)[i].second;
-      else return t_->blk->entries()[i].second;
+      else return ops::block_of(t_)->entries()[i].second;
     }
     return t_->value;
   }
@@ -364,12 +359,12 @@ class tree_cursor {
   const K& key() const { return key(0); }
   const V& value() const { return value(0); }
   // Cached augmented value of the whole subtree (identity for plain maps).
-  const A& aug() const { return t_->aug; }
+  const A& aug() const { return ops::aug_ref(t_); }
   // Number of entries in the subtree. O(1).
   size_t size() const { return ops::size(t_); }
 
-  tree_cursor left() const { return tree_cursor(t_ == nullptr ? nullptr : t_->left); }
-  tree_cursor right() const { return tree_cursor(t_ == nullptr ? nullptr : t_->right); }
+  tree_cursor left() const { return tree_cursor(ops::is_node(t_) ? t_->left : nullptr); }
+  tree_cursor right() const { return tree_cursor(ops::is_node(t_) ? t_->right : nullptr); }
 
   friend bool operator==(const tree_cursor& a, const tree_cursor& b) {
     return a.t_ == b.t_;
@@ -507,19 +502,13 @@ class range_view {
   template <typename F>
   static void foreach_bounded(const node* t, const K* lo, const K* hi, const F& f) {
     if (t == nullptr) return;
-    if (ops::is_chunk(t)) {
-      auto bv = ops::NM::read_block(t->blk);
+    if (ops::is_block(t)) {
+      auto bv = ops::NM::read_block(ops::block_of(t));
       const auto* es = bv.data();
       size_t c = bv.size();
-      if (lo != nullptr && ops::less(es[c - 1].first, *lo))
-        return foreach_bounded(t->right, lo, hi, f);
-      if (hi != nullptr && ops::less(*hi, es[0].first))
-        return foreach_bounded(t->left, lo, hi, f);
       size_t i0 = lo != nullptr ? ops::lower_idx(es, c, *lo) : 0;
       size_t i1 = hi != nullptr ? ops::upper_idx(es, c, *hi) : c;
-      if (i0 == 0) foreach_bounded(t->left, lo, nullptr, f);
       for (size_t i = i0; i < i1; i++) f(es[i].first, es[i].second);
-      if (i1 == c) foreach_bounded(t->right, nullptr, hi, f);
       return;
     }
     if (lo != nullptr && ops::less(t->key, *lo))

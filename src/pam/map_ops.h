@@ -5,9 +5,9 @@
 // those of Table 2.
 //
 // With blocked leaves enabled the bulk operations work block-at-a-time:
-// when a recursion bottoms out at two flat leaf blocks the result is a
-// plain sorted-array merge into fresh blocks, and the traversal/projection
-// passes stream whole blocks instead of chasing per-entry pointers.
+// when a recursion bottoms out at two leaf blocks the result is a plain
+// sorted-array merge into fresh blocks, and the traversal/projection passes
+// stream whole blocks instead of chasing per-entry pointers.
 //
 // The fork-join granularity knob (par_cutoff) lives in parallel/parallel.h
 // with the rest of the runtime knob family.
@@ -41,11 +41,10 @@ struct map_ops : tree_ops<Entry, Balance> {
   using lblock = typename TO::lblock;
   using lstore = typename TO::lstore;
 
-  using TO::cnt;
+  using TO::block_of;
   using TO::dec;
   using TO::expose_own;
-  using TO::is_chunk;
-  using TO::is_chunk_leaf;
+  using TO::is_block;
   using TO::join;
   using TO::join2;
   using TO::less;
@@ -61,7 +60,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static node* union_(node* a, node* b, const Comb& comb) {
     if (a == nullptr) return b;
     if (b == nullptr) return a;
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return union_blocks(a, b, comb);
+    if (is_block(a) && is_block(b)) return union_blocks(a, b, comb);
     size_t total = size(a) + size(b);
     node *l2, *m2, *r2;
     expose_own(b, l2, m2, r2);
@@ -114,8 +113,8 @@ struct map_ops : tree_ops<Entry, Balance> {
   // balanced rebuild into fresh blocks.
   template <typename Comb>
   static node* union_blocks(node* a, node* b, const Comb& comb) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
+    auto av = NM::read_block(block_of(a));
+    auto bv = NM::read_block(block_of(b));
     std::vector<entry_t> out;
     out.reserve(av.size() + bv.size());
     merge_runs(
@@ -139,7 +138,7 @@ struct map_ops : tree_ops<Entry, Balance> {
       dec(b);
       return nullptr;
     }
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return intersect_blocks(a, b, comb);
+    if (is_block(a) && is_block(b)) return intersect_blocks(a, b, comb);
     size_t total = size(a) + size(b);
     node *l2, *m2, *r2;
     expose_own(b, l2, m2, r2);
@@ -160,8 +159,8 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   template <typename Comb>
   static node* intersect_blocks(node* a, node* b, const Comb& comb) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
+    auto av = NM::read_block(block_of(a));
+    auto bv = NM::read_block(block_of(b));
     std::vector<entry_t> out;
     merge_runs(
         av.data(), av.size(), bv.data(), bv.size(), entry_key,
@@ -182,7 +181,7 @@ struct map_ops : tree_ops<Entry, Balance> {
       return nullptr;
     }
     if (b == nullptr) return a;
-    if (is_chunk_leaf(a) && is_chunk_leaf(b)) return difference_blocks(a, b);
+    if (is_block(a) && is_block(b)) return difference_blocks(a, b);
     size_t total = size(a) + size(b);
     node *l2, *m2, *r2;
     expose_own(b, l2, m2, r2);
@@ -198,8 +197,8 @@ struct map_ops : tree_ops<Entry, Balance> {
   }
 
   static node* difference_blocks(node* a, node* b) {
-    auto av = NM::read_block(a->blk);
-    auto bv = NM::read_block(b->blk);
+    auto av = NM::read_block(block_of(a));
+    auto bv = NM::read_block(block_of(b));
     std::vector<entry_t> out;
     out.reserve(av.size());
     merge_runs(
@@ -219,8 +218,8 @@ struct map_ops : tree_ops<Entry, Balance> {
   template <typename Pred>
   static node* filter(node* t, const Pred& pred) {
     if (t == nullptr) return nullptr;
-    if (is_chunk_leaf(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       const entry_t* es = bv.data();
       std::vector<entry_t> keep;
       for (size_t i = 0; i < bv.size(); i++) {
@@ -232,7 +231,7 @@ struct map_ops : tree_ops<Entry, Balance> {
     }
     size_t n = t->size;
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     node* l2 = nullptr;
     node* r2 = nullptr;
     par_do_if(
@@ -303,7 +302,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static node* from_sorted_unique(const entry_t* a, size_t n) {
     if (n == 0) return nullptr;
     size_t B = leaf_block_size();
-    if (B >= 1 && n <= B) return TO::make_chunk_leaf(a, n);
+    if (B >= 1 && n <= B) return TO::make_leaf(a, n);
     size_t mid = TO::build_pivot(n, B);
     node* m = make_single(a[mid].first, a[mid].second);
     node* l = nullptr;
@@ -339,8 +338,8 @@ struct map_ops : tree_ops<Entry, Balance> {
                                    const Comb& comb) {
     if (n == 0) return t;
     if (t == nullptr) return from_sorted_unique(a, n);
-    if (is_chunk_leaf(t)) {
-      auto tv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto tv = NM::read_block(block_of(t));
       std::vector<entry_t> out;
       out.reserve(tv.size() + n);
       merge_runs(
@@ -355,7 +354,7 @@ struct map_ops : tree_ops<Entry, Balance> {
       return r;
     }
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     size_t idx = std::lower_bound(a, a + n, m->key,
                                   [](const entry_t& e, const K& k) {
                                     return less(e.first, k);
@@ -393,8 +392,8 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   static node* multi_delete_sorted(node* t, const K* keys, size_t n) {
     if (n == 0 || t == nullptr) return t;
-    if (is_chunk_leaf(t)) {
-      auto tv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto tv = NM::read_block(block_of(t));
       std::vector<entry_t> out;
       out.reserve(tv.size());
       merge_runs(
@@ -407,7 +406,7 @@ struct map_ops : tree_ops<Entry, Balance> {
       return r;
     }
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     size_t idx = std::lower_bound(keys, keys + n, m->key,
                                   [](const K& a, const K& b) { return less(a, b); }) -
                  keys;
@@ -439,18 +438,19 @@ struct map_ops : tree_ops<Entry, Balance> {
   template <typename M, typename R, typename B>
   static B map_reduce(const node* t, const M& g2, const R& f2, const B& id) {
     if (t == nullptr) return id;
-    if (t->size < par_cutoff()) {
-      B lv = map_reduce(t->left, g2, f2, id);
-      lv = fold_own(t, g2, f2, std::move(lv));
-      B rv = map_reduce(t->right, g2, f2, id);
-      return f2(lv, rv);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
+      const entry_t* es = bv.data();
+      B acc = id;
+      for (size_t i = 0; i < bv.size(); i++) acc = f2(acc, g2(es[i].first, es[i].second));
+      return acc;
     }
     B lv = id;
     B rv = id;
-    par_do([&] { lv = map_reduce(t->left, g2, f2, id); },
-           [&] { rv = map_reduce(t->right, g2, f2, id); });
-    lv = fold_own(t, g2, f2, std::move(lv));
-    return f2(lv, rv);
+    par_do_if(
+        t->size >= par_cutoff(), [&] { lv = map_reduce(t->left, g2, f2, id); },
+        [&] { rv = map_reduce(t->right, g2, f2, id); });
+    return f2(f2(lv, g2(t->key, t->value)), rv);
   }
 
   // Batch lookup: out[i] = value at keys[i] (or nullopt), all lookups in
@@ -464,43 +464,37 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   // Same-shape value transform (the paper's `map`): a new tree with
   // identical keys and structure, value' = f(k, v), augmented values
-  // recomputed bottom-up. Borrows t; O(n) work, O(log n) span. Chunk nodes
+  // recomputed bottom-up. Borrows t; O(n) work, O(log n) span. Leaf blocks
   // map onto fresh blocks of the same count.
   template <typename F>
   static node* map_values(const node* t, const F& f) {
     if (t == nullptr) return nullptr;
+    if (is_block(t)) {
+      const lblock* b = block_of(t);
+      if constexpr (NM::flat_layout) {
+        const entry_t* es = b->entries();
+        lblock* nb = lstore::allocate(b->count);
+        entry_t* out = nb->entries();
+        for (uint32_t i = 0; i < b->count; i++) {
+          new (&out[i]) entry_t(es[i].first, f(es[i].first, es[i].second));
+        }
+        lstore::seal(nb);
+        return NM::as_leaf(nb);
+      } else {
+        auto bv = NM::read_block(b);
+        std::vector<entry_t> tmp(bv.data(), bv.data() + bv.size());
+        for (entry_t& e : tmp) e.second = f(e.first, e.second);
+        return TO::make_leaf(tmp.data(), tmp.size());
+      }
+    }
     node* l = nullptr;
     node* r = nullptr;
     par_do_if(
         t->size >= par_cutoff(), [&] { l = map_values(t->left, f); },
         [&] { r = map_values(t->right, f); });
-    node* m;
-    if (is_chunk(t)) {
-      if constexpr (NM::flat_layout) {
-        const entry_t* es = t->blk->entries();
-        uint32_t c = t->blk->count;
-        lblock* nb = lstore::allocate(c);
-        entry_t* out = nb->entries();
-        for (uint32_t i = 0; i < c; i++) {
-          new (&out[i]) entry_t(es[i].first, f(es[i].first, es[i].second));
-        }
-        lstore::seal(nb);
-        m = NM::make_chunk(nb);
-      } else {
-        auto bv = NM::read_block(t->blk);
-        std::vector<entry_t> tmp(bv.data(), bv.data() + bv.size());
-        for (entry_t& e : tmp) e.second = f(e.first, e.second);
-        m = NM::make_chunk(
-            lstore::build(tmp.data(), static_cast<uint32_t>(tmp.size())));
-      }
-    } else {
-      m = make_single(t->key, f(t->key, t->value));
-    }
+    node* m = make_single(t->key, f(t->key, t->value));
     m->bal = t->bal;  // identical shape => identical balance metadata
-    m->left = l;
-    m->right = r;
-    NM::update(m);
-    return m;
+    return NM::attach(l, m, r);
   }
 
   // ----------------------------------------------------------- traversal --
@@ -509,14 +503,14 @@ struct map_ops : tree_ops<Entry, Balance> {
   template <typename F>
   static void foreach_inorder(const node* t, const F& f) {
     if (t == nullptr) return;
-    foreach_inorder(t->left, f);
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       const entry_t* es = bv.data();
       for (size_t i = 0; i < bv.size(); i++) f(es[i].first, es[i].second);
-    } else {
-      f(t->key, t->value);
+      return;
     }
+    foreach_inorder(t->left, f);
+    f(t->key, t->value);
     foreach_inorder(t->right, f);
   }
 
@@ -526,40 +520,23 @@ struct map_ops : tree_ops<Entry, Balance> {
   template <typename Out, typename F>
   static void project_to_array(const node* t, Out* out, const F& f) {
     if (t == nullptr) return;
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
+      const entry_t* es = bv.data();
+      for (size_t i = 0; i < bv.size(); i++) out[i] = f(es[i].first, es[i].second);
+      return;
+    }
     size_t ls = size(t->left);
-    size_t c = cnt(t);
     par_do_if(
         t->size >= par_cutoff(), [&] { project_to_array(t->left, out, f); },
-        [&] { project_to_array(t->right, out + ls + c, f); });
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      for (size_t i = 0; i < c; i++) out[ls + i] = f(es[i].first, es[i].second);
-    } else {
-      out[ls] = f(t->key, t->value);
-    }
+        [&] { project_to_array(t->right, out + ls + 1, f); });
+    out[ls] = f(t->key, t->value);
   }
 
   // Parallel in-order materialization into out[0, size(t)).
   static void to_array(const node* t, entry_t* out) {
     project_to_array(t, out,
                      [](const K& k, const V& v) { return entry_t(k, v); });
-  }
-
- private:
-  // Fold t's own entries (1 for a plain node, the whole block for a chunk)
-  // into acc with f2(acc, g2(k, v)).
-  template <typename M, typename R, typename B>
-  static B fold_own(const node* t, const M& g2, const R& f2, B acc) {
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      for (size_t i = 0; i < bv.size(); i++) {
-        acc = f2(acc, g2(es[i].first, es[i].second));
-      }
-      return acc;
-    }
-    return f2(acc, g2(t->key, t->value));
   }
 };
 

@@ -10,19 +10,15 @@
 // children. Old versions of a map therefore remain valid forever — this is
 // what gives PAM persistence and snapshot-style concurrency for free.
 //
-// Blocked leaves (the PaC-tree layout of Dhulipala & Blelloch 2022): a node
-// may carry, instead of one inline entry, a pointer to a refcounted *leaf
-// block* — a flat sorted array of up to `leaf_block_size()` entries with a
-// precomputed augmented value. Such a "chunk" node still has ordinary
-// left/right child pointers (its block's keys sit between the two subtrees
-// in key order), `size` still counts every entry below it, and its balance
-// metadata describes it as a single node — so the four balancing schemes
-// operate on chunk nodes without knowing they exist. Rotations inside a
-// scheme's join may hand a chunk node interior children; that is fine: every
-// algorithm in tree_ops/map_ops/aug_ops treats "node" as "1..B sorted
-// entries plus two subtrees". Blocks are immutable once sealed and shared
-// whole (their own refcount), so copy_node on a chunk is O(1) and snapshots
-// keep sharing storage across re-packs.
+// Blocked leaves (the PaC-tree layout of Dhulipala & Blelloch 2022): a child
+// pointer whose low bit is set points at a refcounted *leaf block* — a
+// sealed sorted run of 1..leaf_block_size() entries with its augmented value
+// cached in the block header — instead of at a tree node. Blocks sit only at
+// leaf positions (they have no children), and every tree node is internal:
+// exactly one inline entry, two children, the subtree's size and aug. The
+// balance schemes see a block as a leaf and rotate internal nodes only.
+// Blocks are immutable once sealed and shared whole (their own refcount), so
+// versions that share a block share it by pointer.
 //
 // Ownership protocol (used consistently across tree_ops/map_ops/aug_ops):
 //   * a `node*` argument passed to a *consuming* function transfers one
@@ -282,12 +278,11 @@ struct leaf_store {
 
 // ------------------------------------------------------------- tree node --
 
-// A tree node: either one inline entry (blk == nullptr) or a leaf block of
-// blk->count entries (key/value then mirror the block's first entry so
-// key-based heuristics like treap priorities stay well-defined). With 64-bit
-// keys/values/augmentation this is 56 bytes — 8 more than the paper's Table 4
-// node for the block pointer; the blocked layout wins it back ~20x over.
-// Which block type an Entry's chunks carry follows its key_layout trait.
+// An internal tree node: one inline entry, two children, the subtree's
+// entry count and augmented value, and the balance scheme's data. A child
+// is null, another node, or (low bit set) a leaf block. With 64-bit keys,
+// values and aug the weight-balanced node is 48 bytes, the paper's Table 4
+// node. Which block type an Entry's leaves use follows its key_layout trait.
 template <typename Entry>
 using leaf_block_of = std::conditional_t<entry_layout_v<Entry> == key_layout::flat,
                                          leaf_block<Entry>, coded_block<Entry>>;
@@ -302,7 +297,6 @@ struct tree_node {
   uint32_t size;  // subtree entry count (bounds maps to 2^32-1 entries)
   tree_node* left;
   tree_node* right;
-  leaf_block_of<Entry>* blk;  // non-null => this node carries a leaf block
   K key;
   [[no_unique_address]] V value;
   [[no_unique_address]] A aug;
@@ -355,9 +349,25 @@ struct node_manager {
   // so lookups and in-block decoding compare without materializing keys.
   template <typename KA, typename KB>
   static bool less(const KA& a, const KB& b) { return Entry::comp(a, b); }
-  template <typename KA, typename KB>
-  static bool keys_equal(const KA& a, const KB& b) {
-    return !less(a, b) && !less(b, a);
+
+  // ------------------------------------------------------ leaf tagging --
+  // The only code that sets, tests or strips the leaf tag (pam_lint's
+  // leaf-tag rule). Block slots are at least 4-byte aligned, so bit 0 of a
+  // block address is free to mark a child pointer as a leaf block.
+  static constexpr uintptr_t kLeafTag = 1;
+  static_assert(alignof(lblock) > kLeafTag && alignof(node) > kLeafTag);
+
+  static bool is_block(const node* t) {
+    return (reinterpret_cast<uintptr_t>(t) & kLeafTag) != 0;
+  }
+  // A tree node proper: neither null nor a block.
+  static bool is_node(const node* t) { return t != nullptr && !is_block(t); }
+  static lblock* block_of(const node* t) {
+    return reinterpret_cast<lblock*>(reinterpret_cast<uintptr_t>(t) & ~kLeafTag);
+  }
+  // The tagged child pointer for a sealed block (ownership transfers).
+  static node* as_leaf(lblock* b) {
+    return reinterpret_cast<node*>(reinterpret_cast<uintptr_t>(b) | kLeafTag);
   }
 
   // Materialize (flat: point at) the entries of a sealed block.
@@ -371,33 +381,44 @@ struct node_manager {
       return v;
     }
   }
-  static size_t size(const node* t) { return t == nullptr ? 0 : t->size; }
-  static A aug_of(const node* t) { return t == nullptr ? traits::identity() : t->aug; }
 
-  // Is t a chunk node (carries a leaf block instead of one inline entry)?
-  static bool is_chunk(const node* t) { return t != nullptr && t->blk != nullptr; }
-
-  // Entries stored at t itself (not counting subtrees).
-  static uint32_t cnt(const node* t) { return t->blk != nullptr ? t->blk->count : 1; }
-
-  // Augmented value of t's own entries (cached in the block for chunks).
-  static A own_aug(const node* t) {
-    if constexpr (traits::has_aug) {
-      return t->blk != nullptr ? t->blk->aug : traits::base(t->key, t->value);
-    } else {
-      return A{};
+  // In-order append of every entry under t (borrowed) onto out.
+  static void collect_entries(const node* t, std::vector<entry_t>& out) {
+    if (t == nullptr) return;
+    if (is_block(t)) {
+      auto bv = read_block(block_of(t));
+      out.insert(out.end(), bv.data(), bv.data() + bv.size());
+      return;
     }
+    collect_entries(t->left, out);
+    out.emplace_back(t->key, t->value);
+    collect_entries(t->right, out);
   }
+
+  static size_t size(const node* t) {
+    if (t == nullptr) return 0;
+    return is_block(t) ? block_of(t)->count : t->size;
+  }
+  // Cached augmented value of a non-empty tree.
+  static const A& aug_ref(const node* t) {
+    return is_block(t) ? block_of(t)->aug : t->aug;
+  }
+  static A aug_of(const node* t) { return t == nullptr ? traits::identity() : aug_ref(t); }
 
   // ------------------------------------------------- reference counting --
 
   static node* inc(node* t) {
-    if (t != nullptr) t->ref_cnt.fetch_add(1, std::memory_order_relaxed);
+    if (is_block(t)) {
+      lstore::retain(block_of(t));
+    } else if (t != nullptr) {
+      t->ref_cnt.fetch_add(1, std::memory_order_relaxed);
+    }
     return t;
   }
 
   static uint32_t ref_count(const node* t) {
-    return t->ref_cnt.load(std::memory_order_relaxed);
+    const std::atomic<uint32_t>& c = is_block(t) ? block_of(t)->ref_cnt : t->ref_cnt;
+    return c.load(std::memory_order_relaxed);
   }
 
   // Release one reference; frees the node (and recursively its subtrees, in
@@ -407,16 +428,19 @@ struct node_manager {
   // retained root, and destroying it lands here with the same parallelism.
   static void dec(node* t) {
     while (t != nullptr) {
+      if (is_block(t)) {
+        lstore::release(block_of(t));
+        return;
+      }
       if (t->ref_cnt.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
       node* l = t->left;
       node* r = t->right;
       destroy_node(t);
-      if (l != nullptr && r != nullptr &&
-          l->size + r->size >= gc_par_cutoff()) {
+      if (is_node(l) && is_node(r) && l->size + r->size >= gc_par_cutoff()) {
         par_do([l] { dec(l); }, [r] { dec(r); });
         return;
       }
-      if (l != nullptr) dec(l);  // bounded by tree height
+      dec(l);  // bounded by tree height
       t = r;
     }
   }
@@ -428,10 +452,11 @@ struct node_manager {
   // balance scheme's own bookkeeping. Called whenever children change, which
   // keeps every algorithm except the aug_* family oblivious of augmentation.
   static void update(node* t) {
-    t->size = static_cast<uint32_t>(cnt(t) + size(t->left) + size(t->right));
+    t->size = static_cast<uint32_t>(1 + size(t->left) + size(t->right));
     if constexpr (traits::has_aug) {
       t->aug = traits::combine(aug_of(t->left),
-                               traits::combine(own_aug(t), aug_of(t->right)));
+                               traits::combine(traits::base(t->key, t->value),
+                                               aug_of(t->right)));
     }
     Balance::template update_data<node_manager>(t);
   }
@@ -441,7 +466,6 @@ struct node_manager {
     new (&t->ref_cnt) std::atomic<uint32_t>(1);
     t->left = nullptr;
     t->right = nullptr;
-    t->blk = nullptr;
     new (&t->key) K(k);
     new (&t->value) V(v);
     if constexpr (traits::has_aug) {
@@ -454,30 +478,7 @@ struct node_manager {
     return t;
   }
 
-  // Wrap a sealed leaf block (ownership transfers) into a fresh leaf-chunk
-  // node. key/value mirror the first entry.
-  static node* make_chunk(lblock* b) {
-    node* t = allocator::allocate();
-    new (&t->ref_cnt) std::atomic<uint32_t>(1);
-    t->left = nullptr;
-    t->right = nullptr;
-    t->blk = b;
-    if constexpr (flat_layout) {
-      const entry_t* e = b->entries();
-      new (&t->key) K(e[0].first);
-      new (&t->value) V(e[0].second);
-    } else {
-      new (&t->key) K(lstore::first_key(b));
-      new (&t->value) V(lstore::value_at(b, 0));
-    }
-    new (&t->aug) A(b->aug);
-    new (&t->bal) typename Balance::data();
-    update(t);
-    return t;
-  }
-
   static void destroy_node(node* t) {
-    if (t->blk != nullptr) lstore::release(t->blk);
     t->key.~K();
     t->value.~V();
     t->aug.~A();
@@ -486,15 +487,14 @@ struct node_manager {
     allocator::deallocate(t);
   }
 
-  // A fresh refcount-1 copy of t sharing t's children and leaf block (whose
-  // counts are bumped). Borrow-style: t's own count is untouched.
+  // A fresh refcount-1 copy of node t sharing t's children (whose counts
+  // are bumped). Borrow-style: t's own count is untouched.
   static node* copy_node(const node* t) {
     node* c = allocator::allocate();
     new (&c->ref_cnt) std::atomic<uint32_t>(1);
     c->size = t->size;
     c->left = inc(t->left);
     c->right = inc(t->right);
-    c->blk = t->blk != nullptr ? lstore::retain(t->blk) : nullptr;
     new (&c->key) K(t->key);
     new (&c->value) V(t->value);
     new (&c->aug) A(t->aug);
@@ -502,19 +502,19 @@ struct node_manager {
     return c;
   }
 
-  // Make t safe to mutate: hand it back if we hold the only reference (the
-  // reuse optimization), otherwise replace our reference with a copy.
+  // Make node t safe to mutate: hand it back if we hold the only reference
+  // (the reuse optimization), otherwise replace our reference with a copy.
+  // Blocks are never mutated, so t is a node.
   static node* ensure_owned(node* t) {
-    if (t == nullptr) return t;
     if (reuse_enabled() && ref_count(t) == 1) return t;
     node* c = copy_node(t);
     dec(t);
     return c;
   }
 
-  // Decompose an owned single-entry tree into (left child, singleton middle,
-  // right child), transferring ownership of all three to the caller. Chunk
-  // nodes are decomposed by tree_ops::expose_own, which shadows this.
+  // Decompose an owned node into (left child, singleton middle, right
+  // child), transferring ownership of all three to the caller. Blocks are
+  // opened by tree_ops::expose_own, which shadows this.
   static void expose_own(node* t, node*& l, node*& m, node*& r) {
     if (reuse_enabled() && ref_count(t) == 1) {
       l = t->left;
@@ -543,20 +543,9 @@ struct node_manager {
 
   // Standard rotations on owned nodes. The child being promoted is made
   // unique first, so rotations are persistence-safe. Colors/priorities move
-  // with their nodes; per-scheme metadata is refreshed by update(). A chunk
-  // node may be promoted to an interior position here — its block's keys
-  // stay between its (new) subtrees, so in-order semantics are unchanged.
-  //
-  // A weight-driven scheme can ask for a rotation whose promoted child does
-  // not exist: a chunk node weighs its whole block, so a "heavy" subtree may
-  // be a single shapeless leaf. Such a rotation is an order-preserving no-op
-  // (the weight is irreducible); the local weight-balance slack this leaves
-  // behind is bounded by the block size.
+  // with their nodes; per-scheme metadata is refreshed by update(). The
+  // promoted child is always a node: no scheme lifts a block off a leaf.
   static node* rotate_left(node* x) {
-    if (x->right == nullptr) {
-      update(x);
-      return x;
-    }
     node* y = ensure_owned(x->right);
     x->right = y->left;
     y->left = x;
@@ -566,10 +555,6 @@ struct node_manager {
   }
 
   static node* rotate_right(node* x) {
-    if (x->left == nullptr) {
-      update(x);
-      return x;
-    }
     node* y = ensure_owned(x->left);
     x->left = y->right;
     y->right = x;

@@ -10,8 +10,8 @@
 // Five record kinds, chosen by the entry's type traits and the tree region
 // during an in-order walk:
 //
-//   kRun        per-field encoded entries (wire::field_codec): inline nodes
-//               between chunks, flushed every kRunFlush entries, for every
+//   kRun        per-field encoded entries (wire::field_codec): the node
+//               entries between blocks, flushed every kRunFlush entries, for every
 //               entry that is not an integer pair; std::string keys forced
 //               flat send their blocks this way too;
 //   kRunDelta   the same runs for integer pairs, delta-coded like
@@ -232,7 +232,7 @@ struct map_codec {
   static constexpr uint8_t kCodedRaw = 3;
   static constexpr uint8_t kFlatDelta = 4;
   static constexpr uint8_t kRunDelta = 5;
-  // Inline-node runs flush at this many entries so one record never grows
+  // Runs of node entries flush at this many entries so one record never grows
   // unbounded (the store layer re-chunks streams into fixed-size pages).
   static constexpr size_t kRunFlush = 4096;
 
@@ -419,7 +419,7 @@ struct map_codec {
   }
 
   template <typename Sink>
-  static void emit_chunk(const lblock* b, state<Sink>& s) {
+  static void emit_block(const lblock* b, state<Sink>& s) {
     flush_run(s);
     if constexpr (delta_entries) {
       emit_delta(kFlatDelta, b->entries(), b->count, s);
@@ -439,22 +439,22 @@ struct map_codec {
   template <typename Sink>
   static void walk(const node* t, state<Sink>& s) {
     if (t == nullptr) return;
-    walk(t->left, s);
-    if (ops::is_chunk(t)) {
+    if (ops::is_block(t)) {
       if constexpr (delta_entries || raw_blocks) {
-        emit_chunk(t->blk, s);
+        emit_block(ops::block_of(t), s);
       } else {
         // std::string keys forced flat: decode and ride the encoded run.
-        auto bv = ops::read_block(t->blk);
+        auto bv = ops::read_block(ops::block_of(t));
         for (size_t i = 0; i < bv.size(); i++) {
           s.run.push_back(bv.data()[i]);
           if (s.run.size() >= kRunFlush) flush_run(s);
         }
       }
-    } else {
-      s.run.emplace_back(t->key, t->value);
-      if (s.run.size() >= kRunFlush) flush_run(s);
+      return;
     }
+    walk(t->left, s);
+    s.run.emplace_back(t->key, t->value);
+    if (s.run.size() >= kRunFlush) flush_run(s);
     walk(t->right, s);
   }
 
@@ -529,7 +529,7 @@ struct map_codec {
     first = es.front().first;
     last = es.back().first;
     if (kind == kRun || kind == kRunDelta) return ops::from_sorted_unique(es.data(), es.size());
-    return ops::make_chunk(adopted != nullptr ? adopted : lstore::build(es.data(), count));
+    return ops::as_leaf(adopted != nullptr ? adopted : lstore::build(es.data(), count));
   }
 
   // A kRun payload: count field_codec entries, exactly filling it.

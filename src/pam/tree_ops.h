@@ -4,12 +4,11 @@
 // all four balancing schemes.
 //
 // This layer is also the seam where the blocked-leaf layouts (node.h) are
-// integrated: JOIN re-packs results of up to leaf_block_size() entries into
-// one chunk, and split/expose/insert/delete materialize chunk contents
-// back into trees at the boundary they touch. The balance schemes above
-// never see a block: a chunk node is an ordinary node to them. Every
-// algorithm below treats a node as "1..B sorted entries plus two subtrees",
-// which is exactly the generalized invariant chunk nodes satisfy.
+// integrated. A tree is null, a leaf block (a tagged child pointer, 1..B
+// sorted entries, no children) or a node (one entry, two subtrees). JOIN
+// packs results of up to leaf_block_size() entries into one block, and
+// split/expose/insert/delete open the one block at the boundary they touch.
+// The balance schemes see a block as a leaf and only ever rotate nodes.
 //
 // Two block encodings live behind this seam (selected per Entry policy by
 // the key_layout trait): flat fixed-width arrays, read zero-copy and point-
@@ -21,6 +20,8 @@
 // everything else works on materialized entry runs.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -44,12 +45,13 @@ struct tree_ops : node_manager<Entry, Balance> {
   using lblock = typename NM::lblock;
   using lstore = typename NM::lstore;
 
+  using NM::as_leaf;
   using NM::attach;
   using NM::aug_of;
-  using NM::cnt;
+  using NM::block_of;
   using NM::dec;
   using NM::inc;
-  using NM::is_chunk;
+  using NM::is_block;
   using NM::less;
   using NM::make_single;
   using NM::size;
@@ -115,69 +117,44 @@ struct tree_ops : node_manager<Entry, Balance> {
     }
   }
 
-  // Is t a leaf chunk (block with no subtrees) — the fast-path shape?
-  static bool is_chunk_leaf(const node* t) {
-    return is_chunk(t) && t->left == nullptr && t->right == nullptr;
-  }
+  // Do a and b denote byte-identical trees by construction? Path copying
+  // shares whole subtrees, and re-packs share sealed blocks, across
+  // versions by pointer, so this is pointer equality. O(1); this is the
+  // pruning test the structural diff (pam/diff.h) descends by, which is
+  // what makes diffing two versions cost O(changes), not O(size).
+  static bool shares_storage(const node* a, const node* b) { return a == b; }
 
-  // Do a and b denote byte-identical trees by construction? True for the
-  // same node (path copying shares whole subtrees across versions by
-  // pointer) and for two leaf chunks over one sealed block (re-packs share
-  // blocks even when the wrapping nodes differ). O(1); this is the pruning
-  // test the structural diff (pam/diff.h) descends by, which is what makes
-  // diffing two versions cost O(changes), not O(size).
-  static bool shares_storage(const node* a, const node* b) {
-    if (a == b) return true;
-    if (a == nullptr || b == nullptr) return false;
-    return a->blk != nullptr && a->blk == b->blk && is_chunk_leaf(a) &&
-           is_chunk_leaf(b);
-  }
-
-  // --------------------------------------------------- chunk construction --
+  // ------------------------------------------------- leaf construction --
 
   // In-order copy of every entry under t (borrowed) into out via placement
   // new, advancing i. Used to fill freshly allocated flat leaf blocks (the
-  // coded layout collects into a vector instead; see collect_entries).
+  // coded layout collects into a vector instead; see NM::collect_entries).
   static void write_entries(const node* t, entry_t* out, size_t& i) {
     if (t == nullptr) return;
-    write_entries(t->left, out, i);
-    if (is_chunk(t)) {
-      const entry_t* es = t->blk->entries();
-      for (uint32_t j = 0; j < t->blk->count; j++) new (&out[i++]) entry_t(es[j]);
-    } else {
-      new (&out[i++]) entry_t(t->key, t->value);
+    if (is_block(t)) {
+      const lblock* b = block_of(t);
+      const entry_t* es = b->entries();
+      for (uint32_t j = 0; j < b->count; j++) new (&out[i++]) entry_t(es[j]);
+      return;
     }
+    write_entries(t->left, out, i);
+    new (&out[i++]) entry_t(t->key, t->value);
     write_entries(t->right, out, i);
   }
 
-  // In-order append of every entry under t (borrowed) onto out; the
-  // layout-generic sibling of write_entries.
-  static void collect_entries(const node* t, std::vector<entry_t>& out) {
-    if (t == nullptr) return;
-    collect_entries(t->left, out);
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      for (size_t j = 0; j < bv.size(); j++) out.push_back(es[j]);
-    } else {
-      out.emplace_back(t->key, t->value);
-    }
-    collect_entries(t->right, out);
-  }
-
-  // A fresh leaf-chunk node over es[0, n), 1 <= n <= kMaxLeafBlock. The
-  // store's build() encodes per the Entry's layout (flat copy / front-coded).
-  static node* make_chunk_leaf(const entry_t* es, size_t n) {
-    return NM::make_chunk(lstore::build(es, static_cast<uint32_t>(n)));
+  // A fresh leaf block over es[0, n), 1 <= n <= kMaxLeafBlock. The store's
+  // build() encodes per the Entry's layout (flat copy / coded).
+  static node* make_leaf(const entry_t* es, size_t n) {
+    return as_leaf(lstore::build(es, static_cast<uint32_t>(n)));
   }
 
   // Sequential balanced build from sorted unique entries. With blocking on,
-  // leaves are chunks and the left recursion takes whole blocks so most
+  // leaves are blocks and the left recursion takes whole blocks so most
   // blocks come out full (the space experiments depend on this density).
   static node* build_sorted_seq(const entry_t* es, size_t n) {
     if (n == 0) return nullptr;
     size_t B = leaf_block_size();
-    if (B >= 1 && n <= B) return make_chunk_leaf(es, n);
+    if (B >= 1 && n <= B) return make_leaf(es, n);
     size_t mid = build_pivot(n, B);
     node* m = make_single(es[mid].first, es[mid].second);
     node* l = build_sorted_seq(es, mid);
@@ -195,79 +172,62 @@ struct tree_ops : node_manager<Entry, Balance> {
     return mid;
   }
 
-  // Reassemble l ++ es[a, b) ++ r into one owned tree (consumes l and r,
-  // borrows es). The workhorse of every "open up a chunk" path.
-  static node* rebuild(node* l, const entry_t* es, size_t a, size_t b, node* r) {
-    node* mid = b > a ? build_sorted_seq(es + a, b - a) : nullptr;
-    return join2(join2(l, mid), r);
-  }
-
-  // An O(1) leaf node sharing t's (sealed, immutable) block — used when a
-  // range bound covers the whole block, so extraction shares storage with
-  // the source exactly like copy_node does.
-  static node* share_block(const node* t) {
-    return NM::make_chunk(lstore::retain(t->blk));
-  }
-
   // JOIN(l, m, r): the single balancing primitive everything is built from.
   // Consumes all three owned references; max(l) < m->key < min(r); m is a
-  // singleton. Results of at most leaf_block_size() entries are re-packed
-  // into one flat chunk — this is where blocks are (re)formed.
+  // singleton. Results of at most leaf_block_size() entries are packed into
+  // one leaf block — this is where blocks are (re)formed.
   static node* join(node* l, node* m, node* r) {
     size_t B = leaf_block_size();
     if (B >= 1) {
       size_t total = size(l) + 1 + size(r);
-      if (total <= B) return pack_chunk(l, m, r);
+      if (total <= B) return pack_leaf(l, m, r);
     }
     return BO::node_join(l, m, r);
   }
 
-  // Flatten l ++ m ++ r (all owned, m singleton) into one leaf chunk. Flat
+  // Flatten l ++ m ++ r (all owned, m singleton) into one leaf block. Flat
   // blocks are filled in place; coded blocks encode from a collected run.
-  static node* pack_chunk(node* l, node* m, node* r) {
+  static node* pack_leaf(node* l, node* m, node* r) {
     uint32_t total = static_cast<uint32_t>(size(l) + 1 + size(r));
-    node* c;
+    lblock* b;
     if constexpr (NM::flat_layout) {
-      lblock* b = lstore::allocate(total);
+      b = lstore::allocate(total);
       entry_t* out = b->entries();
       size_t i = 0;
       write_entries(l, out, i);
       new (&out[i++]) entry_t(m->key, m->value);
       write_entries(r, out, i);
       lstore::seal(b);
-      c = NM::make_chunk(b);
     } else {
       std::vector<entry_t> tmp;
       tmp.reserve(total);
-      collect_entries(l, tmp);
+      NM::collect_entries(l, tmp);
       tmp.emplace_back(m->key, m->value);
-      collect_entries(r, tmp);
-      c = NM::make_chunk(lstore::build(tmp.data(), total));
+      NM::collect_entries(r, tmp);
+      b = lstore::build(tmp.data(), total);
     }
     dec(l);
     dec(m);
     dec(r);
-    return c;
+    return as_leaf(b);
   }
 
-  // Decompose an owned tree into (left, singleton middle, right). For chunk
-  // nodes the block is opened around its middle entry; the halves re-pack
-  // into smaller blocks via join. Generic algorithms (union, filter, ...)
-  // rely on this to stay oblivious of the leaf layout.
+  // Decompose an owned non-empty tree into (left, singleton middle, right).
+  // A block is opened around its middle entry into two smaller blocks.
+  // Generic algorithms (union, filter, ...) rely on this to stay oblivious
+  // of the leaf layout.
   static void expose_own(node* t, node*& l, node*& m, node*& r) {
-    if (!is_chunk(t)) {
+    if (!is_block(t)) {
       NM::expose_own(t, l, m, r);
       return;
     }
-    auto bv = NM::read_block(t->blk);
+    auto bv = NM::read_block(block_of(t));
     const entry_t* es = bv.data();
     size_t c = bv.size();
     size_t j = c / 2;
-    node* cl = inc(t->left);
-    node* cr = inc(t->right);
     m = make_single(es[j].first, es[j].second);
-    l = rebuild(cl, es, 0, j, nullptr);
-    r = rebuild(nullptr, es, j + 1, c, cr);
+    l = build_sorted_seq(es, j);
+    r = build_sorted_seq(es + j + 1, c - j - 1);
     dec(t);  // after the copies: a flat view's es points into t's block
   }
 
@@ -283,7 +243,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   // owned singleton), and keys > k. Consumes t. O(log n + B).
   static split_t split(node* t, const K& k) {
     if (t == nullptr) return {};
-    if (is_chunk(t)) return split_chunk(t, k);
+    if (is_block(t)) return split_block(t, k);
     node *l, *m, *r;
     NM::expose_own(t, l, m, r);
     if (less(k, m->key)) {
@@ -299,54 +259,35 @@ struct tree_ops : node_manager<Entry, Balance> {
     return {l, m, r};
   }
 
-  static split_t split_chunk(node* t, const K& k) {
-    auto bv = NM::read_block(t->blk);
+  // A block that k does not cut goes to one side whole, shared.
+  static split_t split_block(node* t, const K& k) {
+    const lblock* b = block_of(t);
+    bool hit = false;
+    size_t pos = blk_lower(b, k, &hit);
+    if (pos == 0 && !hit) return {nullptr, nullptr, t};
+    if (pos == b->count) return {t, nullptr, nullptr};
+    auto bv = NM::read_block(b);
     const entry_t* es = bv.data();
     size_t c = bv.size();
-    node* cl = inc(t->left);
-    node* cr = inc(t->right);
     split_t s;
-    if (less(k, es[0].first)) {
-      split_t sub = split(cl, k);
-      s.left = sub.left;
-      s.mid = sub.mid;
-      s.right = rebuild(sub.right, es, 0, c, cr);
-    } else if (less(es[c - 1].first, k)) {
-      split_t sub = split(cr, k);
-      s.right = sub.right;
-      s.mid = sub.mid;
-      s.left = rebuild(cl, es, 0, c, sub.left);
-    } else {
-      size_t pos = lower_idx(es, c, k);
-      bool hit = pos < c && !less(k, es[pos].first);
-      s.left = rebuild(cl, es, 0, pos, nullptr);
-      if (hit) {
-        s.mid = make_single(es[pos].first, es[pos].second);
-        s.right = rebuild(nullptr, es, pos + 1, c, cr);
-      } else {
-        s.right = rebuild(nullptr, es, pos, c, cr);
-      }
+    s.left = build_sorted_seq(es, pos);
+    if (hit) {
+      s.mid = make_single(es[pos].first, es[pos].second);
+      pos++;
     }
+    s.right = build_sorted_seq(es + pos, c - pos);
     dec(t);
     return s;
   }
 
   // Remove and return the last (maximum) entry: (rest, last-as-singleton).
   static std::pair<node*, node*> split_last(node* t) {
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       const entry_t* es = bv.data();
       size_t c = bv.size();
-      node* cl = inc(t->left);
-      node* cr = inc(t->right);
-      if (cr != nullptr) {
-        auto [rest, last] = split_last(cr);
-        node* whole = rebuild(cl, es, 0, c, rest);
-        dec(t);
-        return {whole, last};
-      }
       node* last = make_single(es[c - 1].first, es[c - 1].second);
-      node* rest = rebuild(cl, es, 0, c - 1, nullptr);
+      node* rest = build_sorted_seq(es, c - 1);
       dec(t);
       return {rest, last};
     }
@@ -374,13 +315,13 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) {
       if (leaf_block_size() >= 1) {
         entry_t e(k, v);
-        return make_chunk_leaf(&e, 1);
+        return make_leaf(&e, 1);
       }
       return make_single(k, v);
     }
-    if (is_chunk_leaf(t)) return chunk_leaf_insert(t, k, v, comb);
+    if (is_block(t)) return block_insert(t, k, v, comb);
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     if (less(k, m->key)) return join(insert(l, k, v, comb), m, r);
     if (less(m->key, k)) return join(l, m, insert(r, k, v, comb));
     m->value = comb(m->value, v);
@@ -393,8 +334,8 @@ struct tree_ops : node_manager<Entry, Balance> {
   }
 
   template <typename Comb>
-  static node* chunk_leaf_insert(node* t, const K& k, const V& v, const Comb& comb) {
-    auto bv = NM::read_block(t->blk);
+  static node* block_insert(node* t, const K& k, const V& v, const Comb& comb) {
+    auto bv = NM::read_block(block_of(t));
     const entry_t* es = bv.data();
     size_t c = bv.size();
     size_t pos = lower_idx(es, c, k);
@@ -415,9 +356,8 @@ struct tree_ops : node_manager<Entry, Balance> {
         }
         for (size_t j = pos + (hit ? 1 : 0); j < c; j++) new (&out[i++]) entry_t(es[j]);
         lstore::seal(nb);
-        node* nn = NM::make_chunk(nb);
         dec(t);
-        return nn;
+        return as_leaf(nb);
       }
     }
     // Coded blocks, overflow, or blocking now disabled: materialize and
@@ -439,49 +379,50 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   static node* remove(node* t, const K& k) {
     if (t == nullptr) return nullptr;
-    if (is_chunk_leaf(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      size_t pos = lower_idx(es, c, k);
-      if (pos == c || less(k, es[pos].first)) return t;  // absent: unchanged
-      if (c == 1) {
-        dec(t);
-        return nullptr;
-      }
-      size_t B = leaf_block_size();
-      node* nn = nullptr;
-      bool direct = false;
-      if constexpr (NM::flat_layout) {
-        if (B >= 1 && c - 1 <= B) {
-          lblock* nb = lstore::allocate(static_cast<uint32_t>(c - 1));
-          entry_t* out = nb->entries();
-          size_t i = 0;
-          for (size_t j = 0; j < c; j++) {
-            if (j != pos) new (&out[i++]) entry_t(es[j]);
-          }
-          lstore::seal(nb);
-          nn = NM::make_chunk(nb);
-          direct = true;
-        }
-      }
-      if (!direct) {
-        std::vector<entry_t> tmp;
-        tmp.reserve(c - 1);
-        for (size_t j = 0; j < c; j++) {
-          if (j != pos) tmp.push_back(es[j]);
-        }
-        nn = build_sorted_seq(tmp.data(), tmp.size());
-      }
-      dec(t);
-      return nn;
-    }
+    if (is_block(t)) return block_remove(t, k);
     node *l, *m, *r;
-    expose_own(t, l, m, r);
+    NM::expose_own(t, l, m, r);
     if (less(k, m->key)) return join(remove(l, k), m, r);
     if (less(m->key, k)) return join(l, m, remove(r, k));
     dec(m);
     return join2(l, r);
+  }
+
+  static node* block_remove(node* t, const K& k) {
+    const lblock* b = block_of(t);
+    bool hit = false;
+    size_t pos = blk_lower(b, k, &hit);
+    if (!hit) return t;  // absent: unchanged
+    size_t c = b->count;
+    if (c == 1) {
+      dec(t);
+      return nullptr;
+    }
+    auto bv = NM::read_block(b);
+    const entry_t* es = bv.data();
+    node* nn = nullptr;
+    if constexpr (NM::flat_layout) {
+      if (leaf_block_size() >= c - 1) {
+        lblock* nb = lstore::allocate(static_cast<uint32_t>(c - 1));
+        entry_t* out = nb->entries();
+        size_t i = 0;
+        for (size_t j = 0; j < c; j++) {
+          if (j != pos) new (&out[i++]) entry_t(es[j]);
+        }
+        lstore::seal(nb);
+        nn = as_leaf(nb);
+      }
+    }
+    if (nn == nullptr) {
+      std::vector<entry_t> tmp;
+      tmp.reserve(c - 1);
+      for (size_t j = 0; j < c; j++) {
+        if (j != pos) tmp.push_back(es[j]);
+      }
+      nn = build_sorted_seq(tmp.data(), tmp.size());
+    }
+    dec(t);
+    return nn;
   }
 
   // ------------------------------------------------------------ search --
@@ -492,20 +433,12 @@ struct tree_ops : node_manager<Entry, Balance> {
   template <typename Key>
   static std::optional<V> find(const node* t, const Key& k) {
     while (t != nullptr) {
-      if (is_chunk(t)) {
-        const lblock* b = t->blk;
+      if (is_block(t)) {
+        const lblock* b = block_of(t);
         bool eq = false;
         size_t pos = blk_lower(b, k, &eq);
         if (eq) return blk_value(b, pos);
-        if (pos == 0) {
-          t = t->left;
-          continue;
-        }
-        if (pos == b->count) {
-          t = t->right;
-          continue;
-        }
-        return std::nullopt;  // k falls strictly between two block entries
+        return std::nullopt;
       }
       if (less(k, t->key)) {
         t = t->left;
@@ -523,15 +456,15 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   static std::optional<entry_t> first_entry(const node* t) {
     if (t == nullptr) return std::nullopt;
-    while (t->left != nullptr) t = t->left;
-    if (is_chunk(t)) return blk_entry(t->blk, 0);
+    while (!is_block(t) && t->left != nullptr) t = t->left;
+    if (is_block(t)) return blk_entry(block_of(t), 0);
     return entry_t(t->key, t->value);
   }
 
   static std::optional<entry_t> last_entry(const node* t) {
     if (t == nullptr) return std::nullopt;
-    while (t->right != nullptr) t = t->right;
-    if (is_chunk(t)) return blk_entry(t->blk, t->blk->count - 1);
+    while (!is_block(t) && t->right != nullptr) t = t->right;
+    if (is_block(t)) return blk_entry(block_of(t), block_of(t)->count - 1);
     return entry_t(t->key, t->value);
   }
 
@@ -539,18 +472,11 @@ struct tree_ops : node_manager<Entry, Balance> {
   static std::optional<entry_t> previous_entry(const node* t, const K& k) {
     std::optional<entry_t> best;
     while (t != nullptr) {
-      if (is_chunk(t)) {
-        const lblock* b = t->blk;
-        size_t c = b->count;
+      if (is_block(t)) {
+        const lblock* b = block_of(t);
         size_t pos = blk_lower(b, k, nullptr);  // entries [0, pos) are < k
-        if (pos == 0) {
-          t = t->left;
-          continue;
-        }
-        best = blk_entry(b, pos - 1);
-        if (pos < c) return best;  // everything further right is >= k
-        t = t->right;
-        continue;
+        if (pos > 0) best = blk_entry(b, pos - 1);
+        return best;
       }
       if (less(t->key, k)) {
         best = entry_t(t->key, t->value);
@@ -566,18 +492,11 @@ struct tree_ops : node_manager<Entry, Balance> {
   static std::optional<entry_t> next_entry(const node* t, const K& k) {
     std::optional<entry_t> best;
     while (t != nullptr) {
-      if (is_chunk(t)) {
-        const lblock* b = t->blk;
-        size_t c = b->count;
-        size_t pos = blk_upper(b, k);  // entries [pos, c) are > k
-        if (pos == c) {
-          t = t->right;
-          continue;
-        }
-        best = blk_entry(b, pos);
-        if (pos > 0) return best;  // everything further left is <= k
-        t = t->left;
-        continue;
+      if (is_block(t)) {
+        const lblock* b = block_of(t);
+        size_t pos = blk_upper(b, k);  // entries [pos, count) are > k
+        if (pos < b->count) best = blk_entry(b, pos);
+        return best;
       }
       if (less(k, t->key)) {
         best = entry_t(t->key, t->value);
@@ -595,19 +514,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   static size_t rank(const node* t, const K& k) {
     size_t acc = 0;
     while (t != nullptr) {
-      if (is_chunk(t)) {
-        const lblock* b = t->blk;
-        size_t c = b->count;
-        size_t pos = blk_lower(b, k, nullptr);
-        if (pos == 0) {
-          t = t->left;
-          continue;
-        }
-        acc += size(t->left) + pos;
-        if (pos < c) return acc;
-        t = t->right;
-        continue;
-      }
+      if (is_block(t)) return acc + blk_lower(block_of(t), k, nullptr);
       if (less(t->key, k)) {
         acc += size(t->left) + 1;
         t = t->right;
@@ -622,19 +529,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   static size_t rank_leq(const node* t, const K& k) {
     size_t acc = 0;
     while (t != nullptr) {
-      if (is_chunk(t)) {
-        const lblock* b = t->blk;
-        size_t c = b->count;
-        size_t pos = blk_upper(b, k);
-        if (pos == 0) {
-          t = t->left;
-          continue;
-        }
-        acc += size(t->left) + pos;
-        if (pos < c) return acc;
-        t = t->right;
-        continue;
-      }
+      if (is_block(t)) return acc + blk_upper(block_of(t), k);
       if (!less(k, t->key)) {
         acc += size(t->left) + 1;
         t = t->right;
@@ -656,20 +551,18 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   // The i-th entry in key order (0-based); nullopt if i >= size.
   static std::optional<entry_t> select(const node* t, size_t i) {
-    while (t != nullptr) {
+    if (i >= size(t)) return std::nullopt;
+    while (!is_block(t)) {
       size_t ls = size(t->left);
-      size_t c = cnt(t);
+      if (i == ls) return entry_t(t->key, t->value);
       if (i < ls) {
         t = t->left;
-      } else if (i < ls + c) {
-        if (is_chunk(t)) return blk_entry(t->blk, i - ls);
-        return entry_t(t->key, t->value);
       } else {
-        i -= ls + c;
+        i -= ls + 1;
         t = t->right;
       }
     }
-    return std::nullopt;
+    return blk_entry(block_of(t), i);
   }
 
   // --------------------------------------------------- range extraction --
@@ -679,57 +572,34 @@ struct tree_ops : node_manager<Entry, Balance> {
   // at most one re-packed boundary block.
   static node* take_leq(const node* t, const K& k) {
     if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(k, es[0].first)) return take_leq(t->left, k);
-      size_t pos = upper_idx(es, c, k);  // entries [0, pos) are <= k
-      if (pos == c) {
-        return join2(join2(inc(t->left), share_block(t)), take_leq(t->right, k));
-      }
-      return rebuild(inc(t->left), es, 0, pos, nullptr);
+    if (is_block(t)) {
+      size_t pos = blk_upper(block_of(t), k);  // entries [0, pos) are <= k
+      return block_slice(t, 0, pos);
     }
     if (less(k, t->key)) return take_leq(t->left, k);
-    return join(inc(t->left), make_single(t->key, t->value),
-                take_leq(t->right, k));
+    return join(inc(t->left), make_single(t->key, t->value), take_leq(t->right, k));
   }
 
   // All entries with key >= k (the paper's downTo).
   static node* take_geq(const node* t, const K& k) {
     if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, k)) return take_geq(t->right, k);
-      size_t pos = lower_idx(es, c, k);  // entries [pos, c) are >= k
-      if (pos == 0) {
-        return join2(join2(take_geq(t->left, k), share_block(t)), inc(t->right));
-      }
-      return rebuild(nullptr, es, pos, c, inc(t->right));
+    if (is_block(t)) {
+      const lblock* b = block_of(t);
+      size_t pos = blk_lower(b, k, nullptr);  // entries [pos, count) are >= k
+      return block_slice(t, pos, b->count);
     }
     if (less(t->key, k)) return take_geq(t->right, k);
-    return join(take_geq(t->left, k), make_single(t->key, t->value),
-                inc(t->right));
+    return join(take_geq(t->left, k), make_single(t->key, t->value), inc(t->right));
   }
 
   // All entries with lo <= key <= hi. Borrows t.
   static node* range_copy(const node* t, const K& lo, const K& hi) {
     if (t == nullptr) return nullptr;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
-      if (less(es[c - 1].first, lo)) return range_copy(t->right, lo, hi);
-      if (less(hi, es[0].first)) return range_copy(t->left, lo, hi);
-      size_t i = lower_idx(es, c, lo);
-      size_t j = upper_idx(es, c, hi);
-      if (j < i) return nullptr;  // lo > hi can straddle a block: empty range
-      node* l = i == 0 ? take_geq(t->left, lo) : nullptr;
-      node* r = j == c ? take_leq(t->right, hi) : nullptr;
-      if (i == 0 && j == c) return join2(join2(l, share_block(t)), r);
-      return rebuild(l, es, i, j, r);
+    if (is_block(t)) {
+      const lblock* b = block_of(t);
+      size_t i = blk_lower(b, lo, nullptr);
+      size_t j = blk_upper(b, hi);
+      return block_slice(t, i, j);  // lo > hi gives j <= i: empty
     }
     if (less(t->key, lo)) return range_copy(t->right, lo, hi);
     if (less(hi, t->key)) return range_copy(t->left, lo, hi);
@@ -737,17 +607,25 @@ struct tree_ops : node_manager<Entry, Balance> {
                 take_leq(t->right, hi));
   }
 
+  // Entries [i, j) of block t (borrowed) as an owned tree: the block itself,
+  // shared, when the slice covers it.
+  static node* block_slice(const node* t, size_t i, size_t j) {
+    if (j <= i) return nullptr;
+    if (i == 0 && j == block_of(t)->count) return inc(const_cast<node*>(t));
+    auto bv = NM::read_block(block_of(t));
+    return build_sorted_seq(bv.data() + i, j - i);
+  }
+
   // ---------------------------------------------------------- validation --
 
-  // Full structural validation: size fields, key ordering, chunk-node
-  // integrity, cached augmented values (when A is equality-comparable), and
-  // — for trees with no chunk nodes — the balance-scheme invariant. The
-  // scheme invariants are defined for unit-weight nodes; a chunk node
-  // weighs its whole block, so a blocked tree checks the generalized
-  // structure instead (joins still keep depth logarithmic in the number of
-  // blocks; the differential fuzz sweeps verify semantics at every B).
+  // Full structural validation: size fields, key ordering, block integrity,
+  // cached augmented values (when A is equality-comparable), the balance
+  // scheme's invariant (blocks are leaves to every scheme; the
+  // weight-balanced test covers its block-free subtrees), and the depth
+  // bound. Blocks sit at leaf positions by construction: a tagged child
+  // pointer has no children to follow.
   static bool check_valid(const node* t) {
-    if (!check_chunks(t)) return false;
+    if (!check_blocks(t)) return false;
     if (!check_sizes(t)) return false;
     std::optional<K> prev;
     if (!check_order(t, prev)) return false;
@@ -756,37 +634,62 @@ struct tree_ops : node_manager<Entry, Balance> {
                   }) {
       if (!check_aug(t)) return false;
     }
-    if (!contains_chunk(t) && !BO::check(t)) return false;
-    return true;
+    return BO::check(t) && check_depth(t);
   }
 
-  static bool contains_chunk(const node* t) {
-    if (t == nullptr) return false;
-    if (is_chunk(t)) return true;
-    return contains_chunk(t->left) || contains_chunk(t->right);
+  // Shape of a tree: node and block counts, and its depth counted in nodes
+  // (a block adds nothing to the depth of the path that ends at it).
+  struct shape_t {
+    size_t nodes = 0;
+    size_t blocks = 0;
+    size_t depth = 0;
+  };
+
+  static shape_t shape(const node* t) {
+    shape_t s;
+    if (t == nullptr) return s;
+    if (is_block(t)) {
+      s.blocks = 1;
+      return s;
+    }
+    shape_t l = shape(t->left), r = shape(t->right);
+    s.nodes = l.nodes + r.nodes + 1;
+    s.blocks = l.blocks + r.blocks;
+    s.depth = 1 + std::max(l.depth, r.depth);
+    return s;
+  }
+
+  // The depth a scheme keeps over a tree's leaf positions: its stated
+  // factor times log2(nodes + 1), plus two levels of slack. Every block
+  // takes one of the nodes + 1 leaf positions, so in a blocked tree this is
+  // a bound over the block count (nodes and blocks are about equal there).
+  static size_t depth_bound(const shape_t& s) {
+    double leaves = static_cast<double>(s.nodes + 1);
+    return static_cast<size_t>(Balance::depth_factor * std::log2(leaves)) + 2;
+  }
+
+  static bool check_depth(const node* t) {
+    shape_t s = shape(t);
+    return s.depth <= depth_bound(s);
   }
 
  private:
-  static bool check_chunks(const node* t) {
+  static bool check_blocks(const node* t) {
     if (t == nullptr) return true;
-    if (is_chunk(t)) {
-      const lblock* b = t->blk;
-      if (b->ref_cnt.load(std::memory_order_relaxed) == 0) return false;
+    if (is_block(t)) {
+      const lblock* b = block_of(t);
+      if (b->ref_cnt.load(std::memory_order_relaxed) == 0 || b->count == 0) return false;
       if constexpr (NM::flat_layout) {
-        if (b->count == 0 || b->count > b->capacity) return false;
-        // The node's inline key/value mirror the first block entry.
-        if (!NM::keys_equal(t->key, b->entries()[0].first)) return false;
-      } else {
-        if (b->count == 0) return false;
-        if (!NM::keys_equal(t->key, lstore::first_key(b))) return false;
+        if (b->count > b->capacity) return false;
       }
+      return true;
     }
-    return check_chunks(t->left) && check_chunks(t->right);
+    return check_blocks(t->left) && check_blocks(t->right);
   }
 
   static bool check_sizes(const node* t) {
-    if (t == nullptr) return true;
-    if (t->size != cnt(t) + size(t->left) + size(t->right)) return false;
+    if (!NM::is_node(t)) return true;
+    if (t->size != 1 + size(t->left) + size(t->right)) return false;
     return check_sizes(t->left) && check_sizes(t->right);
   }
 
@@ -794,32 +697,32 @@ struct tree_ops : node_manager<Entry, Balance> {
   // decoded view dies at scope exit, so a pointer into it would dangle.
   static bool check_order(const node* t, std::optional<K>& prev) {
     if (t == nullptr) return true;
-    if (!check_order(t->left, prev)) return false;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       const entry_t* es = bv.data();
       for (size_t i = 0; i < bv.size(); i++) {
         if (prev.has_value() && !less(*prev, es[i].first)) return false;
         prev = es[i].first;
       }
-    } else {
-      if (prev.has_value() && !less(*prev, t->key)) return false;
-      prev = t->key;
+      return true;
     }
+    if (!check_order(t->left, prev)) return false;
+    if (prev.has_value() && !less(*prev, t->key)) return false;
+    prev = t->key;
     return check_order(t->right, prev);
   }
 
   static bool check_aug(const node* t) {
     if (t == nullptr) return true;
-    if (is_chunk(t)) {
-      auto bv = NM::read_block(t->blk);
+    if (is_block(t)) {
+      auto bv = NM::read_block(block_of(t));
       // The same grouped fold the stores' seal/build use, so the cached
       // value compares equal bit for bit, floats included.
-      A block_expect = fold_entries_assoc<traits>(bv.data(), 0, bv.size());
-      if (!(t->blk->aug == block_expect)) return false;
+      return block_of(t)->aug == fold_entries_assoc<traits>(bv.data(), 0, bv.size());
     }
     A expect = traits::combine(aug_of(t->left),
-                               traits::combine(NM::own_aug(t), aug_of(t->right)));
+                               traits::combine(traits::base(t->key, t->value),
+                                               aug_of(t->right)));
     if (!(t->aug == expect)) return false;
     return check_aug(t->left) && check_aug(t->right);
   }

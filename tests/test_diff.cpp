@@ -149,6 +149,39 @@ TEST(Diff, SmallEditOnLargeMapIsCheap) {
   EXPECT_LT(grown, 200);
 }
 
+// Two versions that share a leaf block hold the same tagged pointer to it:
+// shares_storage is pointer equality, and the diff prunes there without
+// reading the block. A block rebuilt from equal entries is not shared.
+TEST(Diff, SharedBlockPrunesByPointer) {
+  using ops = pam::diff_ops<pam::sum_entry<K, V>, pam::weight_balanced>;
+  size_t saved = pam::leaf_block_size();
+  pam::set_leaf_block_size(32);
+  std::vector<std::pair<K, V>> es;
+  for (K k = 0; k < 64; k++) es.push_back({k, k});
+  ops::node* a = ops::from_sorted_unique(es.data(), es.size());
+  ops::node* b = ops::insert(ops::inc(a), 63, 999);
+  ASSERT_TRUE(ops::is_node(a));
+  ASSERT_TRUE(ops::is_node(b));
+  ASSERT_NE(a, b);
+  ASSERT_TRUE(ops::is_block(a->left));
+  EXPECT_EQ(a->left, b->left);  // one block, two versions
+  EXPECT_TRUE(ops::shares_storage(a->left, b->left));
+  EXPECT_FALSE(ops::shares_storage(a->right, b->right));
+
+  ops::node* copy = ops::from_sorted_unique(es.data(), 32);
+  ASSERT_TRUE(ops::is_block(copy));
+  EXPECT_FALSE(ops::shares_storage(a->left, copy));
+
+  auto same = ops::diff(ops::inc(a->left), ops::inc(b->left));
+  EXPECT_EQ(same.before, nullptr);
+  EXPECT_EQ(same.after, nullptr);
+  auto d = ops::diff(ops::inc(a), ops::inc(b));
+  EXPECT_EQ(ops::size(d.before), 1u);
+  EXPECT_EQ(ops::size(d.after), 1u);
+  for (ops::node* t : {a, b, copy, d.before, d.after}) ops::dec(t);
+  pam::set_leaf_block_size(saved);
+}
+
 TEST(Diff, ReverseDirectionSwapsSides) {
   using map_t = pam::range_sum_map;
   map_t a({{1, 1}, {2, 2}});

@@ -32,8 +32,9 @@ class TreeLowLevel : public ::testing::Test {
     return ops_type::build(std::move(es), [](uint64_t, uint64_t b) { return b; });
   }
 
+  // Height in levels, a leaf block counting as one.
   static size_t height(const node_type* t) {
-    if (t == nullptr) return 0;
+    if (!ops_type::is_node(t)) return ops_type::is_block(t) ? 1 : 0;
     return 1 + std::max(height(t->left), height(t->right));
   }
 };
@@ -79,6 +80,7 @@ TYPED_TEST(TreeLowLevel, SplitConsumesAndPreservesEntries) {
   using ops = typename TestFixture::ops_type;
   int64_t base = ops::used_nodes();
   auto* t = TestFixture::build_n(5000, 3);
+  ASSERT_TRUE(ops::is_node(t));
   uint64_t pivot = t->key;
   auto s = ops::split(t, pivot);
   ASSERT_NE(s.mid, nullptr);  // the root key is in the tree
@@ -144,6 +146,7 @@ TYPED_TEST(TreeLowLevel, AugMaintainedThroughRawJoins) {
 TYPED_TEST(TreeLowLevel, TakeLeqGeqShareNodes) {
   using ops = typename TestFixture::ops_type;
   auto* t = TestFixture::build_n(100000, 7);
+  ASSERT_TRUE(ops::is_node(t));
   int64_t before = ops::used_nodes();
   auto* lo = ops::take_leq(t, t->key);
   int64_t fresh = ops::used_nodes() - before;
@@ -152,6 +155,54 @@ TYPED_TEST(TreeLowLevel, TakeLeqGeqShareNodes) {
   EXPECT_TRUE(ops::check_valid(lo));
   ops::dec(lo);
   ops::dec(t);
+}
+
+// Blocked trees keep blocks at the leaves and a logarithmic depth through
+// every bulk operation and through point churn. check_valid holds each
+// scheme to its stated depth factor over log2(nodes + 1); the explicit
+// checks restate that bound over the block count.
+TYPED_TEST(TreeLowLevel, BlockedDepthStaysBounded) {
+  using ops = typename TestFixture::ops_type;
+  using node = typename TestFixture::node_type;
+  size_t saved_b = pam::leaf_block_size();
+  for (size_t b : {1, 2, 32}) {
+    pam::set_leaf_block_size(b);
+    auto expect_shape = [&](const node* t, const char* phase) {
+      ASSERT_TRUE(ops::check_valid(t)) << "B=" << b << " " << phase;
+      auto s = ops::shape(t);
+      // Every block takes one of the nodes + 1 leaf positions.
+      EXPECT_LE(s.blocks, s.nodes + 1) << "B=" << b << " " << phase;
+      EXPECT_GT(s.blocks, 0u) << "B=" << b << " " << phase;
+      double bound = TypeParam::depth_factor *
+                         std::log2(static_cast<double>(s.blocks + 1)) + 2;
+      EXPECT_LE(static_cast<double>(s.depth), bound)
+          << "B=" << b << " " << phase << " depth " << s.depth << " blocks " << s.blocks;
+    };
+    auto id = [](uint64_t, uint64_t v) { return v; };
+    node* t = TestFixture::build_n(20000, 11);
+    expect_shape(t, "build");
+    node* other = TestFixture::build_n(5000, 12);
+    node* u = ops::union_(ops::inc(t), other, id);
+    expect_shape(u, "union");
+    std::vector<std::pair<uint64_t, uint64_t>> up;
+    pam::random_gen g(13);
+    for (int i = 0; i < 3000; i++) up.push_back({g.next(), 1});
+    node* mi = ops::multi_insert(ops::inc(t), up, id);
+    expect_shape(mi, "multi_insert");
+    node* f = ops::filter(ops::inc(t), [](uint64_t k, uint64_t) { return k % 3 != 0; });
+    expect_shape(f, "filter");
+    node* r = ops::range_copy(t, uint64_t{1} << 61, uint64_t{3} << 61);
+    expect_shape(r, "range");
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 2000; i++) keys.push_back(g.next());
+    for (int i = 0; i < 10000; i++) {
+      uint64_t k = keys[g.next() % keys.size()];
+      t = g.next() % 2 == 0 ? ops::insert(t, k, 1, id) : ops::remove(t, k);
+    }
+    expect_shape(t, "churn");
+    for (node* x : {t, u, mi, f, r}) ops::dec(x);
+  }
+  pam::set_leaf_block_size(saved_b);
 }
 
 // Weight-balanced specifics: the alpha = 2/7 invariant is what check()
@@ -187,7 +238,8 @@ TEST(RedBlackShape, HeightBoundAfterUnions) {
   }
   size_t n = ops::size(acc);
   std::function<size_t(const ops::node*)> ht = [&](const ops::node* t) -> size_t {
-    return t ? 1 + std::max(ht(t->left), ht(t->right)) : 0;
+    if (!ops::is_node(t)) return ops::is_block(t) ? 1 : 0;
+    return 1 + std::max(ht(t->left), ht(t->right));
   };
   EXPECT_LE(static_cast<double>(ht(acc)),
             2.2 * std::log2(static_cast<double>(n) + 1));

@@ -66,6 +66,12 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
                       committed row showing it beats the plain loop the
                       compiler vectorizes; a new site adds its row and its
                       path here together.
+  leaf-tag            the low-bit tag that marks a child pointer as a leaf
+                      block is set, tested and stripped only in
+                      src/pam/node.h (node_manager's is_block / block_of /
+                      as_leaf). Anywhere else, an integer view of a pointer
+                      (uintptr_t / intptr_t) masked with 1 is a second copy
+                      of the tag protocol; go through the helpers instead.
 
 Usage:
   pam_lint.py --root <repo-root>    lint the repository (exit 1 on findings)
@@ -87,6 +93,7 @@ RULES = (
     "env-catalogue",
     "wal-append-site",
     "isa-intrinsics",
+    "leaf-tag",
 )
 
 WAIVER_RE = re.compile(r"pam-lint:\s*allow\(([a-z-]+)\)")
@@ -228,6 +235,14 @@ ISA_HEADER_RE = re.compile(
 ISA_MACRO_RE = re.compile(r"\b__(?:AVX|SSE)\w*__\b")
 # The one src/ file whose intrinsics are backed by a committed bench row.
 ISA_INTRINSICS_SITE = "src/store/crc32c.h"
+# Pointer low-bit tagging, matched in stripped code: within one statement, an
+# integer view of a pointer and a bitwise op against 1 (or ~1, or the tag
+# constant) — the set, test and strip of a leaf tag.
+LEAF_TAG_RE = re.compile(
+    r"\bu?intptr_t\b[^;{}]*?[&|^]=?\s*~?\s*\(?\s*"
+    r"(?:u?intptr_t\s*[({]\s*)?(?:1|0x1|kLeafTag)\b")
+# The one file that owns the leaf-tag protocol.
+LEAF_TAG_SITE = "src/pam/node.h"
 
 
 def lineno_of(text, pos):
@@ -368,6 +383,16 @@ def lint_file(relpath, text, env_catalogue=None):
                     f"{what} outside {ISA_INTRINSICS_SITE}: intrinsics need "
                     "a committed bench row showing they beat the plain "
                     "loop"))
+
+    # Leaf tags live behind node_manager's helpers.
+    if unix != LEAF_TAG_SITE:
+        for m in LEAF_TAG_RE.finditer(code):
+            ln = lineno_of(code, m.start())
+            if not waived(lines, ln, "leaf-tag"):
+                findings.append(Finding(
+                    relpath, ln, "leaf-tag",
+                    f"pointer low-bit tag outside {LEAF_TAG_SITE}: use "
+                    "node_manager's is_block / block_of / as_leaf"))
 
     # src/store/ is inside src/ but is a CONSUMER of the tree kernel, not
     # part of it: the checkpoint format depends only on the facade's
