@@ -35,6 +35,13 @@
 //      again after n/10 more random point inserts. Leaf blocks are not
 //      counted: this row isolates what the tree above the blocks costs. The
 //      post-insert row is gated in bench/baselines/BENCH_PR10.json.
+//  (h) flat leaf bytes per entry of a sum_entry<u64, u64> map at B = 32:
+//      live leaf-block bytes over entries, right after a build of n random
+//      keys and again after n/10 more random point inserts. Full blocks are
+//      536 bytes (a 24-byte header and 32 16-byte entries); the inserts
+//      split blocks and leave them partly full, so this row shows how
+//      closely the payload byte classes fit partial blocks. The
+//      post-insert row is gated in bench/baselines/BENCH_PR10.json.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
 // are properties of one-node-per-entry path copying.
@@ -271,6 +278,31 @@ int main() {
     set_leaf_block_size(saved_b);
   }
 
+  // ------------- (h) flat leaf bytes per entry, sum_entry, B = 32 ---------
+  std::printf("\n--- flat leaf bytes per entry (sum_entry<u64, u64>, B = 32) ---\n");
+  {
+    set_leaf_block_size(32);
+    size_t fn = scaled_size(2000000);
+    int64_t bytes0 = range_sum_map::used_leaf_bytes();
+    range_sum_map m(kv_entries(fn, 61));
+    auto leaf_bpe = [&] {
+      return static_cast<double>(range_sum_map::used_leaf_bytes() - bytes0) /
+             static_cast<double>(m.size());
+    };
+    double built = leaf_bpe();
+    random_gen g(62);
+    for (size_t i = 0; i < fn / 10; i++) m.insert_inplace(g.next(), g.next() % 1000);
+    double inserted = leaf_bpe();
+    std::printf("n=%zu\n", fn);
+    std::printf("after build            %6.2f B/entry\n", built);
+    std::printf("after +10%% inserts     %6.2f B/entry\n", inserted);
+    bench_json("bench_table4_space", "leaf_bytes_flat_B=32_build", "leaf_bytes_per_entry",
+               built);
+    bench_json("bench_table4_space", "leaf_bytes_flat_B=32_inserts", "leaf_bytes_per_entry",
+               inserted);
+    set_leaf_block_size(saved_b);
+  }
+
   std::printf("\nShape checks vs paper Table 4:\n");
   std::printf(" * union sharing: ~0-5%% for m=n, large (tens of %%) for m<<n\n");
   std::printf(" * range-tree inner sharing ~10-20%%\n");
@@ -278,6 +310,7 @@ int main() {
   std::printf(" * pools reserve ~1x their live bytes after a parallel free + trim\n");
   std::printf(" * serving churn: pools reserve well under 2x their live bytes after trim\n");
   std::printf(" * about one 48-byte node per 32-entry block: ~1.5 B/entry of nodes\n");
+  std::printf(" * full flat blocks: 16.75 B/entry of leaves; partial blocks cost a little more\n");
 
   if (env_long("PAM_PERF_GATE", 0) != 0 && ratio < 2.0) {
     std::printf("\nFAIL: blocked-leaf space ratio %.2fx below the 2x gate\n", ratio);

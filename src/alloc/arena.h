@@ -359,7 +359,7 @@ class epoch {
 
 // The one two-level pool. Slot size and alignment are chosen at
 // construction; instances are expected to be immortal (type_allocator and
-// leaf_store both leak theirs on purpose, matching the scheduler's
+// coded_store both leak theirs on purpose, matching the scheduler's
 // static-destruction discipline).
 //
 //   * allocate/deallocate hit a thread-local free list — no shared state;
@@ -384,7 +384,7 @@ class block_pool {
         batch_(batch_for(slot_bytes_)),
         id_(directory_register(this)) {}
 
-  // The process-wide pools (type_allocator, leaf_store) are immortal and
+  // The process-wide pools (type_allocator, coded_store) are immortal and
   // never reach this; it exists so scoped pools (tests, short-lived tools)
   // are leak-clean. Destruction requires quiescence: no thread may touch
   // the pool afterwards. Slots still parked in other threads' caches become

@@ -46,7 +46,7 @@ struct aug_ops : map_ops<Entry, Balance> {
   static A aug_left(const node* t, const K& k) {
     if (t == nullptr) return traits::identity();
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       size_t pos = upper_idx(bv.data(), c, k);  // entries [0, pos) are <= k
       return pos == c ? block_of(t)->aug : fold_entries_assoc<traits>(bv.data(), 0, pos);
@@ -61,7 +61,7 @@ struct aug_ops : map_ops<Entry, Balance> {
   static A aug_right(const node* t, const K& k) {
     if (t == nullptr) return traits::identity();
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       size_t pos = lower_idx(bv.data(), c, k);  // entries [pos, c) are >= k
       return pos == 0 ? block_of(t)->aug : fold_entries_assoc<traits>(bv.data(), pos, c);
@@ -77,7 +77,7 @@ struct aug_ops : map_ops<Entry, Balance> {
   static A aug_range(const node* t, const K& lo, const K& hi) {
     if (t == nullptr) return traits::identity();
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       size_t i = lower_idx(bv.data(), c, lo);
       size_t j = upper_idx(bv.data(), c, hi);
@@ -104,7 +104,7 @@ struct aug_ops : map_ops<Entry, Balance> {
       return nullptr;
     }
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       const entry_t* es = bv.data();
       std::vector<entry_t> keep;
       for (size_t i = 0; i < bv.size(); i++) {
@@ -137,7 +137,7 @@ struct aug_ops : map_ops<Entry, Balance> {
                        const K& lo, const K& hi) {
     if (t == nullptr) return id;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       size_t i = lower_idx(bv.data(), c, lo);
       size_t j = upper_idx(bv.data(), c, hi);
@@ -174,7 +174,7 @@ struct aug_ops : map_ops<Entry, Balance> {
                          const K& k) {
     if (t == nullptr) return id;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       return fold_projected(bv.data(), lower_idx(bv.data(), c, k), c, g2, f2, id);
     }
@@ -190,7 +190,7 @@ struct aug_ops : map_ops<Entry, Balance> {
                         const K& k) {
     if (t == nullptr) return id;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = NM::lstore::read(block_of(t));
       size_t c = bv.size();
       return fold_projected(bv.data(), 0, upper_idx(bv.data(), c, k), g2, f2, id);
     }

@@ -1,40 +1,55 @@
-// Coded leaf blocks: the variable-length block encodings, written as one
-// skeleton plus per-layout codec policies (the PaC-tree view of block
-// encodings as pluggable codecs over one compressed-block format).
+// Leaf blocks: one block store, written as one skeleton plus per-layout
+// codec policies (the PaC-tree view of block encodings as pluggable codecs
+// over one compressed-block format).
 //
-// A sealed coded block stores n sorted entries in one pool slot as:
+// A sealed block stores n sorted entries in one pool slot as:
 //
-//   [ header | key stream | pad | value stream ]
+//   [ header | payload: key stream | pad | value stream ]
 //
 // The skeleton — coded_block (the header) and coded_store — owns everything
 // that does not depend on the encoding: allocation from the quarter-stepped
-// byte capacity classes of alloc/leaf_pool.h (64 B .. 1 MiB, larger blocks
-// overflow to individually counted aligned heap allocations), the refcount,
-// the cached augmented value, the raw-payload serialization hooks and their
-// frame checks, the in-block search and decode, and the live accounting.
-// Blocks are immutable once sealed — the sharing contract of the flat
-// leaf_block. This file is part of the sanctioned allocation surface
-// (tools/pam_lint.py): the pool-table singletons and the overflow path are
-// the only places the encoders touch raw memory.
+// payload byte classes of alloc/leaf_pool.h (a slot is the header plus a
+// payload class, rounded up to the block's own alignment; payloads past
+// 1 MiB overflow to individually counted aligned heap allocations), the
+// refcount, the cached augmented value, the raw-payload serialization hooks
+// and their frame checks, the in-block search and decode, and the live
+// accounting. Blocks are immutable once sealed, so any number of tree
+// versions share one by pointer. This file is part of the sanctioned
+// allocation surface (tools/pam_lint.py): the pool-table singletons and the
+// overflow path are the only places the encoders touch raw memory.
 //
 // A codec owns its key stream and names its value stream:
 //
+//   in_place                  is the key stream the entry_t array itself?
+//   kAlign                    alignment of the key stream in the payload;
+//   using values              raw_values<V>, varint_values<V> or no_values;
+//   key_bytes(es, n)          encoded size of the key stream;
+//   encode(dst, es, n)        write it, returning its end.
+//
+// The two coded codecs (in_place false) add what their reads and the
+// kCodedRaw wire frame need:
+//
 //   using key_arg             what the in-block search compares against
 //                             (std::string_view or K);
-//   using values              raw_values<V> or varint_values<V>;
 //   kWireVersion              its record format version, stamped into
 //                             map_codec streams (serialize.h);
-//   key_bytes(es, n)          encoded size of the key stream;
-//   encode(dst, es, n)        write it, returning its end;
 //   check(p, limit, n)        validate untrusted bytes in [p, limit),
 //                             returning the stream's end or nullptr;
 //   cursor(keys, n).next()    yield key 0, then key 1, ... by incremental
 //                             decode (the returned key_arg is valid until
 //                             the next call).
 //
-// No codec keeps a directory: every reader walks the stream in order.
-// Two codecs implement it:
+// No codec keeps a directory: coded readers walk the stream in order.
+// Three codecs implement it:
 //
+//   flat_codec   any entry: the key stream is the sorted entry_t array,
+//                constructed in place by encode and destroyed on release,
+//                and there is no value stream. Reads are zero-copy and point
+//                searches run the branch-free kernels of pam/block_search.h.
+//                Entries may be any copyable type (std::string keys, nested
+//                maps as values). A flat block reserves a power-of-two entry
+//                capacity (capacity_bytes); coded blocks reserve their exact
+//                encoded length.
 //   front_codec  std::string keys: n records {varint prefix_len, varint
 //                suffix_len, suffix bytes} — key i is the first prefix_len
 //                bytes of key i-1 plus the suffix. Record 0 has prefix 0 and
@@ -48,14 +63,15 @@
 //                varint-packed (varint_values); any other value is a raw
 //                array.
 //
-// Pad rule: the pad between the key stream's end and val_off is shorter
-// than one value-alignment step and all zero, so a block's payload is a pure
-// function of its entries; from_payload rejects any other pad.
+// Pad rule: the pad between the key stream's end and val_off (an offset
+// from the payload start) is shorter than one value-alignment step and all
+// zero, so a block's payload is a pure function of its entries; from_payload
+// rejects any other pad.
 //
-// Contracts: the key type is asserted by each codec
+// Contracts: the key type is asserted by each coded codec
 // (tests/compile_fail/front_coded_fixed_key.cpp and delta_string_key.cpp pin
-// the messages); value triviality by the skeleton, since values are stored
-// raw and released without destruction.
+// the messages); value triviality by raw_values, since coded values are
+// stored raw and released without destruction.
 #pragma once
 
 #include <algorithm>
@@ -73,11 +89,15 @@
 #include <vector>
 
 #include "alloc/leaf_pool.h"
+#include "alloc/scratch_buffer.h"
+#include "pam/block_search.h"
 #include "pam/entry_traits.h"
 #include "util/thread_annotations.h"
 
 namespace pam {
 
+// The header of every leaf block: 12 bytes plus the augmented value (24
+// with a u64 aug). The payload follows at the store's kPayloadOffset.
 template <typename Entry>
 struct coded_block {
   using K = typename Entry::key_t;
@@ -86,29 +106,45 @@ struct coded_block {
   using entry_t = std::pair<K, V>;
 
   std::atomic<uint32_t> ref_cnt;
-  uint32_t count;
-  int32_t cls;       // byte class; kOverflowClass for heap-allocated blocks
-  uint32_t bytes;    // exact encoded footprint (accounting for overflow)
-  uint32_t val_off;  // byte offset of the value stream from the block start
+  uint16_t count;
+  int16_t cls;       // payload byte class; kOverflowClass for heap-allocated blocks
+  uint32_t val_off;  // byte offset of the value stream from the payload start
   [[no_unique_address]] A aug;
 
-  static constexpr int32_t kOverflowClass = -1;
+  static constexpr int16_t kOverflowClass = -1;
+};
 
-  static constexpr size_t keys_offset() { return sizeof(coded_block); }
+// True when every byte of a T belongs to the value of some member, so a raw
+// copy of a T carries no padding. Floating-point members count as padding
+// free (they have no unique representation only because of -0.0 and NaNs).
+template <typename T>
+inline constexpr bool padding_free = std::has_unique_object_representations_v<T> ||
+                                     std::is_same_v<T, float> || std::is_same_v<T, double>;
+template <typename A, typename B>
+inline constexpr bool padding_free<std::pair<A, B>> =
+    padding_free<A> && padding_free<B> && sizeof(A) + sizeof(B) == sizeof(std::pair<A, B>);
 
-  // Base of the key stream (immediately after the header).
-  const char* keys() const {
-    return reinterpret_cast<const char*>(this) + keys_offset();
-  }
-  char* keys() { return reinterpret_cast<char*>(this) + keys_offset(); }
+// No value stream: the flat codec's values live in its entries.
+struct no_values {
+  static constexpr size_t kAlign = 1;
 
-  const char* vals() const { return reinterpret_cast<const char*>(this) + val_off; }
-  char* vals() { return reinterpret_cast<char*>(this) + val_off; }
+  template <typename E>
+  static size_t bytes(const E*, uint32_t) { return 0; }
+
+  template <typename E>
+  static char* encode(char* dst, const E*, uint32_t) { return dst; }
+
+  static size_t length(const char*, uint32_t) { return 0; }
 };
 
 // Values as a raw aligned V[n] array (any trivially copyable V).
 template <typename V>
 struct raw_values {
+  static_assert(std::is_trivially_copyable_v<V>,
+                "PAM leaf-layout contract: coded leaf layouts require a "
+                "trivially copyable val_t (values are stored raw inside "
+                "sealed blocks)");
+
   static constexpr size_t kAlign = alignof(V);
 
   template <typename E>
@@ -124,6 +160,8 @@ struct raw_values {
   static bool check(const char*, size_t len, uint32_t n) {
     return len == size_t{n} * sizeof(V);
   }
+
+  static size_t length(const char*, uint32_t n) { return size_t{n} * sizeof(V); }
 
   static V at(const char* vals, uint32_t i) {
     return reinterpret_cast<const V*>(vals)[i];
@@ -255,6 +293,13 @@ struct varint_values {
     return vint::skip_checked(p, p + len, n) == p + len;
   }
 
+  static size_t length(const char* p, uint32_t n) {
+    uint64_t u;
+    const char* q = p;
+    for (uint32_t i = 0; i < n; i++) q = vint::get(q, u);
+    return size_t(q - p);
+  }
+
   static V at(const char* vals, uint32_t i) {
     reader r(vals);
     for (uint32_t j = 0; j < i; j++) r.next();
@@ -290,10 +335,14 @@ struct front_codec {
                 "key_t = std::string; fixed-width keys must use "
                 "key_layout::flat or key_layout::delta");
 
+  static constexpr bool in_place = false;
+  static constexpr size_t kAlign = 1;
+
   // Record format version, stamped into map_codec streams (serialize.h):
-  // 1 is the varint record stream; streams of the older u32-directory
-  // format carry 0 and are refused.
-  static constexpr uint16_t kWireVersion = 1;
+  // 2 frames a block as {u32 val_off from the payload start} + payload.
+  // Older streams are refused: 1 carried {u32 bytes, u32 val_off} measured
+  // from the block start, 0 the u32-directory record format.
+  static constexpr uint16_t kWireVersion = 2;
 
   static size_t key_bytes(const entry_t* es, uint32_t n) {
     size_t total = 0;
@@ -375,9 +424,13 @@ struct delta_codec {
   using values =
       std::conditional_t<std::is_integral_v<V>, varint_values<V>, raw_values<V>>;
 
-  // Stamped into map_codec streams (serialize.h); unchanged since the
-  // layout first shipped.
-  static constexpr uint16_t kWireVersion = 0;
+  static constexpr bool in_place = false;
+  static constexpr size_t kAlign = 1;
+
+  // Stamped into map_codec streams (serialize.h): 1 frames a block as
+  // {u32 val_off from the payload start} + payload; streams stamped 0
+  // measured {u32 bytes, u32 val_off} from the block start and are refused.
+  static constexpr uint16_t kWireVersion = 1;
 
   static_assert(std::is_integral_v<K>,
                 "PAM leaf-layout contract: key_layout::delta requires an "
@@ -447,14 +500,64 @@ struct delta_codec {
   }
 };
 
-// The codec an Entry's key_layout selects (meaningful for coded layouts).
+// ------------------------------------------------------------- flat codec --
+
 template <typename Entry>
-using codec_of = std::conditional_t<entry_layout_v<Entry> == key_layout::front_coded,
-                                    front_codec<Entry>, delta_codec<Entry>>;
+struct flat_codec {
+  using K = typename Entry::key_t;
+  using V = typename Entry::val_t;
+  using entry_t = std::pair<K, V>;
+  using values = no_values;
+
+  static constexpr bool in_place = true;
+  static constexpr size_t kAlign = alignof(entry_t);
+
+  static size_t key_bytes(const entry_t*, uint32_t n) { return size_t{n} * sizeof(entry_t); }
+
+  // Payload bytes a block of n entries reserves: a power-of-two entry
+  // capacity, so a block keeps its slot class while it grows from 2^k + 1
+  // to 2^(k+1) entries. Exact quarter-step classes would fit partial blocks
+  // about 20% tighter, but point inserts then move every block to a new
+  // class each few entries, and the slots left behind pin pool chunks that
+  // trim cannot release: after serving churn the pools reserved 2.2x their
+  // live bytes, against 1.3-1.4x with this capacity.
+  static size_t capacity_bytes(uint32_t n) { return std::bit_ceil(n) * sizeof(entry_t); }
+
+  // Copy-construct the entries in place; the store destroys them on release.
+  static char* encode(char* dst, const entry_t* es, uint32_t n) {
+    entry_t* out = reinterpret_cast<entry_t*>(dst);
+    for (uint32_t i = 0; i < n; i++) new (&out[i]) entry_t(es[i]);
+    return reinterpret_cast<char*>(out + n);
+  }
+};
+
+// The codec an Entry's key_layout selects.
+template <typename Entry>
+using codec_of = std::conditional_t<
+    entry_layout_v<Entry> == key_layout::flat, flat_codec<Entry>,
+    std::conditional_t<entry_layout_v<Entry> == key_layout::front_coded,
+                       front_codec<Entry>, delta_codec<Entry>>>;
+
+// A sealed block's entries as one sorted run: zero-copy into an in-place
+// block's array, or a decoded copy the run owns. Move-only, since es points
+// into buf for a decoded run (a move keeps buf's storage).
+template <typename E>
+struct entry_run {
+  std::vector<E> buf;
+  const E* es = nullptr;
+  size_t n = 0;
+
+  entry_run() = default;
+  entry_run(entry_run&&) = default;
+  entry_run& operator=(entry_run&&) = default;
+
+  const E* data() const { return es; }
+  size_t size() const { return n; }
+};
 
 // ---------------------------------------------------------------- skeleton --
 
-// Storage for the coded blocks of one Entry type under one Codec: build/seal,
+// Storage for the leaf blocks of one Entry type under one Codec: build,
 // serialization hooks, retain/release, in-block search and decoding, plus
 // live accounting for the space experiments (shared by every balance scheme
 // over the Entry).
@@ -466,69 +569,72 @@ struct coded_store {
   using A = typename block::A;
   using entry_t = typename block::entry_t;
   using traits = entry_traits<Entry>;
-  using key_arg = typename Codec::key_arg;
   using values = typename Codec::values;
 
-  static_assert(std::is_trivially_copyable_v<V>,
-                "PAM leaf-layout contract: coded leaf layouts require a "
-                "trivially copyable val_t (values are stored raw inside "
-                "sealed blocks)");
-  static_assert(alignof(block) <= alignof(std::max_align_t) &&
-                    alignof(V) <= alignof(std::max_align_t),
-                "PAM leaf-layout contract: coded block and value alignment "
-                "must not exceed max_align_t");
-
-  static constexpr size_t kSlotAlign = alignof(std::max_align_t);
+  static constexpr bool in_place = Codec::in_place;
   static constexpr size_t kValAlign = values::kAlign;
+  // The block's own alignment: its header's, its key stream's and its value
+  // stream's. Slots are rounded up to it, not to max_align_t.
+  static constexpr size_t kAlign = std::max({alignof(block), Codec::kAlign, kValAlign});
+  static constexpr size_t kPayloadOffset = (sizeof(block) + kAlign - 1) / kAlign * kAlign;
 
-  // Encode n sorted unique entries (1 <= n) into a fresh sealed block.
+  // Encode n sorted unique entries (1 <= n <= kMaxLeafBlock) into a fresh
+  // sealed block.
   static block* build(const entry_t* es, uint32_t n) {
-    size_t key_end = block::keys_offset() + Codec::key_bytes(es, n);
+    size_t key_end = Codec::key_bytes(es, n);
     size_t val_off = (key_end + kValAlign - 1) / kValAlign * kValAlign;
     block* b = allocate(val_off + values::bytes(es, n), n, val_off);
-    char* pad = Codec::encode(b->keys(), es, n);
-    std::memset(pad, 0, size_t(b->vals() - pad));
-    values::encode(b->vals(), es, n);
+    char* p = payload(b);
+    char* pad = Codec::encode(p, es, n);
+    std::memset(pad, 0, size_t(p + val_off - pad));
+    values::encode(p + val_off, es, n);
     new (&b->aug) A(fold(es, n));
     return b;
   }
 
   // ------------------------------------------------- serialization hooks --
-  // A sealed block serializes as its raw encoded region — key stream, pad
-  // and value stream exactly as laid out in memory, [keys_offset, bytes) —
-  // because every codec's encoding is position-independent past the header.
-  // The header fields {count, bytes, val_off} travel in the frame; the
-  // augmented value is recomputed on rebuild, never trusted from disk.
+  // A sealed block serializes as its payload — key stream, pad and value
+  // stream exactly as laid out in memory — because every codec's encoding
+  // is position-independent. For coded blocks val_off travels in the frame
+  // and the payload length is the record's; the augmented value is
+  // recomputed on rebuild, never trusted from disk. A flat payload can
+  // leave as one memcpy only when its entries are plain bytes:
+  // scratch_storable (std::pair is never trivially copyable, so that trait
+  // would reject every entry) and padding_free (a pad byte would carry
+  // recycled pool contents to disk). Flat readers rebuild through build().
+  static constexpr bool raw_payload =
+      !in_place || (scratch_storable<entry_t> && padding_free<entry_t>);
+
   static size_t payload_bytes(const block* b) {
-    return size_t{b->bytes} - block::keys_offset();
+    return b->val_off + values::length(payload(b) + b->val_off, b->count);
   }
 
-  static const char* payload(const block* b) { return b->keys(); }
+  static const char* payload(const block* b) {
+    return reinterpret_cast<const char*>(b) + kPayloadOffset;
+  }
 
-  // Rebuild a sealed block from its encoded region (`region` holds
-  // bytes - keys_offset() bytes). Returns nullptr when the framing is
-  // internally inconsistent — a key or value stream the codec rejects, a
-  // pad that breaks the pad rule, a misaligned value stream — so a decoder
-  // can never be walked outside the slot. Key *ordering* is the
-  // serializer's check (map_codec re-compares decoded keys); CRC checks at
-  // the store layer catch torn media; this guards the in-memory decode
-  // paths.
-  static block* from_payload(const char* region, uint32_t count,
-                             uint32_t bytes, uint32_t val_off) {
-    const size_t keys_off = block::keys_offset();
-    if (count == 0 || val_off < keys_off || val_off > bytes ||
-        val_off % kValAlign != 0) {
+  // Rebuild a sealed coded block from its `len`-byte payload. Returns
+  // nullptr when the framing is internally inconsistent — a key or value
+  // stream the codec rejects, a pad that breaks the pad rule, a misaligned
+  // value stream — so a decoder can never be walked outside the slot. Key
+  // *ordering* is the serializer's check (map_codec re-compares decoded
+  // keys); CRC checks at the store layer catch torn media; this guards the
+  // in-memory decode paths.
+  static block* from_payload(const char* region, size_t len, uint32_t count,
+                             uint32_t val_off) {
+    static_assert(!in_place, "flat blocks are rebuilt through build()");
+    if (count == 0 || count > UINT16_MAX || val_off > len || val_off % kValAlign != 0) {
       return nullptr;
     }
-    const char* vals = region + (val_off - keys_off);
+    const char* vals = region + val_off;
     const char* pad = Codec::check(region, vals, count);
     if (pad == nullptr || size_t(vals - pad) >= kValAlign ||
         std::any_of(pad, vals, [](char c) { return c != 0; }) ||
-        !values::check(vals, size_t{bytes} - val_off, count)) {
+        !values::check(vals, len - val_off, count)) {
       return nullptr;
     }
-    block* b = allocate(bytes, count, val_off);
-    std::memcpy(b->keys(), region, size_t{bytes} - keys_off);
+    block* b = allocate(len, count, val_off);
+    std::memcpy(payload(b), region, len);
     if constexpr (traits::has_aug) {
       std::vector<entry_t> es;
       es.reserve(count);
@@ -545,65 +651,117 @@ struct coded_store {
     return b;
   }
 
+  // Drop one reference; the last one destroys a flat block's entries (coded
+  // keys are encoded bytes and coded values trivially copyable) and frees
+  // the slot.
   static void release(block* b) {
     if (b->ref_cnt.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    b->aug.~A();  // keys are encoded bytes and values trivially copyable
+    if constexpr (in_place && !std::is_trivially_destructible_v<entry_t>) {
+      entry_t* es = reinterpret_cast<entry_t*>(payload(b));
+      for (uint32_t i = 0; i < b->count; i++) es[i].~entry_t();
+    }
+    b->aug.~A();
     if (b->cls != block::kOverflowClass) {
       pool(b->cls).deallocate(b);
     } else {
-      size_t total = b->bytes;
-      ::operator delete(b, std::align_val_t{kSlotAlign});
       table().overflow_blocks.fetch_sub(1, std::memory_order_relaxed);
-      table().overflow_bytes.fetch_sub(static_cast<int64_t>(total),
-                                       std::memory_order_relaxed);
+      table().overflow_bytes.fetch_sub(
+          static_cast<int64_t>(kPayloadOffset + payload_bytes(b)), std::memory_order_relaxed);
+      ::operator delete(b, std::align_val_t{kAlign});
     }
   }
 
   // ------------------------------------------------------------- reading --
 
-  static V value_at(const block* b, uint32_t i) { return values::at(b->vals(), i); }
+  // The sorted entry array of a flat block.
+  static const entry_t* entries(const block* b) {
+    static_assert(in_place, "only flat blocks hold an entry array");
+    return reinterpret_cast<const entry_t*>(payload(b));
+  }
 
-  // Append all n entries, keys materialized, onto out.
+  // All n entries as one run: a flat block's own array, or a decode with
+  // the keys materialized.
+  static entry_run<entry_t> read(const block* b) {
+    entry_run<entry_t> r;
+    if constexpr (in_place) {
+      r.es = entries(b);
+    } else {
+      r.buf.reserve(b->count);
+      decode_all(b, r.buf);
+      r.es = r.buf.data();
+    }
+    r.n = b->count;
+    return r;
+  }
+
+  // Append all n entries of a coded block, keys materialized, onto out.
   static void decode_all(const block* b, std::vector<entry_t>& out) {
-    typename Codec::cursor c(b->keys(), b->count);
-    typename values::reader vr(b->vals());
+    typename Codec::cursor c(payload(b), b->count);
+    typename values::reader vr(payload(b) + b->val_off);
     for (uint32_t i = 0; i < b->count; i++) out.emplace_back(c.next(), vr.next());
   }
 
-  // Entry i, with the key materialized (decodes the key chain up to i).
-  static entry_t entry_at(const block* b, uint32_t i) {
-    typename Codec::cursor c(b->keys(), b->count);
-    for (uint32_t j = 0; j < i; j++) c.next();
-    return {K(c.next()), value_at(b, i)};
+  static V value_at(const block* b, uint32_t i) {
+    if constexpr (in_place) {
+      return entries(b)[i].second;
+    } else {
+      return values::at(payload(b) + b->val_off, i);
+    }
   }
 
-  // First slot i with !(key_i < k); *eq reports key_i == k.
-  static uint32_t lower_idx(const block* b, key_arg k, bool* eq) {
-    typename Codec::cursor c(b->keys(), b->count);
-    for (uint32_t i = 0; i < b->count; i++) {
-      key_arg key = c.next();
-      if (!Entry::comp(key, k)) {
-        if (eq != nullptr) *eq = !Entry::comp(k, key);
-        return i;
-      }
+  // Entry i (a coded block decodes the key chain up to i).
+  static entry_t entry_at(const block* b, uint32_t i) {
+    if constexpr (in_place) {
+      return entries(b)[i];
+    } else {
+      typename Codec::cursor c(payload(b), b->count);
+      for (uint32_t j = 0; j < i; j++) c.next();
+      return {K(c.next()), value_at(b, i)};
     }
-    if (eq != nullptr) *eq = false;
-    return b->count;
+  }
+
+  // First slot i with !(key_i < k); *eq (optional) reports key_i == k.
+  template <typename Key>
+  static uint32_t lower_idx(const block* b, const Key& k, bool* eq) {
+    if constexpr (in_place) {
+      const entry_t* es = entries(b);
+      auto pos = static_cast<uint32_t>(block_lower_idx<Entry>(es, b->count, k));
+      if (eq != nullptr) *eq = pos < b->count && !Entry::comp(k, es[pos].first);
+      return pos;
+    } else {
+      const typename Codec::key_arg ka = k;
+      typename Codec::cursor c(payload(b), b->count);
+      for (uint32_t i = 0; i < b->count; i++) {
+        typename Codec::key_arg key = c.next();
+        if (!Entry::comp(key, ka)) {
+          if (eq != nullptr) *eq = !Entry::comp(ka, key);
+          return i;
+        }
+      }
+      if (eq != nullptr) *eq = false;
+      return b->count;
+    }
   }
 
   // First slot i with k < key_i.
-  static uint32_t upper_idx(const block* b, key_arg k) {
-    typename Codec::cursor c(b->keys(), b->count);
-    for (uint32_t i = 0; i < b->count; i++) {
-      if (Entry::comp(k, c.next())) return i;
+  template <typename Key>
+  static uint32_t upper_idx(const block* b, const Key& k) {
+    if constexpr (in_place) {
+      return static_cast<uint32_t>(block_upper_idx<Entry>(entries(b), b->count, k));
+    } else {
+      const typename Codec::key_arg ka = k;
+      typename Codec::cursor c(payload(b), b->count);
+      for (uint32_t i = 0; i < b->count; i++) {
+        if (Entry::comp(ka, c.next())) return i;
+      }
+      return b->count;
     }
-    return b->count;
   }
 
   // -------------------------------------------------------- accounting --
 
   // Live blocks / bytes across all maps of this Entry type (Table 4). Bytes
-  // count full slot footprints, the same accounting basis as leaf_store.
+  // count full slot footprints.
   static int64_t used_blocks() {
     int64_t total = table().overflow_blocks.load(std::memory_order_relaxed);
     for (int c = 0; c < kByteClasses; c++) {
@@ -623,6 +781,8 @@ struct coded_store {
   }
 
  private:
+  static char* payload(block* b) { return reinterpret_cast<char*>(b) + kPayloadOffset; }
+
   static A fold(const entry_t* es, uint32_t n) {
     if constexpr (traits::has_aug) {
       return fold_entries_assoc<traits>(es, 0, n);
@@ -631,24 +791,25 @@ struct coded_store {
     }
   }
 
-  // A pool slot or counted overflow allocation for a `total`-byte block,
-  // with every header field but aug set.
-  static block* allocate(size_t total, uint32_t n, size_t val_off) {
-    int cls = byte_class_of(total);
+  // A pool slot or counted overflow allocation for a block with a
+  // `len`-byte payload, with every header field but aug set.
+  static block* allocate(size_t len, uint32_t n, size_t val_off) {
+    size_t want = len;
+    if constexpr (in_place) want = Codec::capacity_bytes(n);
+    int cls = byte_class_of(want);
     block* b;
     if (cls < kByteClasses) {
       b = static_cast<block*>(pool(cls).allocate());
     } else {
-      b = static_cast<block*>(
-          ::operator new(total, std::align_val_t{kSlotAlign}));
+      size_t total = kPayloadOffset + len;
+      b = static_cast<block*>(::operator new(total, std::align_val_t{kAlign}));
       table().overflow_blocks.fetch_add(1, std::memory_order_relaxed);
       table().overflow_bytes.fetch_add(static_cast<int64_t>(total),
                                        std::memory_order_relaxed);
     }
     new (&b->ref_cnt) std::atomic<uint32_t>(1);
-    b->count = n;
-    b->cls = cls < kByteClasses ? cls : block::kOverflowClass;
-    b->bytes = static_cast<uint32_t>(total);
+    b->count = static_cast<uint16_t>(n);
+    b->cls = static_cast<int16_t>(cls < kByteClasses ? cls : block::kOverflowClass);
     b->val_off = static_cast<uint32_t>(val_off);
     return b;
   }
@@ -669,6 +830,7 @@ struct coded_store {
     return *t;
   }
 
+  // One pool per payload class; block_pool rounds the slot up to kAlign.
   static raw_pool& pool(int cls) {
     pool_table& t = table();
     raw_pool* p = t.pools[cls].load(std::memory_order_acquire);
@@ -676,7 +838,7 @@ struct coded_store {
       mutex_guard lock(t.mu);
       p = t.pools[cls].load(std::memory_order_relaxed);
       if (p == nullptr) {
-        p = new raw_pool(byte_class_slot(cls), kSlotAlign);  // immortal
+        p = new raw_pool(kPayloadOffset + byte_class_slot(cls), kAlign);  // immortal
         t.pools[cls].store(p, std::memory_order_release);
       }
     }

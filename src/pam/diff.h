@@ -124,8 +124,8 @@ struct diff_ops : aug_ops<Entry, Balance> {
 
   // Base case: two distinct leaf blocks, one two-pointer merge.
   static diff_trees diff_blocks(node* a, node* b) {
-    auto av = NM::read_block(block_of(a));
-    auto bv = NM::read_block(block_of(b));
+    auto av = NM::lstore::read(block_of(a));
+    auto bv = NM::lstore::read(block_of(b));
     std::vector<entry_t> before, after;
     MO::merge_runs(
         av.data(), av.size(), bv.data(), bv.size(),
@@ -168,8 +168,8 @@ struct diff_ops : aug_ops<Entry, Balance> {
       return {af, id};
     }
     if (is_block(a) && is_block(b)) {
-      auto av = NM::read_block(block_of(a));
-      auto bv = NM::read_block(block_of(b));
+      auto av = NM::lstore::read(block_of(a));
+      auto bv = NM::lstore::read(block_of(b));
       std::pair<B, B> out{id, id};
       MO::merge_runs(
           av.data(), av.size(), bv.data(), bv.size(), MO::entry_key,

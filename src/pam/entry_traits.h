@@ -60,7 +60,7 @@ struct entry_traits<Entry, std::void_t<typename Entry::aug_t>> {
 //                successor differences, with integral values varint-packed in
 //                a trailing stream (PaC-tree difference encoding for the
 //                fixed-width case).
-// Both coded layouts are codecs over one block skeleton (pam/coded_block.h).
+// Every layout is a codec over one block store (pam/coded_block.h).
 enum class key_layout { flat, front_coded, delta };
 
 // Entry policies opt in by declaring `static constexpr key_layout layout`;

@@ -120,7 +120,7 @@ class map_iterator {
     } else {
       while (t != nullptr) {
         if (ops::is_block(t)) {
-          size_t pos = ops::blk_lower(ops::block_of(t), *lo, nullptr);  // first >= *lo
+          size_t pos = ops::lstore::lower_idx(ops::block_of(t), *lo, nullptr);  // first >= *lo
           if (pos < ops::block_of(t)->count) {
             path_.push_back(make_frame(t, static_cast<uint32_t>(pos)));
           }
@@ -150,7 +150,7 @@ class map_iterator {
     while (t != nullptr) {
       if (ops::is_block(t)) {
         size_t c = ops::block_of(t)->count;
-        size_t pos = hi != nullptr ? ops::blk_upper(ops::block_of(t), *hi) : c;  // first > *hi
+        size_t pos = hi != nullptr ? ops::lstore::upper_idx(ops::block_of(t), *hi) : c;  // first > *hi
         if (pos > 0) {
           best = t;
           best_idx = static_cast<uint32_t>(pos - 1);
@@ -223,9 +223,9 @@ class map_iterator {
   }
 
  private:
-  static constexpr bool kCoded = !ops::NM::flat_layout;
+  static constexpr bool kCoded = !ops::lstore::in_place;
 
-  // Shared decoded copy of a front-coded block; an empty tag type when the
+  // Shared decoded copy of a coded block; an empty tag type when the
   // layout is flat (no storage, no decode).
   using block_cache =
       std::conditional_t<kCoded, std::shared_ptr<const std::vector<entry_t>>,
@@ -246,7 +246,7 @@ class map_iterator {
   static frame make_frame(const node* t, uint32_t idx) {
     if constexpr (kCoded) {
       if (ops::is_block(t)) {
-        auto bv = ops::NM::read_block(ops::block_of(t));
+        auto bv = ops::lstore::read(ops::block_of(t));
         return {t, idx,
                 std::make_shared<const std::vector<entry_t>>(std::move(bv.buf))};
       }
@@ -261,7 +261,7 @@ class map_iterator {
     if constexpr (kCoded) {
       return (*f.cache)[f.idx];
     } else {
-      return ops::block_of(f.n)->entries()[f.idx];
+      return ops::lstore::entries(ops::block_of(f.n))[f.idx];
     }
   }
 
@@ -272,7 +272,7 @@ class map_iterator {
   // Key at (t, idx) as an owned copy — for bound checks before a frame (and
   // its decode cache) exists.
   static K entry_key_copy(const node* t, uint32_t idx) {
-    return ops::is_block(t) ? ops::blk_entry(ops::block_of(t), idx).first : t->key;
+    return ops::is_block(t) ? ops::lstore::entry_at(ops::block_of(t), idx).first : t->key;
   }
 
   void push_left(const node* t) {
@@ -326,7 +326,7 @@ class tree_cursor {
   explicit tree_cursor(const node* t) : t_(t) {
     if constexpr (kCoded) {
       if (ops::is_block(t_)) {
-        auto bv = ops::NM::read_block(ops::block_of(t_));
+        auto bv = ops::lstore::read(ops::block_of(t_));
         cache_ = std::make_shared<const std::vector<entry_t>>(std::move(bv.buf));
       }
     }
@@ -343,14 +343,14 @@ class tree_cursor {
   const K& key(size_t i) const {
     if (ops::is_block(t_)) {
       if constexpr (kCoded) return (*cache_)[i].first;
-      else return ops::block_of(t_)->entries()[i].first;
+      else return ops::lstore::entries(ops::block_of(t_))[i].first;
     }
     return t_->key;
   }
   const V& value(size_t i) const {
     if (ops::is_block(t_)) {
       if constexpr (kCoded) return (*cache_)[i].second;
-      else return ops::block_of(t_)->entries()[i].second;
+      else return ops::lstore::entries(ops::block_of(t_))[i].second;
     }
     return t_->value;
   }
@@ -374,7 +374,7 @@ class tree_cursor {
   }
 
  private:
-  static constexpr bool kCoded = !ops::NM::flat_layout;
+  static constexpr bool kCoded = !ops::lstore::in_place;
   using block_cache =
       std::conditional_t<kCoded, std::shared_ptr<const std::vector<entry_t>>,
                          unit>;
@@ -503,7 +503,7 @@ class range_view {
   static void foreach_bounded(const node* t, const K* lo, const K* hi, const F& f) {
     if (t == nullptr) return;
     if (ops::is_block(t)) {
-      auto bv = ops::NM::read_block(ops::block_of(t));
+      auto bv = ops::lstore::read(ops::block_of(t));
       const auto* es = bv.data();
       size_t c = bv.size();
       size_t i0 = lo != nullptr ? ops::lower_idx(es, c, *lo) : 0;

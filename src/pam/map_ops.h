@@ -38,7 +38,6 @@ struct map_ops : tree_ops<Entry, Balance> {
   using K = typename TO::K;
   using V = typename TO::V;
   using entry_t = typename TO::entry_t;
-  using lblock = typename TO::lblock;
   using lstore = typename TO::lstore;
 
   using TO::block_of;
@@ -113,8 +112,8 @@ struct map_ops : tree_ops<Entry, Balance> {
   // balanced rebuild into fresh blocks.
   template <typename Comb>
   static node* union_blocks(node* a, node* b, const Comb& comb) {
-    auto av = NM::read_block(block_of(a));
-    auto bv = NM::read_block(block_of(b));
+    auto av = lstore::read(block_of(a));
+    auto bv = lstore::read(block_of(b));
     std::vector<entry_t> out;
     out.reserve(av.size() + bv.size());
     merge_runs(
@@ -159,8 +158,8 @@ struct map_ops : tree_ops<Entry, Balance> {
 
   template <typename Comb>
   static node* intersect_blocks(node* a, node* b, const Comb& comb) {
-    auto av = NM::read_block(block_of(a));
-    auto bv = NM::read_block(block_of(b));
+    auto av = lstore::read(block_of(a));
+    auto bv = lstore::read(block_of(b));
     std::vector<entry_t> out;
     merge_runs(
         av.data(), av.size(), bv.data(), bv.size(), entry_key,
@@ -197,8 +196,8 @@ struct map_ops : tree_ops<Entry, Balance> {
   }
 
   static node* difference_blocks(node* a, node* b) {
-    auto av = NM::read_block(block_of(a));
-    auto bv = NM::read_block(block_of(b));
+    auto av = lstore::read(block_of(a));
+    auto bv = lstore::read(block_of(b));
     std::vector<entry_t> out;
     out.reserve(av.size());
     merge_runs(
@@ -219,7 +218,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static node* filter(node* t, const Pred& pred) {
     if (t == nullptr) return nullptr;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = lstore::read(block_of(t));
       const entry_t* es = bv.data();
       std::vector<entry_t> keep;
       for (size_t i = 0; i < bv.size(); i++) {
@@ -339,7 +338,7 @@ struct map_ops : tree_ops<Entry, Balance> {
     if (n == 0) return t;
     if (t == nullptr) return from_sorted_unique(a, n);
     if (is_block(t)) {
-      auto tv = NM::read_block(block_of(t));
+      auto tv = lstore::read(block_of(t));
       std::vector<entry_t> out;
       out.reserve(tv.size() + n);
       merge_runs(
@@ -393,7 +392,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static node* multi_delete_sorted(node* t, const K* keys, size_t n) {
     if (n == 0 || t == nullptr) return t;
     if (is_block(t)) {
-      auto tv = NM::read_block(block_of(t));
+      auto tv = lstore::read(block_of(t));
       std::vector<entry_t> out;
       out.reserve(tv.size());
       merge_runs(
@@ -439,7 +438,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static B map_reduce(const node* t, const M& g2, const R& f2, const B& id) {
     if (t == nullptr) return id;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = lstore::read(block_of(t));
       const entry_t* es = bv.data();
       B acc = id;
       for (size_t i = 0; i < bv.size(); i++) acc = f2(acc, g2(es[i].first, es[i].second));
@@ -470,22 +469,14 @@ struct map_ops : tree_ops<Entry, Balance> {
   static node* map_values(const node* t, const F& f) {
     if (t == nullptr) return nullptr;
     if (is_block(t)) {
-      const lblock* b = block_of(t);
-      if constexpr (NM::flat_layout) {
-        const entry_t* es = b->entries();
-        lblock* nb = lstore::allocate(b->count);
-        entry_t* out = nb->entries();
-        for (uint32_t i = 0; i < b->count; i++) {
-          new (&out[i]) entry_t(es[i].first, f(es[i].first, es[i].second));
-        }
-        lstore::seal(nb);
-        return NM::as_leaf(nb);
-      } else {
-        auto bv = NM::read_block(b);
-        std::vector<entry_t> tmp(bv.data(), bv.data() + bv.size());
-        for (entry_t& e : tmp) e.second = f(e.first, e.second);
-        return TO::make_leaf(tmp.data(), tmp.size());
+      auto run = lstore::read(block_of(t));
+      std::vector<entry_t> tmp;
+      tmp.reserve(run.size());
+      for (size_t i = 0; i < run.size(); i++) {
+        const entry_t& e = run.data()[i];
+        tmp.emplace_back(e.first, f(e.first, e.second));
       }
+      return TO::make_leaf(tmp.data(), tmp.size());
     }
     node* l = nullptr;
     node* r = nullptr;
@@ -504,7 +495,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static void foreach_inorder(const node* t, const F& f) {
     if (t == nullptr) return;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = lstore::read(block_of(t));
       const entry_t* es = bv.data();
       for (size_t i = 0; i < bv.size(); i++) f(es[i].first, es[i].second);
       return;
@@ -521,7 +512,7 @@ struct map_ops : tree_ops<Entry, Balance> {
   static void project_to_array(const node* t, Out* out, const F& f) {
     if (t == nullptr) return;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
+      auto bv = lstore::read(block_of(t));
       const entry_t* es = bv.data();
       for (size_t i = 0; i < bv.size(); i++) out[i] = f(es[i].first, es[i].second);
       return;

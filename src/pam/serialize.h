@@ -18,17 +18,18 @@
 //               kFlatDelta;
 //   kFlatRaw    a sealed flat leaf block as one memcpy of its entry array,
 //               for plain, padding-free entries that are not integer pairs
-//               (leaf_store::raw_payload, e.g. double keys). Readers also
+//               (coded_store::raw_payload, e.g. double keys). Readers also
 //               accept it for integer pairs: streams written before the
 //               delta-coded kinds existed carry those blocks this way;
-//   kCodedRaw   a sealed front-coded or delta-coded block as its raw encoded
-//               region ({u32 bytes, u32 val_off} + the layout's byte
-//               streams); the u8 layout stamp in the header (the numeric
-//               key_layout value) keeps the two coded layouts from
+//   kCodedRaw   a sealed front-coded or delta-coded block as its payload:
+//               {u32 val_off} + the layout's byte streams, with val_off
+//               measured from the payload start and the payload length
+//               taken from the record's, so the frame is independent of the
+//               in-memory header. The u8 layout stamp in the header (the
+//               numeric key_layout value) keeps the two coded layouts from
 //               misreading each other's streams, and the u16 entry_abi
 //               stamp carries the codec's record format version, so a
-//               front-coded stream of the older u32-directory format is
-//               refused;
+//               stream of an older block framing is refused;
 //   kFlatDelta  a sealed flat leaf block whose key and value types are both
 //               integral (not bool), difference-encoded on the way out:
 //               {u32 key_bytes, key stream, value stream}, the byte streams
@@ -46,7 +47,7 @@
 // (store/checkpoint.h).
 //
 // Deserialization rebuilds each record into a map piece (flat blocks through
-// leaf_store::build, coded blocks through coded_store::from_payload, runs
+// coded_store::build, coded blocks through coded_store::from_payload, runs
 // through from_sorted_unique) and folds the pieces left-to-right with
 // join2, checking key ordering inside every record and at every boundary.
 // The augmented values of rebuilt blocks are recomputed, never read from
@@ -236,7 +237,7 @@ struct map_codec {
   // unbounded (the store layer re-chunks streams into fixed-size pages).
   static constexpr size_t kRunFlush = 4096;
 
-  static constexpr bool flat = ops::flat_layout;
+  static constexpr bool flat = lstore::in_place;
   // Do this layout's entries travel delta-coded (kFlatDelta, kRunDelta)?
   // bool is left out: it has no difference encoding, and a varint other
   // than 0 or 1 would not round-trip.
@@ -246,13 +247,7 @@ struct map_codec {
   using key_stream = delta_codec<typename Map::entry_policy>;
   using value_stream = varint_values<V>;
   // Can this layout's sealed blocks travel as raw payloads?
-  static constexpr bool raw_blocks = [] {
-    if constexpr (flat) {
-      return lstore::raw_payload;
-    } else {
-      return true;  // coded blocks are raw by construction
-    }
-  }();
+  static constexpr bool raw_blocks = lstore::raw_payload;
   // The ABI stamp pins sizeof(entry_t) wherever kFlatRaw records can occur,
   // and a coded layout's record format version (codec kWireVersion), so a
   // stream written by one build cannot be misread by another.
@@ -275,7 +270,8 @@ struct map_codec {
   };
 
   // The sizing pass: the encoding walk over a counting sink. Raw blocks
-  // cost one header read each, delta-coded blocks one length sum over their
+  // cost one header read each (plus a skip over the value varints of a
+  // delta-layout block), kFlatDelta blocks one length sum over their
   // entries; nothing is encoded.
   static extent measure(const Map& m) {
     wire::byte_counter c;
@@ -422,14 +418,13 @@ struct map_codec {
   static void emit_block(const lblock* b, state<Sink>& s) {
     flush_run(s);
     if constexpr (delta_entries) {
-      emit_delta(kFlatDelta, b->entries(), b->count, s);
+      emit_delta(kFlatDelta, lstore::entries(b), b->count, s);
     } else {
       size_t len = lstore::payload_bytes(b);
       if constexpr (flat) {
         put_record_header(s, kFlatRaw, b->count, len);
       } else {
-        put_record_header(s, kCodedRaw, b->count, len + 2 * sizeof(uint32_t));
-        wire::put_u32(*s.out, b->bytes);
+        put_record_header(s, kCodedRaw, b->count, sizeof(uint32_t) + len);
         wire::put_u32(*s.out, b->val_off);
       }
       wire::put_bytes(*s.out, lstore::payload(b), len);
@@ -444,9 +439,9 @@ struct map_codec {
         emit_block(ops::block_of(t), s);
       } else {
         // std::string keys forced flat: decode and ride the encoded run.
-        auto bv = ops::read_block(ops::block_of(t));
-        for (size_t i = 0; i < bv.size(); i++) {
-          s.run.push_back(bv.data()[i]);
+        auto run = lstore::read(ops::block_of(t));
+        for (size_t i = 0; i < run.size(); i++) {
+          s.run.push_back(run.data()[i]);
           if (s.run.size() >= kRunFlush) flush_run(s);
         }
       }
@@ -496,17 +491,12 @@ struct map_codec {
         break;
       case kCodedRaw:
         if constexpr (!flat) {
-          if (count > kMaxLeafBlock || len < 2 * sizeof(uint32_t)) {
+          if (count > kMaxLeafBlock || len < sizeof(uint32_t)) {
             throw wire::error("map_codec: bad coded block frame");
           }
           wire::reader pr(payload, len);
-          uint32_t bytes = pr.u32();
           uint32_t val_off = pr.u32();
-          if (bytes < lblock::keys_offset() ||
-              pr.remaining() != bytes - lblock::keys_offset()) {
-            throw wire::error("map_codec: coded block length mismatch");
-          }
-          adopted = lstore::from_payload(pr.p, count, bytes, val_off);
+          adopted = lstore::from_payload(pr.p, pr.remaining(), count, val_off);
           if (adopted == nullptr) {
             throw wire::error("map_codec: inconsistent coded block");
           }

@@ -10,14 +10,12 @@
 // split/expose/insert/delete open the one block at the boundary they touch.
 // The balance schemes see a block as a leaf and only ever rotate nodes.
 //
-// Two block encodings live behind this seam (selected per Entry policy by
-// the key_layout trait): flat fixed-width arrays, read zero-copy and point-
-// searched by the branch-free kernels of pam/block_search.h, and coded
-// blocks (pam/coded_block.h: front-coded strings, delta-coded integers),
-// point-searched by incremental decode and materialized through
-// NM::read_block on the multi-entry paths. The
-// blk_* helpers below are the only places that dispatch on the layout;
-// everything else works on materialized entry runs.
+// Every block, whatever its encoding, lives in one store (lstore,
+// pam/coded_block.h) under the codec the Entry's key_layout selects. This
+// layer never dispatches on the layout: point operations call the store's
+// in-block search (zero-copy over a flat entry array, incremental decode over
+// a coded stream), and multi-entry paths take a block as one sorted run from
+// lstore::read and rebuild through lstore::build.
 #pragma once
 
 #include <algorithm>
@@ -70,53 +68,6 @@ struct tree_ops : node_manager<Entry, Balance> {
     return block_upper_idx<Entry>(es, n, k);
   }
 
-  // ------------------------------------------- layout-dispatched block ops --
-  // The only functions below tree_ops that look inside a sealed block. Flat
-  // blocks answer zero-copy; coded blocks (front- or delta-coded) search by
-  // incremental decode (coded_store) without materializing more than a
-  // scratch key, comparing against the codec's key_arg.
-
-  // First slot with key >= k; *eq (optional) reports an exact hit.
-  template <typename Key>
-  static size_t blk_lower(const lblock* b, const Key& k, bool* eq) {
-    if constexpr (NM::flat_layout) {
-      size_t pos = block_lower_idx<Entry>(b->entries(), b->count, k);
-      if (eq != nullptr) {
-        *eq = pos < b->count && !less(k, b->entries()[pos].first);
-      }
-      return pos;
-    } else {
-      return lstore::lower_idx(b, k, eq);
-    }
-  }
-
-  // First slot with key > k.
-  template <typename Key>
-  static size_t blk_upper(const lblock* b, const Key& k) {
-    if constexpr (NM::flat_layout) {
-      return block_upper_idx<Entry>(b->entries(), b->count, k);
-    } else {
-      return lstore::upper_idx(b, k);
-    }
-  }
-
-  static V blk_value(const lblock* b, size_t i) {
-    if constexpr (NM::flat_layout) {
-      return b->entries()[i].second;
-    } else {
-      return lstore::value_at(b, static_cast<uint32_t>(i));
-    }
-  }
-
-  // Slot i as a materialized entry (coded blocks decode the prefix chain).
-  static entry_t blk_entry(const lblock* b, size_t i) {
-    if constexpr (NM::flat_layout) {
-      return b->entries()[i];
-    } else {
-      return lstore::entry_at(b, static_cast<uint32_t>(i));
-    }
-  }
-
   // Do a and b denote byte-identical trees by construction? Path copying
   // shares whole subtrees, and re-packs share sealed blocks, across
   // versions by pointer, so this is pointer equality. O(1); this is the
@@ -126,24 +77,8 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   // ------------------------------------------------- leaf construction --
 
-  // In-order copy of every entry under t (borrowed) into out via placement
-  // new, advancing i. Used to fill freshly allocated flat leaf blocks (the
-  // coded layout collects into a vector instead; see NM::collect_entries).
-  static void write_entries(const node* t, entry_t* out, size_t& i) {
-    if (t == nullptr) return;
-    if (is_block(t)) {
-      const lblock* b = block_of(t);
-      const entry_t* es = b->entries();
-      for (uint32_t j = 0; j < b->count; j++) new (&out[i++]) entry_t(es[j]);
-      return;
-    }
-    write_entries(t->left, out, i);
-    new (&out[i++]) entry_t(t->key, t->value);
-    write_entries(t->right, out, i);
-  }
-
-  // A fresh leaf block over es[0, n), 1 <= n <= kMaxLeafBlock. The store's
-  // build() encodes per the Entry's layout (flat copy / coded).
+  // A fresh leaf block over es[0, n), 1 <= n <= kMaxLeafBlock, encoded by
+  // the Entry's codec.
   static node* make_leaf(const entry_t* es, size_t n) {
     return as_leaf(lstore::build(es, static_cast<uint32_t>(n)));
   }
@@ -185,31 +120,17 @@ struct tree_ops : node_manager<Entry, Balance> {
     return BO::node_join(l, m, r);
   }
 
-  // Flatten l ++ m ++ r (all owned, m singleton) into one leaf block. Flat
-  // blocks are filled in place; coded blocks encode from a collected run.
+  // Flatten l ++ m ++ r (all owned, m singleton) into one leaf block.
   static node* pack_leaf(node* l, node* m, node* r) {
-    uint32_t total = static_cast<uint32_t>(size(l) + 1 + size(r));
-    lblock* b;
-    if constexpr (NM::flat_layout) {
-      b = lstore::allocate(total);
-      entry_t* out = b->entries();
-      size_t i = 0;
-      write_entries(l, out, i);
-      new (&out[i++]) entry_t(m->key, m->value);
-      write_entries(r, out, i);
-      lstore::seal(b);
-    } else {
-      std::vector<entry_t> tmp;
-      tmp.reserve(total);
-      NM::collect_entries(l, tmp);
-      tmp.emplace_back(m->key, m->value);
-      NM::collect_entries(r, tmp);
-      b = lstore::build(tmp.data(), total);
-    }
+    std::vector<entry_t> tmp;
+    tmp.reserve(size(l) + 1 + size(r));
+    NM::collect_entries(l, tmp);
+    tmp.emplace_back(m->key, m->value);
+    NM::collect_entries(r, tmp);
     dec(l);
     dec(m);
     dec(r);
-    return as_leaf(b);
+    return make_leaf(tmp.data(), tmp.size());
   }
 
   // Decompose an owned non-empty tree into (left, singleton middle, right).
@@ -221,14 +142,14 @@ struct tree_ops : node_manager<Entry, Balance> {
       NM::expose_own(t, l, m, r);
       return;
     }
-    auto bv = NM::read_block(block_of(t));
-    const entry_t* es = bv.data();
-    size_t c = bv.size();
+    auto run = lstore::read(block_of(t));
+    const entry_t* es = run.data();
+    size_t c = run.size();
     size_t j = c / 2;
     m = make_single(es[j].first, es[j].second);
     l = build_sorted_seq(es, j);
     r = build_sorted_seq(es + j + 1, c - j - 1);
-    dec(t);  // after the copies: a flat view's es points into t's block
+    dec(t);  // after the copies: a flat run points into t's block
   }
 
   // ------------------------------------------------------ split / join2 --
@@ -263,12 +184,12 @@ struct tree_ops : node_manager<Entry, Balance> {
   static split_t split_block(node* t, const K& k) {
     const lblock* b = block_of(t);
     bool hit = false;
-    size_t pos = blk_lower(b, k, &hit);
+    size_t pos = lstore::lower_idx(b, k, &hit);
     if (pos == 0 && !hit) return {nullptr, nullptr, t};
     if (pos == b->count) return {t, nullptr, nullptr};
-    auto bv = NM::read_block(b);
-    const entry_t* es = bv.data();
-    size_t c = bv.size();
+    auto run = lstore::read(b);
+    const entry_t* es = run.data();
+    size_t c = run.size();
     split_t s;
     s.left = build_sorted_seq(es, pos);
     if (hit) {
@@ -283,9 +204,9 @@ struct tree_ops : node_manager<Entry, Balance> {
   // Remove and return the last (maximum) entry: (rest, last-as-singleton).
   static std::pair<node*, node*> split_last(node* t) {
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
-      const entry_t* es = bv.data();
-      size_t c = bv.size();
+      auto run = lstore::read(block_of(t));
+      const entry_t* es = run.data();
+      size_t c = run.size();
       node* last = make_single(es[c - 1].first, es[c - 1].second);
       node* rest = build_sorted_seq(es, c - 1);
       dec(t);
@@ -333,46 +254,30 @@ struct tree_ops : node_manager<Entry, Balance> {
     return insert(t, k, v, [](const V&, const V& nv) { return nv; });
   }
 
+  // Re-form a block's edited run of n entries: one block when it fits,
+  // else an even split around the middle entry into two blocks — the shape
+  // weight-balanced rebuild gives an overflowing block, built once.
+  static node* rebuild_block(const entry_t* es, size_t n) {
+    size_t B = leaf_block_size();
+    if (B == 0 || n <= B) return build_sorted_seq(es, n);
+    size_t mid = n / 2;
+    return join(build_sorted_seq(es, mid), make_single(es[mid].first, es[mid].second),
+                build_sorted_seq(es + mid + 1, n - mid - 1));
+  }
+
   template <typename Comb>
   static node* block_insert(node* t, const K& k, const V& v, const Comb& comb) {
-    auto bv = NM::read_block(block_of(t));
-    const entry_t* es = bv.data();
-    size_t c = bv.size();
+    auto run = lstore::read(block_of(t));
+    const entry_t* es = run.data();
+    size_t c = run.size();
     size_t pos = lower_idx(es, c, k);
     bool hit = pos < c && !less(k, es[pos].first);
-    size_t nc = hit ? c : c + 1;
-    size_t B = leaf_block_size();
-    if constexpr (NM::flat_layout) {
-      if (B >= 1 && nc <= B) {
-        // Block-at-a-time rebuild: one new block, no tree surgery.
-        lblock* nb = lstore::allocate(static_cast<uint32_t>(nc));
-        entry_t* out = nb->entries();
-        size_t i = 0;
-        for (; i < pos; i++) new (&out[i]) entry_t(es[i]);
-        if (hit) {
-          new (&out[i++]) entry_t(k, comb(es[pos].second, v));
-        } else {
-          new (&out[i++]) entry_t(k, v);
-        }
-        for (size_t j = pos + (hit ? 1 : 0); j < c; j++) new (&out[i++]) entry_t(es[j]);
-        lstore::seal(nb);
-        dec(t);
-        return as_leaf(nb);
-      }
-    }
-    // Coded blocks, overflow, or blocking now disabled: materialize and
-    // rebuild — build_sorted_seq re-encodes one block when nc <= B and
-    // splits into correctly sized blocks (or plain nodes) otherwise.
     std::vector<entry_t> tmp;
-    tmp.reserve(nc);
-    for (size_t i = 0; i < pos; i++) tmp.push_back(es[i]);
-    if (hit) {
-      tmp.emplace_back(k, comb(es[pos].second, v));
-    } else {
-      tmp.emplace_back(k, v);
-    }
-    for (size_t j = pos + (hit ? 1 : 0); j < c; j++) tmp.push_back(es[j]);
-    node* nn = build_sorted_seq(tmp.data(), tmp.size());
+    tmp.reserve(hit ? c : c + 1);
+    tmp.insert(tmp.end(), es, es + pos);
+    tmp.emplace_back(k, hit ? comb(es[pos].second, v) : v);
+    tmp.insert(tmp.end(), es + pos + (hit ? 1 : 0), es + c);
+    node* nn = rebuild_block(tmp.data(), tmp.size());
     dec(t);
     return nn;
   }
@@ -391,36 +296,16 @@ struct tree_ops : node_manager<Entry, Balance> {
   static node* block_remove(node* t, const K& k) {
     const lblock* b = block_of(t);
     bool hit = false;
-    size_t pos = blk_lower(b, k, &hit);
+    size_t pos = lstore::lower_idx(b, k, &hit);
     if (!hit) return t;  // absent: unchanged
-    size_t c = b->count;
-    if (c == 1) {
-      dec(t);
-      return nullptr;
-    }
-    auto bv = NM::read_block(b);
-    const entry_t* es = bv.data();
-    node* nn = nullptr;
-    if constexpr (NM::flat_layout) {
-      if (leaf_block_size() >= c - 1) {
-        lblock* nb = lstore::allocate(static_cast<uint32_t>(c - 1));
-        entry_t* out = nb->entries();
-        size_t i = 0;
-        for (size_t j = 0; j < c; j++) {
-          if (j != pos) new (&out[i++]) entry_t(es[j]);
-        }
-        lstore::seal(nb);
-        nn = as_leaf(nb);
-      }
-    }
-    if (nn == nullptr) {
-      std::vector<entry_t> tmp;
-      tmp.reserve(c - 1);
-      for (size_t j = 0; j < c; j++) {
-        if (j != pos) tmp.push_back(es[j]);
-      }
-      nn = build_sorted_seq(tmp.data(), tmp.size());
-    }
+    auto run = lstore::read(b);
+    const entry_t* es = run.data();
+    size_t c = run.size();
+    std::vector<entry_t> tmp;
+    tmp.reserve(c - 1);
+    tmp.insert(tmp.end(), es, es + pos);
+    tmp.insert(tmp.end(), es + pos + 1, es + c);
+    node* nn = rebuild_block(tmp.data(), tmp.size());
     dec(t);
     return nn;
   }
@@ -436,8 +321,8 @@ struct tree_ops : node_manager<Entry, Balance> {
       if (is_block(t)) {
         const lblock* b = block_of(t);
         bool eq = false;
-        size_t pos = blk_lower(b, k, &eq);
-        if (eq) return blk_value(b, pos);
+        uint32_t pos = lstore::lower_idx(b, k, &eq);
+        if (eq) return lstore::value_at(b, pos);
         return std::nullopt;
       }
       if (less(k, t->key)) {
@@ -457,14 +342,14 @@ struct tree_ops : node_manager<Entry, Balance> {
   static std::optional<entry_t> first_entry(const node* t) {
     if (t == nullptr) return std::nullopt;
     while (!is_block(t) && t->left != nullptr) t = t->left;
-    if (is_block(t)) return blk_entry(block_of(t), 0);
+    if (is_block(t)) return lstore::entry_at(block_of(t), 0);
     return entry_t(t->key, t->value);
   }
 
   static std::optional<entry_t> last_entry(const node* t) {
     if (t == nullptr) return std::nullopt;
     while (!is_block(t) && t->right != nullptr) t = t->right;
-    if (is_block(t)) return blk_entry(block_of(t), block_of(t)->count - 1);
+    if (is_block(t)) return lstore::entry_at(block_of(t), block_of(t)->count - 1u);
     return entry_t(t->key, t->value);
   }
 
@@ -474,8 +359,8 @@ struct tree_ops : node_manager<Entry, Balance> {
     while (t != nullptr) {
       if (is_block(t)) {
         const lblock* b = block_of(t);
-        size_t pos = blk_lower(b, k, nullptr);  // entries [0, pos) are < k
-        if (pos > 0) best = blk_entry(b, pos - 1);
+        uint32_t pos = lstore::lower_idx(b, k, nullptr);  // entries [0, pos) are < k
+        if (pos > 0) best = lstore::entry_at(b, pos - 1);
         return best;
       }
       if (less(t->key, k)) {
@@ -494,8 +379,8 @@ struct tree_ops : node_manager<Entry, Balance> {
     while (t != nullptr) {
       if (is_block(t)) {
         const lblock* b = block_of(t);
-        size_t pos = blk_upper(b, k);  // entries [pos, count) are > k
-        if (pos < b->count) best = blk_entry(b, pos);
+        uint32_t pos = lstore::upper_idx(b, k);  // entries [pos, count) are > k
+        if (pos < b->count) best = lstore::entry_at(b, pos);
         return best;
       }
       if (less(k, t->key)) {
@@ -514,7 +399,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   static size_t rank(const node* t, const K& k) {
     size_t acc = 0;
     while (t != nullptr) {
-      if (is_block(t)) return acc + blk_lower(block_of(t), k, nullptr);
+      if (is_block(t)) return acc + lstore::lower_idx(block_of(t), k, nullptr);
       if (less(t->key, k)) {
         acc += size(t->left) + 1;
         t = t->right;
@@ -529,7 +414,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   static size_t rank_leq(const node* t, const K& k) {
     size_t acc = 0;
     while (t != nullptr) {
-      if (is_block(t)) return acc + blk_upper(block_of(t), k);
+      if (is_block(t)) return acc + lstore::upper_idx(block_of(t), k);
       if (!less(k, t->key)) {
         acc += size(t->left) + 1;
         t = t->right;
@@ -562,7 +447,7 @@ struct tree_ops : node_manager<Entry, Balance> {
         t = t->right;
       }
     }
-    return blk_entry(block_of(t), i);
+    return lstore::entry_at(block_of(t), static_cast<uint32_t>(i));
   }
 
   // --------------------------------------------------- range extraction --
@@ -573,7 +458,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   static node* take_leq(const node* t, const K& k) {
     if (t == nullptr) return nullptr;
     if (is_block(t)) {
-      size_t pos = blk_upper(block_of(t), k);  // entries [0, pos) are <= k
+      size_t pos = lstore::upper_idx(block_of(t), k);  // entries [0, pos) are <= k
       return block_slice(t, 0, pos);
     }
     if (less(k, t->key)) return take_leq(t->left, k);
@@ -585,7 +470,7 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) return nullptr;
     if (is_block(t)) {
       const lblock* b = block_of(t);
-      size_t pos = blk_lower(b, k, nullptr);  // entries [pos, count) are >= k
+      size_t pos = lstore::lower_idx(b, k, nullptr);  // entries [pos, count) are >= k
       return block_slice(t, pos, b->count);
     }
     if (less(t->key, k)) return take_geq(t->right, k);
@@ -597,8 +482,8 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) return nullptr;
     if (is_block(t)) {
       const lblock* b = block_of(t);
-      size_t i = blk_lower(b, lo, nullptr);
-      size_t j = blk_upper(b, hi);
+      size_t i = lstore::lower_idx(b, lo, nullptr);
+      size_t j = lstore::upper_idx(b, hi);
       return block_slice(t, i, j);  // lo > hi gives j <= i: empty
     }
     if (less(t->key, lo)) return range_copy(t->right, lo, hi);
@@ -612,8 +497,8 @@ struct tree_ops : node_manager<Entry, Balance> {
   static node* block_slice(const node* t, size_t i, size_t j) {
     if (j <= i) return nullptr;
     if (i == 0 && j == block_of(t)->count) return inc(const_cast<node*>(t));
-    auto bv = NM::read_block(block_of(t));
-    return build_sorted_seq(bv.data() + i, j - i);
+    auto run = lstore::read(block_of(t));
+    return build_sorted_seq(run.data() + i, j - i);
   }
 
   // ---------------------------------------------------------- validation --
@@ -678,11 +563,7 @@ struct tree_ops : node_manager<Entry, Balance> {
     if (t == nullptr) return true;
     if (is_block(t)) {
       const lblock* b = block_of(t);
-      if (b->ref_cnt.load(std::memory_order_relaxed) == 0 || b->count == 0) return false;
-      if constexpr (NM::flat_layout) {
-        if (b->count > b->capacity) return false;
-      }
-      return true;
+      return b->ref_cnt.load(std::memory_order_relaxed) != 0 && b->count != 0;
     }
     return check_blocks(t->left) && check_blocks(t->right);
   }
@@ -693,14 +574,14 @@ struct tree_ops : node_manager<Entry, Balance> {
     return check_sizes(t->left) && check_sizes(t->right);
   }
 
-  // prev is an owning copy, not a pointer: for front-coded blocks the
-  // decoded view dies at scope exit, so a pointer into it would dangle.
+  // prev is an owning copy, not a pointer: for coded blocks the decoded run
+  // dies at scope exit, so a pointer into it would dangle.
   static bool check_order(const node* t, std::optional<K>& prev) {
     if (t == nullptr) return true;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
-      const entry_t* es = bv.data();
-      for (size_t i = 0; i < bv.size(); i++) {
+      auto run = lstore::read(block_of(t));
+      const entry_t* es = run.data();
+      for (size_t i = 0; i < run.size(); i++) {
         if (prev.has_value() && !less(*prev, es[i].first)) return false;
         prev = es[i].first;
       }
@@ -715,10 +596,10 @@ struct tree_ops : node_manager<Entry, Balance> {
   static bool check_aug(const node* t) {
     if (t == nullptr) return true;
     if (is_block(t)) {
-      auto bv = NM::read_block(block_of(t));
-      // The same grouped fold the stores' seal/build use, so the cached
-      // value compares equal bit for bit, floats included.
-      return block_of(t)->aug == fold_entries_assoc<traits>(bv.data(), 0, bv.size());
+      auto run = lstore::read(block_of(t));
+      // The same grouped fold the store's build uses, so the cached value
+      // compares equal bit for bit, floats included.
+      return block_of(t)->aug == fold_entries_assoc<traits>(run.data(), 0, run.size());
     }
     A expect = traits::combine(aug_of(t->left),
                                traits::combine(traits::base(t->key, t->value),

@@ -2,11 +2,14 @@
 // snapshots and re-packs, layout switching mid-life (blocked trees keep
 // working after the knob changes), space accounting for the leaf pools,
 // the applications under small block sizes (which maximize the number
-// of block boundaries every query crosses), and the in-block search against
-// the standard library's bounds.
+// of block boundaries every query crosses), the in-block search against
+// the standard library's bounds, flat slot sizes against power-of-two entry
+// classes, and the lifetime of non-trivial entries in flat blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -659,6 +662,103 @@ TEST(LeafBlocks, InBlockSearchMatchesStdBoundsAcrossCutoff) {
     expect_block_search_matches_std<desc_entry>(u, u_probes);
     expect_block_search_matches_std<desc_entry>(u_ends, u_probes);
     if (HasFatalFailure()) return;
+  }
+}
+
+// ---- flat blocks as a codec of the one block store --------------------------
+
+// The header flat blocks had in their own store, where a block of n entries
+// took a slot of header + 2^ceil(log2 n) entries: {ref_cnt, count,
+// capacity, aug}, with the entries at the next entry_t-aligned offset.
+template <typename Entry>
+struct pow2_class_header {
+  std::atomic<uint32_t> ref_cnt;
+  uint32_t count;
+  uint32_t capacity;
+  [[no_unique_address]] typename pam::entry_traits<Entry>::aug_t aug;
+};
+
+// Every one-block map of n = 1..B entries takes a slot no larger than the
+// power-of-two entry class gave it.
+template <typename Entry, typename MakeKey>
+void expect_flat_slots_within_pow2_classes(MakeKey key) {
+  using map = pam::aug_map<Entry>;
+  using e_t = typename map::entry_t;
+  static_assert(pam::entry_layout_v<Entry> == pam::key_layout::flat);
+  constexpr size_t kB = 32;
+  const size_t align = alignof(e_t);
+  const size_t header = (sizeof(pow2_class_header<Entry>) + align - 1) / align * align;
+  pam::set_leaf_block_size(kB);
+  for (size_t n = 1; n <= kB; n++) {
+    std::vector<e_t> es;
+    for (size_t i = 0; i < n; i++) es.emplace_back(key(i), typename map::V(i));
+    int64_t blocks0 = map::used_leaf_blocks(), bytes0 = map::used_leaf_bytes();
+    map m(es);
+    ASSERT_EQ(map::used_leaf_blocks() - blocks0, 1) << "n=" << n;
+    auto slot = static_cast<size_t>(map::used_leaf_bytes() - bytes0);
+    EXPECT_LE(slot, header + std::bit_ceil(n) * sizeof(e_t))
+        << "n=" << n << " sizeof(entry)=" << sizeof(e_t);
+  }
+}
+
+TEST(FlatCodec, SlotsNoLargerThanPow2EntryClasses) {
+  block_size_guard guard;
+  expect_flat_slots_within_pow2_classes<pam::sum_entry<uint64_t, uint64_t>>(
+      [](size_t i) { return uint64_t(i); });
+  expect_flat_slots_within_pow2_classes<pam::map_entry<uint32_t, uint32_t>>(
+      [](size_t i) { return uint32_t(i); });
+  expect_flat_slots_within_pow2_classes<pam::map_entry<std::string, uint64_t>>(
+      [](size_t i) { return "key/" + std::to_string(1000 + i); });
+}
+
+// A value that counts its constructions and destructions.
+struct counted {
+  static inline std::atomic<int64_t> made{0};
+  static inline std::atomic<int64_t> gone{0};
+  uint64_t v = 0;
+
+  counted() { made++; }
+  counted(uint64_t x) : v(x) { made++; }  // NOLINT: implicit on purpose
+  counted(const counted& o) : v(o.v) { made++; }
+  counted& operator=(const counted& o) = default;
+  ~counted() { gone++; }
+  bool operator==(const counted& o) const { return v == o.v; }
+};
+
+// Flat blocks construct their entries in place and destroy them on
+// release: once every map is gone, each construction of a value has met its
+// destruction, through builds, point edits that overflow and split blocks,
+// splits, set algebra and value maps.
+TEST(FlatCodec, NonTrivialEntriesDestroyedOnRelease) {
+  block_size_guard guard;
+  using cmap = pam::aug_map<pam::map_entry<uint64_t, counted>>;
+  using ce = cmap::entry_t;
+  for (size_t b : {size_t{1}, size_t{4}, size_t{32}}) {
+    pam::set_leaf_block_size(b);
+    int64_t blocks0 = cmap::used_leaf_blocks();
+    {
+      std::vector<ce> es;
+      for (uint64_t i = 0; i < 500; i++) es.emplace_back(i * 3, counted(i));
+      cmap a(es);
+      pam::random_gen g(b);
+      for (int i = 0; i < 300; i++) a = cmap::insert(a, g.next_bounded(2000), counted(i));
+      for (int i = 0; i < 100; i++) a = cmap::remove(a, g.next_bounded(2000));
+      std::vector<ce> more;
+      for (uint64_t i = 0; i < 400; i++) more.emplace_back(i * 5 + 1, counted(i));
+      cmap c = cmap::map_union(a, cmap(more));
+      auto parts = cmap::split(c, 999);
+      cmap d = cmap::map_values(parts.right, [](uint64_t, const counted& v) {
+        return counted(v.v + 1);
+      });
+      cmap f = cmap::filter(d, [](uint64_t k, const counted&) { return k % 2 == 0; });
+      cmap r = cmap::range(c, 100, 1500);
+      ASSERT_TRUE(c.check_valid());
+      ASSERT_TRUE(f.check_valid());
+      ASSERT_TRUE(r.check_valid());
+      EXPECT_GT(cmap::used_leaf_blocks(), blocks0);
+    }
+    EXPECT_EQ(cmap::used_leaf_blocks(), blocks0) << "B=" << b;
+    EXPECT_EQ(counted::made.load(), counted::gone.load()) << "B=" << b;
   }
 }
 

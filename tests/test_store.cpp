@@ -825,8 +825,7 @@ TEST(WireCodec, RawFlatBlocksOfIntegerEntriesStillLoad) {
 // The one coded-block record of a single-block map's stream.
 struct coded_record {
   std::vector<char> head;  // stream header + record kind and count
-  uint32_t keys_off;       // header bytes before the encoded region
-  uint32_t val_off;
+  uint32_t val_off;        // value stream offset from the payload start
   std::vector<char> region;
 };
 
@@ -835,34 +834,30 @@ coded_record coded_record_of(const Map& m) {
   std::vector<char> wire;
   m.serialize(wire);
   // u32 magic | u8 layout | u8 order | u16 abi | u64 total | u32 records,
-  // then one record: u8 kind | u32 count | u32 len | u32 bytes | u32 val_off.
+  // then one record: u8 kind | u32 count | u32 len | u32 val_off | payload.
   const size_t at = 20;
   EXPECT_EQ(wire.at(at), 3) << "expected one coded-block record";
-  uint32_t records, len, bytes, val_off;
+  uint32_t records, len, val_off;
   std::memcpy(&records, wire.data() + 16, 4);
   std::memcpy(&len, wire.data() + at + 5, 4);
-  std::memcpy(&bytes, wire.data() + at + 9, 4);
-  std::memcpy(&val_off, wire.data() + at + 13, 4);
+  std::memcpy(&val_off, wire.data() + at + 9, 4);
   EXPECT_EQ(records, 1u);
   EXPECT_EQ(wire.size(), at + 9 + len);
   coded_record r;
   r.head.assign(wire.begin(), wire.begin() + at + 5);
-  r.region.assign(wire.begin() + at + 17, wire.end());
-  r.keys_off = bytes - static_cast<uint32_t>(r.region.size());
+  r.region.assign(wire.begin() + at + 13, wire.end());
   r.val_off = val_off;
   return r;
 }
 
-// Reassemble a stream around `region`, with val_off given relative to the
-// region start.
+// Reassemble a stream around `region`, with the value stream at val_at.
 std::vector<char> coded_stream(const coded_record& r,
                                const std::vector<char>& region,
                                size_t val_at) {
   std::vector<char> w = r.head;
-  uint32_t len = static_cast<uint32_t>(region.size() + 8);
-  uint32_t bytes = r.keys_off + static_cast<uint32_t>(region.size());
-  uint32_t val_off = r.keys_off + static_cast<uint32_t>(val_at);
-  for (uint32_t f : {len, bytes, val_off}) {
+  uint32_t len = static_cast<uint32_t>(region.size() + 4);
+  uint32_t val_off = static_cast<uint32_t>(val_at);
+  for (uint32_t f : {len, val_off}) {
     const char* p = reinterpret_cast<const char*>(&f);
     w.insert(w.end(), p, p + 4);
   }
@@ -984,7 +979,7 @@ TEST(WireCodec, FrontCodedBlockFrameRulesEnforced) {
   str_map m{{"a", 1}, {"b", 2}, {"c", 3}};
   coded_record r = coded_record_of(m);
   const std::vector<char> keys = {0, 1, 'a', 0, 1, 'b', 0, 1, 'c'};
-  const size_t val_at = r.val_off - r.keys_off, pad = val_at - keys.size();
+  const size_t val_at = r.val_off, pad = val_at - keys.size();
   ASSERT_GT(pad, 0u) << "the fixture needs a non-empty pad";
   ASSERT_LT(pad, 8u);
   auto raw = [](std::initializer_list<uint64_t> vs) {
@@ -1032,7 +1027,7 @@ TEST(WireCodec, FrontCodedBlockFrameRulesEnforced) {
   EXPECT_THROW(load_with(keys, pad + 8, vals), pam::wire::error);
   // A value array at an offset that is not a multiple of alignof(uint64_t),
   // with every other rule intact (a one-byte zero pad).
-  ASSERT_NE((r.keys_off + keys.size() + 1) % alignof(uint64_t), 0u);
+  ASSERT_NE((keys.size() + 1) % alignof(uint64_t), 0u);
   EXPECT_THROW(load_with(keys, 1, vals), pam::wire::error);
 }
 
@@ -1075,11 +1070,61 @@ TEST(WireCodec, OldFormatFrontCodedStreamRejected) {
   str_map{{"a", 1}, {"b", 2}, {"c", 3}}.serialize(cur);
   uint16_t abi;
   std::memcpy(&abi, cur.data() + 6, 2);
-  ASSERT_EQ(abi, 1u) << "front-coded streams carry record format 1";
+  ASSERT_EQ(abi, 2u) << "front-coded streams carry record format 2";
   EXPECT_EQ(str_map::deserialize(cur.data(), cur.size()).size(), 3u);
+  for (uint16_t old : {uint16_t{0}, uint16_t{1}}) {
+    std::memcpy(cur.data() + 6, &old, 2);
+    EXPECT_THROW(str_map::deserialize(cur.data(), cur.size()), pam::wire::error) << old;
+  }
+}
+
+// Coded streams of the previous block framing: {u32 bytes, u32 val_off}
+// measured from the start of a block whose 32-byte header put the key
+// stream at offset 32, stamped with that framing's record format version
+// (front-coded 1, delta-coded 0). They must be refused, never misread, and
+// the stamp alone refuses a current-format stream.
+TEST(WireCodec, PreviousFramingCodedStreamsRejected) {
+  auto put = [](std::string& out, auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto stream = [&](pam::key_layout layout, uint16_t abi, uint64_t total,
+                    uint32_t count, uint32_t val_off, const std::string& region) {
+    std::string w;
+    put(w, uint32_t{0x314D4150});
+    put(w, static_cast<uint8_t>(layout));
+    put(w, pam::wire::kHostByteOrder);
+    put(w, abi);
+    put(w, total);
+    put(w, uint32_t{1});
+    put(w, uint8_t{3});  // kCodedRaw
+    put(w, count);
+    put(w, static_cast<uint32_t>(8 + region.size()));
+    put(w, static_cast<uint32_t>(32 + region.size()));
+    put(w, val_off);
+    return w + region;
+  };
+  // Front-coded "a" "b" "c" -> 1 2 3: records {0, 1, key byte}, zero pad to
+  // block offset 48, raw u64 values.
+  std::string front = {0, 1, 'a', 0, 1, 'b', 0, 1, 'c'};
+  front.resize(48 - 32, 0);
+  for (uint64_t v : {1u, 2u, 3u}) put(front, v);
+  std::string w = stream(pam::key_layout::front_coded, 1, 3, 3, 48, front);
+  EXPECT_THROW(str_map::deserialize(w.data(), w.size()), pam::wire::error);
+  // Delta-coded 1..4 -> 10..40: key varints 01 02 02 02, value varints at
+  // block offset 36.
+  const std::string delta = {1, 2, 2, 2, 10, 20, 30, 40};
+  w = stream(pam::key_layout::delta, 0, 4, 4, 36, delta);
+  EXPECT_THROW(delta_map::deserialize(w.data(), w.size()), pam::wire::error);
+
+  std::vector<char> cur;
+  delta_map{{1, 10}, {2, 20}, {3, 30}, {4, 40}}.serialize(cur);
+  uint16_t abi;
+  std::memcpy(&abi, cur.data() + 6, 2);
+  ASSERT_EQ(abi, 1u) << "delta-coded streams carry record format 1";
+  EXPECT_EQ(delta_map::deserialize(cur.data(), cur.size()).aug_val(), 100u);
   abi = 0;
   std::memcpy(cur.data() + 6, &abi, 2);
-  EXPECT_THROW(str_map::deserialize(cur.data(), cur.size()), pam::wire::error);
+  EXPECT_THROW(delta_map::deserialize(cur.data(), cur.size()), pam::wire::error);
 }
 
 // A block's payload is a function of its entries alone: rebuilding the same
