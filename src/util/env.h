@@ -76,8 +76,8 @@ struct env_knob {
 };
 
 // Every PAM_* environment knob in the tree. Kept sorted by name.
-inline const std::array<env_knob, 19>& env_knobs() {
-  static const std::array<env_knob, 19> knobs{{
+inline const std::array<env_knob, 18>& env_knobs() {
+  static const std::array<env_knob, 18> knobs{{
       {"PAM_BENCH_JSON", "bench", "(unset)",
        "append one JSON line per benchmark row to this file"},
       {"PAM_BENCH_SCALE", "bench", "1.0",
@@ -105,9 +105,6 @@ inline const std::array<env_knob, 19>& env_knobs() {
        "enforce the perf-smoke acceptance gates by exit code"},
       {"PAM_READ_GATE", "bench", "derated by machine size",
        "fail YCSB read scaling below this speedup"},
-      {"PAM_REBALANCE_GATE", "bench", "derated by machine size",
-       "fail the skewed-YCSB bench when rebalanced throughput is not this "
-       "many times the static-directory baseline"},
       {"PAM_TRACE", "obs", "0", "enable trace-span recording at startup"},
       {"PAM_TRACE_JSON", "obs", "(unset)",
        "write the Chrome-trace JSON dump to this file at bench exit"},

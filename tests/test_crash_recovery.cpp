@@ -428,68 +428,63 @@ TEST(CrashRecovery, BulkAndBufferedWritersRacingOneKeyRecoverTheLiveStore) {
   race_writers_on_one_key("race_bulk_put", /*both_bulk=*/false);
 }
 
-// Crash-contract rule (d): a checkpoint cut under a different splitter
-// directory than its predecessor must be full, so every file of a chain
-// was cut along the splitters its manifest records. Skewed writes make
-// rebalance() install a new directory between two checkpoints. A large
-// cold preload keeps the delta far under the size escalation, so only
-// rule (d) can make the second checkpoint full. Recovery must then return exactly the oracle, distributed along
-// the post-re-split splitters the full checkpoint recorded.
-TEST(CrashRecovery, CheckpointAfterResplitIsFullAndRecoversExactly) {
-  temp_dir td("resplit");
+// Recovery rebuilds the shard directory from the manifest, whatever the
+// caller's options ask for. A store built with explicit splitters writes a
+// checkpoint and then a WAL tail; recover() is handed other splitters and
+// another shard count, and must still come back with the manifest's
+// splitters and every entry of the oracle, each in the shard that owns it.
+TEST(CrashRecovery, RecoverRestoresManifestSplitters) {
+  temp_dir td("manifest_splitters");
+  const std::vector<uint64_t> splitters = {10000, 20000, 30000};
   oracle_t oracle;
-  std::vector<uint64_t> resplit;
   {
-    std::vector<map_t::entry_t> cold;  // all in the last shard, never written
-    for (uint64_t k = 100000; k < 300000; k++) {
-      cold.emplace_back(k, k);
-      oracle[k] = k;
-    }
     store_t::options opt;
-    opt.splitters = {10000, 20000, 30000};
+    opt.splitters = splitters;
     pam::store::durability_options dopts;
     dopts.dir = td.path;
     opt.durability = dopts;
-    store_t store(map_t(std::move(cold)), opt);
-
-    // Every write lands in shard 0: the load policy's hot-shard trigger.
+    store_t store(map_t{}, opt);
     pam::random_gen g(17);
-    for (uint64_t k = 0; k < 6000; k++) {
+    for (uint64_t i = 0; i < 6000; i++) {
+      uint64_t k = g.next() % 40000;
       uint64_t v = g.next();
       store.put(k, v);
       oracle[k] = v;
     }
     store.save_checkpoint();
-    ASSERT_TRUE(store.rebalance());
-    resplit = store.shards().splitters();
-    ASSERT_NE(resplit, (std::vector<uint64_t>{10000, 20000, 30000}));
-
-    for (uint64_t i = 0; i < 500; i++) {
-      uint64_t k = 3000 + 7 * i;
-      uint64_t v = g.next();
-      store.put(k, v);
-      oracle[k] = v;
-    }
-    for (uint64_t k = 0; k < 6000; k += 13) {
+    // A WAL tail past the checkpoint, replayed at recovery.
+    for (uint64_t k = 0; k < 40000; k += 13) {
       store.erase(k);
       oracle.erase(k);
     }
-    auto res = store.save_checkpoint();
-    EXPECT_TRUE(res.full) << "a checkpoint across a re-split must be full";
-    // A WAL tail past the full checkpoint, replayed at recovery.
+    std::vector<map_t::entry_t> bulk;
     for (uint64_t k = 40000; k < 40100; k++) {
-      store.put(k, k);
+      bulk.emplace_back(k, k);
       oracle[k] = k;
     }
+    store.put_batch(std::move(bulk));
     store.flush();
     ASSERT_FALSE(store.failed());
     expect_equals(store, oracle, "pre-shutdown");
   }
   pam::store::durability_options dopts;
   dopts.dir = td.path;
-  store_t recovered = store_t::recover(dopts);
+  store_t::options ropt;
+  ropt.splitters = {500, 1500};
+  ropt.num_shards = 2;
+  store_t::recovery_stats stats;
+  store_t recovered = store_t::recover(dopts, ropt, &stats);
+  ASSERT_TRUE(stats.recovered);
+  EXPECT_GT(stats.wal_records, 0u);
+  EXPECT_EQ(recovered.shards().splitters(), splitters);
+  ASSERT_EQ(recovered.shards().num_shards(), splitters.size() + 1);
   expect_equals(recovered, oracle, "post-recovery");
-  EXPECT_EQ(recovered.shards().splitters(), resplit);
+  auto snap = recovered.snapshot();
+  for (size_t s = 0; s < snap.num_shards(); s++) {
+    snap.shard(s).for_each([&](uint64_t k, uint64_t) {
+      EXPECT_EQ(recovered.shards().shard_of(k), s) << "key " << k;
+    });
+  }
 }
 
 // ------------------------------------------- delta checkpoints from logs --

@@ -347,50 +347,7 @@ TEST(ShardedMapDifferential, ConcurrentWritersMatchMutexedStdMap) {
   EXPECT_EQ(got, want);
 }
 
-// ------------------------------------------------------------- rebalance --
-
-TEST(ShardedMapRebalance, PolicyRepartitionsSkewAndPreservesContents) {
-  // Deterministic policy check: all write traffic lands on the last shard,
-  // so maybe_rebalance must install a directory whose splitters shrink the
-  // hot range — without disturbing a single entry.
-  map_t initial;
-  for (K k = 0; k < 4000; k++) initial = map_t::insert(std::move(initial), k, k);
-  sharded_t sm(std::move(initial), 4);
-  ASSERT_EQ(sm.num_shards(), 4u);
-  ASSERT_EQ(sm.directory_gen(), 1u);
-
-  // Below the op floor: the policy must decline however skewed the load.
-  sm.insert(3999, 1);
-  EXPECT_FALSE(sm.maybe_rebalance(/*hot_ratio=*/1.5, /*min_ops=*/4096));
-  EXPECT_EQ(sm.directory_gen(), 1u);
-
-  pam::random_gen g(42);
-  for (int i = 0; i < 4096; i++) {
-    K k = 3000 + g.next() % 1000;  // all traffic in the last shard
-    sm.insert(k, g.next() % 100);
-  }
-  std::map<K, V> expect;
-  for (auto& [k, v] : sm.snapshot_all().entries()) expect[k] = v;
-
-  EXPECT_TRUE(sm.maybe_rebalance(1.5, 4096));
-  EXPECT_EQ(sm.directory_gen(), 2u);
-  EXPECT_EQ(sm.num_shards(), 4u);
-  // The hot range [3000, 4000) must now span multiple shards.
-  EXPECT_GT(sm.shard_of(3999), sm.shard_of(3000));
-
-  auto snap = sm.snapshot_all();
-  ASSERT_EQ(snap.size(), expect.size());
-  auto got = snap.entries();
-  size_t i = 0;
-  for (auto& [k, v] : expect) {
-    ASSERT_EQ(got[i].first, k);
-    ASSERT_EQ(got[i].second, v);
-    i++;
-  }
-  EXPECT_TRUE(snap.merged().check_valid());
-}
-
-TEST(ShardedMapRebalance, UpdateShardRejectsOutOfRangeIndex) {
+TEST(ShardedMap, UpdateShardRejectsOutOfRangeIndex) {
   // Shard indices are directory-relative; an index past the current
   // directory names no shard and must not silently land in the last one.
   sharded_t sm(std::vector<K>{100, 200});
@@ -403,67 +360,6 @@ TEST(ShardedMapRebalance, UpdateShardRejectsOutOfRangeIndex) {
   EXPECT_THROW(sm.update_shard(size_t(-1), put(301)), std::out_of_range);
   EXPECT_EQ(sm.size(), 1u);
   EXPECT_EQ(sm.snapshot_shard(2).size(), 1u);
-}
-
-TEST(ShardedMapRebalance, CutsRacingInstallsKeepTheCutInvariant) {
-  // The consistent-cut invariant of SnapshotAllIsAConsistentCut, with
-  // unconditional installs racing the cuts: counters are advanced in key
-  // order 0..3, so any cut — whatever directory generation it lands on —
-  // must see c[s] non-increasing and spanning at most two rounds. Filler
-  // inserts keep the entry distribution shifting so installs keep landing.
-  const size_t S = 4;
-  sharded_t sm(std::vector<K>{1000, 2000, 3000});
-  const K counter_key[S] = {0, 1000, 2000, 3000};
-  for (size_t s = 0; s < S; s++) sm.insert(counter_key[s], 0);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> violations{0};
-
-  // Installs are writer-excluded, so the single writer installs itself
-  // between rounds; the reader threads' cuts still race every install.
-  std::thread writer([&] {
-    pam::random_gen g(9);
-    for (V round = 1; round <= 2000; round++) {
-      for (size_t s = 0; s < S; s++) sm.insert(counter_key[s], round);
-      if (round % 8 == 0) {
-        sm.insert(4000 + g.next() % 5000, round);
-        sm.rebalance_now();
-      }
-    }
-    stop.store(true);
-  });
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; r++) {
-    readers.emplace_back([&] {
-      while (!stop.load()) {
-        auto cut = sm.snapshot_all_versioned();
-        if (cut.versions.size() != cut.snapshot.num_shards()) {
-          violations.fetch_add(1);
-          continue;
-        }
-        V c[S];
-        bool ok = true;
-        for (size_t s = 0; s < S; s++) {
-          auto got = cut.snapshot.find(counter_key[s]);
-          if (!got.has_value()) {
-            violations.fetch_add(1);
-            ok = false;
-            break;
-          }
-          c[s] = *got;
-        }
-        if (!ok) continue;
-        for (size_t s = 1; s < S; s++)
-          if (c[s] > c[s - 1]) violations.fetch_add(1);
-        if (c[0] > c[S - 1] + 1) violations.fetch_add(1);
-      }
-    });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(violations.load(), 0);
-  EXPECT_GE(sm.directory_gen(), 2u);
 }
 
 TEST(SnapshotBoxDifferential, ConcurrentPointWritersMatchMutexedStdMap) {
@@ -771,65 +667,4 @@ TEST(KvStore, BulkWritesLandInProgramOrderAfterBufferedWrites) {
   (void)std::system(rm.c_str());
 }
 
-
-TEST(KvStoreRebalance, InstallsRacingWritersLoseNoUpdates) {
-  // Four put/erase clients own disjoint key ranges — each keeps a private
-  // oracle in program order — and all four ranges start inside shard 0, so
-  // the load policy sees one hot shard and re-splits. Every 8th write is a
-  // one-key put_batch/erase_batch. A fifth thread loops rebalance(), whose
-  // writer fence (quiesced alone) interleaves installs with the clients'
-  // combiner flushes and bulk batches. Every write must survive every
-  // install.
-  const int kWriters = 4, kOps = 5000;
-  store_t store(map_t{}, {.splitters = {100000, 200000, 300000},
-                          .combiner = {.batch_size = 64}});
-  std::atomic<bool> stop{false};
-  std::thread balancer([&] {
-    while (!stop.load()) {
-      store.rebalance();
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::map<K, V>> oracles(kWriters);
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; w++) {
-    writers.emplace_back([&, w] {
-      pam::random_gen g(7000 + w);
-      auto& oracle = oracles[w];
-      for (int i = 0; i < kOps; i++) {
-        K k = K(w) * 25000 + g.next() % 20000;
-        bool bulk = i % 8 == 7;
-        if (g.next() % 5 == 0) {
-          if (bulk) {
-            store.erase_batch({k});
-          } else {
-            store.erase(k);
-          }
-          oracle.erase(k);
-        } else {
-          V v = g.next() % 100000;
-          if (bulk) {
-            store.put_batch({{k, v}});
-          } else {
-            store.put(k, v);
-          }
-          oracle[k] = v;
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true);
-  balancer.join();
-  store.flush();
-
-  EXPECT_GE(store.shards().directory_gen(), 2u);
-  std::map<K, V> expect;
-  for (auto& o : oracles) expect.insert(o.begin(), o.end());
-  auto snap = store.snapshot();
-  EXPECT_TRUE(snap.merged().check_valid());
-  std::vector<entry_t> want(expect.begin(), expect.end());
-  EXPECT_EQ(snap.entries(), want);
-}
 }  // namespace

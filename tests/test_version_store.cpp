@@ -312,81 +312,6 @@ TEST(KvStoreHistory, CheckpointDiffFeed) {
   EXPECT_EQ(store.checkpoint(), v2);
 }
 
-TEST(KvStoreHistory, DiffAndFeedAcrossAResplit) {
-  // checkpoint -> rebalance -> writes -> checkpoint. The two versions were
-  // cut under different splitter directories, so their shards cover
-  // different key ranges: the version diff and the feed must come from the
-  // merged-map fallback, and a key that only moved shards must not be
-  // reported at all (per-shard pairing would call it a delete).
-  pam::kv_store<map_t> store(map_t{}, {.splitters = {10000, 20000, 30000},
-                                       .retain_versions = 8});
-  std::map<K, V> oracle;
-  pam::random_gen g(23);
-  for (K k = 0; k < 6000; k++) {  // all in shard 0: a hot shard
-    V v = g.next() % 1000;
-    store.put(k, v);
-    oracle[k] = v;
-  }
-  uint64_t v1 = store.checkpoint();
-  auto feed = store.feed();
-  auto sub = feed.subscribe();
-  ASSERT_EQ(sub.version(), v1);
-
-  ASSERT_TRUE(store.rebalance());
-  // A cut under the new directory is retained even without new commits
-  // (version vectors of two generations are incomparable), and it diffs
-  // empty against the old one: nothing changed, keys only moved.
-  uint64_t vr = store.checkpoint();
-  EXPECT_GT(vr, v1);
-  ASSERT_TRUE(store.history().diff(v1, vr).has_value());
-  EXPECT_TRUE(store.history().diff(v1, vr)->empty());
-
-  const std::map<K, V> before = oracle;
-  for (K k = 0; k < 6000; k += 7) {
-    store.erase(k);
-    oracle.erase(k);
-  }
-  for (K k = 2000; k < 2300; k++) {
-    V v = 5000 + k;  // outside the initial value range: always an update
-    store.put(k, v);
-    oracle[k] = v;
-  }
-  for (K k = 50000; k < 50050; k++) {
-    store.put(k, k);
-    oracle[k] = k;
-  }
-  uint64_t v2 = store.checkpoint();
-  EXPECT_NE(store.history().snapshot_at(v1)->splitters_handle(),
-            store.history().snapshot_at(v2)->splitters_handle());
-
-  auto check = [&](const std::vector<change_t>& changes, const char* what) {
-    std::map<K, V> replay = before;
-    size_t expected = 0;
-    for (const auto& [k, v] : oracle) {
-      auto it = before.find(k);
-      if (it == before.end() || it->second != v) expected++;
-    }
-    for (const auto& [k, v] : before) expected += oracle.count(k) == 0 ? 1 : 0;
-    EXPECT_EQ(changes.size(), expected) << what;
-    for (const auto& c : changes) {
-      if (c.kind == pam::change_kind::removed) {
-        EXPECT_EQ(oracle.count(c.key), 0u) << what << ": key " << c.key;
-      }
-      apply_change(replay, c);
-    }
-    EXPECT_EQ(replay, oracle) << what;
-  };
-  auto changes = store.history().diff(v1, v2);
-  ASSERT_TRUE(changes.has_value());
-  check(*changes, "diff");
-
-  auto batch = feed.poll(sub);
-  ASSERT_FALSE(batch.lagged);
-  EXPECT_EQ(batch.from, v1);
-  EXPECT_EQ(batch.to, v2);
-  check(batch.changes, "feed");
-}
-
 TEST(KvStoreHistory, DisabledHistoryThrowsInsteadOfUB) {
   pam::kv_store<map_t> store;  // default options: retain_versions = 0
   EXPECT_FALSE(store.has_history());

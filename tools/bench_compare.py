@@ -32,6 +32,13 @@ CI's perf-smoke job produces it, a plain `ctest` run does not).
 Gates whose series is absent from the results stream are only an error
 under --require-all (CI runs every bench; a local spot-run of one bench
 should not fail the other benches' gates).
+
+    bench_compare.py --diff A.json B.json
+
+prints the ledger of two results streams side by side instead: one line
+per (bench, config, metric) present in either, with A's value, B's value
+and B/A ("-" where a side is missing or A is zero). It gates nothing and
+exits 0, or 2 if either stream cannot be read.
 """
 
 import argparse
@@ -61,15 +68,40 @@ def load_results(path):
     return series
 
 
+def diff(path_a, path_b):
+    try:
+        a, b = load_results(path_a), load_results(path_b)
+    except OSError as e:
+        print(f"ERROR: {e}")
+        return 2
+    rows = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        ratio = "-" if va is None or vb is None or va == 0 else f"{vb / va:.3f}"
+        rows.append(("/".join(key), "-" if va is None else f"{va:g}",
+                     "-" if vb is None else f"{vb:g}", ratio))
+    width = max([len(r[0]) for r in rows] + [6])
+    print(f"{'series':<{width}}  {'A':>12}  {'B':>12}  {'B/A':>7}")
+    for name, va, vb, ratio in rows:
+        print(f"{name:<{width}}  {va:>12}  {vb:>12}  {ratio:>7}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", required=True,
+    ap.add_argument("--baseline",
                     help="committed baseline JSON (gates + floors)")
-    ap.add_argument("--current", required=True,
+    ap.add_argument("--current",
                     help="PAM_BENCH_JSON results stream to check")
     ap.add_argument("--require-all", action="store_true",
                     help="fail if a gated series is missing from the results")
+    ap.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                    help="print two results streams side by side with B/A")
     args = ap.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    if not args.baseline or not args.current:
+        ap.error("--baseline and --current are required without --diff")
 
     try:
         with open(args.baseline, "r", encoding="utf-8") as f:
