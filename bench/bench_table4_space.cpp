@@ -30,17 +30,25 @@
 //      the longer those versions wait there, the more chunks the live
 //      tree's new slots spread over, and trim releases no chunk that still
 //      holds one live slot.
-//  (g) tree-node bytes per entry of a delta-coded map at B = 32: live nodes
-//      x sizeof(node) over entries, right after a build of n random keys and
-//      again after n/10 more random point inserts. Leaf blocks are not
-//      counted: this row isolates what the tree above the blocks costs. The
-//      post-insert row is gated in bench/baselines/BENCH_PR10.json.
+//  (g) tree-node bytes per entry of a delta-coded map at base B = 32 (delta
+//      blocks hold 4B = 128 entries): live nodes x sizeof(node) over
+//      entries, right after a build of n random keys and again after n/10
+//      more random point inserts. Leaf blocks are not counted: this row
+//      isolates what the tree above the blocks costs. The post-insert row
+//      is gated in bench/baselines/BENCH_PR10.json.
 //  (h) flat leaf bytes per entry of a sum_entry<u64, u64> map at B = 32:
 //      live leaf-block bytes over entries, right after a build of n random
 //      keys and again after n/10 more random point inserts. Full blocks are
 //      536 bytes (a 24-byte header and 32 16-byte entries); the inserts
 //      split blocks and leave them partly full, so this row shows how
 //      closely the payload byte classes fit partial blocks. The
+//      post-insert row is gated in bench/baselines/BENCH_PR10.json.
+//  (i) node + leaf bytes per entry of a delta-coded u64 map at the default
+//      base B = 32, where delta blocks hold 4B = 128 entries: live node and
+//      leaf-block bytes over entries, right after a build of n keys hashed
+//      into [0, 2n) with values below 1000 (the ycsb-b-large key shape) and
+//      again after n/10 more random point inserts into that range. This is
+//      the whole map's footprint under the codec's capacity; the
 //      post-insert row is gated in bench/baselines/BENCH_PR10.json.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
@@ -252,7 +260,7 @@ int main() {
   }
 
   // ------------- (g) tree-node bytes per entry, delta layout, B = 32 ------
-  std::printf("\n--- tree-node bytes per entry (delta layout, B = 32) ---\n");
+  std::printf("\n--- tree-node bytes per entry (delta layout, B = 32, 128-entry blocks) ---\n");
   {
     using delta_map = aug_map<delta_sum_entry<uint64_t, uint64_t>>;
     set_leaf_block_size(32);
@@ -303,13 +311,39 @@ int main() {
     set_leaf_block_size(saved_b);
   }
 
+  // ------- (i) node + leaf bytes per entry, delta layout, default capacity --
+  std::printf("\n--- node + leaf bytes per entry (delta layout, B = 32, 128-entry blocks) ---\n");
+  {
+    using delta_map = aug_map<delta_sum_entry<uint64_t, uint64_t>>;
+    set_leaf_block_size(32);
+    size_t dn = scaled_size(2000000);
+    int64_t bytes0 = delta_map::used_bytes();
+    delta_map m(kv_entries(dn, 71, 2 * dn));
+    auto bpe = [&] {
+      return static_cast<double>(delta_map::used_bytes() - bytes0) /
+             static_cast<double>(m.size());
+    };
+    double built = bpe();
+    random_gen g(72);
+    for (size_t i = 0; i < dn / 10; i++) {
+      m.insert_inplace(g.next_bounded(2 * dn), g.next() % 1000);
+    }
+    double inserted = bpe();
+    std::printf("leaf capacity %zu, n=%zu\n", delta_map::ops::leaf_capacity(), dn);
+    std::printf("after build            %6.2f B/entry\n", built);
+    std::printf("after +10%% inserts     %6.2f B/entry\n", inserted);
+    bench_json("bench_table4_space", "bytes_delta_B=32_build", "bytes_per_entry", built);
+    bench_json("bench_table4_space", "bytes_delta_B=32_inserts", "bytes_per_entry", inserted);
+    set_leaf_block_size(saved_b);
+  }
+
   std::printf("\nShape checks vs paper Table 4:\n");
   std::printf(" * union sharing: ~0-5%% for m=n, large (tens of %%) for m<<n\n");
   std::printf(" * range-tree inner sharing ~10-20%%\n");
   std::printf(" * blocked leaves >= 2x denser than the classic layout\n");
   std::printf(" * pools reserve ~1x their live bytes after a parallel free + trim\n");
   std::printf(" * serving churn: pools reserve well under 2x their live bytes after trim\n");
-  std::printf(" * about one 48-byte node per 32-entry block: ~1.5 B/entry of nodes\n");
+  std::printf(" * about one 48-byte node per 128-entry delta block: ~0.4 B/entry of nodes\n");
   std::printf(" * full flat blocks: 16.75 B/entry of leaves; partial blocks cost a little more\n");
 
   if (env_long("PAM_PERF_GATE", 0) != 0 && ratio < 2.0) {

@@ -17,8 +17,9 @@
 // but can be neither entered nor lifted. Where a join spine reaches a block,
 // or a rotation would lift one, the join rebuilds that subtree as an even
 // split into blocks instead: the block outweighs its light sibling, so the
-// subtree holds O(B) entries, and halving balances it by construction. The
-// invariant therefore holds at every node of a blocked tree too.
+// subtree holds O(C) entries (C = leaf_capacity()), and halving balances it
+// by construction. The invariant therefore holds at every node of a
+// blocked tree too.
 #pragma once
 
 #include <cstddef>
@@ -110,7 +111,7 @@ struct weight_balanced {
       return NM::rotate_right(t);
     }
 
-    // The owned subtree t (O(B) entries; its cached size may be stale) as an
+    // The owned subtree t (O(C) entries; its cached size may be stale) as an
     // even split into blocks.
     static node* rebuild(node* t) {
       std::vector<typename NM::entry_t> es;
@@ -121,7 +122,7 @@ struct weight_balanced {
 
     static node* build_even(const typename NM::entry_t* es, size_t n) {
       if (n == 0) return nullptr;
-      if (n <= leaf_block_size()) {
+      if (n <= NM::leaf_capacity()) {
         return NM::as_leaf(NM::lstore::build(es, static_cast<uint32_t>(n)));
       }
       size_t mid = n / 2;

@@ -300,9 +300,9 @@ struct map_ops : tree_ops<Entry, Balance> {
   // in whole leaf blocks when blocking is enabled.
   static node* from_sorted_unique(const entry_t* a, size_t n) {
     if (n == 0) return nullptr;
-    size_t B = leaf_block_size();
-    if (B >= 1 && n <= B) return TO::make_leaf(a, n);
-    size_t mid = TO::build_pivot(n, B);
+    size_t C = TO::leaf_capacity();
+    if (C >= 1 && n <= C) return TO::make_leaf(a, n);
+    size_t mid = TO::build_pivot(n, C);
     node* m = make_single(a[mid].first, a[mid].second);
     node* l = nullptr;
     node* r = nullptr;

@@ -12,7 +12,7 @@
 //
 // Blocked leaves (the PaC-tree layout of Dhulipala & Blelloch 2022): a child
 // pointer whose low bit is set points at a refcounted *leaf block* — a
-// sealed sorted run of 1..leaf_block_size() entries with its augmented value
+// sealed sorted run of 1..leaf_capacity() entries with its augmented value
 // cached in the block header — instead of at a tree node. Blocks sit only at
 // leaf positions (they have no children), and every tree node is internal:
 // exactly one inline entry, two children, the subtree's size and aug. The
@@ -31,6 +31,7 @@
 //     bump) into this protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
@@ -57,8 +58,14 @@ inline void set_reuse_enabled(bool on) { reuse_flag().store(on); }
 
 // ------------------------------------------------------- leaf block knob --
 
-// Maximum entries per leaf block. 0 selects the classic one-entry-per-node
-// layout; >= 1 packs subtrees of up to this many entries into blocks.
+// Base entries per leaf block, B. 0 selects the classic one-entry-per-node
+// layout; >= 1 packs subtrees into blocks of up to leaf_capacity() entries:
+// B times the codec's kLeafScale (1 for flat and front-coded blocks, 4 for
+// delta-coded ones), clamped to kMaxLeafBlock, which keeps the u16 block
+// count and serialize.h's frame checks valid. A block costs a fixed 72
+// bytes (a 48-byte tree node and a 24-byte header for u64 entries) besides
+// its payload; the scale keeps that cost small next to the payload of a
+// compressed block, as PaC-trees size their blocks.
 // Both layouts coexist in one process (existing blocks stay valid when the
 // knob changes), so benchmarks can ablate blocked vs. unblocked at runtime.
 //
@@ -130,6 +137,12 @@ struct node_manager {
   using lstore = coded_store<Entry, codec_of<Entry>>;
   using lblock = typename lstore::block;
   static_assert(kMaxLeafBlock <= UINT16_MAX, "a block's count is a u16");
+
+  // Entries per leaf block for this Entry's codec; 0 when unblocked. Every
+  // path that seals or packs blocks reads this, so they all agree.
+  static size_t leaf_capacity() {
+    return std::min(kMaxLeafBlock, leaf_block_size() * codec_of<Entry>::kLeafScale);
+  }
 
   // Comparisons are heterogeneous: string-keyed policies take string_views,
   // so lookups and in-block decoding compare without materializing keys.

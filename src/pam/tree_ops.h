@@ -4,11 +4,15 @@
 // all four balancing schemes.
 //
 // This layer is also the seam where the blocked-leaf layouts (node.h) are
-// integrated. A tree is null, a leaf block (a tagged child pointer, 1..B
-// sorted entries, no children) or a node (one entry, two subtrees). JOIN
-// packs results of up to leaf_block_size() entries into one block, and
-// split/expose/insert/delete open the one block at the boundary they touch.
-// The balance schemes see a block as a leaf and only ever rotate nodes.
+// integrated. A tree is null, a leaf block (a tagged child pointer, 1..C
+// sorted entries, no children) or a node (one entry, two subtrees), where
+// C = leaf_capacity() is the base block size PAM_LEAF_BLOCK times the
+// codec's scale (4 for delta-coded blocks, whose fixed 72-byte node and
+// header would otherwise outweigh their small payload). Every path that
+// seals a block reads C: JOIN packs results of up to C entries into one
+// block, builds cut sorted runs into blocks of C, and split/expose/insert/
+// delete open the one block at the boundary they touch. The balance
+// schemes see a block as a leaf and only ever rotate nodes.
 //
 // Every block, whatever its encoding, lives in one store (lstore,
 // pam/coded_block.h) under the codec the Entry's key_layout selects. This
@@ -50,6 +54,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   using NM::dec;
   using NM::inc;
   using NM::is_block;
+  using NM::leaf_capacity;
   using NM::less;
   using NM::make_single;
   using NM::size;
@@ -77,8 +82,8 @@ struct tree_ops : node_manager<Entry, Balance> {
 
   // ------------------------------------------------- leaf construction --
 
-  // A fresh leaf block over es[0, n), 1 <= n <= kMaxLeafBlock, encoded by
-  // the Entry's codec.
+  // A fresh leaf block over es[0, n), 1 <= n <= leaf_capacity(), encoded
+  // by the Entry's codec.
   static node* make_leaf(const entry_t* es, size_t n) {
     return as_leaf(lstore::build(es, static_cast<uint32_t>(n)));
   }
@@ -88,9 +93,9 @@ struct tree_ops : node_manager<Entry, Balance> {
   // blocks come out full (the space experiments depend on this density).
   static node* build_sorted_seq(const entry_t* es, size_t n) {
     if (n == 0) return nullptr;
-    size_t B = leaf_block_size();
-    if (B >= 1 && n <= B) return make_leaf(es, n);
-    size_t mid = build_pivot(n, B);
+    size_t C = leaf_capacity();
+    if (C >= 1 && n <= C) return make_leaf(es, n);
+    size_t mid = build_pivot(n, C);
     node* m = make_single(es[mid].first, es[mid].second);
     node* l = build_sorted_seq(es, mid);
     node* r = build_sorted_seq(es + mid + 1, n - mid - 1);
@@ -98,24 +103,24 @@ struct tree_ops : node_manager<Entry, Balance> {
   }
 
   // Pivot index for balanced construction: plain halving unblocked; with
-  // blocking, the left side gets a whole number of full blocks.
-  static size_t build_pivot(size_t n, size_t B) {
-    if (B < 1) return n / 2;
-    size_t nb = (n + B - 1) / B;
-    size_t mid = (nb / 2) * B;
+  // blocks of capacity C, the left side gets a whole number of full blocks.
+  static size_t build_pivot(size_t n, size_t C) {
+    if (C < 1) return n / 2;
+    size_t nb = (n + C - 1) / C;
+    size_t mid = (nb / 2) * C;
     if (mid == 0 || mid >= n) mid = n / 2;
     return mid;
   }
 
   // JOIN(l, m, r): the single balancing primitive everything is built from.
   // Consumes all three owned references; max(l) < m->key < min(r); m is a
-  // singleton. Results of at most leaf_block_size() entries are packed into
+  // singleton. Results of at most leaf_capacity() entries are packed into
   // one leaf block — this is where blocks are (re)formed.
   static node* join(node* l, node* m, node* r) {
-    size_t B = leaf_block_size();
-    if (B >= 1) {
+    size_t C = leaf_capacity();
+    if (C >= 1) {
       size_t total = size(l) + 1 + size(r);
-      if (total <= B) return pack_leaf(l, m, r);
+      if (total <= C) return pack_leaf(l, m, r);
     }
     return BO::node_join(l, m, r);
   }
@@ -234,7 +239,7 @@ struct tree_ops : node_manager<Entry, Balance> {
   template <typename Comb>
   static node* insert(node* t, const K& k, const V& v, const Comb& comb) {
     if (t == nullptr) {
-      if (leaf_block_size() >= 1) {
+      if (leaf_capacity() >= 1) {
         entry_t e(k, v);
         return make_leaf(&e, 1);
       }
@@ -258,8 +263,8 @@ struct tree_ops : node_manager<Entry, Balance> {
   // else an even split around the middle entry into two blocks — the shape
   // weight-balanced rebuild gives an overflowing block, built once.
   static node* rebuild_block(const entry_t* es, size_t n) {
-    size_t B = leaf_block_size();
-    if (B == 0 || n <= B) return build_sorted_seq(es, n);
+    size_t C = leaf_capacity();
+    if (C == 0 || n <= C) return build_sorted_seq(es, n);
     size_t mid = n / 2;
     return join(build_sorted_seq(es, mid), make_single(es[mid].first, es[mid].second),
                 build_sorted_seq(es + mid + 1, n - mid - 1));

@@ -96,7 +96,8 @@ inline const std::array<env_knob, 18>& env_knobs() {
        "fail bench_durability when the 1% churn incremental checkpoint "
        "exceeds this fraction of the full checkpoint's bytes"},
       {"PAM_LEAF_BLOCK", "tree", "32",
-       "entries per leaf block of the blocked tree"},
+       "base entries per leaf block; delta-coded leaves hold 4x, clamped "
+       "to 2048"},
       {"PAM_METRICS_DUMP", "obs", "(unset)",
        "write the Prometheus-text metrics scrape to this file at bench exit"},
       {"PAM_NUM_WORKERS", "scheduler", "hardware threads",

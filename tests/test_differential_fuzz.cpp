@@ -526,10 +526,11 @@ TEST_P(FuzzSeeds, BlockSizeSweepAllSchemes) {
   pam::set_leaf_block_size(saved_b);
 }
 
-// The delta-layout sweep (ISSUE 10): the same randomized lockstep run over
-// delta-coded integer leaf blocks (zigzag-varint successor gaps), across
-// all four balance schemes, the block sizes that stress block-edge cases
-// (1, 2), the default (32), and large blocks (256) — B=0 is covered by the
+// The delta-layout sweep: the same randomized lockstep run over delta-coded
+// integer leaf blocks (zigzag-varint successor gaps), across all four
+// balance schemes and base block sizes 1 and 2 (block-edge cases), 8
+// (delta capacity 32, so the 120-entry maps span several blocks), the
+// default 32 (capacity 128: one block) and 256 — B=0 is covered by the
 // flat sweep since both layouts fall back to classic nodes — under three
 // gap shapes: dense ranks (single-byte deltas), a large prime stride
 // (multi-byte varints), and alternating 1 / >2^33 gaps (varint length
@@ -544,7 +545,7 @@ TEST_P(FuzzSeeds, DeltaKeysBlockSweepAllSchemes) {
     return (k / 2) * ((uint64_t{1} << 33) + 3) + (k % 2);
   };
   size_t saved_b = pam::leaf_block_size();
-  for (size_t b : {size_t{1}, size_t{2}, size_t{32}, size_t{256}}) {
+  for (size_t b : {size_t{1}, size_t{2}, size_t{8}, size_t{32}, size_t{256}}) {
     pam::set_leaf_block_size(b);
     fuzz_run_impl<pam::weight_balanced, delta_entry>(GetParam() * 73 + b, 2,
                                                      120, dense);

@@ -4,14 +4,19 @@
 // the applications under small block sizes (which maximize the number
 // of block boundaries every query crosses), the in-block search against
 // the standard library's bounds, flat slot sizes against power-of-two entry
-// classes, and the lifetime of non-trivial entries in flat blocks.
+// classes, the lifetime of non-trivial entries in flat blocks, and leaf
+// capacity as a property of the codec (delta-coded blocks hold 4x the base
+// entries, clamped to kMaxLeafBlock).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -22,6 +27,7 @@
 #include "apps/interval_map.h"
 #include "apps/range_tree.h"
 #include "pam/pam.h"
+#include "server/kv_store.h"
 #include "util/random.h"
 
 namespace {
@@ -760,6 +766,258 @@ TEST(FlatCodec, NonTrivialEntriesDestroyedOnRelease) {
     EXPECT_EQ(cmap::used_leaf_blocks(), blocks0) << "B=" << b;
     EXPECT_EQ(counted::made.load(), counted::gone.load()) << "B=" << b;
   }
+}
+
+// ---- leaf capacity is a property of the codec -------------------------------
+
+using delta_map_t = pam::aug_map<pam::delta_sum_entry<K, V>>;
+
+// The most entries any one block (or node, which holds one) under c holds.
+template <typename Cursor>
+size_t largest_block_under(const Cursor& c) {
+  if (!c) return 0;
+  return std::max({c.entry_count(), largest_block_under(c.left()), largest_block_under(c.right())});
+}
+
+template <typename Map>
+size_t largest_block(const Map& m) {
+  return largest_block_under(m.root_cursor());
+}
+
+// Point inserts and removes, a batch insert and a union on m, each version
+// checked for validity and for blocks of at most cap entries.
+template <typename Map, typename MakeKey>
+void expect_churn_within_capacity(Map m, size_t cap, uint64_t seed, MakeKey key) {
+  pam::random_gen g(seed);
+  for (int i = 0; i < 400; i++) {
+    m = Map::insert(std::move(m), key(g.next_bounded(40000)), g.next_bounded(1000));
+    m = Map::remove(std::move(m), key(g.next_bounded(40000)));
+  }
+  ASSERT_TRUE(m.check_valid()) << "cap=" << cap;
+  EXPECT_LE(largest_block(m), cap);
+  std::vector<typename Map::entry_t> batch;
+  for (int i = 0; i < 3000; i++) batch.emplace_back(key(g.next_bounded(40000)), i);
+  Map mi = Map::multi_insert(m, batch);
+  ASSERT_TRUE(mi.check_valid()) << "cap=" << cap;
+  EXPECT_LE(largest_block(mi), cap);
+  Map u = Map::map_union(m, Map(batch));
+  ASSERT_TRUE(u.check_valid()) << "cap=" << cap;
+  EXPECT_LE(largest_block(u), cap);
+}
+
+// Every path that seals a block reads the codec's capacity, 4B for delta
+// blocks: a fresh build (parallel and sequential) seals full blocks, so it
+// makes no more than ceil(n / 4B) of them and its first is exactly full, and
+// point and bulk edits never grow a block past 4B.
+TEST(LeafCapacity, DeltaBlocksHoldFourTimesTheBase) {
+  block_size_guard guard;
+  using ops = delta_map_t::ops;
+  for (size_t b : {size_t{1}, size_t{4}, size_t{32}}) {
+    pam::set_leaf_block_size(b);
+    const size_t cap = 4 * b;
+    ASSERT_EQ(ops::leaf_capacity(), cap);
+    for (size_t n : {cap, size_t{1000}, size_t{20000}}) {
+      auto es = sorted_entries(n);
+      const size_t most = (n + cap - 1) / cap;
+      int64_t blocks0 = delta_map_t::used_leaf_blocks();
+      {
+        delta_map_t m = delta_map_t::from_sorted(es);
+        EXPECT_LE(delta_map_t::used_leaf_blocks() - blocks0, static_cast<int64_t>(most))
+            << "B=" << b << " n=" << n;
+        EXPECT_EQ(largest_block(m), cap) << "B=" << b << " n=" << n;
+      }
+      ops::node* seq = ops::build_sorted_seq(es.data(), es.size());
+      EXPECT_LE(delta_map_t::used_leaf_blocks() - blocks0, static_cast<int64_t>(most))
+          << "B=" << b << " n=" << n;
+      EXPECT_EQ(largest_block_under(delta_map_t::cursor(seq)), cap);
+      ops::dec(seq);
+    }
+    expect_churn_within_capacity(delta_map_t(sorted_entries(20000, 2)), cap, b,
+                                 [](uint64_t i) { return i; });
+  }
+}
+
+// The paths that re-form blocks read the same capacity, at base 32:
+//  * join packs a result of up to 128 entries into one block;
+//  * a point insert into a 40-entry block re-forms one 41-entry block;
+//  * the weight-balanced rebuild (the even split a join spine falls back to
+//    when it reaches a block): a full 128-entry block, a pivot and a
+//    2-entry block are too lopsided to attach, and the 131 entries come
+//    back as two 65-entry blocks.
+TEST(LeafCapacity, JoinInsertAndRebuildUseCodecCapacity) {
+  block_size_guard guard;
+  pam::set_leaf_block_size(32);
+  using ops = delta_map_t::ops;
+  auto es = sorted_entries(131);
+  auto pivot = [&](size_t i) { return ops::make_single(es[i].first, es[i].second); };
+
+  ops::node* packed = ops::join(ops::make_leaf(es.data(), 60), pivot(60),
+                                ops::make_leaf(es.data() + 61, 60));
+  EXPECT_EQ(ops::shape(packed).blocks, 1u);
+  EXPECT_EQ(ops::size(packed), 121u);
+  ops::dec(packed);
+
+  ops::node* grown = ops::insert(ops::make_leaf(es.data(), 40), 1, 1);
+  EXPECT_EQ(ops::shape(grown).blocks, 1u);
+  EXPECT_EQ(ops::size(grown), 41u);
+  ops::dec(grown);
+
+  ops::node* t = ops::join(ops::make_leaf(es.data(), 128), pivot(128),
+                           ops::make_leaf(es.data() + 129, 2));
+  EXPECT_TRUE(ops::check_valid(t));
+  EXPECT_EQ(ops::shape(t).blocks, 2u);
+  EXPECT_EQ(largest_block_under(delta_map_t::cursor(t)), 65u);
+  ops::dec(t);
+}
+
+// Flat and front-coded blocks keep the base capacity.
+TEST(LeafCapacity, FlatAndFrontCodedBlocksStayAtTheBase) {
+  block_size_guard guard;
+  for (size_t b : {size_t{1}, size_t{4}, size_t{32}}) {
+    pam::set_leaf_block_size(b);
+    ASSERT_EQ(map_t::ops::leaf_capacity(), b);
+    ASSERT_EQ(str_map_t::ops::leaf_capacity(), b);
+    map_t flat = map_t::from_sorted(sorted_entries(5000));
+    EXPECT_EQ(largest_block(flat), b);
+    expect_churn_within_capacity(std::move(flat), b, b + 100, [](uint64_t i) { return i; });
+    str_map_t front = str_map_t::from_sorted(sorted_str_entries(5000, "k/"));
+    EXPECT_EQ(largest_block(front), b);
+    expect_churn_within_capacity(std::move(front), b, b + 200, [](uint64_t i) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "k/%08llu", static_cast<unsigned long long>(i));
+      return std::string(buf);
+    });
+  }
+}
+
+// 4B is clamped to kMaxLeafBlock, so a block's count still fits its u16 and
+// the wire reader's count > kMaxLeafBlock check still admits every block.
+TEST(LeafCapacity, DeltaCapacityClampsToMaxLeafBlock) {
+  block_size_guard guard;
+  static_assert(pam::kMaxLeafBlock == 2048);
+  for (size_t b : {size_t{600}, size_t{2048}, size_t{1} << 20}) {
+    pam::set_leaf_block_size(b);
+    EXPECT_EQ(delta_map_t::ops::leaf_capacity(), pam::kMaxLeafBlock) << "B=" << b;
+    EXPECT_EQ(map_t::ops::leaf_capacity(), std::min(b, pam::kMaxLeafBlock)) << "B=" << b;
+  }
+  pam::set_leaf_block_size(600);
+  delta_map_t m = delta_map_t::from_sorted(sorted_entries(10000));
+  ASSERT_TRUE(m.check_valid());
+  EXPECT_EQ(largest_block(m), pam::kMaxLeafBlock);
+  std::vector<char> wire;
+  m.serialize(wire);
+  delta_map_t back = delta_map_t::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(back.check_valid());
+  EXPECT_EQ(back.entries(), m.entries());
+  EXPECT_EQ(largest_block(back), pam::kMaxLeafBlock);
+}
+
+// B = 0 is the classic layout for every codec, the scale notwithstanding.
+TEST(LeafCapacity, ZeroBaseIsUnblockedForEveryLayout) {
+  block_size_guard guard;
+  pam::set_leaf_block_size(0);
+  EXPECT_EQ(map_t::ops::leaf_capacity(), 0u);
+  EXPECT_EQ(str_map_t::ops::leaf_capacity(), 0u);
+  EXPECT_EQ(delta_map_t::ops::leaf_capacity(), 0u);
+  int64_t flat0 = map_t::used_leaf_blocks(), str0 = str_map_t::used_leaf_blocks(),
+          delta0 = delta_map_t::used_leaf_blocks();
+  {
+    map_t flat = map_t::insert(map_t::from_sorted(sorted_entries(2000)), 1, 1);
+    str_map_t front = str_map_t::insert(
+        str_map_t::from_sorted(sorted_str_entries(2000, "k/")), "k/x", 1);
+    delta_map_t delta = delta_map_t::insert(delta_map_t(), 5, 1);
+    delta = delta_map_t::multi_insert(delta, sorted_entries(2000));
+    EXPECT_TRUE(flat.check_valid());
+    EXPECT_TRUE(front.check_valid());
+    EXPECT_TRUE(delta.check_valid());
+    EXPECT_EQ(largest_block(flat), 1u);
+    EXPECT_EQ(largest_block(front), 1u);
+    EXPECT_EQ(largest_block(delta), 1u);
+    EXPECT_EQ(map_t::used_leaf_blocks(), flat0);
+    EXPECT_EQ(str_map_t::used_leaf_blocks(), str0);
+    EXPECT_EQ(delta_map_t::used_leaf_blocks(), delta0);
+  }
+}
+
+// A delta map's blocks at the new capacity travel through map_codec as they
+// are, and come back whole.
+TEST(LeafCapacity, DeltaMapCodecRoundTripAtFullCapacity) {
+  block_size_guard guard;
+  pam::set_leaf_block_size(32);
+  pam::random_gen g(17);
+  std::vector<entry_t> es;
+  for (int i = 0; i < 20000; i++) es.push_back({g.next_bounded(1 << 20), g.next_bounded(1000)});
+  delta_map_t m(es);
+  for (int i = 0; i < 500; i++) m = delta_map_t::insert(std::move(m), g.next_bounded(1 << 20), i);
+  ASSERT_EQ(largest_block(m), 128u);
+  std::vector<char> wire;
+  m.serialize(wire);
+  delta_map_t back = delta_map_t::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(back.check_valid());
+  EXPECT_EQ(back.entries(), m.entries());
+  EXPECT_EQ(back.aug_val(), m.aug_val());
+  EXPECT_EQ(largest_block(back), 128u);
+}
+
+// A stream written when delta blocks held 32 entries (base 8 here, the same
+// bytes base 32 wrote before delta blocks scaled) loads under base 32. The
+// reader's join2 folds may re-pack neighbouring pieces up to the new
+// capacity; the map is whole and takes edits at that capacity.
+TEST(LeafCapacity, StreamOfThirtyTwoEntryDeltaBlocksStillLoads) {
+  block_size_guard guard;
+  pam::set_leaf_block_size(8);
+  auto es = sorted_entries(5000, 7);
+  std::vector<char> wire;
+  delta_map_t(es).serialize(wire);
+  pam::set_leaf_block_size(32);
+  delta_map_t back = delta_map_t::deserialize(wire.data(), wire.size());
+  ASSERT_TRUE(back.check_valid());
+  EXPECT_EQ(back.entries(), es);
+  EXPECT_LE(largest_block(back), 128u);
+  std::vector<entry_t> more;
+  for (uint64_t i = 0; i < 5000; i++) more.push_back({i * 7 + 3, i});
+  delta_map_t merged = delta_map_t::multi_insert(back, more);
+  ASSERT_TRUE(merged.check_valid());
+  EXPECT_EQ(merged.size(), 10000u);
+  EXPECT_LE(largest_block(merged), 128u);
+  EXPECT_GT(largest_block(merged), 32u);
+}
+
+// A kv_store of a delta map checkpoints blocks of the new capacity and
+// recovers them, checkpoint and WAL tail both.
+TEST(LeafCapacity, DeltaKvStoreCheckpointRecoversAtFullCapacity) {
+  block_size_guard guard;
+  pam::set_leaf_block_size(32);
+  using store_t = pam::kv_store<delta_map_t>;
+  const std::string dir =
+      ::testing::TempDir() + "pam_leaf_capacity_" + std::to_string(::getpid());
+  std::string rm = "rm -rf " + dir;
+  ASSERT_EQ(std::system(rm.c_str()), 0);
+  pam::store::durability_options dopts;
+  dopts.dir = dir;
+  std::vector<entry_t> want;
+  {
+    store_t::options opt;
+    opt.splitters = {20000, 40000};
+    opt.durability = dopts;
+    store_t store(delta_map_t{}, opt);
+    std::vector<entry_t> batch;
+    for (uint64_t i = 0; i < 30000; i++) batch.push_back({i * 2, i % 1000});
+    store.put_batch(batch);
+    store.save_checkpoint();
+    store.put_batch({{1, 7}, {40001, 9}});  // WAL tail only
+    store.flush();
+    ASSERT_FALSE(store.failed());
+    want = store.snapshot().entries();
+  }
+  store_t back = store_t::recover(dopts);
+  auto snap = back.snapshot();
+  EXPECT_EQ(snap.entries(), want);
+  for (size_t s = 0; s < snap.num_shards(); s++) {
+    ASSERT_TRUE(snap.shard(s).check_valid()) << s;
+    EXPECT_EQ(largest_block(snap.shard(s)), 128u) << s;
+  }
+  (void)std::system(rm.c_str());
 }
 
 }  // namespace

@@ -591,8 +591,9 @@ void codec_sweep_delta(uint64_t seed) {
   expect_round_trip(m, oracle);
 }
 
-// All four balance schemes x flat/front-coded/delta-coded leaves x block
-// sizes 0 (no blocks), 1 (degenerate), 32 (default), 256 (multi byte-class).
+// All four balance schemes x flat/front-coded/delta-coded leaves x base
+// block sizes 0 (no blocks), 1 (degenerate), 32 (default), 256 (multi
+// byte-class). Delta-coded blocks hold 4x the base: 4, 128 and 1024.
 TEST(WireCodec, AllSchemesAllLayoutsAllBlockSizes) {
   size_t saved_b = pam::leaf_block_size();
   for (size_t b : {size_t{0}, size_t{1}, size_t{32}, size_t{256}}) {
