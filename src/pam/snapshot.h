@@ -21,13 +21,9 @@
 // reference, so big displaced versions are torn down by the existing
 // parallel GC when the limbo list drains.
 //
-// The serving layer (src/server/) builds consistent cuts across many boxes
-// by optimistic versioned re-validation (read every shard's payload, then
-// confirm no shard's version moved — see sharded_map::snapshot_all), with
-// writer_lock() as the writer-blocking fallback; the old protocol of holding
-// every box's reader mutex is gone along with the reader mutex itself.
-// sharded_map builds its boxes once and never replaces them, so no box is
-// ever drained from under a queued update().
+// The serving layer (server/sharded_map.h) publishes all of its shard roots
+// the same way, as one immutable cut behind one atomic pointer, so a cut
+// across shards is one guarded load too; it does not build on this class.
 // The protocol is machine-checked (clang -Wthread-safety, see
 // util/thread_annotations.h): payload dereferences require the epoch_domain
 // capability (shared — an epoch::guard) or the writer lock; publication
@@ -36,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 
 #include "alloc/arena.h"
@@ -120,8 +115,7 @@ class snapshot_box {
     return payload_ref()->size;
   }
 
-  // (version, size) of one committed instance, read atomically — the
-  // primitive behind sharded_map's validated cuts and size().
+  // (version, size) of one committed instance, read atomically.
   std::pair<uint64_t, size_t> version_size() const {
     epoch::guard g;
     const payload* p = payload_ref();
@@ -155,34 +149,6 @@ class snapshot_box {
       displaced = publish(isolate([&] { return f(std::move(working)); }));
     }
     retire(displaced);
-  }
-
-  // --------------------------------------------- multi-box consistent cut --
-  // Readers no longer hold any lock, so a cut across several boxes is built
-  // optimistically (snapshot every box, re-validate every version — see
-  // sharded_map). The fallback for writer-churn starvation is to block the
-  // writers themselves: writer_lock() each box in one global order, peek()
-  // each, drop the locks. peek()/peek_version()/peek_size() must only be
-  // called while the lock returned by writer_lock() on the same box is held
-  // — with the writer excluded, the published payload is pinned. That
-  // requirement is annotated: peek* declare PAM_REQUIRES(writer_mu_), so an
-  // unlocked peek is a compile error under clang -Wthread-safety. The
-  // analysis cannot follow the lock through the std::unique_lock handle
-  // (writer_lock() keeps the dynamic, movable form the multi-box fallback
-  // needs — a vector of held locks), so the fallback loop itself carries
-  // PAM_NO_THREAD_SAFETY_ANALYSIS and TSan covers it; every *other* caller
-  // of peek* gets checked.
-  std::unique_lock<mutex> writer_lock() const {
-    return std::unique_lock<mutex>(writer_mu_);
-  }
-  const Map& peek() const PAM_REQUIRES(writer_mu_) {
-    return payload_locked()->map;
-  }
-  uint64_t peek_version() const PAM_REQUIRES(writer_mu_) {
-    return payload_locked()->version;
-  }
-  size_t peek_size() const PAM_REQUIRES(writer_mu_) {
-    return payload_locked()->size;
   }
 
  private:
@@ -228,9 +194,9 @@ class snapshot_box {
   // every retirement while limbo is shallow, so with no reader pinned each
   // commit frees the version displaced two epochs back; under a pinned
   // reader, once per kDrainThreshold retirements — and a large
-  // displaced-version teardown must not stall this shard's commits or a
-  // fallback cut waiting on writer_lock(). Moving this call back inside the writer critical
-  // section is a compile error under clang -Wthread-safety.
+  // displaced-version teardown must not stall the next commit. Moving this
+  // call back inside the writer critical section is a compile error under
+  // clang -Wthread-safety.
   void retire(payload* displaced) const PAM_EXCLUDES(writer_mu_) {
     // pam-lint: allow(naked-delete) — the limbo deleter is the single
     // reclamation point for payloads published by this box.

@@ -40,7 +40,8 @@
 // lock: both are taken only on user threads, outside any parallel body.
 //
 // Pool tasks may hold a lock across a fork only inside pam::isolate
-// (snapshot_box::update does, for its writer lock). A join there waits
+// (snapshot_box::update and sharded_map's commit do, for their writer
+// locks). A join there waits
 // without helping: a helping worker could otherwise run, on top of the
 // held lock, another task that takes the same lock (a self-deadlock) or
 // another one (a lock-order cycle across workers).

@@ -347,8 +347,8 @@ class kv_store {
   }
 
   // Create (on the first scrape) and refresh the
-  // pam_shard_entries{shard="s"} gauges from the shards' commit-time size
-  // counters — wait-free reads, no cut.
+  // pam_shard_entries{shard="s"} gauges from the per-shard root sizes of
+  // the published cut — wait-free reads, no snapshot copy.
   void refresh_shard_gauges() const {
     if constexpr (obs::kEnabled) {
       mutex_guard lock(gauges_mu_);

@@ -1,26 +1,31 @@
-// sharded_map: the key space partitioned across S independent snapshot_box
-// shards behind a shard directory (sorted splitter keys).
+// sharded_map: the key space partitioned across S shards behind a fixed
+// shard directory (sorted splitter keys), all S shard roots published
+// together as one immutable cut.
 //
 // The paper's §4 concurrency pattern serializes all writers of one map on a
 // single writer lock. Sharding recovers write parallelism at the serving
-// layer: shard s owns keys in [splitter[s-1], splitter[s]), each shard is
-// its own snapshot_box, and writers touching disjoint ranges commit
-// concurrently. Readers keep the O(1)-snapshot property, now without ever
-// taking a lock (snapshot_box's epoch-protected read path):
+// layer: shard s owns keys in [splitter[s-1], splitter[s]), and writers
+// touching disjoint ranges run their merges concurrently. The paper's
+// persistence model survives intact: a snapshot is one pointer read. The
+// published object is a versioned_snapshot — one Map per shard plus the
+// per-shard commit counters — behind one atomic pointer:
 //
-//   * snapshot_shard(s)   one shard, O(1), wait-free;
-//   * snapshot_all()      a *consistent cut* across every shard by
-//                         versioned re-validation: snapshot every shard
-//                         (payload + commit counter), then re-read every
-//                         counter. If none moved, each shard held its
-//                         snapshotted version for the entire window, and in
-//                         particular all of them simultaneously at the
-//                         instant between the two passes — a consistent
-//                         cut, taken without blocking a single writer. If a
-//                         counter moved, retry; after kCutRetries failures
-//                         fall back to briefly excluding writers
-//                         (writer_lock() per box, in index order), which
-//                         bounds cut latency under pathological churn.
+//   reader   epoch::guard g;                      // pins reclamation
+//            const cut_t* c = cut_.load(acq);     // the published cut
+//            snapshot_type snap = c->snapshot;    // O(S): inc(root) each
+//
+//   writer   lock shard_mu_[s];                   // one writer per shard
+//            Map m = f(slot s of the current cut) // the merge; may fork
+//            lock publish_mu_;                    // short: no fork
+//              copy the current cut, slot s = m, versions[s]++, store(rel)
+//            unlock both, then epoch::retire(displaced cut)
+//
+// Every read — snapshot_all*, versions, size, multi_find, find,
+// snapshot_shard, shard_size — is therefore one guard plus one acquire
+// load, wait-free. A cut is consistent by construction (it is one published
+// object), cuts are totally ordered by publication, and version vectors are
+// componentwise monotone. A batch's per-shard slice becomes visible in one
+// publication.
 //
 // Bulk writes (multi_insert / multi_delete) partition the batch by shard in
 // O(m) and run the per-shard merges in parallel, so the paper's
@@ -29,31 +34,28 @@
 // ranges tile the key space, so concatenating per-shard in-order walks is a
 // global in-order walk.
 //
-// The directory is fixed at construction: the splitters and one box per
-// shard are built once and never replaced, so routing a key is a plain
-// binary search with no epoch pin. Skew is not chased by re-splitting — the
-// write combiner's batching already turns a hot shard's point writes into
-// bulk merges. A recovered store takes its splitters from the checkpoint
-// manifest, so the directory outlives restarts unchanged.
+// The directory is fixed at construction: the splitters and the shard count
+// never change, so routing a key is a plain binary search with no epoch
+// pin. Skew is not chased by re-splitting — the write combiner's batching
+// already turns a hot shard's point writes into bulk merges. A recovered
+// store takes its splitters from the checkpoint manifest, so the directory
+// outlives restarts unchanged.
 //
-// Thread safety: every public member is safe to call from any thread. One
-// re-entrancy rule: an update functor runs while holding its shard's writer
-// lock, and the cut fallback acquires *every* shard's writer lock — so
-// cut-based reads of the same sharded_map (snapshot_all*, versions, size,
-// multi_find) must not be called from inside an update functor. Per-shard
-// reads (find, snapshot_shard) are lock-free and remain safe anywhere.
+// Thread safety: every public member is safe to call from any thread.
+// Reads take no lock, so an update functor may read the same sharded_map
+// (it sees its own shard as of before the commit); it must not write to it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "alloc/arena.h"
 #include "obs/metrics.h"
-#include "pam/snapshot.h"
 #include "parallel/parallel.h"
 #include "util/thread_annotations.h"
 
@@ -64,12 +66,10 @@ namespace server_internal {
 // Cut/read instrumentation, shared by every sharded_map instance. Global
 // rather than per-instance because sharded_map is built through value paths
 // (kv_store::recover's RVO chain) that per-instance registered members would
-// pin; what the exposition wants here is the process-wide retry/fallback
-// picture anyway.
+// pin; what the exposition wants here is the process-wide read picture
+// anyway. Every cut attempt succeeds, so attempts counts the cuts taken.
 struct cut_metrics_t {
   obs::counter attempts{"pam_cut_attempts_total"};
-  obs::counter retries{"pam_cut_retries_total"};
-  obs::counter fallbacks{"pam_cut_writer_fallbacks_total"};
   obs::counter finds{"pam_read_finds_total"};
 };
 
@@ -237,6 +237,15 @@ class sharded_map {
   using entry_policy = typename Map::entry_policy;
   using snapshot_type = sharded_snapshot<Map>;
 
+  // A consistent cut together with the per-shard commit counters it
+  // corresponds to — the capture primitive of the version store, and the
+  // object sharded_map publishes. Cuts are totally ordered by publication,
+  // so any two version vectors are componentwise comparable.
+  struct versioned_snapshot {
+    snapshot_type snapshot;
+    std::vector<uint64_t> versions;
+  };
+
   // Partition the key space with explicit sorted, duplicate-free splitter
   // keys: S-1 splitters make S shards, shard s owning
   // [splitter[s-1], splitter[s]). All shards start empty.
@@ -252,20 +261,25 @@ class sharded_map {
   // supply explicit splitters instead.
   sharded_map(Map initial, size_t num_shards)
       : splitters_(std::make_shared<const std::vector<K>>(
-            quantile_splitters(initial, num_shards))) {
-    distribute(std::move(initial));
-  }
+            quantile_splitters(initial, num_shards))),
+        shard_mu_(splitters_->size() + 1),
+        cut_(distribute(std::move(initial))) {}
 
   // Explicit splitters plus initial contents, distributed along them.
   sharded_map(Map initial, std::vector<K> splitters)
-      : splitters_(std::make_shared<const std::vector<K>>(std::move(splitters))) {
-    distribute(std::move(initial));
-  }
+      : splitters_(std::make_shared<const std::vector<K>>(std::move(splitters))),
+        shard_mu_(splitters_->size() + 1),
+        cut_(distribute(std::move(initial))) {}
+
+  // No reader or writer may be in flight at destruction (standard object
+  // lifetime); cuts already retired are self-contained and drain later.
+  // pam-lint: allow(naked-delete) — the final cut, after all sharing.
+  ~sharded_map() { delete cut_.load(std::memory_order_relaxed); }
 
   sharded_map(const sharded_map&) = delete;
   sharded_map& operator=(const sharded_map&) = delete;
 
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return shard_mu_.size(); }
 
   // The shard boundaries, S-1 keys for S shards.
   const std::vector<K>& splitters() const { return *splitters_; }
@@ -278,24 +292,23 @@ class sharded_map {
   // ------------------------------------------------------------- writes --
 
   // Atomically apply f : Map -> Map to shard s. Writers of distinct shards
-  // run concurrently; writers of one shard serialize on its box. Throws
-  // std::out_of_range if s >= num_shards().
+  // run concurrently; writers of one shard serialize on its mutex. f may
+  // read this sharded_map (it sees shard s as of before the commit) but
+  // must not write to it. Throws std::out_of_range if s >= num_shards().
   template <typename F>
   void update_shard(size_t s, const F& f) {
-    if (s >= shards_.size())
+    if (s >= num_shards())
       throw std::out_of_range("sharded_map::update_shard: no such shard");
-    shards_[s]->update(f);
+    commit(s, f);
   }
 
   // Per-op point upsert/erase: one O(log n) committed write to the owning
   // shard. This is the slow path that write_combiner batches around.
   void insert(const K& k, const V& v) {
-    shards_[shard_of(k)]->update(
-        [&](Map m) { return Map::insert(std::move(m), k, v); });
+    commit(shard_of(k), [&](Map m) { return Map::insert(std::move(m), k, v); });
   }
   void erase(const K& k) {
-    shards_[shard_of(k)]->update(
-        [&](Map m) { return Map::remove(std::move(m), k); });
+    commit(shard_of(k), [&](Map m) { return Map::remove(std::move(m), k); });
   }
 
   // Bulk upsert: partition the batch by shard in O(m), then merge each
@@ -319,71 +332,47 @@ class sharded_map {
   }
 
   // -------------------------------------------------------------- reads --
+  // Every read is one epoch guard plus one acquire load of the published
+  // cut: wait-free, lock-free, and safe from inside an update functor.
 
-  // O(1) wait-free snapshot of one shard (empty past the last shard).
+  // O(1) snapshot of one shard (empty past the last shard).
   Map snapshot_shard(size_t s) const {
-    if (s >= shards_.size()) return Map{};
-    return shards_[s]->snapshot();
+    if (s >= num_shards()) return Map{};
+    epoch::guard g;
+    return cut_ref()->snapshot.shard(s);
   }
 
-  // A consistent cut together with the per-shard commit counters it
-  // corresponds to — the capture primitive of the version store. Any two
-  // validated cuts correspond to two instants in time, so their version
-  // vectors are componentwise comparable.
-  struct versioned_snapshot {
-    snapshot_type snapshot;
-    std::vector<uint64_t> versions;
-  };
-
-  // Optimistic versioned re-validation. Pass 1 snapshots every shard's
-  // (map, version) pair — each pair is internally atomic (one payload read).
-  // Pass 2 re-reads every shard's current version. If shard s's version is
-  // unchanged, its snapshot was the published version for the whole interval
-  // [its pass-1 read, its pass-2 read]; all those intervals contain the
-  // instant between the end of pass 1 and the start of pass 2, so the S
-  // snapshots were simultaneously current — a consistent cut that blocked
-  // nobody. On validation failure the stale snapshots are dropped (O(S)
-  // refcount decs; displaced trees are shared, so no teardown) and the cut
-  // retries; after kCutRetries failures it takes every shard's *writer*
-  // lock in index order and peeks, bounding latency under extreme churn.
+  // The published cut itself, copied: S root refcount bumps.
   versioned_snapshot snapshot_all_versioned() const {
-    // The pinned lambdas run only on the fallback path, under every shard's
-    // writer lock held through std::unique_lock handles the analysis cannot
-    // follow (see validated_cut) — hence the opt-out on the lambda alone.
-    auto [shards, versions] = validated_cut(
-        [](const box_t& b) { return b.snapshot_versioned(); },
-        [](const box_t& b) PAM_NO_THREAD_SAFETY_ANALYSIS { return b.peek(); });
-    return {snapshot_type(std::move(shards), splitters_), std::move(versions)};
+    server_internal::cut_metrics().attempts.inc();
+    epoch::guard g;
+    return *cut_ref();
   }
 
-  // A consistent cut across all shards (see snapshot_all_versioned).
+  // A consistent cut across all shards.
   snapshot_type snapshot_all() const {
-    return snapshot_all_versioned().snapshot;
+    server_internal::cut_metrics().attempts.inc();
+    epoch::guard g;
+    return cut_ref()->snapshot;
   }
 
-  // Per-shard commit counters, validated the same way: re-read until a full
-  // pass observes no movement, so the vector corresponds to one instant.
+  // Per-shard commit counters of the current cut.
   std::vector<uint64_t> versions() const {
-    auto cut = validated_cut(
-        [](const box_t& b) {
-          uint64_t v = b.version();
-          return std::pair<uint64_t, uint64_t>(v, v);
-        },
-        [](const box_t& b) PAM_NO_THREAD_SAFETY_ANALYSIS {
-          return b.peek_version();  // fallback path: writer locks held
-        });
-    return cut.second;
+    server_internal::cut_metrics().attempts.inc();
+    epoch::guard g;
+    return cut_ref()->versions;
   }
 
-  // Single-key committed read: run the lookup against the owning shard's
-  // current version in place — no lock, no snapshot copy, no refcount
-  // traffic (snapshot_box::with_current).
+  // Single-key committed read, run against the current cut in place — no
+  // snapshot copy, no refcount traffic. Routed through the fixed directory,
+  // so the shard search does not wait on the cut load.
   std::optional<V> find(const K& k) const {
     // One striped relaxed fetch_add: the counted read path stays wait-free
     // (the ISSUE 9 contract; the YCSB read-scaling gate enforces the cost).
     server_internal::cut_metrics().finds.inc();
-    return shards_[shard_of(k)]->with_current(
-        [&](const Map& m) { return m.find(k); });
+    size_t s = shard_of(k);
+    epoch::guard g;
+    return cut_ref()->snapshot.shard(s).find(k);
   }
 
   // Batch lookup against one consistent cut.
@@ -391,51 +380,55 @@ class sharded_map {
     return snapshot_all().multi_find(keys);
   }
 
-  // Total entry count across one consistent cut, from the per-shard size
-  // counters snapshot_box maintains at commit time: (version, size) pairs
-  // are read per shard and the version vector re-validated — no root
-  // copies, no refcount traffic, no tree teardown, no locks.
+  // Total entry count of the current cut: S O(1) root sizes, no copies.
   size_t size() const {
-    auto cut = validated_cut(
-        [](const box_t& b) {
-          auto vs = b.version_size();
-          return std::pair<size_t, uint64_t>(vs.second, vs.first);
-        },
-        [](const box_t& b) PAM_NO_THREAD_SAFETY_ANALYSIS {
-          return b.peek_size();  // fallback: writer locks held
-        });
-    size_t total = 0;
-    for (size_t s : cut.first) total += s;
-    return total;
+    server_internal::cut_metrics().attempts.inc();
+    epoch::guard g;
+    return cut_ref()->snapshot.size();
   }
 
-  // Entry count of one shard, from its commit-time size counter: wait-free,
-  // no cut, no validation (the value is exact for whichever version the
-  // shard held at the read). Feeds kv_store's per-shard size gauges.
-  // Throws std::out_of_range if s >= num_shards().
+  // Entry count of one shard in the current cut. Feeds kv_store's
+  // per-shard size gauges. Throws std::out_of_range if s >= num_shards().
   size_t shard_size(size_t s) const {
-    return shards_.at(s)->version_size().second;
+    if (s >= num_shards())
+      throw std::out_of_range("sharded_map::shard_size: no such shard");
+    epoch::guard g;
+    return cut_ref()->snapshot.shard(s).size();
   }
 
  private:
-  using box_t = snapshot_box<Map>;
+  using cut_t = versioned_snapshot;
 
-  // Optimistic cut attempts before falling back to blocking writers. Each
-  // failed attempt costs O(S) pointer reads and refcount churn, so a small
-  // budget keeps worst-case cut latency bounded without giving up the
-  // lock-free common case.
-  static constexpr int kCutRetries = 8;
+  // One commit to shard s. The shard mutex makes this writer the only one
+  // that can replace slot s, so the slot read here stays the latest commit
+  // of shard s until this writer publishes; f runs outside publish_mu_, so
+  // merges of distinct shards overlap and only the O(S) swap serializes.
+  template <typename F>
+  void commit(size_t s, const F& f) {
+    mutex& serial = shard_mu_[s];
+    cut_t* displaced;
+    {
+      mutex_guard serialize(serial);
+      Map working = snapshot_shard(s);
+      // f may fork while the lock is held: isolated, a worker waiting in one
+      // of its joins never runs another task that takes this lock.
+      Map next = isolate([&] { return f(std::move(working)); });
+      mutex_guard swap(publish_mu_);
+      displaced = publish(s, std::move(next));
+    }
+    retire(displaced);
+  }
 
   // Bulk engine behind multi_insert / multi_delete: partition by shard,
   // apply the per-shard buckets in parallel.
   template <typename Item, typename KeyOf, typename Apply>
   void bulk_write(std::vector<Item> items, const KeyOf& key_of,
                   const Apply& apply) {
-    std::vector<std::vector<Item>> buckets(shards_.size());
+    std::vector<std::vector<Item>> buckets(num_shards());
     for (Item& it : items) buckets[shard_of(key_of(it))].push_back(std::move(it));
     auto write = [&](size_t s) {
       if (buckets[s].empty()) return;
-      shards_[s]->update([&](Map m) {
+      commit(s, [&](Map m) {
         return apply(std::move(m), std::move(buckets[s]));
       });
     };
@@ -443,81 +436,77 @@ class sharded_map {
     // when it hits one shard there is nothing to fan out either: apply it
     // on the calling thread, whose pool cache then keeps its path copies
     // (handed to the pool, each flush would carve from a different
-    // worker's cache). It holds that shard's writer lock without forking,
-    // so the lock rule of parallel/scheduler.h is not in play.
+    // worker's cache). It holds that shard's mutex without forking, so the
+    // lock rule of parallel/scheduler.h is not in play.
     size_t hit = 0;
     for (const auto& b : buckets) hit += !b.empty();
     if (hit == 1 && items.size() < par_cutoff()) {
       for (size_t s = 0; s < buckets.size(); s++) write(s);
       return;
     }
-    parallel_for(0, shards_.size(), write, 1);
+    parallel_for(0, num_shards(), write, 1);
   }
 
-  // The validated-cut engine (see snapshot_all_versioned for the protocol).
-  //
-  // NO_THREAD_SAFETY_ANALYSIS: the fallback holds a *dynamic* lock set — a
-  // vector of S writer locks through std::unique_lock handles — which the
-  // lexical capability model cannot express. The TSan job exercises this
-  // path (cut-starvation tests); everything the fallback calls (peek*,
-  // writer_lock) is itself annotated, so the opt-out is confined to this
-  // one engine.
-  template <typename Optimistic, typename Pinned>
-  auto validated_cut(const Optimistic& optimistic, const Pinned& pinned) const
-      PAM_NO_THREAD_SAFETY_ANALYSIS {
-    using T = decltype(optimistic(*shards_[0]).first);
-    server_internal::cut_metrics().attempts.inc();
-    std::vector<T> values;
-    std::vector<uint64_t> versions;
-    for (int attempt = 0; attempt < kCutRetries; attempt++) {
-      values.clear();
-      versions.clear();
-      values.reserve(shards_.size());
-      versions.reserve(shards_.size());
-      for (const auto& sh : shards_) {
-        auto vv = optimistic(*sh);
-        values.push_back(std::move(vv.first));
-        versions.push_back(vv.second);
-      }
-      if (revalidate(versions))
-        return std::pair(std::move(values), std::move(versions));
-      server_internal::cut_metrics().retries.inc();
-    }
-    server_internal::cut_metrics().fallbacks.inc();
-    std::vector<std::unique_lock<mutex>> locks;
-    locks.reserve(shards_.size());
-    for (const auto& sh : shards_) locks.push_back(sh->writer_lock());
-    values.clear();
-    versions.clear();
-    for (const auto& sh : shards_) {
-      values.push_back(pinned(*sh));
-      versions.push_back(sh->peek_version());
-    }
-    return std::pair(std::move(values), std::move(versions));
+  // The two checked doors to the published cut. A reader must hold
+  // epoch_domain (shared): the guard pins reclamation, so the cut stays
+  // alive across the dereference. publish() must hold publish_mu_: with
+  // other publishers excluded, nothing can displace (and hence retire) the
+  // current cut.
+  const cut_t* cut_ref() const PAM_REQUIRES_SHARED(epoch_domain) {
+    return cut_.load(std::memory_order_acquire);
   }
 
-  // Pass 2 of a validated cut: true iff no shard's commit counter moved
-  // since `observed` was collected.
-  bool revalidate(const std::vector<uint64_t>& observed) const {
-    for (size_t s = 0; s < shards_.size(); s++) {
-      if (shards_[s]->version() != observed[s]) return false;
+  // Swap in a copy of the current cut with slot s replaced by `next` and
+  // versions[s] bumped; hand the displaced cut back for retirement. O(S)
+  // refcount bumps and one allocation — nothing forks and nothing is torn
+  // down under publish_mu_.
+  cut_t* publish(size_t s, Map next) PAM_REQUIRES(publish_mu_) {
+    cut_t* old = cut_.load(std::memory_order_relaxed);
+    std::vector<Map> shards;
+    shards.reserve(num_shards());
+    for (size_t i = 0; i < num_shards(); i++) {
+      if (i == s) shards.push_back(std::move(next));
+      else shards.push_back(old->snapshot.shard(i));
     }
-    return true;
+    std::vector<uint64_t> versions = old->versions;
+    versions[s]++;
+    // pam-lint: allow(naked-new) — cuts are commit-rate objects owned by the
+    // sharded_map, freed exclusively through the epoch limbo (retire below).
+    cut_.store(new cut_t{snapshot_type(std::move(shards), splitters_),
+                         std::move(versions)},
+               std::memory_order_release);
+    return old;
   }
 
-  // Split `whole` along the splitters into one box per shard, each seeded
-  // at version 0 with its slice. A splitter key itself belongs to the shard
-  // on its right. O(S log n) splits on shared subtrees.
-  void distribute(Map whole) {
-    shards_.reserve(splitters_->size() + 1);
+  // Retire a displaced cut onto the epoch limbo list — never freed inline,
+  // because a concurrent reader may be mid-acquisition on it. Called after
+  // both the shard mutex and publish_mu_ drop, so a large displaced-version
+  // teardown stalls no commit; annotated EXCLUDES so moving it back inside
+  // the publish critical section is a compile error.
+  void retire(cut_t* displaced) const PAM_EXCLUDES(publish_mu_) {
+    // pam-lint: allow(naked-delete) — the limbo deleter is the single
+    // reclamation point for cuts published by this sharded_map.
+    epoch::retire(displaced, [](void* q) { delete static_cast<cut_t*>(q); });
+  }
+
+  // Split `whole` along the splitters into the initial cut, every shard at
+  // version 0. A splitter key itself belongs to the shard on its right.
+  // O(S log n) splits on shared subtrees.
+  cut_t* distribute(Map whole) const {
+    std::vector<Map> shards;
+    shards.reserve(splitters_->size() + 1);
     for (const K& sp : *splitters_) {
       auto parts = Map::split(std::move(whole), sp);
-      shards_.push_back(std::make_unique<box_t>(std::move(parts.left)));
+      shards.push_back(std::move(parts.left));
       whole = std::move(parts.right);
       if (parts.value.has_value())
         whole = Map::insert(std::move(whole), sp, *parts.value);
     }
-    shards_.push_back(std::make_unique<box_t>(std::move(whole)));
+    shards.push_back(std::move(whole));
+    std::vector<uint64_t> versions(shards.size(), 0);
+    // pam-lint: allow(naked-new) — the initial cut, before any sharing.
+    return new cut_t{snapshot_type(std::move(shards), splitters_),
+                     std::move(versions)};
   }
 
   static std::vector<K> quantile_splitters(const Map& m, size_t num_shards) {
@@ -535,7 +524,13 @@ class sharded_map {
 
   // Fixed at construction: shared with every cut, never replaced.
   const std::shared_ptr<const std::vector<K>> splitters_;
-  std::vector<std::unique_ptr<box_t>> shards_;
+  // One per shard: serializes the read-modify-write of that shard's slot.
+  std::vector<mutex> shard_mu_;
+  // Serializes publication: the O(S) copy-and-swap of the cut, never f.
+  // It and cut_ sit on cache lines of their own: every commit writes them,
+  // while the fields above are read by every routed operation.
+  alignas(64) mutex publish_mu_;
+  alignas(64) std::atomic<cut_t*> cut_;
 };
 
 }  // namespace pam

@@ -8,7 +8,7 @@
 // keeps a ring of (version, consistent cut) pairs:
 //
 //   * capture()            take one consistent cut (sharded_map's
-//                          lock-free versioned re-validation protocol,
+//                          published cut, one guarded load:
 //                          snapshot_all_versioned) and retain it as the
 //                          next version. A capture with no intervening
 //                          commit is deduplicated: the per-shard commit
@@ -104,9 +104,9 @@ class version_store {
     auto cut = target_.snapshot_all_versioned();
     std::vector<entry> dropped;  // destroyed outside the lock (GC can fork)
     mutex_guard lock(mu_);
-    // Every validated cut corresponds to one instant at which all shards
-    // simultaneously held its version vector, so any two cuts are totally
-    // ordered and componentwise comparable. A cut that does not advance
+    // Every cut is one object sharded_map published, and publications are
+    // serialized, so any two cuts are totally ordered and componentwise
+    // comparable. A cut that does not advance
     // past the newest retained one is either identical (quiescent dedup) or
     // lost a race to a concurrent capture that took a newer cut but reached
     // this mutex first — in both cases the retained version already covers

@@ -2,9 +2,10 @@
 //
 // The paper's Table 2 makes the case: m point inserts cost O(m log n)
 // committed one at a time, but one multi_insert of the same m keys costs
-// O(m log(n/m + 1)) — and a per-op commit through snapshot_box additionally
-// pays a root copy-path and two lock handshakes per key. The combiner turns
-// the per-op client API (upsert / erase) back into the bulk path: ops are
+// O(m log(n/m + 1)) — and a per-op commit through sharded_map additionally
+// pays a root copy-path, two lock handshakes and one cut publication per
+// key. The combiner turns the per-op client API (upsert / erase) back into
+// the bulk path: ops are
 // appended to a small per-shard pending buffer, and a buffer is flushed as
 // one multi_insert + multi_delete batch when it reaches `batch_size`, when
 // the background flusher's `flush_interval` tick fires, or on an explicit
@@ -21,10 +22,10 @@
 //     never overtake an earlier one.
 //   * Visibility: reads through the sharded_map see committed state only;
 //     each per-shard slice of a flushed batch becomes visible in one atomic
-//     epoch-protected root publication (snapshot_box::update), so
-//     readers never see a slice half-applied. flush_all() is the barrier —
-//     every op enqueued happens-before a flush_all() call is committed when
-//     it returns.
+//     epoch-protected publication of sharded_map's cut, so readers never
+//     see a slice half-applied. flush_all() is the barrier — every op
+//     enqueued happens-before a flush_all() call is committed when it
+//     returns.
 //   * One queue per shard: the target's directory is fixed, so a key's ops
 //     always ride its shard's queue, and a flushed batch is applied through
 //     the target's bulk write path (multi_insert / multi_delete).

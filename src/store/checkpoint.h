@@ -1,8 +1,8 @@
 // Checkpoint files: CRC32C-checksummed pages, an atomic rename-to-commit
 // manifest, and full/incremental snapshot streams.
 //
-// A checkpoint persists one consistent cut (sharded_map's
-// snapshot_all_versioned) as data files plus a manifest:
+// A checkpoint persists one consistent cut (the object sharded_map
+// publishes, via snapshot_all_versioned) as data files plus a manifest:
 //
 //   ckpt-<id>-full.pam    one map_codec stream per shard, paged
 //   ckpt-<id>-delta.pam   one change stream, paged: the current entry (or

@@ -20,16 +20,16 @@
 //     entry points are EXCLUDES(epoch_domain) so driving the epoch forward
 //     from inside a guard — a self-deadlock on reclamation progress — is a
 //     compile error;
-//   * per-object writer locks (pam/snapshot.h `writer_mu_`): publication is
-//     REQUIRES(writer_mu_), retirement is EXCLUDES(writer_mu_), which is
-//     the "retire only after the writer lock drops" rule of PR 5.
+//   * per-object writer locks (pam/snapshot.h `writer_mu_`,
+//     server/sharded_map.h `publish_mu_`): publication is REQUIRES(the
+//     lock), retirement is EXCLUDES(the lock), which is the "retire only
+//     after the writer lock drops" rule of PR 5.
 //
 // The analysis is lexical and intra-procedural. Protocols it cannot
-// express — hand-over-hand latch crabbing (baselines/concurrent_bptree.h),
-// dynamic lock sets (sharded_map's writer-lock fallback cut) — carry
-// PAM_NO_THREAD_SAFETY_ANALYSIS with a one-line justification and remain
-// covered by the TSan CI job instead. Static checking and dynamic checking
-// are complements here, not substitutes.
+// express — hand-over-hand latch crabbing (baselines/concurrent_bptree.h) —
+// carry PAM_NO_THREAD_SAFETY_ANALYSIS with a one-line justification and
+// remain covered by the TSan CI job instead. Static checking and dynamic
+// checking are complements here, not substitutes.
 //
 // Macro set and semantics follow the clang documentation
 // (clang.llvm.org/docs/ThreadSafetyAnalysis.html) and the Abseil naming.

@@ -135,7 +135,7 @@ TEST(ShardedMap, StitchedRangeAndAugQueries) {
 
 TEST(ShardedMap, SizeAnswersFromCommitTimeCounters) {
   // size() must agree with the ground truth through every kind of commit —
-  // it reads the per-shard counters snapshot_box maintains, not a snapshot.
+  // it sums the per-shard root sizes of the published cut, not a snapshot.
   sharded_t sm(std::vector<K>{100, 200});
   EXPECT_EQ(sm.size(), 0u);
   sm.insert(5, 1);
@@ -285,6 +285,67 @@ TEST(ShardedMap, SnapshotAllIsAConsistentCut) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(ShardedMap, CutReadsInsideAnUpdateFunctorSeeThePreCommitShard) {
+  // Reads take no lock, so an update functor may take cuts of its own
+  // sharded_map while three threads commit to the other shards. Each read
+  // must return, and must show the functor's shard as of before its commit:
+  // before round r, shard 1 holds r keys, its probe maps to r, and its
+  // version is r. The other shards overwrite one key each (size 1).
+  const size_t S = 4, target = 1;
+  const V kRounds = 40;
+  sharded_t sm(std::vector<K>{1000, 2000, 3000});
+  const K probe_key[S] = {0, 1000, 2000, 3000};
+  for (size_t s = 0; s < S; s++) sm.insert(probe_key[s], 1);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (size_t s = 0; s < S; s++) {
+    if (s == target) continue;
+    writers.emplace_back([&, s] {
+      for (V r = 2; !stop.load(); r++) {
+        sm.update_shard(s, [&](map_t m) {
+          return map_t::insert(std::move(m), probe_key[s], r);
+        });
+      }
+    });
+  }
+
+  const K probe = probe_key[target];
+  for (V r = 1; r <= kRounds; r++) {
+    sm.update_shard(target, [&](map_t m) {
+      auto before = sm.versions();
+      EXPECT_EQ(before[target], r);
+
+      auto cut = sm.snapshot_all();
+      EXPECT_EQ(cut.find(probe), std::optional<V>(r));
+      EXPECT_EQ(cut.shard(target).size(), r);
+      EXPECT_EQ(sm.size(), (S - 1) + r);
+
+      auto found = sm.multi_find({probe, probe + r, probe_key[0]});
+      EXPECT_EQ(found[0], std::optional<V>(r));
+      EXPECT_FALSE(found[1].has_value());
+      EXPECT_TRUE(found[2].has_value());
+
+      // The other shards keep committing while this shard's mutex is held.
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (sm.versions()[0] == before[0] &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      auto after = sm.versions();
+      EXPECT_GT(after[0], before[0]);
+      EXPECT_EQ(after[target], r);
+      return map_t::insert(map_t::insert(std::move(m), probe, r + 1),
+                           probe + r, r);
+    });
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(sm.versions()[target], kRounds + 1);
+  EXPECT_EQ(sm.snapshot_shard(target).size(), kRounds + 1);
+  EXPECT_EQ(sm.find(probe), std::optional<V>(kRounds + 1));
 }
 
 TEST(ShardedMapDifferential, ConcurrentWritersMatchMutexedStdMap) {
