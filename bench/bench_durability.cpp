@@ -23,12 +23,19 @@
 //   * crc32c             MB/s of the software slice-by-8 kernel and of the
 //                        SSE4.2 kernel over one 16 MiB buffer, and their
 //                        ratio hw_over_sw (gated in BENCH_PR10.json; the
-//                        row is absent on CPUs without SSE4.2).
+//                        row is absent on CPUs without SSE4.2);
+//   * combiner round     a durable 16-shard kv_store, R rounds of one put
+//                        per shard, each followed by flush(): WAL fsyncs
+//                        per flush and cut publications per round, read
+//                        from the registry probes a live scrape shows
+//                        (gated at 1.0 in BENCH_PR10.json; absent with
+//                        PAM_METRICS=0).
 //
 // Acceptance gate (ISSUE 8): the incremental checkpoint after 1% churn must
 // persist only changed blocks — its bytes must be <= PAM_DURABILITY_GATE
 // (default 0.30, target 0.10) of the full checkpoint. PAM_PERF_GATE=1
 // enforces it by exit code.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,6 +44,7 @@
 
 #include "common/bench_util.h"
 #include "pam/pam.h"
+#include "server/kv_store.h"
 #include "server/sharded_map.h"
 #include "store/checkpoint.h"
 #include "store/crc32c.h"
@@ -57,8 +65,9 @@ using durability_t = store::durability<map_t>;
 void logged_insert(durability_t& d, sharded_map<map_t>& shards, std::vector<entry_t> es) {
   constexpr size_t kBatch = 1 << 16;
   for (size_t i = 0; i < es.size(); i += kBatch) {
-    std::vector<entry_t> batch(es.begin() + i, es.begin() + std::min(es.size(), i + kBatch));
-    if (d.log_batch(0, batch, {}) == 0) {
+    std::vector<write_combiner<map_t>::batch> round(1);
+    round[0].upserts.assign(es.begin() + i, es.begin() + std::min(es.size(), i + kBatch));
+    if (d.log_round(round) == 0) {
       std::printf("ERROR: WAL writer died mid-bench\n");
       std::exit(2);
     }
@@ -74,8 +83,8 @@ durability_t::ckpt_result checkpoint_all(durability_t& d, const sharded_map<map_
 
 struct temp_dir {
   std::string path;
-  temp_dir() {
-    path = "/tmp/pam_bench_durability_" + std::to_string(::getpid());
+  explicit temp_dir(const std::string& tag = "") {
+    path = "/tmp/pam_bench_durability" + tag + "_" + std::to_string(::getpid());
     std::string cmd = "rm -rf " + path;
     (void)std::system(cmd.c_str());
   }
@@ -174,22 +183,23 @@ int main() {
   // ------------------------------------------------------- WAL appends --
   constexpr size_t kBatches = 256;
   constexpr size_t kBatchOps = 500;
-  std::vector<std::vector<entry_t>> batches(kBatches);
+  // One one-batch round per append, as a put_batch logs.
+  std::vector<std::vector<write_combiner<map_t>::batch>> rounds(kBatches);
   for (size_t b = 0; b < kBatches; b++) {
-    batches[b].reserve(kBatchOps);
+    rounds[b].resize(1);
+    rounds[b][0].shard = write_combiner<map_t>::kBulkShard;
     for (size_t i = 0; i < kBatchOps; i++) {
       // Fresh key space above the universe: replay lands ops the
       // checkpoint chain does not already contain.
-      batches[b].emplace_back(universe + b * kBatchOps + i, b);
+      rounds[b][0].upserts.emplace_back(universe + b * kBatchOps + i, b);
     }
   }
-  const std::vector<K> no_dels;
   std::vector<double> batch_lat_ns;
   batch_lat_ns.reserve(kBatches);
   double t_append = timed([&] {
     for (size_t b = 0; b < kBatches; b++) {
       uint64_t t0 = obs::now_ns();
-      if (d.log_batch(~uint32_t{0}, batches[b], no_dels) == 0) {
+      if (d.log_round(rounds[b]) == 0) {
         std::printf("ERROR: WAL writer died mid-bench\n");
         std::exit(2);
       }
@@ -255,6 +265,44 @@ int main() {
     bench_json("bench_durability", "crc32c", "sw_mb_s", sw);
     bench_json("bench_durability", "crc32c", "hw_mb_s", hw);
     bench_json("bench_durability", "crc32c", "hw_over_sw", hw_over_sw);
+  }
+
+  // ---------------------------------------------------- combiner round --
+  // Every flush() is one combiner round over the 16 queues: one WAL record
+  // per queue under one fsync, applied as one published cut.
+  if constexpr (obs::kEnabled) {
+    temp_dir rd("_round");
+    kv_store<map_t>::options ko;
+    for (K s = 1; s < 16; s++) ko.splitters.push_back(s * (universe / 16));
+    ko.combiner = {.batch_size = size_t{1} << 20,
+                   .flush_interval = std::chrono::milliseconds(0)};
+    ko.durability = store::durability_options{.dir = rd.path};
+    kv_store<map_t> kv(map_t{}, ko);
+    auto probes = [] {
+      std::pair<uint64_t, uint64_t> fsyncs_pubs{0, 0};
+      obs::registry_snapshot snap = obs::registry::get().scrape();
+      for (const auto& h : snap.histograms)
+        if (h.name == "pam_wal_fsync_ns") fsyncs_pubs.first = h.count;
+      for (const auto& c : snap.counters)
+        if (c.name == "pam_cut_publications_total") fsyncs_pubs.second = c.value;
+      return fsyncs_pubs;
+    };
+    constexpr size_t kRounds = 64;
+    auto before = probes();
+    for (size_t r = 0; r < kRounds; r++) {
+      for (K s = 0; s < 16; s++) kv.put(s * (universe / 16) + r, r);
+      kv.flush();
+    }
+    auto after = probes();
+    double fsyncs_per_flush = double(after.first - before.first) / kRounds;
+    double pubs_per_round = double(after.second - before.second) / kRounds;
+    std::printf("%-26s %10zu rounds  %6.2f fsyncs/flush  %6.2f publications/round\n\n",
+                "combiner round (16 shards)", kRounds, fsyncs_per_flush,
+                pubs_per_round);
+    bench_json("bench_durability", "combiner_round", "fsyncs_per_flush",
+               fsyncs_per_flush);
+    bench_json("bench_durability", "combiner_round", "publications_per_round",
+               pubs_per_round);
   }
 
   // The acceptance target is 0.10 on dedicated hardware; PAM_DURABILITY_GATE

@@ -155,13 +155,14 @@ int main() {
       sink += acc;
     };
 
-    double t_classic = timed_median(1, 5, classic_sweep);
-    double t_count = timed_median(1, 5, count_sweep);
+    // Paired (bench_util.h timed_paired): the ratio is the median of
+    // per-rep classic / branch-free times.
+    paired_times find_t = timed_paired(1, 5, classic_sweep, count_sweep);
     if (sink == 0) std::printf("(unreachable sink)\n");
 
-    double mq_classic = static_cast<double>(q) / t_classic / 1e6;
-    double mq_count = static_cast<double>(q) / t_count / 1e6;
-    find_ratio = t_classic / t_count;
+    double mq_classic = static_cast<double>(q) / find_t.t_a / 1e6;
+    double mq_count = static_cast<double>(q) / find_t.t_b / 1e6;
+    find_ratio = find_t.ratio;
     std::printf("search            Mops/s\n");
     std::printf("std::lower_bound %7.1f\n", mq_classic);
     std::printf("branch-free     %8.1f\n", mq_count);
@@ -192,9 +193,10 @@ int main() {
       for (size_t i = 0; i < q; i++) acc += block_lower_idx<E>(block.data(), lens[i], queries[i]);
       sink += acc;
     };
-    double t_classic_var = timed_median(1, 5, classic_var);
-    double t_count_var = timed_median(1, 5, count_var);
-    var_ratio = t_classic_var / t_count_var;
+    paired_times var_t = timed_paired(1, 5, classic_var, count_var);
+    double t_classic_var = var_t.t_a;
+    double t_count_var = var_t.t_b;
+    var_ratio = var_t.ratio;
     if (sink == 0) std::printf("(unreachable sink)\n");
     std::printf("B=16..32: std::lower_bound %.1f  branch-free %.1f Mops/s  (%.2fx, gate: >= 1.1x)\n",
                 static_cast<double>(q) / t_classic_var / 1e6,
@@ -296,13 +298,13 @@ int main() {
       sink += acc;
     };
 
-    double t_strict = timed_median(1, 5, strict_sweep);
-    double t_grouped = timed_median(1, 5, grouped_sweep);
+    // Paired, as the find rows: median of per-rep strict / grouped times.
+    paired_times fold_t = timed_paired(1, 5, strict_sweep, grouped_sweep);
     if (sink == 0) std::printf("(unreachable sink)\n");
 
-    double mf_strict = static_cast<double>(folds) / t_strict / 1e6;
-    double mf_grouped = static_cast<double>(folds) / t_grouped / 1e6;
-    fold_ratio = t_strict / t_grouped;
+    double mf_strict = static_cast<double>(folds) / fold_t.t_a / 1e6;
+    double mf_grouped = static_cast<double>(folds) / fold_t.t_b / 1e6;
+    fold_ratio = fold_t.ratio;
     std::printf("fold                Mops/s\n");
     std::printf("strict scalar     %8.1f\n", mf_strict);
     std::printf("grouped           %8.1f\n", mf_grouped);

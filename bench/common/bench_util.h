@@ -83,6 +83,36 @@ double timed_median(int warmup, int reps, const F& f) {
   return ts[ts.size() / 2];
 }
 
+// Paired timing for an A/B speedup row: every rep times `a` and then `b`
+// back to back, and the result is the median of the per-rep ratios
+// t_a / t_b (plus each side's median time). A burst of host load then
+// lands on both halves of one pair, instead of on one side of the whole
+// comparison as two separate timed_median calls allow.
+struct paired_times {
+  double ratio = 0;  // median over reps of t_a / t_b
+  double t_a = 0;    // median of a's times
+  double t_b = 0;    // median of b's times
+};
+
+template <typename A, typename B>
+paired_times timed_paired(int warmup, int reps, const A& a, const B& b) {
+  for (int i = 0; i < warmup; i++) {
+    a();
+    b();
+  }
+  std::vector<double> ta, tb, ratios;
+  for (int i = 0; i < reps; i++) {
+    ta.push_back(timed(a));
+    tb.push_back(timed(b));
+    ratios.push_back(ta.back() / tb.back());
+  }
+  auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ratios), median(ta), median(tb)};
+}
+
 // Distribution of per-iteration times (seconds). The perf gates keep
 // asserting on `median` — the stable statistic — while p99/max surface tail
 // behavior in the JSON trajectory without being load-bearing.

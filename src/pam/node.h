@@ -223,7 +223,11 @@ struct node_manager {
       node* l = t->left;
       node* r = t->right;
       destroy_node(t);
-      if (is_node(l) && is_node(r) && l->size + r->size >= gc_par_cutoff()) {
+      // Fork only when both children die here: a shared child stops at its
+      // first decrement, and a user thread's fork waits for a worker.
+      if (is_node(l) && is_node(r) && l->size + r->size >= gc_par_cutoff() &&
+          l->ref_cnt.load(std::memory_order_relaxed) == 1 &&
+          r->ref_cnt.load(std::memory_order_relaxed) == 1) {
         par_do([l] { dec(l); }, [r] { dec(r); });
         return;
       }

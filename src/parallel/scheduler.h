@@ -35,9 +35,10 @@
 // also take can stall: once every worker is blocked on that lock, no worker
 // is left to run the root that would let the holder release it. kv_store
 // never does this. Its clients, flusher and checkpointer hold the combiner's
-// flush locks, and save_checkpoint also holds ckpt_mu_, across forks (bulk
-// applies, the parallel checkpoint encode), but no pool task takes either
-// lock: both are taken only on user threads, outside any parallel body.
+// flush locks and the touched shards' commit mutexes, and save_checkpoint
+// also holds ckpt_mu_, across forks (bulk applies, the parallel checkpoint
+// encode), but no pool task takes any of these locks: kv_store takes them
+// only on user threads, outside any parallel body.
 //
 // Pool tasks may hold a lock across a fork only inside pam::isolate
 // (snapshot_box::update and sharded_map's commit do, for their writer

@@ -18,9 +18,10 @@
 // history() answers time-travel reads and version diffs, and feed() hands
 // out pull-based change subscriptions.
 //
-// Every write — buffered put/erase or bulk put_batch/erase_batch — is logged
-// and applied under the combiner's flush locks of the queues it touches,
-// so there is one write path and one writer fence: write_combiner::quiesced.
+// Every write — buffered put/erase or bulk put_batch/erase_batch — rides a
+// combiner round: logged under one WAL sync and applied as one published
+// cut under the flush locks of the queues it touches, so there is one
+// write path and one writer fence: write_combiner::quiesced.
 // save_checkpoint cuts inside that fence. The shard directory is fixed when
 // the store is built (or restored from the manifest by recover()).
 //
@@ -114,9 +115,9 @@ class kv_store {
   // Bulk writes are already batches: each commits before returning, as one
   // WAL record on a durable store, in program order with this thread's
   // earlier put/erase calls on the same keys (write_combiner::commit_now).
-  // Each holds the flush locks of the queues its keys route to from log to
-  // apply, so bulk batches over shared queues commit one at a time. An
-  // empty batch is a no-op.
+  // Each is the last record of one combiner round over the queues its keys
+  // route to, visible in one publication (no snapshot holds part of it), so
+  // bulk batches over shared queues commit one at a time. Empty: a no-op.
   void put_batch(std::vector<entry_t> updates) {
     combiner_.commit_now(std::move(updates), {});
   }
@@ -198,7 +199,6 @@ class kv_store {
     // opposite order, the later cut's truncate could unlink WAL records
     // the finally-current (earlier) manifest does not cover.
     mutex_guard order(ckpt_mu_);
-    combiner_.flush_all();  // drain the bulk of the backlog outside the fence
     uint64_t covered = 0;
     typename store::durability<Map>::dirty_keys dirty;
     std::optional<snapshot_type> cut;
@@ -334,14 +334,13 @@ class kv_store {
   }
 
   // The combiner's pre-visibility hook, the store's one WAL append site: a
-  // batch that cannot be logged is never applied (the sink throws, the
+  // round that cannot be logged is never applied (the sink throws, the
   // combiner drops it and counts a sink_failure).
   typename write_combiner<Map>::sink_fn wal_sink() {
     if (!durable_) return {};
-    return [d = durable_.get()](size_t s, const std::vector<entry_t>& ups,
-                                const std::vector<K>& dels) {
-      if (d->log_batch(static_cast<uint32_t>(s), ups, dels) == 0) {
-        throw store::io_error("kv_store: WAL writer is dead, batch unacked");
+    return [d = durable_.get()](const auto& round) {
+      if (d->log_round(round) == 0) {
+        throw store::io_error("kv_store: WAL writer is dead, round unacked");
       }
     };
   }

@@ -8,31 +8,31 @@
 // touching disjoint ranges run their merges concurrently. The paper's
 // persistence model survives intact: a snapshot is one pointer read. The
 // published object is a versioned_snapshot — one Map per shard plus the
-// per-shard commit counters — behind one atomic pointer:
+// per-shard commit counters — behind one published<T> (pam/snapshot.h):
 //
 //   reader   epoch::guard g;                      // pins reclamation
-//            const cut_t* c = cut_.load(acq);     // the published cut
-//            snapshot_type snap = c->snapshot;    // O(S): inc(root) each
+//            const cut_t& c = cut_.get();         // one acquire load
+//            snapshot_type snap = c.snapshot;     // O(S): inc(root) each
 //
-//   writer   lock shard_mu_[s];                   // one writer per shard
-//            Map m = f(slot s of the current cut) // the merge; may fork
-//            lock publish_mu_;                    // short: no fork
-//              copy the current cut, slot s = m, versions[s]++, store(rel)
-//            unlock both, then epoch::retire(displaced cut)
+//   writer   lock shard_mu_[s] for each touched s, ascending
+//            Map m_s = apply(s, slot s)           // the merges; may fork
+//            cut_.publish: copy the cut, slots s = m_s, versions[s]++
+//            unlock all, then cut_.retire(displaced cut)
 //
 // Every read — snapshot_all*, versions, size, multi_find, find,
 // snapshot_shard, shard_size — is therefore one guard plus one acquire
 // load, wait-free. A cut is consistent by construction (it is one published
 // object), cuts are totally ordered by publication, and version vectors are
-// componentwise monotone. A batch's per-shard slice becomes visible in one
-// publication.
+// componentwise monotone. Every write is one such commit, so a whole batch
+// — or a write combiner's whole round of batches — is visible in one
+// publication, never shard by shard.
 //
-// Bulk writes (multi_insert / multi_delete) partition the batch by shard in
-// O(m) and run the per-shard merges in parallel, so the paper's
-// O(m log(n/m + 1)) bulk path applies within every shard. Range and
-// augmented queries stitch per-shard range_views in shard order: shard
-// ranges tile the key space, so concatenating per-shard in-order walks is a
-// global in-order walk.
+// Bulk writes (write / multi_insert / multi_delete) partition each batch by
+// shard in O(m) and merge the touched shards in parallel once the round is
+// big enough to fork, so the paper's O(m log(n/m + 1)) bulk path applies
+// within every shard. Range and augmented queries stitch per-shard
+// range_views in shard order: shard ranges tile the key space, so
+// concatenating per-shard in-order walks is a global in-order walk.
 //
 // The directory is fixed at construction: the splitters and the shard count
 // never change, so routing a key is a plain binary search with no epoch
@@ -46,7 +46,6 @@
 // (it sees its own shard as of before the commit); it must not write to it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -56,6 +55,7 @@
 
 #include "alloc/arena.h"
 #include "obs/metrics.h"
+#include "pam/snapshot.h"
 #include "parallel/parallel.h"
 #include "util/thread_annotations.h"
 
@@ -67,9 +67,11 @@ namespace server_internal {
 // rather than per-instance because sharded_map is built through value paths
 // (kv_store::recover's RVO chain) that per-instance registered members would
 // pin; what the exposition wants here is the process-wide read picture
-// anyway. Every cut attempt succeeds, so attempts counts the cuts taken.
+// anyway. Every cut attempt succeeds, so attempts counts the cuts taken;
+// publications counts commits, one published cut each.
 struct cut_metrics_t {
   obs::counter attempts{"pam_cut_attempts_total"};
+  obs::counter publications{"pam_cut_publications_total"};
   obs::counter finds{"pam_read_finds_total"};
 };
 
@@ -271,11 +273,6 @@ class sharded_map {
         shard_mu_(splitters_->size() + 1),
         cut_(distribute(std::move(initial))) {}
 
-  // No reader or writer may be in flight at destruction (standard object
-  // lifetime); cuts already retired are self-contained and drain later.
-  // pam-lint: allow(naked-delete) — the final cut, after all sharing.
-  ~sharded_map() { delete cut_.load(std::memory_order_relaxed); }
-
   sharded_map(const sharded_map&) = delete;
   sharded_map& operator=(const sharded_map&) = delete;
 
@@ -291,6 +288,13 @@ class sharded_map {
 
   // ------------------------------------------------------------- writes --
 
+  // A write batch: its upserts apply before its deletes, as WAL replay
+  // applies a record.
+  struct batch {
+    std::vector<entry_t> upserts;
+    std::vector<K> deletes;
+  };
+
   // Atomically apply f : Map -> Map to shard s. Writers of distinct shards
   // run concurrently; writers of one shard serialize on its mutex. f may
   // read this sharded_map (it sees shard s as of before the commit) but
@@ -299,36 +303,62 @@ class sharded_map {
   void update_shard(size_t s, const F& f) {
     if (s >= num_shards())
       throw std::out_of_range("sharded_map::update_shard: no such shard");
-    commit(s, f);
+    commit({s}, false, [&](size_t, Map m) { return f(std::move(m)); });
   }
 
   // Per-op point upsert/erase: one O(log n) committed write to the owning
   // shard. This is the slow path that write_combiner batches around.
   void insert(const K& k, const V& v) {
-    commit(shard_of(k), [&](Map m) { return Map::insert(std::move(m), k, v); });
+    commit({shard_of(k)}, false,
+           [&](size_t, Map m) { return Map::insert(std::move(m), k, v); });
   }
   void erase(const K& k) {
-    commit(shard_of(k), [&](Map m) { return Map::remove(std::move(m), k); });
+    commit({shard_of(k)}, false,
+           [&](size_t, Map m) { return Map::remove(std::move(m), k); });
   }
 
-  // Bulk upsert: partition the batch by shard in O(m), then merge each
-  // shard's slice on the O(m_s log(n_s/m_s + 1)) bulk path, all shards in
-  // parallel. Duplicate keys in `updates`: the last one wins.
+  // Bulk upsert / delete: one-batch writes (in `updates`, last key wins).
   void multi_insert(std::vector<entry_t> updates) {
-    bulk_write(
-        std::move(updates),
-        [](const entry_t& e) -> const K& { return e.first; },
-        [](Map m, std::vector<entry_t> b) {
-          return Map::multi_insert(std::move(m), std::move(b));
-        });
+    std::vector<batch> round(1);
+    round[0].upserts = std::move(updates);
+    write(std::move(round));
+  }
+  void multi_delete(std::vector<K> keys) {
+    std::vector<batch> round(1);
+    round[0].deletes = std::move(keys);
+    write(std::move(round));
   }
 
-  void multi_delete(std::vector<K> keys) {
-    bulk_write(
-        std::move(keys), [](const K& k) -> const K& { return k; },
-        [](Map m, std::vector<K> b) {
-          return Map::multi_delete(std::move(m), std::move(b));
-        });
+  // Apply a round of batches, in order, as ONE commit: the whole round
+  // becomes visible in one publication. Each batch is partitioned by shard
+  // in O(m), and a shard's slices merge in round order on the
+  // O(m_s log(n_s/m_s + 1)) bulk path. Batch: `batch`, or any type with the
+  // same two members.
+  template <typename Batch>
+  void write(std::vector<Batch> round) {
+    std::vector<std::vector<batch>> parts(num_shards());
+    bool spans = false;  // some batch touches more than one shard
+    for (Batch& b : round) {
+      std::vector<batch> split(num_shards());
+      for (entry_t& e : b.upserts) split[shard_of(e.first)].upserts.push_back(std::move(e));
+      for (K& k : b.deletes) split[shard_of(k)].deletes.push_back(std::move(k));
+      size_t hit = 0;
+      for (size_t s = 0; s < split.size(); s++) {
+        if (split[s].upserts.empty() && split[s].deletes.empty()) continue;
+        parts[s].push_back(std::move(split[s]));
+        spans |= ++hit > 1;
+      }
+    }
+    std::vector<size_t> touched;
+    for (size_t s = 0; s < parts.size(); s++) if (!parts[s].empty()) touched.push_back(s);
+    if (touched.empty()) return;
+    commit(std::move(touched), spans, [&](size_t s, Map m) {
+      for (batch& b : parts[s]) {
+        if (!b.upserts.empty()) m = Map::multi_insert(std::move(m), std::move(b.upserts));
+        if (!b.deletes.empty()) m = Map::multi_delete(std::move(m), std::move(b.deletes));
+      }
+      return m;
+    });
   }
 
   // -------------------------------------------------------------- reads --
@@ -339,28 +369,28 @@ class sharded_map {
   Map snapshot_shard(size_t s) const {
     if (s >= num_shards()) return Map{};
     epoch::guard g;
-    return cut_ref()->snapshot.shard(s);
+    return cut_.get().snapshot.shard(s);
   }
 
   // The published cut itself, copied: S root refcount bumps.
   versioned_snapshot snapshot_all_versioned() const {
     server_internal::cut_metrics().attempts.inc();
     epoch::guard g;
-    return *cut_ref();
+    return cut_.get();
   }
 
   // A consistent cut across all shards.
   snapshot_type snapshot_all() const {
     server_internal::cut_metrics().attempts.inc();
     epoch::guard g;
-    return cut_ref()->snapshot;
+    return cut_.get().snapshot;
   }
 
   // Per-shard commit counters of the current cut.
   std::vector<uint64_t> versions() const {
     server_internal::cut_metrics().attempts.inc();
     epoch::guard g;
-    return cut_ref()->versions;
+    return cut_.get().versions;
   }
 
   // Single-key committed read, run against the current cut in place — no
@@ -372,7 +402,7 @@ class sharded_map {
     server_internal::cut_metrics().finds.inc();
     size_t s = shard_of(k);
     epoch::guard g;
-    return cut_ref()->snapshot.shard(s).find(k);
+    return cut_.get().snapshot.shard(s).find(k);
   }
 
   // Batch lookup against one consistent cut.
@@ -384,7 +414,7 @@ class sharded_map {
   size_t size() const {
     server_internal::cut_metrics().attempts.inc();
     epoch::guard g;
-    return cut_ref()->snapshot.size();
+    return cut_.get().snapshot.size();
   }
 
   // Entry count of one shard in the current cut. Feeds kv_store's
@@ -393,106 +423,68 @@ class sharded_map {
     if (s >= num_shards())
       throw std::out_of_range("sharded_map::shard_size: no such shard");
     epoch::guard g;
-    return cut_ref()->snapshot.shard(s).size();
+    return cut_.get().snapshot.shard(s).size();
   }
 
  private:
   using cut_t = versioned_snapshot;
 
-  // One commit to shard s. The shard mutex makes this writer the only one
-  // that can replace slot s, so the slot read here stays the latest commit
-  // of shard s until this writer publishes; f runs outside publish_mu_, so
-  // merges of distinct shards overlap and only the O(S) swap serializes.
-  template <typename F>
-  void commit(size_t s, const F& f) {
-    mutex& serial = shard_mu_[s];
-    cut_t* displaced;
-    {
-      mutex_guard serialize(serial);
-      Map working = snapshot_shard(s);
-      // f may fork while the lock is held: isolated, a worker waiting in one
-      // of its joins never runs another task that takes this lock.
-      Map next = isolate([&] { return f(std::move(working)); });
-      mutex_guard swap(publish_mu_);
-      displaced = publish(s, std::move(next));
-    }
-    retire(displaced);
-  }
-
-  // Bulk engine behind multi_insert / multi_delete: partition by shard,
-  // apply the per-shard buckets in parallel.
-  template <typename Item, typename KeyOf, typename Apply>
-  void bulk_write(std::vector<Item> items, const KeyOf& key_of,
-                  const Apply& apply) {
-    std::vector<std::vector<Item>> buckets(num_shards());
-    for (Item& it : items) buckets[shard_of(key_of(it))].push_back(std::move(it));
-    auto write = [&](size_t s) {
-      if (buckets[s].empty()) return;
-      commit(s, [&](Map m) {
-        return apply(std::move(m), std::move(buckets[s]));
+  // The one commit: lock the touched shards (ascending, so two commits
+  // never deadlock), replace each touched slot s by apply(s, slot), and
+  // publish one cut. Only a shard's mutex holder replaces its slot, so the
+  // slots read here stay the latest until the publish. A bulk batch that
+  // spans shards (`fan_out`) merges them in parallel — isolated, as the
+  // mutexes stay held; per-shard slices merge on the calling thread, whose
+  // pool cache then keeps their path copies, and each merge still forks by
+  // the kernel's own rule. The displaced cut retires after every lock drops.
+  template <typename Apply>
+  void commit(std::vector<size_t> touched, bool fan_out, const Apply& apply) {
+    cut_t* displaced = nullptr;
+    lock_walk(touched, 0, [&] {
+      std::vector<Map> next;
+      for (size_t s : touched) next.push_back(snapshot_shard(s));
+      auto merge = [&](size_t i) { next[i] = apply(touched[i], std::move(next[i])); };
+      size_t grain = fan_out ? 1 : touched.size();
+      isolate([&] { parallel_for(0, touched.size(), merge, grain); });
+      // Under the publish mutex: O(S) refcount bumps, no fork, no teardown.
+      displaced = cut_.publish([&](const cut_t& old) {
+        std::vector<Map> shards;
+        shards.reserve(num_shards());
+        std::vector<uint64_t> versions = old.versions;
+        for (size_t s = 0, j = 0; s < num_shards(); s++) {
+          if (j < touched.size() && touched[j] == s) {
+            shards.push_back(std::move(next[j++]));
+            versions[s]++;
+          } else {
+            shards.push_back(old.snapshot.shard(s));
+          }
+        }
+        return cut_t{snapshot_type(std::move(shards), splitters_),
+                     std::move(versions)};
       });
-    };
-    // A batch smaller than par_cutoff() forks nowhere in the kernel, and
-    // when it hits one shard there is nothing to fan out either: apply it
-    // on the calling thread, whose pool cache then keeps its path copies
-    // (handed to the pool, each flush would carve from a different
-    // worker's cache). It holds that shard's mutex without forking, so the
-    // lock rule of parallel/scheduler.h is not in play.
-    size_t hit = 0;
-    for (const auto& b : buckets) hit += !b.empty();
-    if (hit == 1 && items.size() < par_cutoff()) {
-      for (size_t s = 0; s < buckets.size(); s++) write(s);
-      return;
-    }
-    parallel_for(0, num_shards(), write, 1);
+      server_internal::cut_metrics().publications.inc();
+    });
+    cut_.retire(displaced);
+    // One cut carries what S per-shard commits used to retire: turn the
+    // epoch twice more, so that with no reader pinned its old versions are
+    // freed here, not two commits later, and their slots serve the next.
+    epoch::try_advance();
+    epoch::try_advance();
   }
 
-  // The two checked doors to the published cut. A reader must hold
-  // epoch_domain (shared): the guard pins reclamation, so the cut stays
-  // alive across the dereference. publish() must hold publish_mu_: with
-  // other publishers excluded, nothing can displace (and hence retire) the
-  // current cut.
-  const cut_t* cut_ref() const PAM_REQUIRES_SHARED(epoch_domain) {
-    return cut_.load(std::memory_order_acquire);
-  }
-
-  // Swap in a copy of the current cut with slot s replaced by `next` and
-  // versions[s] bumped; hand the displaced cut back for retirement. O(S)
-  // refcount bumps and one allocation — nothing forks and nothing is torn
-  // down under publish_mu_.
-  cut_t* publish(size_t s, Map next) PAM_REQUIRES(publish_mu_) {
-    cut_t* old = cut_.load(std::memory_order_relaxed);
-    std::vector<Map> shards;
-    shards.reserve(num_shards());
-    for (size_t i = 0; i < num_shards(); i++) {
-      if (i == s) shards.push_back(std::move(next));
-      else shards.push_back(old->snapshot.shard(i));
-    }
-    std::vector<uint64_t> versions = old->versions;
-    versions[s]++;
-    // pam-lint: allow(naked-new) — cuts are commit-rate objects owned by the
-    // sharded_map, freed exclusively through the epoch limbo (retire below).
-    cut_.store(new cut_t{snapshot_type(std::move(shards), splitters_),
-                         std::move(versions)},
-               std::memory_order_release);
-    return old;
-  }
-
-  // Retire a displaced cut onto the epoch limbo list — never freed inline,
-  // because a concurrent reader may be mid-acquisition on it. Called after
-  // both the shard mutex and publish_mu_ drop, so a large displaced-version
-  // teardown stalls no commit; annotated EXCLUDES so moving it back inside
-  // the publish critical section is a compile error.
-  void retire(cut_t* displaced) const PAM_EXCLUDES(publish_mu_) {
-    // pam-lint: allow(naked-delete) — the limbo deleter is the single
-    // reclamation point for cuts published by this sharded_map.
-    epoch::retire(displaced, [](void* q) { delete static_cast<cut_t*>(q); });
+  // Take shard_mu_[ss[i..]] in order and run fn with all held. Recursion
+  // keeps each acquisition lexical for clang's thread-safety analysis.
+  template <typename Fn>
+  void lock_walk(const std::vector<size_t>& ss, size_t i, const Fn& fn) {
+    if (i == ss.size()) return fn();
+    mutex_guard serialize(shard_mu_[ss[i]]);
+    lock_walk(ss, i + 1, fn);
   }
 
   // Split `whole` along the splitters into the initial cut, every shard at
   // version 0. A splitter key itself belongs to the shard on its right.
   // O(S log n) splits on shared subtrees.
-  cut_t* distribute(Map whole) const {
+  cut_t distribute(Map whole) const {
     std::vector<Map> shards;
     shards.reserve(splitters_->size() + 1);
     for (const K& sp : *splitters_) {
@@ -504,9 +496,7 @@ class sharded_map {
     }
     shards.push_back(std::move(whole));
     std::vector<uint64_t> versions(shards.size(), 0);
-    // pam-lint: allow(naked-new) — the initial cut, before any sharing.
-    return new cut_t{snapshot_type(std::move(shards), splitters_),
-                     std::move(versions)};
+    return cut_t{snapshot_type(std::move(shards), splitters_), std::move(versions)};
   }
 
   static std::vector<K> quantile_splitters(const Map& m, size_t num_shards) {
@@ -526,11 +516,10 @@ class sharded_map {
   const std::shared_ptr<const std::vector<K>> splitters_;
   // One per shard: serializes the read-modify-write of that shard's slot.
   std::vector<mutex> shard_mu_;
-  // Serializes publication: the O(S) copy-and-swap of the cut, never f.
-  // It and cut_ sit on cache lines of their own: every commit writes them,
-  // while the fields above are read by every routed operation.
-  alignas(64) mutex publish_mu_;
-  alignas(64) std::atomic<cut_t*> cut_;
+  // The published cut. Its publish mutex and pointer sit on cache lines of
+  // their own: every commit writes them, while the fields above are read by
+  // every routed operation.
+  published<cut_t> cut_;
 };
 
 }  // namespace pam

@@ -5,11 +5,16 @@
 // O(m log(n/m + 1)) — and a per-op commit through sharded_map additionally
 // pays a root copy-path, two lock handshakes and one cut publication per
 // key. The combiner turns the per-op client API (upsert / erase) back into
-// the bulk path: ops are
-// appended to a small per-shard pending buffer, and a buffer is flushed as
-// one multi_insert + multi_delete batch when it reaches `batch_size`, when
-// the background flusher's `flush_interval` tick fires, or on an explicit
-// flush_all().
+// the bulk path: ops are appended to a small per-shard pending buffer, and
+// buffers are flushed in a round when one reaches `batch_size` (that
+// queue), when the background flusher's `flush_interval` tick fires, or on
+// an explicit flush_all() (every queue).
+//
+// One write path: an overflow flush, a flusher tick, flush_all(),
+// commit_now() and the quiesced() fence are each one round. A round drains
+// its queues under their flush locks (taken in index order), makes ONE
+// sink call that logs one record per batch (a commit_now() batch last),
+// applies the round as ONE sharded_map commit, then drops the locks.
 //
 // Semantics:
 //   * Per-key last-writer-wins within a batch: before applying, a batch is
@@ -21,20 +26,18 @@
 //     batches of one shard commit in enqueue order and a later batch can
 //     never overtake an earlier one.
 //   * Visibility: reads through the sharded_map see committed state only;
-//     each per-shard slice of a flushed batch becomes visible in one atomic
-//     epoch-protected publication of sharded_map's cut, so readers never
-//     see a slice half-applied. flush_all() is the barrier — every op
+//     a whole round becomes visible in one atomic epoch-protected
+//     publication of sharded_map's cut, so readers never see a round — or
+//     a batch — half-applied. flush_all() is the barrier — every op
 //     enqueued happens-before a flush_all() call is committed when it
 //     returns.
 //   * One queue per shard: the target's directory is fixed, so a key's ops
-//     always ride its shard's queue, and a flushed batch is applied through
-//     the target's bulk write path (multi_insert / multi_delete).
+//     always ride its shard's queue.
 //   * Bulk batches: commit_now() takes a pre-formed upsert/delete batch
-//     (kv_store::put_batch / erase_batch) onto the same path. It holds the
-//     flush locks of every queue its keys route to, drains their pending
-//     ops ahead of it, and logs and applies it before the locks drop — so
-//     per key, log order equals apply order, and a thread's buffered ops
-//     and later bulk batch land in program order.
+//     (kv_store::put_batch / erase_batch) onto the same path: a round over
+//     every queue its keys route to drains their pending ops ahead of it,
+//     so per key, log order equals apply order, and a thread's buffered
+//     ops and later bulk batch land in program order.
 //   * Shutdown drains: shutdown() (also run by the destructor) stops the
 //     flusher thread and then flushes every remaining op, so the final
 //     drain is guaranteed to land in the target sharded_map before the
@@ -62,7 +65,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -91,18 +93,24 @@ class write_combiner {
     std::chrono::milliseconds flush_interval{2};
   };
 
-  // Durability hook: called with each batch under the flush locks of the
-  // queues it touches, BEFORE the batch is applied to the target — so a
-  // batch is never visible to readers unless it was offered to the log
-  // first. `shard` is the queue index of a buffered batch, kBulkShard for a
-  // commit_now() batch. A throwing sink aborts the commit (the batch is
-  // dropped, the exception propagates to whoever drove the flush): crash
-  // semantics, exercised by the fault-injection tests. Empty = no
-  // durability.
-  using sink_fn =
-      std::function<void(size_t shard, const std::vector<entry_t>& upserts,
-                         const std::vector<K>& deletes)>;
+  // One WAL record's worth of a round: a drained queue's coalesced batch
+  // (`shard` = its queue index) or a commit_now() batch (kBulkShard). Its
+  // upserts apply before its deletes, as WAL replay applies a record.
   static constexpr size_t kBulkShard = ~uint32_t{0};
+  struct batch {
+    size_t shard;
+    std::vector<entry_t> upserts;
+    std::vector<K> deletes;
+  };
+
+  // Durability hook: called once per round with all of the round's batches,
+  // in apply order, under the flush locks of the queues it drained, BEFORE
+  // the round is applied to the target — so a batch is never visible to
+  // readers unless it was offered to the log first. A throwing sink aborts
+  // the round (its batches are dropped, the exception propagates to
+  // whoever drove it): crash semantics, exercised by the fault-injection
+  // tests. Empty = no durability.
+  using sink_fn = std::function<void(const std::vector<batch>& round)>;
 
   struct stats_snapshot {
     uint64_t ops_enqueued;    // upserts + erases accepted
@@ -115,7 +123,10 @@ class write_combiner {
                           sink_fn sink = {})
       : target_(target), cfg_(cfg), sink_(std::move(sink)),
         queues_(target.num_shards()) {
-    for (auto& q : queues_) q = std::make_unique<shard_queue>();
+    for (size_t s = 0; s < queues_.size(); s++) {
+      queues_[s] = std::make_unique<shard_queue>();
+      all_queues_.push_back(s);
+    }
     if (cfg_.flush_interval.count() > 0)
       flusher_ = std::thread([this] { flusher_loop(); });
   }
@@ -156,17 +167,14 @@ class write_combiner {
   // Enqueue a point delete.
   void erase(const K& k) { enqueue(k, std::nullopt); }
 
-  // Commit every pending op. On return, all ops enqueued before this call
-  // are visible to sharded_map readers.
-  void flush_all() {
-    for (size_t s = 0; s < queues_.size(); s++) flush_shard(s);
-  }
+  // Commit every pending op as one round. On return, all ops enqueued
+  // before this call are visible to sharded_map readers.
+  void flush_all() { round(all_queues_, {}, [] {}); }
 
   // Commit a pre-formed batch now, ordered with every buffered op on its
-  // keys: hold the flush locks of the queues its keys route to, commit
-  // their pending ops first, then offer the batch to the sink as ONE call
-  // (shard kBulkShard) and apply it — upserts, then deletes, as WAL replay
-  // does — before the locks drop. Visible on return. An empty batch is a
+  // keys: one round over the queues its keys route to, with the batch as
+  // the round's last WAL record (shard kBulkShard) — upserts, then
+  // deletes, as WAL replay does. Visible on return. An empty batch is a
   // no-op: nothing is logged.
   void commit_now(std::vector<entry_t> upserts, std::vector<K> deletes) {
     if (upserts.empty() && deletes.empty()) return;
@@ -174,28 +182,20 @@ class write_combiner {
     for (const entry_t& e : upserts) hit[target_.shard_of(e.first)] = true;
     for (const K& k : deletes) hit[target_.shard_of(k)] = true;
     std::vector<size_t> touched;
-    for (size_t s = 0; s < hit.size(); s++) {
-      if (hit[s]) touched.push_back(s);
-    }
-    auto commit = [&] {
-      log_and_apply(kBulkShard, std::move(upserts), std::move(deletes));
-    };
-    quiesce_walk(touched, 0, commit);
+    for (size_t s = 0; s < hit.size(); s++) if (hit[s]) touched.push_back(s);
+    round(touched, {kBulkShard, std::move(upserts), std::move(deletes)}, [] {});
   }
 
   // Flush every shard, then run `fn` while ALL shard flush locks are held.
-  // Every write — buffered batch or commit_now() — calls the sink (the WAL
-  // append) and applies to the target under the flush locks of the queues
-  // it touches, so while `fn` runs no batch sits between the two and no
-  // new batch can commit until it returns. This is the whole writer fence:
-  // kv_store::save_checkpoint cuts its durable checkpoint in it — inside
-  // `fn`, the target reflects exactly the batches the sink has seen. `fn`
-  // must not re-enter the combiner.
+  // Every write is a round that logs and applies under the flush locks of
+  // the queues it touches, so while `fn` runs no batch sits between the
+  // two and no new batch can commit until it returns. This is the whole
+  // writer fence: kv_store::save_checkpoint cuts its durable checkpoint in
+  // it — inside `fn`, the target reflects exactly the batches the sink has
+  // seen. `fn` must not re-enter the combiner.
   template <typename Fn>
   void quiesced(Fn&& fn) {
-    std::vector<size_t> all(queues_.size());
-    std::iota(all.begin(), all.end(), size_t{0});
-    quiesce_walk(all, 0, fn);
+    round(all_queues_, {}, fn);
   }
 
   // A point-in-time view over this instance's registry counters: the
@@ -246,15 +246,61 @@ class write_combiner {
       return v ? commit_now({{k, std::move(*v)}}, {}) : commit_now({}, {k});
     }
     queue_depth_.add(1);
-    if (overflow) flush_shard(s);
+    if (overflow) round({s}, {}, [] {});
   }
 
-  // Swap out queue s's buffer and commit it as one batch. flush_mu spans
-  // swap-out and commit, so batches of a queue apply in enqueue order and
-  // last-writer-wins holds across batch boundaries. The caller-holds-
-  // q.flush_mu contract is an annotation, not just this comment: calling it
+  // The one write path. Take the flush locks of queues qs (ascending, so
+  // two rounds never deadlock), draining each into one batch; append `bulk`
+  // (if it holds any op) as the last; then, every lock still held, offer
+  // the round to the sink in ONE call, apply it as ONE target commit, and
+  // run fn. flush_mu spans swap-out and commit, so a queue's batches apply
+  // in enqueue order and the log sees each key's batches in the order
+  // readers will; a sink failure keeps the whole round out of the target —
+  // it was never acked, so losing it is correct.
+  template <typename Fn>
+  void round(const std::vector<size_t>& qs, batch bulk, Fn&& fn) {
+    std::vector<batch> writes;
+    lock_walk(qs, 0, writes, [&] {
+      if (!bulk.upserts.empty() || !bulk.deletes.empty())
+        writes.push_back(std::move(bulk));
+      if (!writes.empty()) {
+        obs::span flush_span("combiner.flush");
+        size_t ops = 0;
+        for (const batch& b : writes) ops += b.upserts.size() + b.deletes.size();
+        if (sink_) {
+          try {
+            sink_(writes);
+          } catch (...) {
+            sink_failures_.inc();
+            throw;
+          }
+        }
+        ops_committed_.inc(ops);
+        batches_flushed_.inc(writes.size());
+        target_.write(std::move(writes));
+      }
+      fn();
+    });
+  }
+
+  // Lock and drain queue qs[i], keep the lock, recurse to i+1, and run fn
+  // with every listed lock held. Recursion keeps each acquisition lexical,
+  // so clang's thread-safety analysis tracks the whole lock set.
+  template <typename Fn>
+  void lock_walk(const std::vector<size_t>& qs, size_t i,
+                 std::vector<batch>& writes, const Fn& fn) {
+    if (i == qs.size()) return fn();
+    shard_queue& q = *queues_[qs[i]];
+    mutex_guard serialize(q.flush_mu);
+    drain(q, qs[i], writes);
+    lock_walk(qs, i + 1, writes, fn);
+  }
+
+  // Swap out queue s's buffer and coalesce it into one batch of `writes`.
+  // The caller-holds-q.flush_mu contract is an annotation: calling it
   // unlocked fails to compile under clang -Wthread-safety.
-  void drain(shard_queue& q, size_t s) PAM_REQUIRES(q.flush_mu) {
+  void drain(shard_queue& q, size_t s, std::vector<batch>& writes)
+      PAM_REQUIRES(q.flush_mu) {
     {
       // Most drains under a flusher tick or a fence find the buffer empty:
       // skip the swap and its fresh reservation. Outside flush_mu only
@@ -262,66 +308,20 @@ class write_combiner {
       mutex_guard lock(q.buffer_mu);
       if (q.pending.empty()) return;
     }
-    std::vector<op_t> batch;
-    batch.reserve(cfg_.batch_size);
+    std::vector<op_t> ops;
+    ops.reserve(cfg_.batch_size);
     uint64_t oldest_ns = 0;
     {
       mutex_guard lock(q.buffer_mu);
-      batch.swap(q.pending);
+      ops.swap(q.pending);
       oldest_ns = q.oldest_ns;
       q.oldest_ns = 0;
     }
-    queue_depth_.add(-static_cast<int64_t>(batch.size()));
-    obs::span flush_span("combiner.flush");
-    batch_ops_.record(batch.size());
+    queue_depth_.add(-static_cast<int64_t>(ops.size()));
+    batch_ops_.record(ops.size());
     enqueue_to_flush_ns_.record(obs::now_ns() - oldest_ns);
-    auto [upserts, deletes] = coalesce(std::move(batch));
-    log_and_apply(s, std::move(upserts), std::move(deletes));
-  }
-
-  // Offer one batch to the sink, then apply it through the target's bulk
-  // path. Called only with the flush locks of every queue the batch touches
-  // held, so the log sees each key's batches in the order readers will, and
-  // a sink failure keeps the batch out of the target entirely — it was
-  // never acked, so losing it is correct.
-  void log_and_apply(size_t s, std::vector<entry_t> upserts,
-                     std::vector<K> deletes) {
-    if (sink_) {
-      try {
-        sink_(s, upserts, deletes);
-      } catch (...) {
-        sink_failures_.inc();
-        throw;
-      }
-    }
-    ops_committed_.inc(upserts.size() + deletes.size());
-    batches_flushed_.inc();
-    if (!upserts.empty()) target_.multi_insert(std::move(upserts));
-    if (!deletes.empty()) target_.multi_delete(std::move(deletes));
-  }
-
-  // The lock-accumulating walk behind quiesced() and commit_now(): drain
-  // queue qs[i] under its flush lock, keep the lock, recurse to i+1, and
-  // run fn once every listed queue's lock is held. qs is ascending, so
-  // locks are always taken in queue-index order and two walks can never
-  // deadlock. Recursion keeps each acquisition lexical, so clang's
-  // thread-safety analysis tracks the whole dynamic lock set.
-  template <typename Fn>
-  void quiesce_walk(const std::vector<size_t>& qs, size_t i, Fn& fn) {
-    if (i == qs.size()) {
-      fn();
-      return;
-    }
-    shard_queue& q = *queues_[qs[i]];
-    mutex_guard serialize(q.flush_mu);
-    drain(q, qs[i]);
-    quiesce_walk(qs, i + 1, fn);
-  }
-
-  void flush_shard(size_t s) {
-    shard_queue& q = *queues_[s];
-    mutex_guard serialize(q.flush_mu);
-    drain(q, s);
+    auto [upserts, deletes] = coalesce(std::move(ops));
+    writes.push_back({s, std::move(upserts), std::move(deletes)});
   }
 
   // Keep only the latest op per key (stable sort by key preserves enqueue
@@ -369,6 +369,7 @@ class write_combiner {
   const config cfg_;
   const sink_fn sink_;
   std::vector<std::unique_ptr<shard_queue>> queues_;
+  std::vector<size_t> all_queues_;  // 0..S-1: the queues of a full round
 
   // Registry-backed instrumentation (PR 9). These are per-instance members
   // — two combiners register under the same names and the scrape sums them

@@ -1,9 +1,10 @@
 // The durability manager: glues the WAL and the checkpoint writer into one
 // object the server owns.
 //
-//   log_batch        encode one write-combiner batch as a WAL record and
-//                    append it (group fsync per wal_config); the returned
-//                    seq is what "acked" means. The keys of every appended
+//   log_round        encode a write-combiner round as one WAL record per
+//                    batch and append them together (group fsync per
+//                    wal_config, checked once per round); the returned seq
+//                    is what "acked" means. The keys of every appended
 //                    record also go to the dirty-key log
 //   take_dirty       detach the dirty-key log: the keys written since the
 //                    last detach
@@ -131,32 +132,37 @@ class durability {
 
   // ------------------------------------------------------------- logging --
 
-  // WAL record payload for one batch:
+  // Log one write round: one WAL record per batch, appended under one WAL
+  // writer lock, with the sync cadence checked once after the last record
+  // (so the default syncs a round once). A record's payload is
   //   [ u32 shard | u32 n_ups | u32 n_dels | entries... | keys... ]
-  // Returns the record's seq, or 0 when the writer is dead (batch unacked).
-  // The keys of an appended record join the dirty-key log.
-  uint64_t log_batch(uint32_t shard, const std::vector<entry_t>& upserts,
-                     const std::vector<K>& deletes) PAM_EXCLUDES(dirty_mu_) {
-    std::vector<char> buf;
-    buf.reserve(12 + upserts.size() * wire::field_codec<entry_t>::kMinBytes +
-                deletes.size() * wire::field_codec<K>::kMinBytes);
-    wire::put_u32(buf, shard);
-    wire::put_u32(buf, static_cast<uint32_t>(upserts.size()));
-    wire::put_u32(buf, static_cast<uint32_t>(deletes.size()));
-    for (const entry_t& e : upserts) {
-      wire::field_codec<entry_t>::write(e, buf);
+  // Batch is any type with `shard`, `upserts` and `deletes` members.
+  // Returns the last record's seq, or 0 when the writer is dead (the round
+  // is unacked). The keys of appended records join the dirty-key log.
+  template <typename Batch>
+  uint64_t log_round(const std::vector<Batch>& round) PAM_EXCLUDES(dirty_mu_) {
+    std::vector<std::vector<char>> records;
+    for (const Batch& b : round) {
+      std::vector<char>& buf = records.emplace_back();
+      buf.reserve(12 + b.upserts.size() * wire::field_codec<entry_t>::kMinBytes +
+                  b.deletes.size() * wire::field_codec<K>::kMinBytes);
+      wire::put_u32(buf, static_cast<uint32_t>(b.shard));
+      wire::put_u32(buf, static_cast<uint32_t>(b.upserts.size()));
+      wire::put_u32(buf, static_cast<uint32_t>(b.deletes.size()));
+      for (const entry_t& e : b.upserts) wire::field_codec<entry_t>::write(e, buf);
+      for (const K& k : b.deletes) wire::field_codec<K>::write(k, buf);
     }
-    for (const K& k : deletes) wire::field_codec<K>::write(k, buf);
-    uint64_t seq = wal_->append(buf.data(), buf.size());
+    uint64_t seq = wal_->append(records);
     if (seq != 0) {
-      // The sink runs concurrently for different combiner queues.
+      // Rounds of disjoint queues log concurrently.
       mutex_guard g(dirty_mu_);
-      if (!dirty_.overflowed) {
-        for (const entry_t& e : upserts) dirty_.keys.push_back(e.first);
-        dirty_.keys.insert(dirty_.keys.end(), deletes.begin(), deletes.end());
+      for (const Batch& b : round) {
+        if (dirty_.overflowed) break;
+        for (const entry_t& e : b.upserts) dirty_.keys.push_back(e.first);
+        dirty_.keys.insert(dirty_.keys.end(), b.deletes.begin(), b.deletes.end());
         if (dirty_.keys.size() >= compact_at_) compact_dirty_locked();
-        dirty_gauge_.set(static_cast<int64_t>(dirty_.keys.size()));
       }
+      dirty_gauge_.set(static_cast<int64_t>(dirty_.keys.size()));
     }
     return seq;
   }
@@ -173,7 +179,7 @@ class durability {
     return out;
   }
 
-  // Keys in the dirty log, and its bound: after each log_batch the log is
+  // Keys in the dirty log, and its bound: after each log_round the log is
   // below its next compaction point (twice its size after the last one),
   // and a compaction keeps at most the distinct keys the delta budget of
   // the last full checkpoint can hold.

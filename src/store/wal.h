@@ -37,6 +37,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,9 +59,10 @@ struct wal_config {
   // Rotate the active segment past this many bytes (PAM_WAL_SEGMENT_BYTES,
   // clamped to >= 64 KiB so rotation stays off the hot path).
   size_t segment_bytes = size_t{4} << 20;
-  // Group fsync: sync once every N appends (PAM_WAL_SYNC_EVERY, >= 1).
-  // Callers needing a hard ack call sync() themselves; 1 means every
-  // record is durable before append returns.
+  // Group fsync: sync once N records are appended since the last sync
+  // (PAM_WAL_SYNC_EVERY, >= 1), checked once per append call, so once per
+  // write round. Callers needing a hard ack call sync() themselves; 1 means
+  // every round is durable before its append returns.
   long sync_every = 1;
 
   static wal_config from_env() {
@@ -149,14 +151,22 @@ class wal_writer {
   wal_writer(const wal_writer&) = delete;
   wal_writer& operator=(const wal_writer&) = delete;
 
-  // Append one record; returns its seq, or 0 when the writer is dead (the
-  // record was NOT logged — the caller's batch is unacked by definition).
-  // Group fsync: the record is durable when this returns only if the
-  // configured sync cadence (or an explicit sync()) says so.
-  uint64_t append(const void* payload, size_t n) PAM_EXCLUDES(mu_) {
+  // Append one record per payload (anything with data() and size()) under
+  // one lock hold, then check the sync cadence once. Returns the last
+  // record's seq, or 0 when the writer is dead (nothing was logged — the
+  // caller's batches are unacked by definition).
+  template <typename Payloads>
+  uint64_t append(const Payloads& payloads) PAM_EXCLUDES(mu_) {
     unique_guard lock(mu_);
     if (dead_) return 0;
-    return append_locked(payload, n);
+    uint64_t seq = 0;
+    for (const auto& p : payloads) seq = append_locked(p.data(), p.size());
+    if (appends_since_sync_ >= cfg_.sync_every) sync_locked();
+    return seq;
+  }
+  uint64_t append(const void* payload, size_t n) PAM_EXCLUDES(mu_) {
+    const std::string_view one[] = {{static_cast<const char*>(payload), n}};
+    return append(one);
   }
 
   // Durability barrier: every appended record is on the medium when this
@@ -195,7 +205,7 @@ class wal_writer {
       last_seq_.store(seq, std::memory_order_release);
       records_total_.inc();
       bytes_total_.inc(rec.size());
-      if (++appends_since_sync_ >= cfg_.sync_every) sync_locked();
+      ++appends_since_sync_;
       return seq;
     } catch (...) {
       dead_ = true;

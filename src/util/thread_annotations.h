@@ -20,10 +20,9 @@
 //     entry points are EXCLUDES(epoch_domain) so driving the epoch forward
 //     from inside a guard — a self-deadlock on reclamation progress — is a
 //     compile error;
-//   * per-object writer locks (pam/snapshot.h `writer_mu_`,
-//     server/sharded_map.h `publish_mu_`): publication is REQUIRES(the
-//     lock), retirement is EXCLUDES(the lock), which is the "retire only
-//     after the writer lock drops" rule of PR 5.
+//   * the publish mutex of published<T> (pam/snapshot.h), the one
+//     publication primitive: the swap takes it, retirement is EXCLUDES(it),
+//     which is the "retire only after the writer lock drops" rule.
 //
 // The analysis is lexical and intra-procedural. Protocols it cannot
 // express — hand-over-hand latch crabbing (baselines/concurrent_bptree.h) —

@@ -6,9 +6,10 @@
 //    turn on every call while limbo is shallow (once per kDrainThreshold
 //    retirements after that), and a turn tried while the caller's own
 //    guard is pinned can never succeed, so limbo would only grow;
-//  * the snapshot_box writer protocol retires a displaced payload only
-//    after the writer lock drops (its retire is PAM_EXCLUDES(writer_mu_));
-//    mini_box replicates that shape, since the real method is private.
+//  * published<T> (pam/snapshot.h), the one publication primitive under
+//    snapshot_box and sharded_map, retires a displaced object only after
+//    its publish mutex drops (its retire is PAM_EXCLUDES of that mutex);
+//    mini_box replicates that shape, since the real mutex is private.
 //
 // clang -Werror=thread-safety must reject both calls below.
 //

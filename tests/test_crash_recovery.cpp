@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "pam/pam.h"
 #include "server/kv_store.h"
 #include "util/random.h"
@@ -43,7 +45,10 @@ using oracle_t = std::map<uint64_t, uint64_t>;
 struct temp_dir {
   std::string path;
   explicit temp_dir(const std::string& tag) {
-    path = ::testing::TempDir() + "pam_crash_" + tag;
+    // The pid keeps two concurrent runs of this suite (e.g. two build
+    // directories' ctest) out of each other's stores.
+    path = ::testing::TempDir() + "pam_crash_" + tag + "_" +
+           std::to_string(::getpid());
     std::string cmd = "rm -rf " + path;
     EXPECT_EQ(std::system(cmd.c_str()), 0);
   }

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "pam/pam.h"
 #include "server/kv_store.h"
 #include "server/sharded_map.h"
@@ -701,7 +703,8 @@ TEST(KvStore, BulkWritesLandInProgramOrderAfterBufferedWrites) {
   // thread's put/erase followed by a put_batch of the same key ends with
   // the bulk value — in both shards. An empty bulk batch is a no-op: it
   // logs no WAL record.
-  std::string dir = ::testing::TempDir() + "pam_server_program_order";
+  std::string dir = ::testing::TempDir() + "pam_server_program_order_" +
+                    std::to_string(::getpid());
   std::string rm = "rm -rf " + dir;
   ASSERT_EQ(std::system(rm.c_str()), 0);
   {
@@ -724,6 +727,93 @@ TEST(KvStore, BulkWritesLandInProgramOrderAfterBufferedWrites) {
     store.put_batch({});
     store.erase_batch({});
     EXPECT_EQ(store.durable().last_seq(), seq);
+  }
+  (void)std::system(rm.c_str());
+}
+
+// Splitters {1000, 2000, ..., 15000}: 16 shards, key s * 1000 + 1 in shard s.
+std::vector<K> sixteen_shard_splitters() {
+  std::vector<K> sp;
+  for (K s = 1; s < 16; s++) sp.push_back(s * 1000);
+  return sp;
+}
+
+TEST(KvStore, CrossShardPutBatchIsNeverSeenTorn) {
+  // A put_batch is one commit: a snapshot holds all of it or none of it.
+  // The writer sets one key per shard to i in batch i; every snapshot must
+  // find the 16 keys equal.
+  store_t::options opt;
+  opt.splitters = sixteen_shard_splitters();
+  opt.combiner = {.batch_size = 1u << 20,
+                  .flush_interval = std::chrono::milliseconds(0)};
+  store_t store(map_t{}, opt);
+  ASSERT_EQ(store.shards().num_shards(), 16u);
+  constexpr V kBatches = 2000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (V i = 1; i <= kBatches; i++) {
+      std::vector<entry_t> batch;
+      for (K s = 0; s < 16; s++) batch.push_back({s * 1000 + 1, i});
+      store.put_batch(std::move(batch));
+    }
+    done.store(true);
+  });
+  size_t cuts = 0, torn = 0;
+  while (!done.load()) {
+    auto snap = store.snapshot();
+    auto first = snap.find(1);
+    for (K s = 1; s < 16; s++) {
+      if (snap.find(s * 1000 + 1) != first) {
+        torn++;
+        break;
+      }
+    }
+    cuts++;
+  }
+  writer.join();
+  EXPECT_GT(cuts, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << cuts << " snapshots";
+  for (K s = 0; s < 16; s++)
+    EXPECT_EQ(store.get(s * 1000 + 1), std::optional<V>(kBatches));
+}
+
+TEST(KvStore, FlushRoundSyncsOnceAndPublishesOnce) {
+  // One flush() over 16 non-empty queues is one combiner round: 16 WAL
+  // records under one fsync, applied as one published cut.
+  if (!pam::obs::kEnabled) GTEST_SKIP() << "PAM_METRICS=0: nothing to count";
+  auto counter = [](const pam::obs::registry_snapshot& snap, const char* name) {
+    for (const auto& c : snap.counters)
+      if (c.name == name) return c.value;
+    return uint64_t{0};
+  };
+  auto fsyncs = [](const pam::obs::registry_snapshot& snap) {
+    for (const auto& h : snap.histograms)
+      if (h.name == "pam_wal_fsync_ns") return h.count;
+    return uint64_t{0};
+  };
+  std::string dir = ::testing::TempDir() + "pam_server_flush_round_" +
+                    std::to_string(::getpid());
+  std::string rm = "rm -rf " + dir;
+  ASSERT_EQ(std::system(rm.c_str()), 0);
+  {
+    store_t::options opt;
+    opt.splitters = sixteen_shard_splitters();
+    opt.combiner = {.batch_size = 1u << 20,
+                    .flush_interval = std::chrono::milliseconds(0)};
+    pam::store::durability_options d{.dir = dir};
+    d.wal.sync_every = 1;
+    opt.durability = d;
+    store_t store(map_t{}, opt);
+    for (K s = 0; s < 16; s++) store.put(s * 1000 + 1, s);
+    auto before = store.metrics();
+    uint64_t records = store.durable().last_seq();
+    store.flush();
+    auto after = store.metrics();
+    EXPECT_EQ(store.durable().last_seq(), records + 16);
+    EXPECT_EQ(fsyncs(after), fsyncs(before) + 1);
+    EXPECT_EQ(counter(after, "pam_cut_publications_total"),
+              counter(before, "pam_cut_publications_total") + 1);
+    EXPECT_EQ(store.size(), 16u);
   }
   (void)std::system(rm.c_str());
 }

@@ -17,6 +17,7 @@
 
 #include "page_oracle.h"
 #include "pam/pam.h"
+#include "server/write_combiner.h"
 #include "store/durability.h"
 #include "util/random.h"
 
@@ -1189,11 +1190,13 @@ TEST(WireCodec, CrossEndianStreamRejected) {
 // -------------------------------------------- durability manager + deltas --
 
 // The write protocol kv_store runs under its writer fence, driven by hand:
-// log the batch (its keys join the dirty-key log), then apply it.
+// log the batch as a one-record round (its keys join the dirty-key log),
+// then apply it.
 template <typename Map>
 void logged_insert(pam::store::durability<Map>& d, pam::sharded_map<Map>& shards,
                    std::vector<typename Map::entry_t> es) {
-  ASSERT_NE(d.log_batch(0, es, {}), 0u);
+  using batch_t = typename pam::write_combiner<Map>::batch;
+  ASSERT_NE(d.log_round(std::vector<batch_t>{{0, es, {}}}), 0u);
   shards.multi_insert(std::move(es));
 }
 

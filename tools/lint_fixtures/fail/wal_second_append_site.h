@@ -7,16 +7,14 @@
 
 namespace pam {
 
-template <typename Durable, typename Entries, typename Keys>
+template <typename Durable, typename Round>
 auto wal_sink(Durable* d) {
-  return [d](size_t s, const Entries& ups, const Keys& dels) {
-    d->log_batch(static_cast<uint32_t>(s), ups, dels);
-  };
+  return [d](const Round& round) { d->log_round(round); };
 }
 
-template <typename Durable, typename Entries, typename Keys>
-void log_bulk(Durable* d, const Entries& ups, const Keys& dels) {
-  d->log_batch(~uint32_t{0}, ups, dels);
+template <typename Durable, typename Round>
+void log_bulk(Durable* d, const Round& round) {
+  d->log_round(round);
 }
 
 }  // namespace pam

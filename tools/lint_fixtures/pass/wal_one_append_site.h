@@ -1,15 +1,13 @@
 // pam-lint-fixture-path: src/server/kv_store.h
 // The store's one WAL append: the sink it hands the write combiner. A
-// comment naming log_batch(...) is not a call site.
+// comment naming log_round(...) is not a call site.
 #pragma once
 
 namespace pam {
 
-template <typename Durable, typename Entries, typename Keys>
+template <typename Durable, typename Round>
 auto wal_sink(Durable* d) {
-  return [d](size_t s, const Entries& ups, const Keys& dels) {
-    d->log_batch(static_cast<uint32_t>(s), ups, dels);
-  };
+  return [d](const Round& round) { d->log_round(round); };
 }
 
 }  // namespace pam

@@ -51,12 +51,18 @@ on the comment line(s) immediately above it: `pam-lint: allow(<rule>)`):
                       fixtures and exempt.
   wal-append-site     one write path: in src/** outside the durability layer
                       (src/store/**), only src/server/kv_store.h may call
-                      `log_batch(`, and only once — in the sink it hands the
-                      write combiner, which logs every batch under the
+                      `log_round(`, and only once — in the sink it hands
+                      the write combiner, which logs every round under the
                       flush locks it applies under. A second call site
                       would be a second log→apply path with its own
-                      ordering. bench/ stays exempt (bench_durability drives
-                      the WAL directly).
+                      ordering. bench/ stays exempt (bench_durability
+                      drives the WAL directly).
+  publish-site        one publication primitive: in src/**, `epoch::retire(`
+                      appears only in src/alloc/arena.h (the epoch itself)
+                      and src/pam/snapshot.h (published<T>, whose retire
+                      runs after its publish mutex drops). Any other site
+                      would be a second atomic-pointer publication
+                      protocol; publish through published<T> instead.
   isa-intrinsics      in src/**, ISA intrinsic headers (<immintrin.h>,
                       <nmmintrin.h>, <x86intrin.h>, ... and <arm_neon.h>)
                       and __AVX*__ / __SSE*__ feature-macro branches appear
@@ -92,6 +98,7 @@ RULES = (
     "metric-name",
     "env-catalogue",
     "wal-append-site",
+    "publish-site",
     "isa-intrinsics",
     "leaf-tag",
 )
@@ -224,9 +231,12 @@ ENV_READ_RE = re.compile(
 ENV_CATALOGUE_ROW_RE = re.compile(r'\{"(PAM_\w+)"')
 # A WAL append call (matched in stripped code: a comment naming it is not a
 # call site).
-LOG_BATCH_RE = re.compile(r"\blog_batch\s*\(")
+LOG_ROUND_RE = re.compile(r"\blog_round\s*\(")
 # The one file allowed to append to the WAL, and how often.
 WAL_APPEND_SITE = "src/server/kv_store.h"
+# An epoch retirement (stripped code), and the files allowed to make one.
+EPOCH_RETIRE_RE = re.compile(r"\bepoch\s*::\s*retire\s*\(")
+PUBLISH_SITES = ("src/alloc/arena.h", "src/pam/snapshot.h")
 # ISA intrinsics, matched in stripped code (a comment naming a header or a
 # feature macro is not a use): intrinsic headers, and the compiler's
 # per-ISA feature macros that gate hand-written kernels.
@@ -361,14 +371,26 @@ def lint_file(relpath, text, env_catalogue=None):
     # the combiner sink kv_store wires up.
     if in_src and not unix.startswith("src/store/"):
         allowed = 1 if unix == WAL_APPEND_SITE else 0
-        for n, m in enumerate(LOG_BATCH_RE.finditer(code)):
+        for n, m in enumerate(LOG_ROUND_RE.finditer(code)):
             ln = lineno_of(code, m.start())
             if n >= allowed and not waived(lines, ln, "wal-append-site"):
                 findings.append(Finding(
                     relpath, ln, "wal-append-site",
-                    "log_batch( outside the combiner sink in "
+                    "WAL append outside the combiner sink in "
                     f"{WAL_APPEND_SITE}: every WAL append must ride the "
                     "write combiner's flush locks"))
+
+    # One publication primitive: published<T> is the only retire site
+    # besides the epoch itself.
+    if in_src and unix not in PUBLISH_SITES:
+        for m in EPOCH_RETIRE_RE.finditer(code):
+            ln = lineno_of(code, m.start())
+            if not waived(lines, ln, "publish-site"):
+                findings.append(Finding(
+                    relpath, ln, "publish-site",
+                    "epoch::retire( outside published<T> "
+                    "(src/pam/snapshot.h): publish through published<T> "
+                    "instead of a second atomic-pointer protocol"))
 
     # Hand-written SIMD only where a committed bench row shows it wins.
     if in_src and unix != ISA_INTRINSICS_SITE:
