@@ -15,6 +15,13 @@
 //     "memory is returned only at process exit". Released chunks go back
 //     through ::operator delete to the C++ heap, not to the OS: glibc keeps
 //     most of them mapped for reuse, so the process RSS barely drops;
+//   * compacts before it releases: trim_all() quarantines the free slots of
+//     every partly free chunk (a *victim*) and runs the process-wide
+//     relocation hooks, through which every live sharded_map copies the
+//     nodes and blocks it alone owns out of victim chunks in one commit per
+//     shard (trees are immutable and refcounted, so a move is an ordinary
+//     path-copying update no reader can see). The victims then hold only
+//     what other versions share, and the ones that emptied are released;
 //   * stripes its live counters by a hashed thread id for *all* threads —
 //     scheduler workers and foreign server threads alike — instead of
 //     funneling every non-worker thread onto one shared stripe.
@@ -87,6 +94,8 @@ struct alloc_metrics_t {
   obs::gauge reserved_bytes{"pam_arena_reserved_bytes"};
   obs::gauge used_bytes{"pam_arena_used_bytes"};
   obs::counter trimmed_bytes{"pam_arena_trimmed_bytes_total"};
+  obs::counter relocated_bytes{"pam_arena_relocated_bytes_total"};
+  obs::histogram compaction_ns{"pam_arena_compaction_ns"};
 };
 
 inline alloc_metrics_t& alloc_metrics() {
@@ -367,12 +376,15 @@ class epoch {
 //     list in batches sized to ~64KB of slots, so the mutex is amortized
 //     to invisibility;
 //   * when the global list is dry a chunk of `batch` slots is carved from
-//     the heap and recorded in the chunk table (provenance: base, slot
-//     count), which is what makes reserved_bytes() exact and trim() possible;
+//     the heap and its base recorded in the sorted chunk table, which is
+//     what makes reserved_bytes() exact and trim() possible;
 //   * live counts are striped across cache lines, indexed by scheduler
 //     worker id or, for foreign threads, a hashed thread-local id.
 class block_pool {
  public:
+  // One chunk's [base, end).
+  using span = std::pair<const char*, const char*>;
+
   // The slot stride is rounded up to the alignment so every slot in a
   // carved chunk stays aligned, not just the first — and no further: a
   // typed pool over a 56-byte node must stride 56 bytes, not a
@@ -392,10 +404,10 @@ class block_pool {
   // hand-back skips them.
   ~block_pool() {
     directory_unregister(id_);
-    for (const chunk& c : chunks_) {
+    for (char* base : chunks_) {
       alloc_internal::alloc_metrics().reserved_bytes.add(
-          -static_cast<int64_t>(c.slots * slot_bytes_));
-      ::operator delete(c.base, std::align_val_t{align_});
+          -static_cast<int64_t>(chunk_bytes()));
+      ::operator delete(base, std::align_val_t{align_});
     }
   }
 
@@ -448,69 +460,68 @@ class block_pool {
   // scheduler worker hand its caches back. Released chunks go to the C++
   // heap through ::operator delete. glibc keeps most of them mapped, so RSS
   // barely drops; what it trims off the top of its heaps the next carve
-  // faults back in. This is
-  // an explicit maintenance operation: it sorts the global free list under
-  // the pool mutex (O(F log F)), so allocation misses in other threads
-  // stall for its duration — schedule trims off the serving path.
+  // faults back in. This is an explicit maintenance operation: its sweep
+  // sorts the global free list under the pool mutex (O(F log F)), so
+  // allocation misses in other threads stall for its duration — schedule
+  // trims off the serving path.
   size_t trim() {
-    // Pointers from distinct chunks are compared throughout with std::less,
-    // the standard's total order over raw pointers (built-in < between
-    // unrelated allocations is unspecified).
-    const std::less<const void*> before{};
-    std::vector<void*>& cache = local_cache(id_);
-    std::vector<std::pair<char*, char*>> released;  // [base, end) per chunk
-    size_t released_bytes = 0;
+    std::vector<char*> released;
     {
       mutex_guard lock(mu_);
-      for (void* p : cache) free_slots_.push_back(p);
-      cache.clear();
-      if (chunks_.empty() || free_slots_.empty()) return 0;
-
-      std::sort(free_slots_.begin(), free_slots_.end(), before);
-      // Chunks are kept sorted by base; count each chunk's slots present in
-      // the free list with one sweep of lower_bound pairs.
-      for (size_t c = 0; c < chunks_.size();) {
-        const chunk& ch = chunks_[c];
-        char* lo = ch.base;
-        char* hi = ch.base + ch.slots * slot_bytes_;
-        auto first = std::lower_bound(free_slots_.begin(), free_slots_.end(),
-                                      static_cast<void*>(lo), before);
-        auto last = std::lower_bound(free_slots_.begin(), free_slots_.end(),
-                                     static_cast<void*>(hi), before);
-        if (static_cast<size_t>(last - first) == ch.slots) {
-          released.emplace_back(lo, hi);
-          released_bytes += ch.slots * slot_bytes_;
-          reserved_.fetch_sub(static_cast<int64_t>(ch.slots),
-                              std::memory_order_relaxed);
-          chunks_.erase(chunks_.begin() + static_cast<ptrdiff_t>(c));
-        } else {
-          c++;
-        }
+      hand_in(local_cache(id_));
+      std::vector<size_t> free = free_counts();
+      std::vector<char*> kept;
+      for (size_t c = 0; c < chunks_.size(); c++) {
+        (free[c] == batch_ ? released : kept).push_back(chunks_[c]);
       }
       if (released.empty()) return 0;
-      // Drop the released slots from the free list in one merge pass: both
-      // sides are sorted and the ranges are disjoint, so this is O(F + R)
-      // rather than a per-slot range scan — it runs under the pool mutex.
-      std::vector<void*> kept;
-      kept.reserve(free_slots_.size() -
-                   released_bytes / slot_bytes_);
-      size_t r = 0;
-      for (void* p : free_slots_) {
-        while (r < released.size() && !before(p, released[r].second)) r++;
-        if (r < released.size() && !before(p, released[r].first)) continue;
-        kept.push_back(p);
-      }
-      free_slots_.swap(kept);
+      chunks_.swap(kept);
+      std::erase_if(free_slots_, [&](void* p) { return in_chunk(released, p); });
+      reserved_.fetch_sub(static_cast<int64_t>(released.size() * batch_),
+                          std::memory_order_relaxed);
     }
+    size_t released_bytes = released.size() * chunk_bytes();
     alloc_internal::alloc_metrics().reserved_bytes.add(
         -static_cast<int64_t>(released_bytes));
     alloc_internal::alloc_metrics().trimmed_bytes.inc(released_bytes);
     // The heap handback happens after the mutex drops: concurrent refills
     // and overflows need not wait on the allocator.
-    for (const auto& range : released) {
-      ::operator delete(range.first, std::align_val_t{align_});
-    }
+    for (char* base : released) ::operator delete(base, std::align_val_t{align_});
     return released_bytes;
+  }
+
+  // Compaction's first step (see trim_all): mark every chunk that holds
+  // both free and live slots a *victim*, and withdraw the victims' free
+  // slots from allocation until unquarantine(). Meanwhile refills serve
+  // only fully-free and freshly carved chunks, and a slot handed back into
+  // a victim parks with the withdrawn ones, so whatever moves out of a
+  // victim lands elsewhere. The calling thread's cache is handed back
+  // first. Returns the victims' spans in address order; a second call
+  // before unquarantine() marks nothing.
+  std::vector<span> quarantine() {
+    std::vector<span> out;
+    mutex_guard lock(mu_);
+    hand_in(local_cache(id_));
+    if (!victims_.empty()) return out;
+    std::vector<size_t> free = free_counts();
+    for (size_t c = 0; c < chunks_.size(); c++) {
+      if (free[c] == 0 || free[c] == batch_) continue;
+      victims_.push_back(chunks_[c]);
+      out.emplace_back(chunks_[c], chunks_[c] + chunk_bytes());
+    }
+    std::vector<void*> open;
+    for (void* p : free_slots_) (in_chunk(victims_, p) ? withdrawn_ : open).push_back(p);
+    free_slots_.swap(open);
+    return out;
+  }
+
+  // Compaction's last step: the withdrawn slots rejoin the free list, so a
+  // victim that its moves emptied is released by the next trim().
+  void unquarantine() {
+    mutex_guard lock(mu_);
+    free_slots_.insert(free_slots_.end(), withdrawn_.begin(), withdrawn_.end());
+    withdrawn_.clear();
+    victims_.clear();
   }
 
   // ---------------------------------------------- directory-wide rollups --
@@ -521,12 +532,8 @@ class block_pool {
   // pool cannot be destroyed mid-visit (its destructor serializes on the
   // same mutex to unregister).
   static size_t reserved_bytes_all() {
-    directory_t& d = directory();
-    mutex_guard lock(d.mu);
     size_t total = 0;
-    for (block_pool* p : d.pools) {
-      if (p != nullptr) total += p->reserved_bytes();
-    }
+    for_each_pool([&](block_pool& p) { total += p.reserved_bytes(); });
     return total;
   }
 
@@ -535,44 +542,95 @@ class block_pool {
   // on every allocate/deallocate, which would put a shared atomic on the
   // hot path.
   static size_t used_bytes_all() {
-    directory_t& d = directory();
-    mutex_guard lock(d.mu);
     size_t total = 0;
-    for (block_pool* p : d.pools) {
-      if (p != nullptr) {
-        total += static_cast<size_t>(std::max<int64_t>(p->used(), 0)) *
-                 p->slot_bytes();
-      }
-    }
+    for_each_pool([&](block_pool& p) {
+      total += static_cast<size_t>(std::max<int64_t>(p.used(), 0)) * p.slot_bytes();
+    });
     alloc_internal::alloc_metrics().used_bytes.set(static_cast<int64_t>(total));
     return total;
   }
 
-  // Trim every pool; returns the total bytes released. Best preceded by
-  // epoch::drain() so limbo-held trees have actually been freed.
+  // Compact and trim every pool. Returns the net bytes released: the
+  // pools' reserved bytes before the call minus after it, or 0 if they
+  // grew (the pass carves fresh chunks for what it moves, and concurrent
+  // writers carve too). Best preceded by epoch::drain() so limbo-held
+  // trees have actually been freed.
   //
-  // Every scheduler worker first hands its caches back from its own thread
-  // (scheduler::on_each_worker), and the caller hands back its own, so
-  // slots freed by parallel teardown no longer pin their chunks. Only other
-  // user threads' caches stay out of reach — combiner flushers, server
-  // clients, which keep fewer than 4 batches per pool each until they call
-  // trim themselves or exit.
+  //   1. Every scheduler worker hands its caches back from its own thread
+  //      (scheduler::on_each_worker), and the caller hands back its own.
+  //      Other user threads' caches stay out of reach: each keeps fewer
+  //      than 4 batches per pool until it exits or calls
+  //      hand_back_caches(), as the combiner's flusher does after every
+  //      tick.
+  //   2. Compaction, when a relocation hook is registered (every live
+  //      sharded_map registers one): every pool quarantines its victims
+  //      (quarantine()), every hook runs — moving what its live tree alone
+  //      owns out of victim chunks, in one commit per shard — the trees it
+  //      displaced drain through the epoch, every cache is handed back
+  //      again, and the quarantine lifts. Only storage that other versions
+  //      share (snapshots, version rings) stays in a victim, so the moves
+  //      empty most of them; the pass's transient peak is one extra copy
+  //      of the moved data. One pass runs at a time: a call that finds one
+  //      running skips this step rather than wait, since a waiting worker
+  //      could not answer the running pass's cache hand-back.
+  //   3. Every pool releases its fully-free chunks (trim()).
   //
-  // The hand-back runs before the directory mutex is taken (each worker
-  // takes it briefly itself); the walk then holds it (see
-  // reserved_bytes_all), and the lock order directory.mu -> pool.mu_ is the
-  // same everywhere.
-  static size_t trim_all() {
-    internal::scheduler::on_each_worker(
-        [](void*) { thread_caches().hand_back(); }, nullptr);
-    directory_t& d = directory();
-    mutex_guard lock(d.mu);
-    size_t total = 0;
-    for (block_pool* p : d.pools) {
-      if (p != nullptr) total += p->trim();
-    }
-    return total;
+  // The hand-backs and the hooks run without the directory mutex (a
+  // worker's hand-back takes it briefly itself, and a hook's allocations
+  // may create a pool); the pool walks hold it (see reserved_bytes_all),
+  // and the lock order directory.mu -> pool.mu_ is the same everywhere.
+  // EXCLUDES(epoch_domain): the pass drains the epoch (epoch::drain).
+  static size_t trim_all() PAM_EXCLUDES(epoch_domain) {
+    size_t before = reserved_bytes_all();
+    hand_back_everywhere();
+    compact();
+    for_each_pool([](block_pool& p) { p.trim(); });
+    size_t after = reserved_bytes_all();
+    return before > after ? before - after : 0;
   }
+
+  // Hand the calling thread's cached slots, for every pool, back to the
+  // pools' global lists.
+  static void hand_back_caches() { thread_caches().hand_back(); }
+
+  // Whether p lies in a victim chunk of the running compaction pass. True
+  // obliges the caller to move p's object to a fresh slot, and counts the
+  // slot as relocated (pam_arena_relocated_bytes_total). For relocation
+  // hooks only: it reads the pass's victim table, which is stable while
+  // the hooks run, on the pass's thread or in tasks it forks.
+  static bool relocating(const void* p) {
+    const std::vector<victim>& vs = pass().victims;
+    auto it = std::upper_bound(vs.begin(), vs.end(), p,
+                               [](const void* q, const victim& v) {
+                                 return before(q, v.chunk.first);
+                               });
+    if (it == vs.begin() || !before(p, (--it)->chunk.second)) return false;
+    alloc_internal::alloc_metrics().relocated_bytes.inc(it->slot_bytes);
+    return true;
+  }
+
+  // A registration in the process-wide list of relocation hooks that
+  // trim_all's compaction pass runs. Construction adds fn; destruction
+  // removes it, waiting out a pass that is running it.
+  class relocation_hook {
+   public:
+    explicit relocation_hook(std::function<void()> fn) : fn_(std::move(fn)) {
+      pass_state& ps = pass();
+      mutex_guard lock(ps.hooks_mu);
+      ps.hooks.push_back(this);
+    }
+    ~relocation_hook() {
+      pass_state& ps = pass();
+      mutex_guard lock(ps.hooks_mu);
+      std::erase(ps.hooks, this);
+    }
+    relocation_hook(const relocation_hook&) = delete;
+    relocation_hook& operator=(const relocation_hook&) = delete;
+
+   private:
+    friend class block_pool;
+    std::function<void()> fn_;
+  };
 
  private:
   static constexpr size_t kStripes = 64;
@@ -581,10 +639,34 @@ class block_pool {
     std::atomic<int64_t> net{0};
   };
 
-  struct chunk {
-    char* base;
-    size_t slots;
+  struct victim {
+    span chunk;
+    size_t slot_bytes;
   };
+
+  // The compaction pass's process-wide state.
+  struct pass_state {
+    // Held for a whole pass; try-locked, never waited on (see trim_all).
+    mutex mu;
+    // The running pass's victims in address order. Written only by the
+    // pass holding mu, before and after its hooks run; read by
+    // relocating() while they run.
+    std::vector<victim> victims;
+    mutex hooks_mu;
+    std::vector<relocation_hook*> hooks PAM_GUARDED_BY(hooks_mu);
+  };
+
+  static pass_state& pass() {
+    static pass_state* s = new pass_state();  // immortal
+    return *s;
+  }
+
+  // Pointers from distinct chunks are compared with std::less, the
+  // standard's total order over raw pointers (built-in < between unrelated
+  // allocations is unspecified).
+  static bool before(const void* a, const void* b) {
+    return std::less<const void*>{}(a, b);
+  }
 
   // Amortize the global mutex over ~64KB of slots, but never fewer than 8.
   static size_t batch_for(size_t slot_bytes) {
@@ -592,6 +674,39 @@ class block_pool {
     if (b < 8) b = 8;
     if (b > 2048) b = 2048;
     return b;
+  }
+
+  size_t chunk_bytes() const { return batch_ * slot_bytes_; }
+
+  // Does p lie in one of the chunks whose bases `bases` lists in order?
+  bool in_chunk(const std::vector<char*>& bases, const void* p) const {
+    auto it = std::upper_bound(bases.begin(), bases.end(), p,
+                               [](const void* q, const char* b) { return before(q, b); });
+    return it != bases.begin() && before(p, *(it - 1) + chunk_bytes());
+  }
+
+  // The one sweep behind trim() and quarantine(): sort the free list and
+  // count each chunk's free slots in one merge pass over the sorted chunk
+  // table (every free slot lies in exactly one chunk).
+  std::vector<size_t> free_counts() PAM_REQUIRES(mu_) {
+    std::sort(free_slots_.begin(), free_slots_.end(), before);
+    std::vector<size_t> free(chunks_.size(), 0);
+    size_t c = 0;
+    for (void* p : free_slots_) {
+      while (!before(p, chunks_[c] + chunk_bytes())) c++;
+      free[c]++;
+    }
+    return free;
+  }
+
+  // A slot rejoins the free list, or parks with the withdrawn slots while
+  // its chunk is a victim.
+  void hand_in(std::vector<void*>& slots) PAM_REQUIRES(mu_) {
+    for (void* p : slots) {
+      bool parked = !victims_.empty() && in_chunk(victims_, p);
+      (parked ? withdrawn_ : free_slots_).push_back(p);
+    }
+    slots.clear();
   }
 
   // Counter stripe for the calling thread. Scheduler workers map by id;
@@ -620,33 +735,71 @@ class block_pool {
       free_slots_.resize(free_slots_.size() - batch_);
       return;
     }
-    // Carve a fresh chunk and record its provenance.
+    // Carve a fresh chunk and record its base.
     char* base = static_cast<char*>(
-        ::operator new(batch_ * slot_bytes_, std::align_val_t{align_}));
-    auto pos = std::lower_bound(
-        chunks_.begin(), chunks_.end(), base,
-        [](const chunk& c, const char* b) {
-          return std::less<const char*>{}(c.base, b);
-        });
-    chunks_.insert(pos, {base, batch_});
+        ::operator new(chunk_bytes(), std::align_val_t{align_}));
+    chunks_.insert(std::upper_bound(chunks_.begin(), chunks_.end(), base, before), base);
     cache.reserve(batch_);
     for (size_t i = 0; i < batch_; i++) cache.push_back(base + i * slot_bytes_);
     reserved_.fetch_add(static_cast<int64_t>(batch_), std::memory_order_relaxed);
     alloc_internal::alloc_metrics().reserved_bytes.add(
-        static_cast<int64_t>(batch_ * slot_bytes_));
+        static_cast<int64_t>(chunk_bytes()));
   }
 
   void overflow(std::vector<void*>& cache) {
     size_t keep = 2 * batch_;
-    mutex_guard lock(mu_);
-    for (size_t i = keep; i < cache.size(); i++) free_slots_.push_back(cache[i]);
+    std::vector<void*> spill(cache.begin() + static_cast<ptrdiff_t>(keep), cache.end());
     cache.resize(keep);
+    mutex_guard lock(mu_);
+    hand_in(spill);
   }
 
   void take_back(std::vector<void*>& blocks) {
     mutex_guard lock(mu_);
-    for (void* p : blocks) free_slots_.push_back(p);
-    blocks.clear();
+    hand_in(blocks);
+  }
+
+  // Every hand-back trim_all needs: each scheduler worker's, from its own
+  // thread, and the caller's.
+  static void hand_back_everywhere() {
+    internal::scheduler::on_each_worker(
+        [](void*) { thread_caches().hand_back(); }, nullptr);
+  }
+
+  // Compaction (trim_all's step 2).
+  static void compact() PAM_EXCLUDES(epoch_domain) {
+    pass_state& ps = pass();
+    std::unique_lock<mutex> running(ps.mu, std::try_to_lock);
+    if (!running.owns_lock()) return;
+    {
+      mutex_guard lock(ps.hooks_mu);
+      if (ps.hooks.empty()) return;
+    }
+    uint64_t t0 = obs::now_ns();
+    // The quarantine lifts on every exit, a hook's exception included.
+    struct lift {
+      ~lift() {
+        pass().victims.clear();
+        for_each_pool([](block_pool& p) { p.unquarantine(); });
+      }
+    } lifted;
+    std::vector<victim> victims;
+    for_each_pool([&](block_pool& p) {
+      for (const span& s : p.quarantine()) victims.push_back({s, p.slot_bytes()});
+    });
+    if (victims.empty()) return;
+    std::sort(victims.begin(), victims.end(), [](const victim& a, const victim& b) {
+      return before(a.chunk.first, b.chunk.first);
+    });
+    ps.victims = std::move(victims);
+    {
+      mutex_guard lock(ps.hooks_mu);
+      for (relocation_hook* h : ps.hooks) h->fn_();
+    }
+    ps.victims.clear();
+    epoch::drain();
+    hand_back_everywhere();
+    alloc_internal::alloc_metrics().compaction_ns.record(obs::now_ns() - t0);
   }
 
   // ------------------------------------------------- pool id directory --
@@ -659,6 +812,16 @@ class block_pool {
   static directory_t& directory() {
     static directory_t* d = new directory_t();  // immortal
     return *d;
+  }
+
+  // f(pool) for every live pool, under the directory mutex.
+  template <typename F>
+  static void for_each_pool(const F& f) {
+    directory_t& d = directory();
+    mutex_guard lock(d.mu);
+    for (block_pool* p : d.pools) {
+      if (p != nullptr) f(*p);
+    }
   }
 
   static int directory_register(block_pool* p) {
@@ -722,9 +885,12 @@ class block_pool {
   const int id_;
   mutex mu_;
   std::vector<void*> free_slots_ PAM_GUARDED_BY(mu_);
-  std::vector<chunk> chunks_ PAM_GUARDED_BY(mu_);  // sorted by base
+  std::vector<char*> chunks_ PAM_GUARDED_BY(mu_);  // bases, in address order
+  // Set by quarantine() and cleared by unquarantine(): the victim chunks'
+  // bases in address order, and their free slots, out of allocation.
+  std::vector<char*> victims_ PAM_GUARDED_BY(mu_);
+  std::vector<void*> withdrawn_ PAM_GUARDED_BY(mu_);
   std::atomic<int64_t> reserved_{0};
   std::array<stripe, kStripes> counters_{};
 };
-
 }  // namespace pam

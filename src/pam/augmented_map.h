@@ -220,6 +220,19 @@ class aug_map {
     return aug_map(ops::map_values(m.root_, f));
   }
 
+  // m with its storage moved out of the slots moved(p) names: the same
+  // keys, values, aug values and shape, with every node and block there
+  // that only m's holders reach copied to a fresh slot (the relocating
+  // compaction, see tree_ops::relocate). The root counts as theirs while
+  // at most `holders` references hold it (m's own, and e.g. a published
+  // cut's); past that m comes back as it is, so storage another version
+  // shares is never copied.
+  template <typename Moved>
+  static aug_map relocate(const aug_map& m, uint32_t holders, const Moved& moved) {
+    if (m.root_ == nullptr || ops::ref_count(m.root_) > holders) return m;
+    return aug_map(ops::relocate(m.root_, moved));
+  }
+
   struct split_result {
     aug_map left;
     std::optional<V> value;  // value at the split key, if present

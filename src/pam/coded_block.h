@@ -662,6 +662,22 @@ struct coded_store {
     return b;
   }
 
+  // A sealed copy of b in a fresh slot of b's class: the same count,
+  // payload and aug (the relocating compaction's move, see
+  // tree_ops::relocate). A coded payload is position-independent bytes and
+  // copies as such; flat entries copy-construct through build.
+  static block* copy(const block* b) {
+    if constexpr (in_place) {
+      return build(entries(b), b->count);
+    } else {
+      size_t len = payload_bytes(b);
+      block* c = allocate(len, b->count, b->val_off);
+      std::memcpy(payload(c), payload(b), len);
+      new (&c->aug) A(b->aug);
+      return c;
+    }
+  }
+
   static block* retain(block* b) {
     b->ref_cnt.fetch_add(1, std::memory_order_relaxed);
     return b;

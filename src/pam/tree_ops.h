@@ -506,6 +506,49 @@ struct tree_ops : node_manager<Entry, Balance> {
     return build_sorted_seq(run.data() + i, j - i);
   }
 
+  // ---------------------------------------------------------- relocation --
+
+  // The relocating compaction's kernel (alloc/arena.h, block_pool::trim_all):
+  // a tree with t's keys, values, aug values and shape in which every node
+  // and block that moved(slot) names, and that t alone reaches, is a copy
+  // in a fresh slot. t is borrowed and the caller vouches that it owns t;
+  // below it, a node or block is t's alone while its count is 1 on a path
+  // of such. Shared subtrees are never entered, so storage another version
+  // holds is never copied; everything not moved is shared with t. Returns
+  // an owned reference; O(owned part) work. Sequential on purpose: forked
+  // tasks would each carve a partly used chunk per pool and byte class,
+  // and those are the next pass's victims (ycsb-b-large read 7.8 B/entry
+  // forked, 3.8 sequential).
+  template <typename Moved>
+  static node* relocate(node* t, const Moved& moved) {
+    node* c = relocated(t, moved);
+    return c == t ? inc(t) : c;
+  }
+
+  // relocate's recursion: t itself, borrowed, when nothing at or below it
+  // moves, else an owned copy of t over the moved children.
+  template <typename Moved>
+  static node* relocated(node* t, const Moved& moved) {
+    if (t == nullptr) return t;
+    if (is_block(t)) return moved(block_of(t)) ? as_leaf(lstore::copy(block_of(t))) : t;
+    node* l = t->left;
+    node* r = t->right;
+    auto sole = [](node* c) { return c != nullptr && NM::ref_count(c) == 1; };
+    if (sole(l)) l = relocated(l, moved);
+    if (sole(r)) r = relocated(r, moved);
+    if (!moved(t) && l == t->left && r == t->right) return t;
+    node* c = NM::copy_node(t);  // shares both children, for now
+    if (l != t->left) {
+      dec(c->left);
+      c->left = l;
+    }
+    if (r != t->right) {
+      dec(c->right);
+      c->right = r;
+    }
+    return c;
+  }
+
   // ---------------------------------------------------------- validation --
 
   // Full structural validation: size fields, key ordering, block integrity,

@@ -298,11 +298,15 @@ class kv_store {
   // Reclaim what a long-lived server can: drive the epoch forward so
   // displaced versions in limbo are destroyed (parallel teardown), have
   // every scheduler worker and the calling thread hand their pool caches
-  // back, then release fully-free chunks from every pool to the C++ heap.
-  // Returns the bytes released. The heap keeps most of them mapped, so
-  // this lowers reserved_bytes, not the process RSS. Readers are never
-  // blocked; chunks pinned by other user threads' caches (long-lived
-  // clients, the combiner's flusher) stay reserved (see
+  // back, compact — every live sharded_map moves what its live tree alone
+  // owns out of partly free chunks, one commit per shard with contents and
+  // versions unchanged — then release fully-free chunks from every pool to
+  // the C++ heap. Returns the net bytes released (reserved bytes before
+  // minus after). The heap keeps most of them mapped, so this lowers
+  // reserved_bytes, not the process RSS. Readers are never blocked. The
+  // combiner's flusher hands its caches back after every tick; chunks
+  // pinned by other long-lived user threads' caches stay reserved, as does
+  // storage that snapshots or version rings share (see
   // block_pool::trim_all). Safe to call from a parallel task or any user
   // thread. EXCLUDES: calling this from inside an epoch::guard could never
   // drain past the caller's own pin — the contract propagates from

@@ -437,8 +437,12 @@ class sharded_map {
   // mutexes stay held; per-shard slices merge on the calling thread, whose
   // pool cache then keeps their path copies, and each merge still forks by
   // the kernel's own rule. The displaced cut retires after every lock drops.
+  // A write bumps every touched versions[s]; a relocation (`bump` false)
+  // changes no content, so it leaves the version vector as it is and
+  // publishes nothing when every slot keeps its root.
   template <typename Apply>
-  void commit(std::vector<size_t> touched, bool fan_out, const Apply& apply) {
+  void commit(std::vector<size_t> touched, bool fan_out, const Apply& apply,
+              bool bump = true) {
     cut_t* displaced = nullptr;
     lock_walk(touched, 0, [&] {
       std::vector<Map> next;
@@ -446,6 +450,11 @@ class sharded_map {
       auto merge = [&](size_t i) { next[i] = apply(touched[i], std::move(next[i])); };
       size_t grain = fan_out ? 1 : touched.size();
       isolate([&] { parallel_for(0, touched.size(), merge, grain); });
+      if (!bump) {
+        bool same = true;
+        for (size_t i = 0; i < touched.size(); i++) same &= holds(touched[i], next[i]);
+        if (same) return;
+      }
       // Under the publish mutex: O(S) refcount bumps, no fork, no teardown.
       displaced = cut_.publish([&](const cut_t& old) {
         std::vector<Map> shards;
@@ -454,7 +463,7 @@ class sharded_map {
         for (size_t s = 0, j = 0; s < num_shards(); s++) {
           if (j < touched.size() && touched[j] == s) {
             shards.push_back(std::move(next[j++]));
-            versions[s]++;
+            if (bump) versions[s]++;
           } else {
             shards.push_back(old.snapshot.shard(s));
           }
@@ -464,12 +473,35 @@ class sharded_map {
       });
       server_internal::cut_metrics().publications.inc();
     });
+    if (displaced == nullptr) return;
     cut_.retire(displaced);
     // One cut carries what S per-shard commits used to retire: turn the
     // epoch twice more, so that with no reader pinned its old versions are
     // freed here, not two commits later, and their slots serve the next.
     epoch::try_advance();
     epoch::try_advance();
+  }
+
+  // Does the current cut's slot s hold m's root?
+  bool holds(size_t s, const Map& m) const {
+    epoch::guard g;
+    return cut_.get().snapshot.shard(s).same_root(m);
+  }
+
+  // The relocation commits that block_pool::trim_all's compaction pass
+  // runs through this map's hook: one commit per shard moves what the live
+  // tree alone owns out of the pass's victim chunks (Map::relocate, with
+  // the shard's root owned while only the cut and this commit hold it) and
+  // publishes the same contents under the same versions. Nothing a reader
+  // or the WAL could observe changes, so no record is logged. A shard that
+  // a snapshot, a version ring or the durability chain shares is left
+  // as it is.
+  void relocate() {
+    for (size_t s = 0; s < num_shards(); s++) {
+      commit({s}, false, [](size_t, Map m) {
+        return Map::relocate(m, 2, block_pool::relocating);
+      }, false);
+    }
   }
 
   // Take shard_mu_[ss[i..]] in order and run fn with all held. Recursion
@@ -520,6 +552,9 @@ class sharded_map {
   // their own: every commit writes them, while the fields above are read by
   // every routed operation.
   published<cut_t> cut_;
+  // Registered last and so dropped first: a compaction pass never runs
+  // this map's relocation on a half-destroyed map.
+  block_pool::relocation_hook relocation_{[this] { relocate(); }};
 };
 
 }  // namespace pam

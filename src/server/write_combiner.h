@@ -348,6 +348,10 @@ class write_combiner {
     return {std::move(upserts), std::move(deletes)};
   }
 
+  // One round per tick. After each, the flusher hands its pool caches
+  // back: it is a user thread, so trim_all cannot reach its caches, and the
+  // slots its rounds free and keep would pin their chunks through a
+  // compaction pass.
   void flusher_loop() {
     unique_guard lock(flusher_mu_);
     while (!stop_) {
@@ -361,6 +365,7 @@ class write_combiner {
         // the process: the batch was dropped (counted in sink_failures_),
         // the WAL writer is dead, and the owner observes it via failed().
       }
+      block_pool::hand_back_caches();
       lock.lock();
     }
   }

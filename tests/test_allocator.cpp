@@ -429,4 +429,47 @@ TEST(ScratchBuffer, MovesTransferOwnership) {
   EXPECT_EQ(empty.size(), 0u);
 }
 
+// A quarantined pool hands out no slot of a victim chunk (one with both
+// free and live slots); lifting the quarantine and trimming releases a
+// victim once its live slots are freed.
+TEST(Arena, QuarantineWithholdsVictimSlots) {
+  pam::raw_pool pool(128, 8);
+  std::vector<void*> live;
+  for (int i = 0; i < 2000; i++) live.push_back(pool.allocate());
+  std::vector<void*> kept;
+  for (size_t i = 0; i < live.size(); i++) {
+    if (i % 4 == 0) kept.push_back(live[i]); else pool.deallocate(live[i]);
+  }
+  auto victims = pool.quarantine();
+  ASSERT_FALSE(victims.empty());
+  auto in_victim = [&](const void* p) {
+    for (const auto& v : victims) {
+      if (!std::less<const void*>{}(p, v.first) && std::less<const void*>{}(p, v.second))
+        return true;
+    }
+    return false;
+  };
+  std::vector<void*> fresh;
+  for (int i = 0; i < 1000; i++) fresh.push_back(pool.allocate());
+  for (void* p : fresh) EXPECT_FALSE(in_victim(p));
+  for (void* p : fresh) pool.deallocate(p);
+  for (void* p : kept) pool.deallocate(p);
+  pool.unquarantine();
+  pool.trim();
+  EXPECT_EQ(pool.used(), 0);
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+// trim_memory() returns the net bytes released: reserved bytes before the
+// call minus after it.
+TEST(Arena, TrimMemoryReturnsNetBytesReleased) {
+  pam::raw_pool pool(176, 8);
+  churn(pool);
+  size_t before = trim_store_t::memory().reserved_bytes;
+  size_t released = trim_store_t::trim_memory();
+  size_t after = trim_store_t::memory().reserved_bytes;
+  EXPECT_EQ(released, before - after);
+  EXPECT_GT(released, 0u);
+}
+
 }  // namespace

@@ -818,4 +818,48 @@ TEST(KvStore, FlushRoundSyncsOnceAndPublishesOnce) {
   (void)std::system(rm.c_str());
 }
 
+// trim_memory()'s compaction moves what the live tree alone owns out of
+// partly free chunks: contents, aug, size, versions and validity are
+// unchanged, and a snapshot taken before reads the same after.
+template <typename Map>
+void check_relocation(size_t block) {
+  size_t saved = pam::leaf_block_size();
+  pam::set_leaf_block_size(block);
+  {
+    std::vector<typename Map::entry_t> init;
+    for (uint64_t i = 0; i < 40000; i++) init.push_back({i * 3, i % 7});
+    pam::kv_store<Map> store(Map(init), {.num_shards = 16});
+    pam::random_gen g(5);
+    for (int i = 0; i < 60000; i++) store.put(g.next_bounded(120000), g.next() % 100000);
+    store.flush();
+    auto before = store.snapshot();
+    auto entries = before.entries();
+    auto versions = store.shards().versions();
+    size_t size = store.size();
+    pam::kv_store<Map>::trim_memory();  // the held snapshot shares every root
+    EXPECT_EQ(before.entries(), entries);
+    auto aug = before.aug_range(0, ~uint64_t{0});
+    before = {};
+    pam::kv_store<Map>::trim_memory();
+    auto after = store.snapshot();
+    EXPECT_EQ(after.entries(), entries);
+    EXPECT_EQ(after.aug_range(0, ~uint64_t{0}), aug);
+    EXPECT_EQ(store.size(), size);
+    EXPECT_EQ(store.shards().versions(), versions);
+    for (size_t s = 0; s < after.num_shards(); s++) EXPECT_TRUE(after.shard(s).check_valid());
+  }
+  pam::set_leaf_block_size(saved);
+}
+
+TEST(KvStore, TrimMemoryRelocatesFlatMaps) {
+  check_relocation<map_t>(0);
+  check_relocation<map_t>(32);
+}
+
+TEST(KvStore, TrimMemoryRelocatesDeltaMaps) {
+  using delta_t = pam::aug_map<pam::delta_sum_entry<K, V>>;
+  check_relocation<delta_t>(0);
+  check_relocation<delta_t>(32);
+}
+
 }  // namespace
