@@ -18,8 +18,9 @@
 //      back; any it misses pin whole chunks and push the ratio above 1.
 //      The section starts from trimmed pools: maps built from the slots
 //      earlier sections left on the free lists are spread over old chunks,
-//      and that fragmentation (trim never moves a live slot) would swamp
-//      what this row measures.
+//      and that fragmentation (trim moves only what a live sharded_map
+//      owns, and these maps are plain aug_maps) would swamp what this row
+//      measures.
 //  (f) pool footprint after serving churn: a 16-shard kv_store preloaded
 //      with n = max(scaled 1M, 500K) entries takes n puts from 3 writer
 //      threads while a fourth thread runs gets. The write combiner commits
@@ -28,8 +29,8 @@
 //      the pools' reserved bytes over their live bytes. Every shard commit
 //      path-copies, so every commit displaces a version into epoch limbo;
 //      the longer those versions wait there, the more chunks the live
-//      tree's new slots spread over, and trim releases no chunk that still
-//      holds one live slot.
+//      tree's new slots spread over; trim's compaction then moves the live
+//      tree's slots out of the chunks left partly free.
 //  (g) tree-node bytes per entry of a delta-coded map at base B = 32 (delta
 //      blocks hold 4B = 128 entries): live nodes x sizeof(node) over
 //      entries, right after a build of n random keys and again after n/10
@@ -50,10 +51,19 @@
 //      again after n/10 more random point inserts into that range. This is
 //      the whole map's footprint under the codec's capacity; the
 //      post-insert row is gated in bench/baselines/BENCH_PR10.json.
+//  (j) pool footprint after value churn and a compacting trim: a 16-shard
+//      kv_store over a delta-coded u64 map at B = 32 with n = max(scaled
+//      16M, 2M) entries takes n point puts whose values alternate between
+//      under 10^6 and under 1000, so a rewritten block's encoded length
+//      changes and it moves to another byte class. Then flush() with the
+//      flusher alive and trim_memory(); the row reports reserved over used
+//      bytes (gated in bench/baselines/BENCH_PR10.json) and the trim's
+//      milliseconds per million entries.
 //
 // Sections (b) and (c) pin the unblocked layout: the sharing percentages
 // are properties of one-node-per-entry path copying.
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <thread>
@@ -334,6 +344,49 @@ int main() {
     std::printf("after +10%% inserts     %6.2f B/entry\n", inserted);
     bench_json("bench_table4_space", "bytes_delta_B=32_build", "bytes_per_entry", built);
     bench_json("bench_table4_space", "bytes_delta_B=32_inserts", "bytes_per_entry", inserted);
+    set_leaf_block_size(saved_b);
+  }
+
+  // ---- (j) pool bytes reserved vs used after value churn and compaction --
+  std::printf("\n--- pools after value churn and a compacting trim_memory (delta layout) ---\n");
+  {
+    using delta_map = aug_map<delta_sum_entry<uint64_t, uint64_t>>;
+    using store_t = kv_store<delta_map>;
+    set_leaf_block_size(32);
+    store_t::trim_memory();
+    // Below ~2M entries the pools' partly carved last chunks, not
+    // compaction, set the ratio (as the ~500K floor of (f)).
+    size_t cn = std::max<size_t>(scaled_size(16000000), 2000000);
+    {
+      auto es = kv_entries(cn, 81, 2 * cn);
+      store_t store(delta_map(es), {.num_shards = 16});
+      // Values alternate between under 1000 and under 10^6, so a rewritten
+      // block's encoded length changes and it moves to another byte class.
+      random_gen g(82);
+      for (size_t i = 0; i < cn; i++) {
+        store.put(es[g.next_bounded(cn)].first, g.next() % (i % 2 == 0 ? 1000000 : 1000));
+      }
+      store.flush();
+      auto t0 = std::chrono::steady_clock::now();
+      store_t::trim_memory();
+      double ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0).count();
+      auto mem = store_t::memory();
+      double over = static_cast<double>(mem.reserved_bytes) /
+                    static_cast<double>(mem.used_bytes);
+      double ms_per_m = ms / (static_cast<double>(store.size()) / 1e6);
+      std::printf("n=%zu, %zu puts, 16 shards\n", store.size(), cn);
+      std::printf("reserved %zu B, used %zu B, reserved/used %.3f\n",
+                  mem.reserved_bytes, mem.used_bytes, over);
+      std::printf("trim_memory %.1f ms, %.2f ms per million entries\n", ms, ms_per_m);
+      bench_json("bench_table4_space", "compaction_churn", "reserved_bytes",
+                 static_cast<double>(mem.reserved_bytes));
+      bench_json("bench_table4_space", "compaction_churn", "used_bytes",
+                 static_cast<double>(mem.used_bytes));
+      bench_json("bench_table4_space", "compaction_churn", "reserved_over_used", over);
+      bench_json("bench_table4_space", "compaction_churn", "trim_ms_per_M_entries",
+                 ms_per_m);
+    }
     set_leaf_block_size(saved_b);
   }
 

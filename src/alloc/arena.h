@@ -18,10 +18,11 @@
 //   * compacts before it releases: trim_all() quarantines the free slots of
 //     every partly free chunk (a *victim*) and runs the process-wide
 //     relocation hooks, through which every live sharded_map copies the
-//     nodes and blocks it alone owns out of victim chunks in one commit per
-//     shard (trees are immutable and refcounted, so a move is an ordinary
-//     path-copying update no reader can see). The victims then hold only
-//     what other versions share, and the ones that emptied are released;
+//     nodes and blocks it alone owns out of victim chunks in one commit
+//     over all its shards (trees are immutable and refcounted, so a move is
+//     an ordinary path-copying update no reader can see). The victims then
+//     hold only what other versions share, and the ones that emptied are
+//     released;
 //   * stripes its live counters by a hashed thread id for *all* threads —
 //     scheduler workers and foreign server threads alike — instead of
 //     funneling every non-worker thread onto one shared stripe.
@@ -565,9 +566,10 @@ class block_pool {
   //   2. Compaction, when a relocation hook is registered (every live
   //      sharded_map registers one): every pool quarantines its victims
   //      (quarantine()), every hook runs — moving what its live tree alone
-  //      owns out of victim chunks, in one commit per shard — the trees it
-  //      displaced drain through the epoch, every cache is handed back
-  //      again, and the quarantine lifts. Only storage that other versions
+  //      owns out of victim chunks, in one commit over all its shards
+  //      (sharded_map::relocate) — the trees it displaced drain through
+  //      the epoch, every cache is handed back again, and the quarantine
+  //      lifts. Only storage that other versions
   //      share (snapshots, version rings) stays in a victim, so the moves
   //      empty most of them; the pass's transient peak is one extra copy
   //      of the moved data. One pass runs at a time: a call that finds one

@@ -516,9 +516,10 @@ struct tree_ops : node_manager<Entry, Balance> {
   // of such. Shared subtrees are never entered, so storage another version
   // holds is never copied; everything not moved is shared with t. Returns
   // an owned reference; O(owned part) work. Sequential on purpose: forked
-  // tasks would each carve a partly used chunk per pool and byte class,
-  // and those are the next pass's victims (ycsb-b-large read 7.8 B/entry
-  // forked, 3.8 sequential).
+  // tasks each carve a partly used chunk per pool and byte class, which
+  // the trim then cannot release (bench_table4_space's compaction_churn
+  // read reserved/used 1.21-1.23 forked against 1.06 sequential, for a
+  // trim about 1.6x faster).
   template <typename Moved>
   static node* relocate(node* t, const Moved& moved) {
     node* c = relocated(t, moved);

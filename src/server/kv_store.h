@@ -299,14 +299,15 @@ class kv_store {
   // displaced versions in limbo are destroyed (parallel teardown), have
   // every scheduler worker and the calling thread hand their pool caches
   // back, compact — every live sharded_map moves what its live tree alone
-  // owns out of partly free chunks, one commit per shard with contents and
-  // versions unchanged — then release fully-free chunks from every pool to
-  // the C++ heap. Returns the net bytes released (reserved bytes before
-  // minus after). The heap keeps most of them mapped, so this lowers
-  // reserved_bytes, not the process RSS. Readers are never blocked. The
-  // combiner's flusher hands its caches back after every tick; chunks
-  // pinned by other long-lived user threads' caches stay reserved, as does
-  // storage that snapshots or version rings share (see
+  // owns out of partly free chunks, in one commit over all its shards with
+  // contents and versions unchanged — then release fully-free chunks from
+  // every pool to the C++ heap. Returns the net bytes released (reserved
+  // bytes before minus after, or 0). The heap keeps most of them mapped, so
+  // this lowers reserved_bytes, not the process RSS. Readers are never
+  // blocked; writers to a map wait while its relocation commit holds the
+  // shard mutexes. The combiner's flusher hands its caches back after
+  // every tick; chunks pinned by other long-lived user threads' caches stay
+  // reserved, as does storage that snapshots or version rings share (see
   // block_pool::trim_all). Safe to call from a parallel task or any user
   // thread. EXCLUDES: calling this from inside an epoch::guard could never
   // drain past the caller's own pin — the contract propagates from

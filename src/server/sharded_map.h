@@ -46,10 +46,13 @@
 // (it sees its own shard as of before the commit); it must not write to it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -437,24 +440,27 @@ class sharded_map {
   // mutexes stay held; per-shard slices merge on the calling thread, whose
   // pool cache then keeps their path copies, and each merge still forks by
   // the kernel's own rule. The displaced cut retires after every lock drops.
-  // A write bumps every touched versions[s]; a relocation (`bump` false)
-  // changes no content, so it leaves the version vector as it is and
-  // publishes nothing when every slot keeps its root.
+  // A write bumps every touched versions[s]. A relocation (`bump` false)
+  // changes no content: it drains the epoch under the locks first, so that
+  // no displaced cut still holds a touched slot's root (no writer can
+  // displace another while the locks are held), keeps the version vector
+  // as it is, and publishes nothing when every slot keeps its root.
   template <typename Apply>
   void commit(std::vector<size_t> touched, bool fan_out, const Apply& apply,
               bool bump = true) {
     cut_t* displaced = nullptr;
     lock_walk(touched, 0, [&] {
+      if (!bump) drain_limbo();
       std::vector<Map> next;
       for (size_t s : touched) next.push_back(snapshot_shard(s));
+      std::vector<Map> prev;
+      if (!bump) prev = next;
       auto merge = [&](size_t i) { next[i] = apply(touched[i], std::move(next[i])); };
       size_t grain = fan_out ? 1 : touched.size();
       isolate([&] { parallel_for(0, touched.size(), merge, grain); });
-      if (!bump) {
-        bool same = true;
-        for (size_t i = 0; i < touched.size(); i++) same &= holds(touched[i], next[i]);
-        if (same) return;
-      }
+      if (!bump && std::equal(next.begin(), next.end(), prev.begin(),
+                              [](const Map& a, const Map& b) { return a.same_root(b); }))
+        return;
       // Under the publish mutex: O(S) refcount bumps, no fork, no teardown.
       displaced = cut_.publish([&](const cut_t& old) {
         std::vector<Map> shards;
@@ -482,26 +488,30 @@ class sharded_map {
     epoch::try_advance();
   }
 
-  // Does the current cut's slot s hold m's root?
-  bool holds(size_t s, const Map& m) const {
-    epoch::guard g;
-    return cut_.get().snapshot.shard(s).same_root(m);
+  // Free what limbo holds, retrying a few times past readers pinned for
+  // the O(log n) of a find or the O(S) of a cut copy. Isolated: a cut's
+  // teardown may fork while the caller holds shard mutexes.
+  static void drain_limbo() PAM_EXCLUDES(epoch_domain) {
+    isolate([] {
+      for (int i = 0; i < 16 && epoch::drain() > 0; i++) std::this_thread::yield();
+    });
   }
 
-  // The relocation commits that block_pool::trim_all's compaction pass
-  // runs through this map's hook: one commit per shard moves what the live
-  // tree alone owns out of the pass's victim chunks (Map::relocate, with
-  // the shard's root owned while only the cut and this commit hold it) and
-  // publishes the same contents under the same versions. Nothing a reader
-  // or the WAL could observe changes, so no record is logged. A shard that
-  // a snapshot, a version ring or the durability chain shares is left
-  // as it is.
+  // The relocation commit that block_pool::trim_all's compaction pass runs
+  // through this map's hook: one commit over every shard, on the calling
+  // thread, moves what each live tree alone owns out of the pass's victim
+  // chunks (Map::relocate) and publishes the same contents under the same
+  // versions. Nothing a reader or the WAL could observe changes, so no
+  // record is logged. A shard root counts as the live tree's while only the
+  // cut and the commit's two copies of the slot (before and after apply)
+  // hold it, so a shard that a snapshot, a version ring or the durability
+  // chain shares is left as it is.
   void relocate() {
-    for (size_t s = 0; s < num_shards(); s++) {
-      commit({s}, false, [](size_t, Map m) {
-        return Map::relocate(m, 2, block_pool::relocating);
-      }, false);
-    }
+    std::vector<size_t> all(num_shards());
+    std::iota(all.begin(), all.end(), size_t{0});
+    commit(std::move(all), false, [](size_t, Map m) {
+      return Map::relocate(m, 3, block_pool::relocating);
+    }, false);
   }
 
   // Take shard_mu_[ss[i..]] in order and run fn with all held. Recursion

@@ -419,6 +419,14 @@ TEST(ObsKvStore, ExpositionCoversTheStack) {
   EXPECT_EQ(shard_gauges, store.shards().num_shards());
   EXPECT_EQ(static_cast<size_t>(total_entries), store.size());
 
+  // The compaction pass's series (alloc/arena.h), scraped after a trim.
+  kv_store<map_t>::trim_memory();
+  auto trimmed = store.metrics();
+  EXPECT_NE(find_counter(trimmed, "pam_arena_relocated_bytes_total"), nullptr);
+  EXPECT_NE(find_histogram(trimmed, "pam_arena_compaction_ns"), nullptr);
+  EXPECT_NE(store.metrics_text().find("pam_arena_relocated_bytes_total"),
+            std::string::npos);
+
   // Both expositions render without blowing up and carry a known series.
   EXPECT_NE(store.metrics_text().find("pam_combiner_ops_enqueued_total"),
             std::string::npos);
